@@ -12,6 +12,7 @@ from .classifier import (
     EvalReport,
     TrainedModel,
     classify,
+    classify_batch,
     evaluate,
     split,
     train,
@@ -46,7 +47,14 @@ from .diversity import (
     representation_ratios,
 )
 from .errors import ConfigError, InputFormatError, InvariantError, OnomaError
-from .features import FeatureVector, NGramConfig, build_vocabulary, extract
+from .features import (
+    FeatureMatrix,
+    FeatureVector,
+    NGramConfig,
+    build_vocabulary,
+    extract,
+    featurize,
+)
 from .synth import (
     MarkovChain,
     PopulationSpec,

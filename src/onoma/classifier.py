@@ -4,7 +4,9 @@ Covers the stratified train/eval split, training with additive smoothing,
 log-space scoring and confusion-matrix evaluation. Scores are computed in
 log space throughout so long names cannot underflow, and every stochastic
 step draws from a seed derived per region, making splits independent of
-iteration order.
+iteration order. Training and batch scoring read n-gram counts from a shared
+`FeatureMatrix`; `classify` scores one name on its own and is the reference
+the batch scorer agrees with.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import normalize_surname
 from .errors import InputFormatError
-from .features import NGramConfig, extract, build_vocabulary
+from .features import FeatureMatrix, NGramConfig, build_vocabulary, extract, featurize
 from .util import atomic_write, derive_seed, dumps
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "TrainedModel",
     "Classification",
     "classify",
+    "classify_batch",
     "EvalReport",
     "evaluate",
     "read_labeled_tsv",
@@ -41,6 +44,15 @@ MODEL_FORMAT_VERSION = 1
 def _logsumexp(values: np.ndarray) -> float:
     m = float(np.max(values))
     return m + math.log(float(np.exp(values - m).sum()))
+
+
+def _token_columns(features: FeatureMatrix, vocab_index: Mapping[str, int]) -> np.ndarray:
+    """Vocabulary column of each matrix token; -1 where out of vocabulary."""
+    return np.fromiter(
+        (vocab_index.get(token, -1) for token in features.tokens),
+        dtype=np.int64,
+        count=len(features.tokens),
+    )
 
 
 def split(
@@ -169,31 +181,40 @@ def train(
     *,
     min_df: int = 1,
     strip_diacritics: bool = False,
+    features: FeatureMatrix | None = None,
 ) -> TrainedModel:
     """Fit priors and smoothed token likelihoods from (surname, region) pairs.
 
     prior(r) is the share of names labeled r; likelihood(r, g) is
     (count of g in r + alpha) / (in-vocabulary tokens of r + alpha * |V|),
-    which sums to 1 over the vocabulary by construction.
+    which sums to 1 over the vocabulary by construction. N-gram counts are
+    read from `features` when given (it must hold every training surname).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not train_set:
         raise ValueError("empty training set")
     regions = tuple(sorted({region for _, region in train_set}))
-    vocabulary = tuple(build_vocabulary((s for s, _ in train_set), config, min_df))
-    vocab_index = {token: j for j, token in enumerate(vocabulary)}
-    region_index = {region: i for i, region in enumerate(regions)}
+    surnames = [surname for surname, _ in train_set]
+    if features is None:
+        features = featurize(list(dict.fromkeys(surnames)), config)
+    vocabulary = tuple(build_vocabulary(surnames, config, min_df, features))
+    columns = _token_columns(features, {token: j for j, token in enumerate(vocabulary)})
+    by_region: dict[str, list[str]] = {}
+    for surname, region in train_set:
+        by_region.setdefault(region, []).append(surname)
 
     token_counts = np.zeros((len(regions), len(vocabulary)))
     name_counts = np.zeros(len(regions))
-    for surname, region in train_set:
-        i = region_index[region]
-        name_counts[i] += 1
-        for token, c in extract(surname, config).items():
-            j = vocab_index.get(token)
-            if j is not None:
-                token_counts[i, j] += c
+    for i, region in enumerate(regions):
+        names = by_region[region]
+        name_counts[i] = len(names)
+        _, ids, counts = features.entries(features.rows_of(names))
+        cols = columns[ids]
+        known = cols >= 0
+        token_counts[i] = np.bincount(
+            cols[known], weights=counts[known], minlength=len(vocabulary)
+        )
 
     totals = token_counts.sum(axis=1)
     likelihood = (token_counts + alpha) / (totals[:, None] + alpha * len(vocabulary))
@@ -256,6 +277,54 @@ def classify(model: TrainedModel, surname: str) -> Classification:
     )
 
 
+def classify_batch(
+    model: TrainedModel,
+    surnames: Sequence[str],
+    features: FeatureMatrix | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score many surnames at once; agrees name by name with `classify`.
+
+    Returns each surname's label as an index into model.regions (exact ties
+    go to the lexicographically first region), its prior-only flag, and the
+    (surnames x regions) score matrix. Each distinct normalized surname is
+    scored once: from the rows of `features` when it holds all of them,
+    otherwise from a featurize pass here. The in-vocabulary terms of every
+    name are summed with one bincount per region.
+    """
+    normalized: list[str] = []
+    for surname in surnames:
+        name = normalize_surname(surname, model.strip_diacritics)
+        if not name:
+            raise ValueError(f"surname {surname!r} is empty after normalization")
+        normalized.append(name)
+    distinct = list(dict.fromkeys(normalized))
+    if (
+        features is None
+        or features.config != model.feature_config
+        or any(name not in features.index for name in distinct)  # type: ignore[attr-defined]
+    ):
+        features = featurize(distinct, model.feature_config)
+    owner, ids, counts = features.entries(features.rows_of(distinct))
+    cols = _token_columns(features, model.vocab_index)[ids]  # type: ignore[attr-defined]
+    known = cols >= 0
+    owner, cols, weights = owner[known], cols[known], counts[known].astype(float)
+
+    n = len(distinct)
+    scores = np.empty((len(model.regions), n))
+    for i in range(len(model.regions)):
+        terms = weights * model.log_likelihoods[i, cols]
+        scores[i] = model.log_priors[i] + np.bincount(owner, weights=terms, minlength=n)
+    prior_only = np.bincount(owner, minlength=n) == 0
+    order = np.argsort(model.regions)
+    labels = order[np.argmax(scores[order], axis=0)]
+
+    row_of = {name: k for k, name in enumerate(distinct)}
+    back = np.fromiter(
+        (row_of[name] for name in normalized), dtype=np.int64, count=len(normalized)
+    )
+    return labels[back], prior_only[back], scores.T[back]
+
+
 @dataclass(frozen=True, eq=False)
 class EvalReport:
     """Confusion counts (rows guessed, columns actual) with per-region metrics."""
@@ -304,18 +373,28 @@ class EvalReport:
         return dumps(doc)
 
 
-def evaluate(model: TrainedModel, eval_set: Sequence[tuple[str, str]]) -> EvalReport:
-    """Confusion matrix of guessed vs actual region over an evaluation set."""
+def evaluate(
+    model: TrainedModel,
+    eval_set: Sequence[tuple[str, str]],
+    features: FeatureMatrix | None = None,
+) -> EvalReport:
+    """Confusion matrix of guessed vs actual region over an evaluation set.
+
+    Names are scored by `classify_batch`, from the rows of `features` when
+    it holds them all.
+    """
     if not eval_set:
         raise ValueError("empty evaluation set")
     unknown = sorted({region for _, region in eval_set} - set(model.regions))
     if unknown:
         raise ValueError(f"evaluation labels unknown to the model: {', '.join(unknown)}")
     region_index = model.region_index  # type: ignore[attr-defined]
+    guessed, _, _ = classify_batch(model, [surname for surname, _ in eval_set], features)
+    actual = np.fromiter(
+        (region_index[region] for _, region in eval_set), dtype=np.int64, count=len(eval_set)
+    )
     confusion = np.zeros((len(model.regions), len(model.regions)), dtype=np.int64)
-    for surname, actual in eval_set:
-        guessed = classify(model, surname).label
-        confusion[region_index[guessed], region_index[actual]] += 1
+    np.add.at(confusion, (guessed, actual), 1)
     return EvalReport.from_confusion(model.regions, confusion)
 
 

@@ -4,8 +4,6 @@ Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. Exit codes: 1 usage,
 2 input format, 3 config validation, 4 internal invariant violation.
-
-ONOMA_THREADS caps worker threads where stages parallelize (0 = auto).
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,7 +43,7 @@ from .corpus import (
     render_corpus_tsv,
 )
 from .errors import ConfigError, InputFormatError, InvariantError, OnomaError
-from .features import NGramConfig
+from .features import NGramConfig, featurize
 from .typology import (
     build_country_matrix,
     cut_dendrogram,
@@ -54,7 +51,7 @@ from .typology import (
     relabel,
     ward_cluster,
 )
-from .util import atomic_write, dumps, sha256_file, thread_cap
+from .util import atomic_write, dumps, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -105,6 +102,18 @@ def _read_population(path: Path | str) -> list[str]:
     if not names:
         raise InputFormatError(f"{path}: no surnames")
     return names
+
+
+def _reference_priors(
+    model: TrainedModel, names: Sequence[str]
+) -> tuple[tuple[np.ndarray, int], np.ndarray]:
+    """A reference population's guess tally and the guess shares it calibrates to."""
+    tally = diversity.tally_guesses(model, names)
+    guessed = tally[0]
+    if np.any(guessed == 0):
+        missing = [r for r, g in zip(model.regions, guessed) if g == 0]
+        raise ConfigError(f"reference population yields zero guesses for: {', '.join(missing)}")
+    return tally, guessed / guessed.sum()
 
 
 def _add_corpus_opts(parser: argparse.ArgumentParser) -> None:
@@ -283,14 +292,7 @@ def cmd_calibrate(args) -> int:
         model = TrainedModel.load(args.model)
         if model.regions != counts.regions:
             raise ConfigError("model regions do not match the confusion matrix")
-        names = _read_population(args.reference)
-        guessed, _ = diversity.tally_guesses(model, names)
-        if np.any(guessed == 0):
-            missing = [r for r, g in zip(model.regions, guessed) if g == 0]
-            raise ConfigError(
-                f"reference population yields zero guesses for: {', '.join(missing)}"
-            )
-        priors = guessed / guessed.sum()
+        _, priors = _reference_priors(model, _read_population(args.reference))
         provenance["priors_source"] = f"reference:{Path(args.reference).name}"
     else:
         raise ConfigError("need either --priors or both --reference and --model")
@@ -319,25 +321,6 @@ def cmd_classify_population(args) -> int:
     return 0
 
 
-def _distributions_for(
-    model: TrainedModel,
-    operator: CorrectionOperator,
-    datasets: Sequence[tuple[str, list[str]]],
-) -> list[diversity.OriginDistribution]:
-    workers = min(thread_cap(), len(datasets))
-    if workers <= 1:
-        return [
-            diversity.distribution(names, model, operator, dataset)
-            for dataset, names in datasets
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(diversity.distribution, names, model, operator, dataset)
-            for dataset, names in datasets
-        ]
-        return [f.result() for f in futures]
-
-
 def cmd_compare(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
@@ -349,7 +332,9 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"duplicate dataset name {name!r}")
         seen.add(name)
         datasets.append((name, _read_population(path)))
-    dists = _distributions_for(model, operator, datasets)
+    dists = [
+        diversity.distribution(names, model, operator, dataset) for dataset, names in datasets
+    ]
     reference = dists[0]
     profiles = [diversity.representation_ratios(d, reference) for d in dists]
     provenance = {
@@ -479,6 +464,10 @@ class PipelineConfig:
             raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise InputFormatError(f"{path}: config must be a JSON object")
+        known = {f.name for f in fields(cls)} - {"synth_spec"} | {"synth"}
+        unknown = sorted(key for key in doc if key not in known)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
         merged = dict(doc)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         base = Path(path).parent
@@ -606,10 +595,17 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
     artifacts["core"] = atomic_write(out_dir / "core.tsv", render_core_names(core))
+    n_records, n_surnames = len(table), len(table.surnames())
+    del table  # the largest structure of the run; only its sizes are reported
+    # Every core name's n-grams, extracted once for the country matrix,
+    # training and evaluation.
+    core_features = featurize(list(dict.fromkeys(n.surname for n in core)), feature_config)
 
     log.info("stage: typology")
     try:
-        matrix = build_country_matrix(core, feature_config, config.min_core_names)
+        matrix = build_country_matrix(
+            core, feature_config, config.min_core_names, core_features
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     dendrogram = ward_cluster(matrix)
@@ -639,14 +635,17 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
             feature_config,
             min_df=config.min_df,
             strip_diacritics=config.strip_diacritics,
+            features=core_features,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    artifacts["model"] = model.save(out_dir / "model.json")
-    artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", render_labeled_tsv(eval_set))
 
     log.info("stage: evaluate")
-    report = evaluate(model, eval_set)
+    report = evaluate(model, eval_set, core_features)
+    # Released before the model is serialized, the run's peak of memory.
+    del core_features
+    artifacts["model"] = model.save(out_dir / "model.json")
+    artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", render_labeled_tsv(eval_set))
     from .correction import render_confusion_csv
 
     artifacts["eval_report"] = atomic_write(out_dir / "eval_report.json", report.to_json())
@@ -659,13 +658,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     provenance: dict[str, object] = {"confusion": "confusion.csv"}
     if reference_path is not None:
         reference_names = _read_population(reference_path)
-        guessed, _ = diversity.tally_guesses(model, reference_names)
-        if np.any(guessed == 0):
-            missing = [r for r, g in zip(model.regions, guessed) if g == 0]
-            raise ConfigError(
-                f"reference population yields zero guesses for: {', '.join(missing)}"
-            )
-        priors = guessed / guessed.sum()
+        reference_tally, priors = _reference_priors(model, reference_names)
         counts = reweight_priors(counts, priors)
         provenance["priors_source"] = f"reference:{Path(reference_path).name}"
         provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
@@ -676,13 +669,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
     if reference_path is not None:
         log.info("stage: compare")
-        datasets: list[tuple[str, list[str]]] = []
-        for path in [reference_path, *target_paths]:
-            name = dataset_names.get(Path(path), Path(path).stem)
-            datasets.append((name, _read_population(path)))
-        if len({name for name, _ in datasets}) != len(datasets):
+        datasets = [(reference_path, reference_names, reference_tally)]
+        datasets += [(path, _read_population(path), None) for path in target_paths]
+        names = [dataset_names.get(Path(path), Path(path).stem) for path, _, _ in datasets]
+        if len(set(names)) != len(names):
             raise ConfigError("duplicate dataset names among reference/targets")
-        dists = _distributions_for(model, operator, datasets)
+        dists = [
+            diversity.distribution(surnames, model, operator, name, tally=tally)
+            for name, (_, surnames, tally) in zip(names, datasets)
+        ]
         profiles = [diversity.representation_ratios(d, dists[0]) for d in dists]
         report_paths = diversity.emit_report(
             profiles,
@@ -710,8 +705,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
     summary = {
         "seed": config.seed,
-        "n_records": len(table),
-        "n_surnames": len(table.surnames()),
+        "n_records": n_records,
+        "n_surnames": n_surnames,
         "n_core_names": len(core),
         "regions": {r: region_counts[r] for r in typology.regions},
         "n_train": len(train_set),
@@ -761,9 +756,6 @@ file formats:
   operator CSV     row-stochastic matrix with '# key: value' provenance header
   model JSON       versioned document with regions, vocabulary, log priors and
                    log likelihoods (17 significant digits)
-
-environment:
-  ONOMA_THREADS    caps worker threads where stages parallelize (0 = auto)
 """
 
 

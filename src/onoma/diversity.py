@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import TrainedModel, classify
+from .classifier import TrainedModel, classify_batch
 from .correction import CorrectionOperator, correct_counts
 from .typology import Dendrogram, agglomerate
 from .util import atomic_write, dumps, fmt_float
@@ -70,15 +70,9 @@ def tally_guesses(
     model: TrainedModel, surnames: Sequence[str]
 ) -> tuple[np.ndarray, int]:
     """Raw per-region tally of classifier labels plus the prior-only count."""
-    region_index = model.region_index  # type: ignore[attr-defined]
-    counts = np.zeros(len(model.regions))
-    prior_only = 0
-    for surname in surnames:
-        result = classify(model, surname)
-        counts[region_index[result.label]] += 1
-        if result.prior_only:
-            prior_only += 1
-    return counts, prior_only
+    labels, prior_only, _ = classify_batch(model, surnames)
+    counts = np.bincount(labels, minlength=len(model.regions)).astype(float)
+    return counts, int(prior_only.sum())
 
 
 def distribution(
@@ -86,13 +80,20 @@ def distribution(
     model: TrainedModel,
     operator: CorrectionOperator,
     dataset_name: str = "dataset",
+    *,
+    tally: tuple[np.ndarray, int] | None = None,
 ) -> OriginDistribution:
-    """Corrected origin distribution for a list of surnames."""
+    """Corrected origin distribution for a list of surnames.
+
+    `tally` is the `tally_guesses` result for these surnames when the caller
+    already has it (a reference population calibrated on), so they are not
+    classified twice.
+    """
     if not surnames:
         raise ValueError("empty surname list")
     if operator.regions != model.regions:
         raise ValueError("operator and model disagree on regions")
-    guessed, prior_only = tally_guesses(model, surnames)
+    guessed, prior_only = tally if tally is not None else tally_guesses(model, surnames)
     corrected = correct_counts(guessed, operator)
     total = float(corrected.sum())
     return OriginDistribution(

@@ -19,11 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import classify, split, train
+from .classifier import classify_batch, split, train
 from .corpus import CountryRegistry, OccurrenceTable, filter_core_names
 from .correction import ConfusionCounts, correct_counts, correction_operator, reweight_priors
 from .errors import InputFormatError, InvariantError
-from .features import NGramConfig
+from .features import NGramConfig, featurize
 from .typology import build_country_matrix, cut_dendrogram, relabel, ward_cluster
 from .util import derive_seed, dumps
 
@@ -573,7 +573,8 @@ def score_pipeline(
     """
     table, truth = generate(spec)
     core = filter_core_names(table, hhi_min, freq_min)
-    matrix = build_country_matrix(core, feature_config, min_core_names)
+    core_features = featurize([name.surname for name in core], feature_config)
+    matrix = build_country_matrix(core, feature_config, min_core_names, core_features)
     dendrogram = ward_cluster(matrix)
     k = min(len(spec.generators), len(matrix.countries))
     typology = cut_dendrogram(dendrogram, k)
@@ -594,7 +595,7 @@ def score_pipeline(
 
     labeled, _counts = relabel(core, typology)
     train_set, eval_set = split(labeled, train_fraction, seed=spec.seed)
-    model = train(train_set, alpha, feature_config, min_df=min_df)
+    model = train(train_set, alpha, feature_config, min_df=min_df, features=core_features)
 
     # One pass over the evaluation set fills both the typology-space confusion
     # (feeding the correction operator) and the truth-space tallies.
@@ -604,10 +605,11 @@ def score_pipeline(
     true_index = {r: i for i, r in enumerate(true_labels)}
     conf_typ = np.zeros((n_typ, n_typ), dtype=np.int64)
     conf_true = np.zeros((len(true_labels), len(true_labels)), dtype=np.int64)
-    for surname, actual_typ in eval_set:
-        guessed_typ = classify(model, surname).label
-        conf_typ[typ_index[guessed_typ], typ_index[actual_typ]] += 1
-        guessed_true = region_map.get(guessed_typ)
+    labels, _, _ = classify_batch(model, [surname for surname, _ in eval_set], core_features)
+    del core_features
+    for (surname, actual_typ), g in zip(eval_set, labels):
+        conf_typ[g, typ_index[actual_typ]] += 1
+        guessed_true = region_map.get(model.regions[g])
         actual_true = truth[surname]
         if guessed_true is not None:
             conf_true[true_index[guessed_true], true_index[actual_true]] += 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import CoreName
 from .errors import InputFormatError, InvariantError
-from .features import NGramConfig, extract
+from .features import FeatureMatrix, NGramConfig, featurize
 from .util import fmt_float
 
 log = logging.getLogger(__name__)
@@ -243,42 +243,54 @@ def build_country_matrix(
     core_names: Iterable[CoreName],
     config: NGramConfig = NGramConfig(),
     min_core_names: int = 20,
+    features: FeatureMatrix | None = None,
 ) -> CountryFeatureMatrix:
     """Country x n-gram frequency matrix over core names.
 
     Cell (c, g) is the share of token g among all n-gram occurrences of
     country c's core names. Countries contributing fewer than min_core_names
     names (or no tokens at all) are excluded; at least two must remain.
+    N-gram counts are read from `features` when given (it must hold the
+    surnames of every kept country), otherwise they are featurized here.
     """
     by_country: dict[str, list[str]] = {}
     for name in core_names:
         by_country.setdefault(name.assigned_country, []).append(name.surname)
+    selected = {
+        country: by_country[country]
+        for country in sorted(by_country)
+        if len(by_country[country]) >= min_core_names
+    }
+    if features is None:
+        features = featurize(
+            list(dict.fromkeys(s for names in selected.values() for s in names)), config
+        )
+    elif features.config != config:
+        raise ValueError("feature matrix was built with another n-gram config")
 
-    counters: dict[str, dict[str, int]] = {}
-    for country in sorted(by_country):
-        names = by_country[country]
-        if len(names) < min_core_names:
-            continue
-        counts: dict[str, int] = {}
-        for surname in names:
-            for token, c in extract(surname, config).items():
-                counts[token] = counts.get(token, 0) + c
-        if not counts:
+    # Per kept country: the token ids it uses and their summed counts.
+    kept: list[tuple[str, np.ndarray, np.ndarray]] = []
+    for country, names in selected.items():
+        _, ids, counts = features.entries(features.rows_of(names))
+        totals = np.bincount(ids, weights=counts, minlength=len(features.tokens))
+        present = np.flatnonzero(totals)
+        if not len(present):
             log.warning("country %s produced no n-gram tokens, excluded", country)
             continue
-        counters[country] = counts
+        kept.append((country, present, totals[present]))
 
-    if len(counters) < 2:
+    if len(kept) < 2:
         raise ValueError(
-            f"need at least 2 countries with >= {min_core_names} core names, got {len(counters)}"
+            f"need at least 2 countries with >= {min_core_names} core names, got {len(kept)}"
         )
-    countries = tuple(sorted(counters))
-    vocabulary = tuple(sorted(set().union(*(counters[c].keys() for c in countries))))
-    index = {token: j for j, token in enumerate(vocabulary)}
+    countries = tuple(country for country, _, _ in kept)
+    used = np.unique(np.concatenate([present for _, present, _ in kept]))
+    vocabulary = tuple(features.tokens[j] for j in used)
+    # Filled row by row into a C-contiguous array: ward_cluster's sums, and
+    # so the dendrogram's heights, depend on the memory layout of the rows.
     rows = np.zeros((len(countries), len(vocabulary)))
-    for i, country in enumerate(countries):
-        for token, c in counters[country].items():
-            rows[i, index[token]] = c
+    for i, (_, present, totals) in enumerate(kept):
+        rows[i, np.searchsorted(used, present)] = totals
         rows[i] /= rows[i].sum()
     return CountryFeatureMatrix(countries, vocabulary, rows)
 

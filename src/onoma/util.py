@@ -11,14 +11,12 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import ConfigError
-
 __all__ = [
     "derive_seed",
-    "thread_cap",
     "fmt_float",
     "dumps",
     "atomic_write",
@@ -34,18 +32,6 @@ def derive_seed(seed: int, stage: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{stage}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def thread_cap() -> int:
-    """Worker cap from ONOMA_THREADS (0 or unset = number of CPUs)."""
-    raw = os.environ.get("ONOMA_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ONOMA_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"ONOMA_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 def fmt_float(value: float) -> str:
@@ -116,13 +102,35 @@ def dumps(obj: Any, indent: int = 2) -> str:
     return "".join(out)
 
 
+def _file_mode() -> int:
+    """Permissions a plain open() gives a new file under the current umask."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return 0o666 & ~mask
+
+
+# Read once: os.umask can only be read by setting it, which is not safe
+# while other threads create files.
+_FILE_MODE = _file_mode()
+
+
 def atomic_write(path: Path | str, content: str | bytes) -> Path:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The temp file has a unique name, so concurrent writers to one path do not
+    collide (the last rename wins), and it is removed if the write fails.
+    """
     path = Path(path)
     data = content.encode("utf-8") if isinstance(content, str) else content
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

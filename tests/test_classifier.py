@@ -10,6 +10,7 @@ from onoma.classifier import (
     EvalReport,
     TrainedModel,
     classify,
+    classify_batch,
     evaluate,
     read_labeled_tsv,
     render_labeled_tsv,
@@ -17,7 +18,7 @@ from onoma.classifier import (
     train,
 )
 from onoma.correction import ConfusionCounts
-from onoma.features import NGramConfig, extract
+from onoma.features import NGramConfig, extract, featurize
 from onoma.resources import reference_confusion_path
 
 CHAR1 = NGramConfig(n_values=(1,), pad_boundaries=False)
@@ -256,6 +257,64 @@ def test_classify_matches_brute_force_oracle():
             if len(ranked) < 2 or ranked[0] - ranked[1] > 1e-6:
                 best = max(expected.values())
                 assert result.label == min(r for r, s in expected.items() if s == best)
+
+
+@pytest.fixture(scope="module")
+def spec_model():
+    """A model trained on a synthetic corpus, and its held-out names."""
+    from onoma.synth import generate, standard_spec
+
+    _, truth = generate(standard_spec(4, 2, 80, 0.3, seed=13))
+    train_set, eval_set = split(sorted(truth.items()), 0.8, seed=2)
+    return train(train_set, 0.1, NGramConfig()), [surname for surname, _ in eval_set]
+
+
+def assert_batch_matches_classify(model, names, features=None):
+    labels, prior_only, scores = classify_batch(model, names, features)
+    assert len(labels) == len(prior_only) == len(scores) == len(names)
+    for i, name in enumerate(names):
+        expected = classify(model, name)
+        assert model.regions[labels[i]] == expected.label, name
+        assert prior_only[i] == expected.prior_only, name
+        assert np.allclose(scores[i], expected.scores, rtol=0, atol=1e-9), name
+
+
+def test_classify_batch_matches_classify_loop(spec_model):
+    model, held_out = spec_model
+    unknown = ["ÿ", "éñ ÿü"]  # no in-vocabulary token
+    names = held_out + unknown
+    names += [f"{a} {b}" for a, b in zip(held_out[:20], held_out[20:40])]  # multi-word
+    names += held_out[:10]  # duplicates
+    names += [f"  {n.upper()} " for n in held_out[40:50]]  # case and whitespace variants
+    names += [f"{a}   {b}" for a, b in zip(held_out[:5], held_out[5:10])]
+    assert_batch_matches_classify(model, names)
+    assert classify_batch(model, unknown)[1].all()
+
+
+def test_classify_batch_reads_rows_from_a_shared_matrix(spec_model):
+    model, held_out = spec_model
+    shared = featurize(held_out + ["zzz"], model.feature_config)
+    assert_batch_matches_classify(model, held_out, shared)
+    # A matrix missing some names is not used; the names are featurized afresh.
+    assert_batch_matches_classify(model, held_out[:50] + ["o'brien"], shared)
+
+
+def test_classify_batch_rejects_reserved_marker_and_empty(spec_model):
+    model, held_out = spec_model
+    with pytest.raises(ValueError, match="marker"):
+        classify_batch(model, [held_out[0], "ab^c"])
+    with pytest.raises(ValueError, match="empty"):
+        classify_batch(model, [held_out[0], "   "])
+
+
+def test_classify_batch_exact_tie_goes_to_first_region():
+    # Both regions see the same names: identical priors and likelihoods.
+    model = train([("ab", "B"), ("ab", "A"), ("cd", "A"), ("cd", "B")], 0.1, BIGRAM)
+    names = ["ab", "cdab", "zz"]
+    labels, _, scores = classify_batch(model, names)
+    assert np.all(scores[:, 0] == scores[:, 1])
+    assert [model.regions[i] for i in labels] == ["A", "A", "A"]
+    assert_batch_matches_classify(model, names)
 
 
 # ---------------------------------------------------------------- evaluate

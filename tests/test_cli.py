@@ -282,15 +282,13 @@ def test_pipeline_bad_config_value(tmp_path):
     assert run(["pipeline", "--config", config]) == 3
 
 
-def test_threads_env_honored(tmp_path, synth_dir, monkeypatch):
-    monkeypatch.setenv("ONOMA_THREADS", "2")
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    core = tmp_path / "core.tsv"
-    assert run(["filter-core", corpus, "--registry", registry, "--out", core]) == 0
-    monkeypatch.setenv("ONOMA_THREADS", "banana")
-    from onoma.errors import ConfigError
-    from onoma.util import thread_cap
-
-    with pytest.raises(ConfigError):
-        thread_cap()
+def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 1, "out_dir": str(tmp_path / "o"), "corpus": "x.tsv",
+                    "alpah": 0.5, "targest": []}),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 3
+    assert "unknown config keys: alpah, targest" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -8,6 +8,7 @@ from onoma.features import (
     NGramConfig,
     build_vocabulary,
     extract,
+    featurize,
     read_vocabulary,
     write_vocabulary,
 )
@@ -128,3 +129,47 @@ def test_vocabulary_file_round_trip(tmp_path):
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
         read_vocabulary(empty)
+
+
+# ---------------------------------------------------------------- featurize
+
+
+def test_featurize_rows_round_trip_to_extract():
+    rng = random.Random(8)
+    names = {"de la cruz", "o'neil", "garcía", "ab", "a", "aaa aaa"}
+    while len(names) < 200:
+        words = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 7)))
+                 for _ in range(rng.randint(1, 3))]
+        names.add(" ".join(words))
+    names = sorted(names)
+    for config in (NGramConfig(), NGramConfig(n_values=(1, 4), pad_boundaries=False)):
+        matrix = featurize(names, config)
+        assert matrix.names == tuple(names)
+        assert list(matrix.tokens) == sorted(set(matrix.tokens))
+        assert matrix.ids.dtype.name == "int32" and matrix.counts.dtype.name == "int32"
+        for i, name in enumerate(names):
+            assert matrix.row(i) == extract(name, config), name
+        _, ids, counts = matrix.entries(matrix.rows_of([names[3], names[0], names[3]]))
+        row_0, row_3 = extract(names[0], config), extract(names[3], config)
+        assert sum(counts) == sum(row_0.values()) + 2 * sum(row_3.values())
+        assert {matrix.tokens[j] for j in ids} == set(row_0) | set(row_3)
+
+
+def test_featurize_validation():
+    assert featurize([], NGramConfig()).tokens == ()
+    with pytest.raises(ValueError, match="duplicate"):
+        featurize(["ab", "ab"], NGramConfig())
+    with pytest.raises(ValueError, match="marker"):
+        featurize(["ab", "a$b"], NGramConfig())
+    with pytest.raises(KeyError):
+        featurize(["ab"], NGramConfig()).rows_of(["cd"])
+
+
+def test_vocabulary_from_shared_matrix_matches_own_pass():
+    config = NGramConfig(n_values=(2,), pad_boundaries=False)
+    corpus = ["aab", "abb", "bba", "abab"]
+    shared = featurize(corpus + ["zzz", "qq"], config)
+    for min_df in (1, 2, 3):
+        assert build_vocabulary(corpus, config, min_df, shared) == build_vocabulary(
+            corpus, config, min_df
+        )

@@ -8,7 +8,7 @@ import pytest
 
 from onoma.corpus import CoreName
 from onoma.errors import InvariantError
-from onoma.features import NGramConfig
+from onoma.features import NGramConfig, extract, featurize
 from onoma.typology import (
     DEFAULT_REGION_LABELS,
     Dendrogram,
@@ -104,6 +104,54 @@ def test_matrix_min_core_names_filter():
     )
     matrix = build_country_matrix(core, UNPADDED2, min_core_names=2)
     assert matrix.countries == ("AA", "BB")
+
+
+def reference_country_matrix(core, config, min_core_names):
+    """Per-name construction: one extract call per core name, dict sums."""
+    by_country = {}
+    for name in core:
+        by_country.setdefault(name.assigned_country, []).append(name.surname)
+    counters = {}
+    for country, names in sorted(by_country.items()):
+        if len(names) < min_core_names:
+            continue
+        counts = {}
+        for surname in names:
+            for token, c in extract(surname, config).items():
+                counts[token] = counts.get(token, 0) + c
+        counters[country] = counts
+    countries = sorted(counters)
+    vocabulary = sorted(set().union(*counters.values()))
+    rows = np.zeros((len(countries), len(vocabulary)))
+    for i, country in enumerate(countries):
+        for token, c in counters[country].items():
+            rows[i, vocabulary.index(token)] = c
+        rows[i] /= rows[i].sum()
+    return tuple(countries), tuple(vocabulary), rows
+
+
+def test_matrix_equals_per_name_reference():
+    rng = random.Random(21)
+    config = NGramConfig()
+    core = []
+    seen = set()
+    for country, letters, n in (("AA", "abc", 40), ("BB", "cde", 35), ("CC", "aeiou", 30),
+                                ("DD", "xyz", 4)):
+        while sum(1 for c in core if c.assigned_country == country) < n:
+            surname = " ".join("".join(rng.choice(letters) for _ in range(rng.randint(2, 8)))
+                               for _ in range(rng.randint(1, 2)))
+            if surname not in seen:
+                seen.add(surname)
+                core += names_for(country, [surname])
+    countries, vocabulary, rows = reference_country_matrix(core, config, 10)
+    shared = featurize([c.surname for c in core], config)
+    for matrix in (build_country_matrix(core, config, 10),
+                   build_country_matrix(core, config, 10, shared)):
+        assert matrix.countries == countries == ("AA", "BB", "CC")
+        assert matrix.vocabulary == vocabulary
+        assert not any("x" in token for token in matrix.vocabulary)  # DD is below the bar
+        assert np.array_equal(matrix.rows, rows)
+        assert matrix.rows.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- clustering

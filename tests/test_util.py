@@ -5,7 +5,6 @@ import struct
 
 import pytest
 
-from onoma.errors import ConfigError
 from onoma.util import atomic_write, derive_seed, dumps, fmt_float, sha256_file
 
 
@@ -64,13 +63,48 @@ def test_atomic_write_and_hash(tmp_path):
     assert sha256_file(path) == digest
 
 
-def test_thread_cap_validation(monkeypatch):
-    from onoma.util import thread_cap
+def test_atomic_write_concurrent_writers_do_not_collide(tmp_path, monkeypatch):
+    import os
+    import threading
 
-    monkeypatch.setenv("ONOMA_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("ONOMA_THREADS", "0")
-    assert thread_cap() >= 1
-    monkeypatch.setenv("ONOMA_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        thread_cap()
+    path = tmp_path / "shared.txt"
+    payloads = ["a" * 100_000, "b" * 50_000]
+    errors = []
+    # Both writers have written their temp file before either renames it.
+    rounds = threading.Barrier(len(payloads), timeout=30)
+    real_replace = os.replace
+
+    def replace_together(src, dst):
+        rounds.wait()
+        real_replace(src, dst)
+
+    def writer(text):
+        try:
+            for _ in range(50):
+                atomic_write(path, text)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+            rounds.abort()
+
+    monkeypatch.setattr(os, "replace", replace_together)
+    threads = [threading.Thread(target=writer, args=(text,)) for text in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert path.read_text(encoding="utf-8") in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
+    import os
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write(tmp_path / "out.txt", "data")
+    assert list(tmp_path.iterdir()) == []
