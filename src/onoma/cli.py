@@ -383,8 +383,10 @@ def cmd_synth(args) -> int:
     atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table))
     atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth))
     atomic_write(out_dir / "countries.tsv", synth.registry_for(spec).to_tsv())
+    heldout = None  # the first population, which the scorecard scores
     for population in spec.populations:
         names, truth_counts = synth.generate_population(spec, population)
+        heldout = heldout or (names, truth_counts)
         atomic_write(out_dir / f"population_{population.name}.txt", "\n".join(names) + "\n")
         atomic_write(
             out_dir / f"population_{population.name}_truth.json",
@@ -392,7 +394,11 @@ def cmd_synth(args) -> int:
         )
     if args.score:
         card = synth.score_pipeline(
-            spec, min_core_names=args.min_core_names, alpha=args.alpha
+            spec,
+            min_core_names=args.min_core_names,
+            alpha=args.alpha,
+            corpus=(table, truth),
+            heldout=heldout,
         )
         atomic_write(out_dir / "scorecard.json", card.to_json())
         print(card.to_json(), end="", file=sys.stderr)
@@ -766,6 +772,10 @@ def build_parser() -> _Parser:
         epilog=FORMATS_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="log each stage and its counts (skipped rows, frequency ties) to stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate and merge a raw occurrence TSV")
@@ -872,13 +882,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    # The package's log records go to this call's stderr: warnings always,
+    # the INFO stage lines and counts with -v. Undone on return.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    package_log = logging.getLogger("onoma")
+    package_log.addHandler(handler)
+    package_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except InputFormatError as exc:
@@ -896,6 +912,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(logging.NOTSET)
 
 
 def entrypoint() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import string
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -75,18 +76,22 @@ class _RowSampler:
     def __init__(self, dist: Mapping[str, float]):
         items = sorted(dist.items())
         self.symbols = [s for s, _ in items]
-        self.cum_full = np.cumsum([p for _, p in items])
+        # Python lists: bisect on a list costs far less per draw than
+        # np.searchsorted on an array.
+        self.cum_full = np.cumsum([p for _, p in items]).tolist()
         nonstop = [(s, p) for s, p in items if s != STOP]
         self.nonstop_symbols = [s for s, _ in nonstop]
         weights = np.array([p for _, p in nonstop])
-        self.cum_nonstop = np.cumsum(weights / weights.sum())
+        self.cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
 
     def draw(self, rng: np.random.Generator, allow_stop: bool) -> str:
+        # The first sum above u wins, so a u on a boundary takes the next
+        # symbol; the clamp covers a last sum that rounds below 1.
         u = rng.random()
         if allow_stop:
-            idx = int(np.searchsorted(self.cum_full, u, side="right"))
+            idx = bisect_right(self.cum_full, u)
             return self.symbols[min(idx, len(self.symbols) - 1)]
-        idx = int(np.searchsorted(self.cum_nonstop, u, side="right"))
+        idx = bisect_right(self.cum_nonstop, u)
         return self.nonstop_symbols[min(idx, len(self.nonstop_symbols) - 1)]
 
 
@@ -465,12 +470,11 @@ def generate_population(
         raise ValueError(f"population {population.name}: weight count mismatch")
     rng = np.random.default_rng(derive_seed(spec.seed, f"population:{population.name}"))
     weights = np.asarray(population.region_weights, dtype=float)
-    cum = np.cumsum(weights / weights.sum())
+    cum = np.cumsum(weights / weights.sum()).tolist()
     names: list[str] = []
     truth_counts = {g.region: 0 for g in spec.generators}
     for _ in range(population.n_names):
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        idx = min(idx, len(spec.generators) - 1)
+        idx = min(bisect_right(cum, rng.random()), len(spec.generators) - 1)
         generator = spec.generators[idx]
         names.append(_sample_name(generator, spec.global_chain, spec.overlap, rng))
         truth_counts[generator.region] += 1
@@ -562,6 +566,8 @@ def score_pipeline(
     feature_config: NGramConfig = NGramConfig(),
     alpha: float = 0.1,
     train_fraction: float = 0.85,
+    corpus: tuple[OccurrenceTable, Mapping[str, str]] | None = None,
+    heldout: tuple[Sequence[str], Mapping[str, int]] | None = None,
 ) -> Scorecard:
     """Run corpus -> typology -> train -> evaluate -> correction end to end.
 
@@ -570,8 +576,12 @@ def score_pipeline(
     by majority country vote; the correction step is scored by whether the
     corrected aggregate of a shifted-mixture held-out population beats the
     raw guessed aggregate in L1 distance to the truth.
+
+    `corpus` is `generate(spec)` and `heldout` is `generate_population` of
+    the scored population (the spec's first, else `default_population`),
+    for a caller that already has them; each is generated here when None.
     """
-    table, truth = generate(spec)
+    table, truth = generate(spec) if corpus is None else corpus
     core = filter_core_names(table, hhi_min, freq_min)
     core_features = featurize([name.surname for name in core], feature_config)
     matrix = build_country_matrix(core, feature_config, min_core_names, core_features)
@@ -627,7 +637,7 @@ def score_pipeline(
     }
 
     population = spec.populations[0] if spec.populations else default_population(spec)
-    names, truth_counts = generate_population(spec, population)
+    names, truth_counts = generate_population(spec, population) if heldout is None else heldout
     from .diversity import tally_guesses
 
     guessed, _prior_only = tally_guesses(model, names)

@@ -181,40 +181,39 @@ def agglomerate(labels: Sequence[str], dist: np.ndarray, method: str = "ward") -
     if n < 2:
         return Dendrogram(tuple(labels), ())
 
-    active: dict[int, int] = {i: 1 for i in range(n)}
-    d: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[(i, j)] = float(dist[i, j])
+    # Upper-triangular distances indexed by node id (leaves 0..n-1, merge t
+    # makes node n+t); the diagonal, the lower triangle and merged nodes hold
+    # inf. A row-major argmin so finds the smallest (a, b) among exact ties.
+    d = np.full((2 * n - 1, 2 * n - 1), np.inf)
+    upper = np.triu_indices(n, 1)
+    d[upper] = dist[upper]
+    size = np.zeros(2 * n - 1, dtype=np.int64)
+    size[:n] = 1
 
     merges: list[Merge] = []
     for step in range(n - 1):
-        ids = sorted(active)
-        best_d = np.inf
-        best_pair = (-1, -1)
-        for ai, a in enumerate(ids):
-            for b in ids[ai + 1 :]:
-                dv = d[(a, b)]
-                if dv < best_d:
-                    best_d = dv
-                    best_pair = (a, b)
-        a, b = best_pair
         new_id = n + step
+        a, b = divmod(int(np.argmin(d)), len(d))
+        best_d = float(d[a, b])
         merges.append(Merge(a, b, best_d, new_id))
-        na = active.pop(a)
-        nb = active.pop(b)
-        del d[(a, b)]
-        for k, nk in active.items():
-            dak = d.pop((min(a, k), max(a, k)))
-            dbk = d.pop((min(b, k), max(b, k)))
-            if method == "ward":
-                d2 = (
-                    (na + nk) * dak * dak + (nb + nk) * dbk * dbk - nk * best_d * best_d
-                ) / (na + nb + nk)
-                d[(k, new_id)] = float(np.sqrt(max(d2, 0.0)))
-            else:
-                d[(k, new_id)] = (na * dak + nb * dbk) / (na + nb)
-        active[new_id] = na + nb
+        na, nb = int(size[a]), int(size[b])
+        size[a] = size[b] = 0
+        others = np.flatnonzero(size[:new_id])
+        nk = size[others]
+        dak = d[np.minimum(others, a), np.maximum(others, a)]
+        dbk = d[np.minimum(others, b), np.maximum(others, b)]
+        # Elementwise in the scalar formula's order of operations, so the
+        # heights equal those of a pair-by-pair update to the last bit.
+        if method == "ward":
+            d2 = ((na + nk) * dak * dak + (nb + nk) * dbk * dbk - nk * best_d * best_d) / (
+                na + nb + nk
+            )
+            d[others, new_id] = np.sqrt(np.maximum(d2, 0.0))
+        else:
+            d[others, new_id] = (na * dak + nb * dbk) / (na + nb)
+        d[[a, b], :] = np.inf
+        d[:, [a, b]] = np.inf
+        size[new_id] = na + nb
     return Dendrogram(tuple(labels), tuple(merges))
 
 
@@ -302,9 +301,14 @@ def ward_cluster(matrix: CountryFeatureMatrix) -> Dendrogram:
     if n < 2:
         raise ValueError("need at least 2 rows to cluster")
     dist = np.zeros((n, n))
+    # One buffer for every row's squared differences. Its slices are
+    # C-contiguous: the row sums, and so the heights, depend on the layout.
+    buf = np.empty((n - 1, rows.shape[1]))
     for i in range(n - 1):
-        diffs = rows[i + 1 :] - rows[i]
-        d = np.sqrt((diffs * diffs).sum(axis=1))
+        diffs = buf[: n - 1 - i]
+        np.subtract(rows[i + 1 :], rows[i], out=diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        d = np.sqrt(diffs.sum(axis=1))
         dist[i, i + 1 :] = d
         dist[i + 1 :, i] = d
     return agglomerate(matrix.countries, dist, method="ward")

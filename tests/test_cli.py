@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from onoma import synth
 from onoma.cli import main
 from onoma.resources import reference_confusion_path
 
@@ -35,6 +36,60 @@ def test_synth_writes_artifacts(synth_dir):
     for name in ("spec.json", "corpus.tsv", "truth.tsv", "countries.tsv",
                  "population_heldout.txt"):
         assert (synth_dir / name).exists(), name
+
+
+def test_synth_score_generates_once(tmp_path, monkeypatch):
+    calls = {"generate": 0, "generate_population": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(synth, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(synth, name, counted)
+    # The scorecard scores the first of two populations.
+    spec = synth.standard_spec(
+        3, 2, 120, 0.3, seed=4,
+        populations=(synth.PopulationSpec("held", 300, (1.0, 2.0, 4.0)),
+                     synth.PopulationSpec("other", 200, (4.0, 2.0, 1.0))),
+    )
+    spec.save(tmp_path / "spec.json")
+    out = tmp_path / "synth"
+    code = run(
+        ["synth", "--spec", tmp_path / "spec.json", "--min-core-names", 10,
+         "--out-dir", out, "--score"]
+    )
+    assert code == 0
+    assert calls == {"generate": 1, "generate_population": 2}
+    monkeypatch.undo()
+    alone = synth.score_pipeline(spec, min_core_names=10, alpha=0.1).to_json()
+    assert (out / "scorecard.json").read_text(encoding="utf-8") == alone
+
+
+def test_verbose_logs_stages(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 3,
+                "out_dir": str(tmp_path / "out"),
+                "synth": {
+                    "standard": {"n_regions": 3, "countries_per_region": 2,
+                                 "names_per_country": 100, "overlap": 0.25},
+                    "populations": [
+                        {"name": "reference", "n_names": 200, "region_weights": [1, 2, 4]},
+                    ],
+                },
+                "k_regions": 3,
+                "min_core_names": 5,
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 0
+    assert "stage: ingest" not in capsys.readouterr().err
+    assert run(["-v", "pipeline", "--config", config]) == 0
+    err = capsys.readouterr().err
+    assert "stage: ingest" in err and "stage: calibrate" in err
 
 
 def test_stage_chain(tmp_path, synth_dir):

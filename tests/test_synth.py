@@ -1,5 +1,8 @@
 """Synthetic corpus generation and end-to-end pipeline scoring."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,9 @@ from onoma.synth import (
     MarkovChain,
     PopulationSpec,
     RegionGenerator,
+    STOP,
     SynthSpec,
+    _RowSampler,
     generate,
     generate_population,
     registry_for,
@@ -35,6 +40,68 @@ def test_spec_json_round_trip():
     again = SynthSpec.from_json(text)
     assert again.to_json() == text
     assert again.region_labels == ("R0", "R1", "R2")
+
+
+class FixedDraws:
+    """Stands in for a numpy Generator whose `random()` yields given values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_sampler_boundary_picks_next_symbol():
+    # Sums 0.25, 0.5, 1.0 are exact: a draw on a boundary takes the symbol
+    # after it (the side="right" rule of np.searchsorted).
+    sampler = _RowSampler({"": 0.25, "a": 0.25, "b": 0.5})
+    assert sampler.draw(FixedDraws(0.25), allow_stop=True) == "a"
+    assert sampler.draw(FixedDraws(0.5), allow_stop=True) == "b"
+    assert sampler.draw(FixedDraws(0.0), allow_stop=True) == ""
+    # Without the stop state the sums are 1/3, 1.0 over "a", "b".
+    assert sampler.draw(FixedDraws(1 / 3), allow_stop=False) == "b"
+
+
+def test_sampler_clamps_above_last_sum():
+    sampler = _RowSampler({ch: 0.1 for ch in "abcdefghij"})
+    assert sampler.cum_full[-1] < 1.0  # ten 0.1 steps round below 1
+    for u in (sampler.cum_full[-1], float(np.nextafter(1.0, 0.0))):
+        assert sampler.draw(FixedDraws(u), allow_stop=True) == "j"
+        assert sampler.draw(FixedDraws(u), allow_stop=False) == "j"
+
+
+def test_sampler_matches_searchsorted():
+    rng = random.Random(3)
+    weights = [rng.random() for _ in range(9)]
+    total = sum(weights)
+    dist = {STOP: weights[0] / total}
+    dist.update({ch: w / total for ch, w in zip("abcdefgh", weights[1:])})
+    sampler = _RowSampler(dist)
+    draws = [rng.random() for _ in range(2000)] + sampler.cum_full + sampler.cum_nonstop
+    for u in draws:
+        for allow_stop, cum, symbols in (
+            (True, sampler.cum_full, sampler.symbols),
+            (False, sampler.cum_nonstop, sampler.nonstop_symbols),
+        ):
+            idx = int(np.searchsorted(np.array(cum), u, side="right"))
+            expected = symbols[min(idx, len(symbols) - 1)]
+            assert sampler.draw(FixedDraws(u), allow_stop) == expected
+
+
+def test_generation_stream_golden():
+    # Digests pinned when sampling used np.searchsorted; equal digests show
+    # that bisect consumes the RNG stream in the same order and number.
+    spec = standard_spec(3, 2, 50, 0.3, seed=5)
+    corpus = render_corpus_tsv(generate(spec)[0])
+    assert hashlib.sha256(corpus.encode()).hexdigest() == (
+        "bf3470c249a7ce75ffdcebc34b377c679be617a669601f2c11d8493bedd5f8a7"
+    )
+    names, tally = generate_population(spec, PopulationSpec("p", 300, (1.0, 2.0, 4.0)))
+    assert hashlib.sha256(("\n".join(names) + "\n").encode()).hexdigest() == (
+        "af58110155ad8117b66529f2f5ca4a982488197c1c094c0457ea88d8a918fc41"
+    )
+    assert tally == {"R0": 43, "R1": 77, "R2": 180}
 
 
 def test_generate_deterministic():

@@ -11,6 +11,7 @@ from onoma.errors import InvariantError
 from onoma.features import NGramConfig, extract, featurize
 from onoma.typology import (
     DEFAULT_REGION_LABELS,
+    CountryFeatureMatrix,
     Dendrogram,
     Merge,
     Override,
@@ -198,6 +199,100 @@ def test_ward_heights_nondecreasing():
         )
         heights = [m.height for m in dendrogram.merges]
         assert all(heights[i] <= heights[i + 1] + 1e-12 for i in range(len(heights) - 1))
+
+
+def agglomerate_reference(labels, dist, method="ward"):
+    """The dict-based agglomeration loop, kept verbatim as the oracle."""
+    n = len(labels)
+    active: dict[int, int] = {i: 1 for i in range(n)}
+    d: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[(i, j)] = float(dist[i, j])
+
+    merges: list[Merge] = []
+    for step in range(n - 1):
+        ids = sorted(active)
+        best_d = np.inf
+        best_pair = (-1, -1)
+        for ai, a in enumerate(ids):
+            for b in ids[ai + 1 :]:
+                dv = d[(a, b)]
+                if dv < best_d:
+                    best_d = dv
+                    best_pair = (a, b)
+        a, b = best_pair
+        new_id = n + step
+        merges.append(Merge(a, b, best_d, new_id))
+        na = active.pop(a)
+        nb = active.pop(b)
+        del d[(a, b)]
+        for k, nk in active.items():
+            dak = d.pop((min(a, k), max(a, k)))
+            dbk = d.pop((min(b, k), max(b, k)))
+            if method == "ward":
+                d2 = (
+                    (na + nk) * dak * dak + (nb + nk) * dbk * dbk - nk * best_d * best_d
+                ) / (na + nb + nk)
+                d[(k, new_id)] = float(np.sqrt(max(d2, 0.0)))
+            else:
+                d[(k, new_id)] = (na * dak + nb * dbk) / (na + nb)
+        active[new_id] = na + nb
+    return merges
+
+
+def oracle_matrices():
+    """Distance matrices of 2 to 60 leaves, many of them full of exact ties."""
+    rng = np.random.default_rng(31)
+    for case in range(36):
+        n = int(rng.integers(2, 61))
+        kind = case % 4
+        if kind == 0:  # generic Euclidean points
+            points = rng.normal(size=(n, int(rng.integers(1, 6))))
+        elif kind == 1:  # repeated points: zero distances and tied merges
+            base = rng.normal(size=(max(1, n // 3), 3))
+            points = base[rng.integers(0, len(base), size=n)]
+        elif kind == 2:  # integer grid: many equal distances
+            points = rng.integers(0, 3, size=(n, 2)).astype(float)
+        else:  # integer dissimilarities, not Euclidean
+            upper = np.triu(rng.integers(1, 4, size=(n, n)).astype(float), 1)
+            yield upper + upper.T
+            continue
+        diffs = points[:, None, :] - points[None, :, :]
+        yield np.sqrt((diffs * diffs).sum(axis=2))
+
+
+@pytest.mark.parametrize("method", ["ward", "average"])
+def test_agglomerate_matches_dict_reference(method):
+    for dist in oracle_matrices():
+        labels = [f"p{i}" for i in range(len(dist))]
+        got = agglomerate(labels, dist, method).merges
+        assert list(got) == agglomerate_reference(labels, dist, method)
+
+
+def test_ward_cluster_distances_match_per_row_temporaries():
+    # Reference distances from fresh (n-i) x V temporaries, as before the
+    # buffer: the dendrogram must match to the last bit.
+    rng = np.random.default_rng(8)
+    for n, width in ((2, 5), (17, 40), (45, 300)):
+        rows = rng.random((n, width))
+        rows /= rows.sum(axis=1, keepdims=True)
+        matrix = CountryFeatureMatrix(
+            tuple(f"C{i:02d}" for i in range(n)), tuple(f"t{j}" for j in range(width)), rows
+        )
+        dist = np.zeros((n, n))
+        for i in range(n - 1):
+            diffs = rows[i + 1 :] - rows[i]
+            dist[i, i + 1 :] = dist[i + 1 :, i] = np.sqrt((diffs * diffs).sum(axis=1))
+        assert ward_cluster(matrix).merges == agglomerate(matrix.countries, dist).merges
+
+
+def test_agglomerate_validation():
+    with pytest.raises(ValueError, match="linkage"):
+        agglomerate(["a", "b"], np.zeros((2, 2)), "single")
+    with pytest.raises(ValueError, match="shape"):
+        agglomerate(["a", "b", "c"], np.zeros((2, 2)), "ward")
+    assert agglomerate(["a"], np.zeros((1, 1)), "average").merges == ()
 
 
 def test_ward_rejects_non_finite():
