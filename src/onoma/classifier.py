@@ -137,8 +137,8 @@ class TrainedModel:
             "version": MODEL_FORMAT_VERSION,
             "regions": list(self.regions),
             "vocabulary": list(self.vocabulary),
-            "log_priors": [float(x) for x in self.log_priors],
-            "log_likelihoods": [[float(x) for x in row] for row in self.log_likelihoods],
+            "log_priors": self.log_priors.tolist(),
+            "log_likelihoods": self.log_likelihoods.tolist(),
             "alpha": float(self.alpha),
             "feature_config": {
                 **self.feature_config.to_dict(),

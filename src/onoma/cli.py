@@ -177,7 +177,7 @@ def cmd_filter_core(args) -> int:
         atomic_write(args.out, content)
     else:
         sys.stdout.write(content)
-    print(f"kept {len(core)} of {len(table.surnames())} surnames", file=sys.stderr)
+    print(f"kept {len(core)} of {table.n_surnames} surnames", file=sys.stderr)
     return 0
 
 
@@ -601,7 +601,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
     artifacts["core"] = atomic_write(out_dir / "core.tsv", render_core_names(core))
-    n_records, n_surnames = len(table), len(table.surnames())
+    n_records, n_surnames = len(table), table.n_surnames
     del table  # the largest structure of the run; only its sizes are reported
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation.

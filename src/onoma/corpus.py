@@ -177,11 +177,11 @@ class OccurrenceTable:
     """Immutable (surname, country) -> count table with per-country totals.
 
     Duplicate observations merge additively at construction; afterwards the
-    table is read-only and safe for concurrent use.
+    table is read-only and safe for concurrent use. `len()` (distinct
+    (surname, country) pairs) and `n_surnames` are counted at construction.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, int]]):
-        counts: dict[tuple[str, str], int] = {}
         by_surname: dict[str, dict[str, int]] = {}
         totals: dict[str, int] = {}
         for surname, country, count in pairs:
@@ -191,20 +191,23 @@ class OccurrenceTable:
                 raise ValueError("empty surname")
             if not country:
                 raise ValueError("empty country code")
-            key = (surname, country)
-            counts[key] = counts.get(key, 0) + count
-            by_surname.setdefault(surname, {})
-            by_surname[surname][country] = by_surname[surname].get(country, 0) + count
+            per_country = by_surname.get(surname)
+            if per_country is None:
+                per_country = by_surname[surname] = {}
+            per_country[country] = per_country.get(country, 0) + count
             totals[country] = totals.get(country, 0) + count
-        self._counts = counts
         self._by_surname = by_surname
+        self._n_pairs = sum(map(len, by_surname.values()))
+        self.n_surnames = len(by_surname)
         self.country_totals: dict[str, int] = totals
 
     def __len__(self) -> int:
-        return len(self._counts)
+        """Number of distinct (surname, country) pairs."""
+        return self._n_pairs
 
     def count(self, surname: str, country: str) -> int:
-        return self._counts.get((surname, country), 0)
+        per_country = self._by_surname.get(surname)
+        return per_country.get(country, 0) if per_country else 0
 
     def frequency(self, surname: str, country: str) -> float:
         """count(surname, country) / total occurrences of the country."""
@@ -223,8 +226,12 @@ class OccurrenceTable:
         return dict(self._by_surname.get(surname, {}))
 
     def records(self) -> Iterator[OccurrenceRecord]:
-        for (surname, country) in sorted(self._counts):
-            yield OccurrenceRecord(surname, country, self._counts[(surname, country)])
+        """Every (surname, country, count), by surname, then by country."""
+        by_surname = self._by_surname
+        for surname in sorted(by_surname):
+            per_country = by_surname[surname]
+            for country in sorted(per_country):
+                yield OccurrenceRecord(surname, country, per_country[country])
 
 
 def ingest(
@@ -329,23 +336,49 @@ def filter_core_names(
 
     Each passing surname is assigned to the country where its normalized
     frequency is maximal; exact frequency ties break to the lexicographically
-    smallest country code and are logged.
+    smallest country code and are logged. Shares and HHI are computed in the
+    order of operations of `core_shares` and `hhi`, so every float equals
+    theirs bit for bit. One INFO line counts the surnames read, those dropped
+    by the HHI threshold, those (of the rest) dropped by the frequency floor
+    and the frequency ties broken.
     """
     if len(table) == 0:
         raise ValueError("empty occurrence table")
+    if basis not in ("frequency", "count"):
+        raise ValueError(f"unknown share basis {basis!r}")
+    by_surname = table._by_surname
+    totals = table.country_totals
     out: list[CoreName] = []
-    for surname in table.surnames():
-        shares = core_shares(table, surname, basis=basis)
-        concentration = hhi(shares.values())
-        countries = sorted(shares)
-        freqs = {c: table.frequency(surname, c) for c in countries}
-        max_freq = max(freqs.values())
-        if concentration < hhi_min or max_freq < freq_min:
+    below_hhi = below_freq = ties = 0
+    for surname in sorted(by_surname):
+        per_country = by_surname[surname]
+        countries = sorted(per_country)
+        freqs = [per_country[c] / totals[c] for c in countries]
+        weights = freqs if basis == "frequency" else [float(per_country[c]) for c in countries]
+        total = sum(weights)
+        shares = [w / total for w in weights]
+        share_sum = sum(shares)
+        if min(shares) < 0 or abs(share_sum - 1.0) > 1e-9:
+            raise ValueError(f"surname {surname!r}: shares sum to {share_sum!r}, not 1")
+        concentration = sum([s * s for s in shares])
+        max_freq = max(freqs)
+        if concentration < hhi_min:
+            below_hhi += 1
             continue
-        best = [c for c in countries if freqs[c] == max_freq]
-        if len(best) > 1:
-            log.info("surname %r: frequency tie across %s, assigned %s", surname, best, best[0])
-        out.append(CoreName(surname, best[0], concentration, max_freq))
+        if max_freq < freq_min:
+            below_freq += 1
+            continue
+        best = countries[freqs.index(max_freq)]
+        if freqs.count(max_freq) > 1:
+            ties += 1
+            candidates = [c for c, f in zip(countries, freqs) if f == max_freq]
+            log.info("surname %r: frequency tie across %s, assigned %s", surname, candidates, best)
+        out.append(CoreName(surname, best, concentration, max_freq))
+    log.info(
+        "filter-core: %d surnames read, %d below hhi_min, %d below freq_min, "
+        "%d frequency ties broken, %d kept",
+        len(by_surname), below_hhi, below_freq, ties, len(out),
+    )
     return out
 
 

@@ -13,6 +13,7 @@ matrix, training, evaluation and population tallies all read those rows.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -148,14 +149,16 @@ class FeatureMatrix:
 def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> FeatureMatrix:
     """One `extract` pass over distinct names into a shared sparse matrix."""
     names = tuple(names)
-    token_ids: dict[str, int] = {}
+    # A token seen for the first time gets the next id.
+    token_ids: defaultdict[str, int] = defaultdict()
+    token_ids.default_factory = token_ids.__len__
     ids = array("i")
     counts = array("i")
     indptr = np.zeros(len(names) + 1, dtype=np.int64)
     for i, name in enumerate(names):
-        for token, c in extract(name, config).items():
-            ids.append(token_ids.setdefault(token, len(token_ids)))
-            counts.append(c)
+        row = extract(name, config)
+        ids.extend(map(token_ids.__getitem__, row))
+        counts.extend(row.values())
         indptr[i + 1] = len(ids)
     tokens = tuple(sorted(token_ids))
     # Ids were handed out in first-seen order; renumber them in token order.

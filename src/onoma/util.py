@@ -76,6 +76,14 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             out.append("[]")
             return
         # Flat numeric/str lists stay on one line to keep files compact.
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            out.append("[" + ", ".join(map(fmt_float, obj)) + "]")
+            return
+        if kinds == {str}:
+            # The same ", "-separated bytes as emitting each string.
+            out.append(json.dumps(obj, ensure_ascii=False))
+            return
         if all(isinstance(x, (int, float, str, bool)) or x is None for x in obj):
             parts: list[str] = []
             for x in obj:

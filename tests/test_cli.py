@@ -86,10 +86,57 @@ def test_verbose_logs_stages(tmp_path, capsys):
         encoding="utf-8",
     )
     assert run(["pipeline", "--config", config]) == 0
-    assert "stage: ingest" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage: ingest" not in err and "filter-core:" not in err
     assert run(["-v", "pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
     assert "stage: ingest" in err and "stage: calibrate" in err
+    assert "surnames read" in err
+    # The funnel counts go to the log only, never into an artifact.
+    for path in (tmp_path / "out").iterdir():
+        assert "surnames read" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path, monkeypatch):
+    """Every artifact is byte-equal to a run through the reference core filter
+    and JSON writer kept in the corpus and util tests."""
+    from onoma import cli, util
+    from test_corpus import parent_filter_core_names
+    from test_util import parent_emit
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 11,
+                "synth": {
+                    "standard": {"n_regions": 3, "countries_per_region": 3,
+                                 "names_per_country": 120, "overlap": 0.4},
+                    "populations": [
+                        {"name": "reference", "n_names": 300, "region_weights": [1, 2, 4]},
+                        {"name": "target", "n_names": 200, "region_weights": [4, 2, 1]},
+                    ],
+                },
+                "k_regions": 3,
+                "min_core_names": 5,
+            }
+        ),
+        encoding="utf-8",
+    )
+    now, ref = tmp_path / "now", tmp_path / "ref"
+    assert run(["pipeline", "--config", config, "--out-dir", now]) == 0
+    monkeypatch.setattr(util, "_emit", parent_emit)
+    monkeypatch.setattr(cli, "filter_core_names", parent_filter_core_names)
+    assert run(["pipeline", "--config", config, "--out-dir", ref]) == 0
+    names = sorted(p.name for p in now.iterdir())
+    assert {"model.json", "core.tsv", "summary.json"} <= set(names)
+    assert names == sorted(p.name for p in ref.iterdir())
+    for name in names:
+        assert (now / name).read_bytes() == (ref / name).read_bytes(), name
+    corpus = (now / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+    summary = json.loads((now / "summary.json").read_text(encoding="utf-8"))
+    assert summary["n_records"] == len(corpus)
+    assert summary["n_surnames"] == len({line.split("\t")[0] for line in corpus})
 
 
 def test_stage_chain(tmp_path, synth_dir):

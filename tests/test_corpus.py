@@ -1,10 +1,12 @@
 """Ingestion, normalization, HHI and core-name filtering."""
 
+import logging
 import random
 
 import pytest
 
 from onoma.corpus import (
+    CoreName,
     CountryRegistry,
     Gazetteer,
     OccurrenceTable,
@@ -47,6 +49,28 @@ def brute_force_core(rows, hhi_min=0.8, freq_min=1e-6):
         if concentration >= hhi_min and max_freq >= freq_min:
             selected.add((s, countries[freqs.index(max_freq)]))
     return selected
+
+
+def parent_filter_core_names(table, hhi_min=0.8, freq_min=1e-6, *, basis="frequency"):
+    """The per-surname loop over `core_shares`, `hhi` and `frequency` that
+    `filter_core_names` replaced, kept verbatim as its reference."""
+    log = logging.getLogger("onoma.corpus")
+    if len(table) == 0:
+        raise ValueError("empty occurrence table")
+    out: list[CoreName] = []
+    for surname in table.surnames():
+        shares = core_shares(table, surname, basis=basis)
+        concentration = hhi(shares.values())
+        countries = sorted(shares)
+        freqs = {c: table.frequency(surname, c) for c in countries}
+        max_freq = max(freqs.values())
+        if concentration < hhi_min or max_freq < freq_min:
+            continue
+        best = [c for c in countries if freqs[c] == max_freq]
+        if len(best) > 1:
+            log.info("surname %r: frequency tie across %s, assigned %s", surname, best, best[0])
+        out.append(CoreName(surname, best[0], concentration, max_freq))
+    return out
 
 
 # ---------------------------------------------------------------- ingest
@@ -100,6 +124,33 @@ def test_ingest_unknown_country_modes():
     assert lenient.country_totals == {"US": 1}
     with pytest.raises(InputFormatError, match="unknown country"):
         ingest(["a\tUS\t1\n", "b\tZZ\t1\n"], registry, strict=True)
+
+
+def test_table_reads_match_pair_reference():
+    rng = random.Random(21)
+    rows = [
+        (f"n{rng.randint(0, 30)}", rng.choice(["US", "FR", "JP", "CN"]), rng.randint(1, 9))
+        for _ in range(400)
+    ]
+    rows += rows[:100]  # duplicate rows merge additively
+    rng.shuffle(rows)
+    pairs = {}
+    for s, c, n in rows:
+        pairs[(s, c)] = pairs.get((s, c), 0) + n
+    table = OccurrenceTable(rows)
+    assert len(table) == len(pairs)
+    assert table.n_surnames == len({s for s, _ in pairs}) == len(table.surnames())
+    assert [(r.surname, r.country, r.count) for r in table.records()] == [
+        (s, c, pairs[(s, c)]) for s, c in sorted(pairs)
+    ]
+    for s in [f"n{i}" for i in range(32)]:
+        for c in ["US", "FR", "JP", "CN", "DE"]:
+            assert table.count(s, c) == pairs.get((s, c), 0)
+        assert table.countries_of(s) == {c: n for (t, c), n in pairs.items() if t == s}
+    view = table.countries_of("n0")
+    view["ZZ"] = 1  # a copy: the table does not change
+    assert table.count("n0", "ZZ") == 0
+    assert "ZZ" not in table.countries_of("n0")
 
 
 # ---------------------------------------------------------------- normalization
@@ -270,6 +321,84 @@ def test_filter_count_basis_flag():
     by_count = {n.surname for n in filter_core_names(table, basis="count")}
     assert "a" in by_freq
     assert "a" not in by_count
+
+
+def random_tied_table(rng, n_surnames):
+    """Rows where many surnames have exactly equal frequencies in two countries.
+
+    Counts are small and one filler surname a country brings every country to
+    the same total, so equal counts are equal frequencies.
+    """
+    countries = ["BR", "CN", "DE", "FR", "JP", "US"]
+    rows = []
+    for i in range(n_surnames):
+        for c in rng.sample(countries, rng.choice([1, 1, 2, 2, 3])):
+            rows.append((f"s{i}", c, rng.randint(1, 3)))
+    totals = {c: 0 for c in countries}
+    for _s, c, n in rows:
+        totals[c] += n
+    top = max(totals.values()) + 1
+    rows += [(f"fill{c}", c, top - totals[c]) for c in countries]
+    return rows
+
+
+def test_filter_matches_per_surname_reference():
+    rng = random.Random(4)
+    countries = ["US", "FR", "JP", "CN", "DE"]
+    for trial in range(30):
+        if trial % 2:
+            rows = random_tied_table(rng, rng.randint(1, 80))
+        else:
+            rows = [
+                (f"n{rng.randint(0, 60)}", rng.choice(countries), rng.randint(1, 60))
+                for _ in range(rng.randint(1, 300))
+            ]
+        rng.shuffle(rows)
+        table = OccurrenceTable(rows)
+        for basis in ("frequency", "count"):
+            for hhi_min, freq_min in ((0.8, 1e-6), (0.5, 0.0), (0.3, 0.02), (1.0, 0.1)):
+                expected = parent_filter_core_names(table, hhi_min, freq_min, basis=basis)
+                got = filter_core_names(table, hhi_min, freq_min, basis=basis)
+                assert got == expected, (trial, basis, hhi_min, freq_min)
+
+
+def test_filter_logs_the_same_frequency_ties(caplog):
+    table = OccurrenceTable(random_tied_table(random.Random(8), 200))
+    caplog.set_level(logging.INFO, logger="onoma.corpus")
+
+    def ties(filter_fn):
+        caplog.clear()
+        filter_fn(table, 0.5, 0.0)
+        return [r.getMessage() for r in caplog.records if "frequency tie across" in r.getMessage()]
+
+    expected = ties(parent_filter_core_names)
+    assert expected  # the table has ties among the kept surnames
+    assert ties(filter_core_names) == expected
+
+
+def test_filter_unknown_basis_rejected_before_any_surname():
+    # Every surname sits in one country, so no share vector needs the basis.
+    table = ingest(["a\tUS\t3\n", "b\tFR\t2\n"])
+    with pytest.raises(ValueError, match="unknown share basis"):
+        filter_core_names(table, basis="weights")
+
+
+def test_filter_logs_funnel_counts(caplog):
+    rows = [
+        ("solo", "A", 40), ("filla", "A", 40),  # kept, one country
+        ("tied", "A", 10), ("tied", "B", 10),  # kept, frequency tie between A and B
+        ("spread", "A", 10), ("spread", "B", 10), ("spread", "C", 10),  # HHI 1/3
+        ("rare", "C", 1),  # frequency 0.01
+        ("fillb", "B", 80), ("fillc", "C", 89),  # every country totals 100
+    ]
+    caplog.set_level(logging.INFO, logger="onoma.corpus")
+    kept = filter_core_names(OccurrenceTable(rows), hhi_min=0.5, freq_min=0.05)
+    assert [n.surname for n in kept] == ["filla", "fillb", "fillc", "solo", "tied"]
+    funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("filter-core:")]
+    assert funnel == [
+        "filter-core: 7 surnames read, 1 below hhi_min, 1 below freq_min, "
+        "1 frequency ties broken, 5 kept"
+    ]
 
 
 # ---------------------------------------------------------------- registry / gazetteer

@@ -1,11 +1,75 @@
 """Seed derivation and deterministic serialization helpers."""
 
 import json
+import random
 import struct
+from typing import Any, Mapping
 
+import numpy as np
 import pytest
 
 from onoma.util import atomic_write, derive_seed, dumps, fmt_float, sha256_file
+
+
+def parent_emit(obj: Any, out: list[str], indent: int, level: int) -> None:
+    """The element-by-element writer that `util._emit`'s flat-list fast paths
+    replaced, kept verbatim as their reference."""
+    pad = " " * (indent * (level + 1))
+    close_pad = " " * (indent * level)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, Mapping):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            out.append(pad)
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(": ")
+            parent_emit(value, out, indent, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(close_pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        # Flat numeric/str lists stay on one line to keep files compact.
+        if all(isinstance(x, (int, float, str, bool)) or x is None for x in obj):
+            parts: list[str] = []
+            for x in obj:
+                sub: list[str] = []
+                parent_emit(x, sub, indent, level)
+                parts.append("".join(sub))
+            out.append("[" + ", ".join(parts) + "]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(pad)
+            parent_emit(value, out, indent, level + 1)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(close_pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def parent_dumps(obj: Any, indent: int = 2) -> str:
+    out: list[str] = []
+    parent_emit(obj, out, indent, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def test_derive_seed_stable_and_stage_dependent():
@@ -51,6 +115,47 @@ def test_dumps_is_valid_deterministic_json():
 def test_dumps_float_precision():
     parsed = json.loads(dumps({"x": 0.1}))
     assert struct.pack("d", parsed["x"]) == struct.pack("d", 0.1)
+
+
+def test_dumps_matches_element_by_element_reference():
+    rng = random.Random(3)
+    floats = [rng.uniform(-1e6, 1e6) for _ in range(200)]
+    floats += [rng.random() * 10 ** rng.randint(-300, 300) for _ in range(200)]
+    floats += [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2 / 3, 1.0, -1.0]
+    strings = [
+        "", "plain", "Ñúñez", "李", "Ølsen-Šimić", "🙂", 'quote"d', "back\\slash",
+        "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "\u2028\u2029", "/slash", "it's",
+    ]
+    docs = [
+        floats,
+        [floats, floats[:3]],
+        strings,
+        tuple(strings),
+        [strings, []],
+        [-0.0],
+        [5e-324],
+        [],
+        [1, 2.5, "x", None, True, False, -0.0, 5e-324],
+        [True, False],
+        [1, 2, 3],
+        [1.0, 2],
+        ["a", None],
+        [np.float64(0.1), np.float64(-0.0)],
+        {"log_priors": floats[:7], "vocabulary": strings, "nested": {"rows": [floats[:4]] * 3}},
+        {"empty": [], "ints": [0, -1], "mixed": [0.5, "s", 1]},
+        {"name": "Ñúñez \\ \"李\"", "mixed": [strings[2], 1, None, strings[8]]},
+    ]
+    for doc in docs:
+        assert dumps(doc) == parent_dumps(doc), doc
+
+
+def test_dumps_rejects_non_finite_in_float_lists():
+    nan, inf = float("nan"), float("inf")
+    for bad in ([0.1, nan], [inf], [1.0, 2.0, -inf], [[0.5, nan]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"x": bad})
 
 
 def test_atomic_write_and_hash(tmp_path):
