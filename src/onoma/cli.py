@@ -190,12 +190,17 @@ def cmd_typology(args) -> int:
     core = read_core_names(args.core)
     overrides = load_overrides(args.overrides) if args.overrides else ()
 
-    matrix = build_country_matrix(core, config, args.min_core_names)
+    try:
+        matrix = build_country_matrix(core, config, args.min_core_names)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dendrogram = ward_cluster(matrix)
+    k = min(args.k, len(matrix.countries))
+    del matrix
     weights: dict[str, float] = {}
     for name in core:
         weights[name.assigned_country] = weights.get(name.assigned_country, 0.0) + 1.0
-    typology = cut_dendrogram(dendrogram, min(args.k, len(matrix.countries)), overrides, weights)
+    typology = cut_dendrogram(dendrogram, k, overrides, weights)
 
     covered = [n for n in core if n.assigned_country in typology.assignment]
     dropped = len(core) - len(covered)
@@ -620,6 +625,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     for name in core:
         weights[name.assigned_country] = weights.get(name.assigned_country, 0.0) + 1.0
     k = min(config.k_regions, len(matrix.countries))
+    del matrix
     try:
         typology = cut_dendrogram(dendrogram, k, overrides, weights)
     except ValueError as exc:

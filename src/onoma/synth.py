@@ -587,6 +587,7 @@ def score_pipeline(
     matrix = build_country_matrix(core, feature_config, min_core_names, core_features)
     dendrogram = ward_cluster(matrix)
     k = min(len(spec.generators), len(matrix.countries))
+    del matrix
     typology = cut_dendrogram(dendrogram, k)
 
     country_truth = {c.code: c.region for c in spec.countries}

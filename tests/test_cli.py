@@ -88,13 +88,17 @@ def test_verbose_logs_stages(tmp_path, capsys):
     assert run(["pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
     assert "stage: ingest" not in err and "filter-core:" not in err
+    assert "country-matrix:" not in err
     assert run(["-v", "pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
     assert "stage: ingest" in err and "stage: calibrate" in err
     assert "surnames read" in err
+    assert "country-matrix: 6 countries with core names" in err
     # The funnel counts go to the log only, never into an artifact.
     for path in (tmp_path / "out").iterdir():
-        assert "surnames read" not in path.read_text(encoding="utf-8"), path.name
+        text = path.read_text(encoding="utf-8")
+        assert "surnames read" not in text, path.name
+        assert "countries with core names" not in text, path.name
 
 
 def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path, monkeypatch):
@@ -295,6 +299,15 @@ def test_exit_code_config(tmp_path, synth_dir):
     assert run(
         ["filter-core", corpus, "--registry", registry, "--hhi-min", 7.0]
     ) == 3
+
+
+def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):
+    core = tmp_path / "core.tsv"
+    core.write_text("".join(f"name{c}\tAA\t1\t0.01\n" for c in "abcdef"), encoding="utf-8")
+    out = tmp_path / "typ"
+    assert run(["typology", "--core", core, "--min-core-names", 1, "--out-dir", out]) == 3
+    assert "config error: need at least 2 countries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_partial_artifacts_on_format_error(tmp_path):

@@ -1,16 +1,19 @@
 """Country matrix, Ward clustering, dendrogram cuts and relabeling."""
 
+import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from onoma.corpus import CoreName
 from onoma.errors import InvariantError
-from onoma.features import NGramConfig, extract, featurize
+from onoma.features import FeatureMatrix, NGramConfig, extract, featurize
 from onoma.typology import (
     DEFAULT_REGION_LABELS,
+    WARD_BLOCK_ROWS,
     CountryFeatureMatrix,
     Dendrogram,
     Merge,
@@ -59,6 +62,20 @@ def ward_oracle(points):
         clusters[new_id] = clusters.pop(a) + clusters.pop(b)
         merges.append((a, b, d, new_id))
     return merges
+
+
+def sparse_matrix(rows):
+    """CountryFeatureMatrix holding the nonzero cells of the dense `rows`."""
+    rows = np.asarray(rows, dtype=float)
+    n, width = rows.shape
+    nonzero = rows != 0
+    return CountryFeatureMatrix(
+        tuple(f"C{i:02d}" for i in range(n)),
+        tuple(f"t{j:05d}" for j in range(width)),
+        np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))]),
+        np.nonzero(nonzero)[1],
+        rows[nonzero],
+    )
 
 
 def euclidean_matrix(points):
@@ -132,8 +149,13 @@ def reference_country_matrix(core, config, min_core_names):
 
 
 def test_matrix_equals_per_name_reference():
-    rng = random.Random(21)
-    config = NGramConfig()
+    for seed, config in ((21, NGramConfig()), (22, UNPADDED2),
+                         (23, NGramConfig(n_values=(1, 2, 3, 4)))):
+        check_matrix_against_per_name_reference(seed, config)
+
+
+def check_matrix_against_per_name_reference(seed, config):
+    rng = random.Random(seed)
     core = []
     seen = set()
     for country, letters, n in (("AA", "abc", 40), ("BB", "cde", 35), ("CC", "aeiou", 30),
@@ -153,6 +175,69 @@ def test_matrix_equals_per_name_reference():
         assert not any("x" in token for token in matrix.vocabulary)  # DD is below the bar
         assert np.array_equal(matrix.rows, rows)
         assert matrix.rows.flags.c_contiguous
+        assert len(matrix.values) == np.count_nonzero(rows)
+
+
+def test_matrix_logs_funnel_counts(caplog):
+    core = (
+        names_for("AA", ["aa", "ab"])
+        + names_for("BB", ["bb", "ab"])  # shares "ab" with AA
+        + names_for("CC", ["cc"])  # below min_core_names
+        + names_for("DD", ["d", "e"])  # no bigram in a one-letter name
+    )
+    caplog.set_level(logging.INFO, logger="onoma.typology")
+    matrix = build_country_matrix(core, UNPADDED2, min_core_names=2)
+    assert matrix.countries == ("AA", "BB")
+    funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("country-")]
+    assert funnel == [
+        "country-matrix: 4 countries with core names, 1 below min_core_names, "
+        "1 without n-grams, 2 kept, 3 n-grams, 4 non-zero cells"
+    ]
+    # Logged before the check that too few countries are left.
+    caplog.clear()
+    with pytest.raises(ValueError, match="at least 2"):
+        build_country_matrix(core[2:], UNPADDED2, min_core_names=2)
+    funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("country-")]
+    assert funnel == [
+        "country-matrix: 3 countries with core names, 1 below min_core_names, "
+        "1 without n-grams, 1 kept, 2 n-grams, 2 non-zero cells"
+    ]
+
+
+def test_matrix_sparse_layout_and_dense_rows():
+    matrix = sparse_matrix([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    assert matrix.indptr.tolist() == [0, 2, 3]
+    assert matrix.columns.tolist() == [0, 2, 1]
+    assert np.array_equal(matrix.rows, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    out = np.full((1, 3), 7.0)
+    assert matrix.dense_rows(1, 2, out) is out
+    assert np.array_equal(out, [[0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "indptr, columns, values, error, match",
+    [
+        ([0, 3, 2, 4], [0, 1, 2, 0], [0.5, 0.25, 0.25, 1.0], ValueError, "decrease"),
+        ([0, 2, 2, 4], [0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5], ValueError, "empty"),
+        ([0, 2, 3, 4], [0, 3, 1, 2], [0.5, 0.5, 1.0, 1.0], ValueError, "out of range"),
+        ([0, 2, 3, 4], [-1, 1, 1, 2], [0.5, 0.5, 1.0, 1.0], ValueError, "out of range"),
+        ([0, 2, 3, 4], [1, 1, 1, 2], [0.5, 0.5, 1.0, 1.0], ValueError, "increasing"),
+        ([0, 2, 3, 4], [2, 1, 1, 2], [0.5, 0.5, 1.0, 1.0], ValueError, "increasing"),
+        ([0, 2, 3, 4], [0, 1, 1, 2], [np.nan, 0.5, 1.0, 1.0], ValueError, "non-finite"),
+        ([0, 2, 3, 4], [0, 1, 1, 2], [np.inf, 0.5, 1.0, 1.0], ValueError, "non-finite"),
+        ([0, 2, 3, 4], [0, 1, 1, 2], [0.5, 0.25, 1.0, 1.0], InvariantError, "sum to 1: .'C00'"),
+        ([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0], ValueError, "inconsistent"),
+        ([1, 2, 3, 4], [0, 1, 1, 2], [0.5, 0.5, 1.0, 1.0], ValueError, "inconsistent"),
+        ([0, 2, 3, 4], [0, 1, 1, 2], [0.5, 0.5, 1.0], ValueError, "inconsistent"),
+    ],
+)
+def test_matrix_rejects_malformed_rows(indptr, columns, values, error, match):
+    labels = ("C00", "C01", "C02")
+    vocabulary = ("t0", "t1", "t2")
+    assert CountryFeatureMatrix(labels, vocabulary, [0, 2, 3, 4], [0, 1, 1, 2],
+                                [0.5, 0.5, 1.0, 1.0]).rows.shape == (3, 3)
+    with pytest.raises(error, match=match):
+        CountryFeatureMatrix(labels, vocabulary, indptr, columns, values)
 
 
 # ---------------------------------------------------------------- clustering
@@ -277,14 +362,173 @@ def test_ward_cluster_distances_match_per_row_temporaries():
     for n, width in ((2, 5), (17, 40), (45, 300)):
         rows = rng.random((n, width))
         rows /= rows.sum(axis=1, keepdims=True)
-        matrix = CountryFeatureMatrix(
-            tuple(f"C{i:02d}" for i in range(n)), tuple(f"t{j}" for j in range(width)), rows
-        )
+        matrix = sparse_matrix(rows)
         dist = np.zeros((n, n))
         for i in range(n - 1):
             diffs = rows[i + 1 :] - rows[i]
             dist[i, i + 1 :] = dist[i + 1 :, i] = np.sqrt((diffs * diffs).sum(axis=1))
         assert ward_cluster(matrix).merges == agglomerate(matrix.countries, dist).merges
+
+
+def parent_ward_cluster(countries, rows):
+    """ward_cluster over dense rows with one (n-1) x V buffer, kept verbatim
+    as the reference for the blocked distances over sparse rows."""
+    n = len(countries)
+    if n < 2:
+        raise ValueError("need at least 2 rows to cluster")
+    dist = np.zeros((n, n))
+    # One buffer for every row's squared differences. Its slices are
+    # C-contiguous: the row sums, and so the heights, depend on the layout.
+    buf = np.empty((n - 1, rows.shape[1]))
+    for i in range(n - 1):
+        diffs = buf[: n - 1 - i]
+        np.subtract(rows[i + 1 :], rows[i], out=diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        d = np.sqrt(diffs.sum(axis=1))
+        dist[i, i + 1 :] = d
+        dist[i + 1 :, i] = d
+    return agglomerate(countries, dist, method="ward"), dist
+
+
+def ward_rows():
+    """Row-normalized dense rows of 2 to 35 countries around the block size."""
+    rng = np.random.default_rng(41)
+    block = WARD_BLOCK_ROWS
+    for n in sorted({2, max(2, block - 1), block, block + 1, 2 * block + 1, 35}):
+        width = int(rng.integers(20, 400))
+        rows = rng.random((n, width)) * (rng.random((n, width)) < 0.1)
+        rows[np.arange(n), rng.integers(0, width, size=n)] += 0.5
+        yield rows / rows.sum(axis=1, keepdims=True)
+        # Disjoint supports: no two rows share a column.
+        columns = rng.permutation(n * 6).reshape(n, 6)
+        rows = np.zeros((n, n * 6))
+        rows[np.arange(n)[:, None], columns] = rng.random((n, 6)) + 0.01
+        yield rows / rows.sum(axis=1, keepdims=True)
+        # Repeated rows: zero distances and exact ties.
+        base = rng.random((3, 50)) * (rng.random((3, 50)) < 0.3)
+        base[:, 0] += 1.0
+        base /= base.sum(axis=1, keepdims=True)
+        yield base[rng.integers(0, 3, size=n)]
+        # One fully dense row among sparse ones.
+        rows = rng.random((n, width)) * (rng.random((n, width)) < 0.05)
+        rows[:, 0] += 0.25
+        rows[int(rng.integers(0, n))] = rng.random(width) + 0.01
+        yield rows / rows.sum(axis=1, keepdims=True)
+
+
+def test_ward_cluster_matches_one_buffer_reference(monkeypatch):
+    from onoma import typology
+
+    seen = []
+
+    def recording_agglomerate(labels, dist, method="ward"):
+        seen.append(dist.copy())
+        return agglomerate(labels, dist, method)
+
+    monkeypatch.setattr(typology, "agglomerate", recording_agglomerate)
+    for rows in ward_rows():
+        matrix = sparse_matrix(rows)
+        expected, dist = parent_ward_cluster(matrix.countries, rows)
+        assert ward_cluster(matrix).merges == expected.merges
+        assert seen.pop().tobytes() == dist.tobytes()
+
+
+def test_ward_cluster_matches_reference_on_generated_typology():
+    from onoma.corpus import filter_core_names
+    from onoma.synth import generate, standard_spec
+
+    table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
+    matrix = build_country_matrix(filter_core_names(table), NGramConfig(), 5)
+    assert len(matrix.countries) == 25
+    expected, _ = parent_ward_cluster(matrix.countries, matrix.rows)
+    assert ward_cluster(matrix).merges == expected.merges
+
+
+def random_sparse_matrix(n, width, per_row, seed):
+    """n x width shares with per_row nonzero cells a row; every column used."""
+    rng = np.random.default_rng(seed)
+    owner = rng.permutation(np.arange(width) % n)
+    indptr, columns = [0], []
+    for i in range(n):
+        own = np.flatnonzero(owner == i)
+        extra = rng.choice(np.flatnonzero(owner != i), size=per_row - len(own), replace=False)
+        columns.append(np.union1d(own, extra))
+        indptr.append(indptr[-1] + len(columns[-1]))
+    columns = np.concatenate(columns)
+    values = rng.random(len(columns)) + 0.01
+    values /= np.add.reduceat(values, indptr[:-1]).repeat(np.diff(indptr))
+    return CountryFeatureMatrix(
+        tuple(f"C{i:02d}" for i in range(n)),
+        tuple(f"t{j:05d}" for j in range(width)),
+        indptr,
+        columns,
+        values,
+    )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc (numpy's buffers included) during fn."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+N_TRACED, V_TRACED = 60, 30_000  # 3% dense: 900 nonzero cells a row
+
+
+def test_ward_cluster_memory_stays_within_blocks():
+    matrix = random_sparse_matrix(N_TRACED, V_TRACED, 900, seed=5)
+    peak, dendrogram = traced_peak(ward_cluster, matrix)
+    assert dendrogram.n_leaves == N_TRACED
+    # Design: two block x V float buffers (the densified rows and their
+    # squared differences) and one V-float row, plus the n x n distances and
+    # agglomerate's (2n-1)^2 node distances; 512 KiB covers the small arrays
+    # and the Python objects. A dense (n-1) x V buffer alone is 14 MB here.
+    blocks = 2 * WARD_BLOCK_ROWS * V_TRACED * 8 + V_TRACED * 8
+    pairs = N_TRACED**2 * 8 + (2 * N_TRACED - 1) ** 2 * 8
+    assert peak <= blocks + pairs + 512 * 1024, (peak, blocks + pairs)
+    assert peak < (N_TRACED - 1) * V_TRACED * 8 / 2
+
+
+def test_build_country_matrix_memory_is_linear_in_nonzeros():
+    rng = np.random.default_rng(6)
+    sparse = random_sparse_matrix(N_TRACED, V_TRACED, 900, seed=6)
+    # One name per group of 90 cells of a country's row, 10 names a country.
+    names, indptr, ids = [], [0], []
+    for i, country in enumerate(sparse.countries):
+        row = sparse.columns[sparse.indptr[i] : sparse.indptr[i + 1]]
+        for part in np.array_split(rng.permutation(row), 10):
+            names.append(f"{country.lower()}{len(names)}")
+            ids.append(np.sort(part))
+            indptr.append(indptr[-1] + len(part))
+    ids = np.concatenate(ids).astype(np.int32)
+    features = FeatureMatrix(
+        names=tuple(names),
+        tokens=sparse.vocabulary,
+        indptr=np.array(indptr, dtype=np.int64),
+        ids=ids,
+        counts=rng.integers(1, 4, size=len(ids)).astype(np.int32),
+        config=NGramConfig(),
+    )
+    core = [CoreName(name, name[:3].upper(), 1.0, 0.01) for name in names]
+    nnz = len(ids)
+    peak, matrix = traced_peak(build_country_matrix, core, NGramConfig(), 10, features)
+    assert matrix.countries == sparse.countries and len(matrix.vocabulary) == V_TRACED
+    assert len(matrix.values) == nnz == N_TRACED * 900
+    # Design: per country a bincount over the featurized tokens (V floats);
+    # the mask of used tokens and the vocabulary tuple (a byte and a pointer
+    # per column); the kept ids and totals and the result's columns and
+    # values (a few 8-byte words per nonzero cell). 512 KiB covers the
+    # Python objects. The dense n x V array alone is 14.4 MB here.
+    bound = 4 * V_TRACED * 8 + 8 * nnz * 8 + 512 * 1024
+    assert peak <= bound, (peak, bound)
+    assert peak < N_TRACED * V_TRACED * 8 / 2
 
 
 def test_agglomerate_validation():
