@@ -46,7 +46,7 @@ from .diversity import (
     order_profiles,
     representation_ratios,
 )
-from .errors import ConfigError, InputFormatError, InvariantError, OnomaError
+from .errors import ConfigError, InputFormatError, InvariantError, OnomaError, SurnameError
 from .features import (
     FeatureMatrix,
     FeatureVector,

@@ -12,9 +12,10 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .corpus import (
     render_core_names,
     render_corpus_tsv,
 )
-from .errors import ConfigError, InputFormatError, InvariantError, OnomaError
+from .errors import ConfigError, InputFormatError, InvariantError, OnomaError, SurnameError
 from .features import NGramConfig, featurize
 from .typology import (
     build_country_matrix,
@@ -91,6 +92,15 @@ def _load_registry(path: str | None) -> CountryRegistry:
     if path is None:
         return CountryRegistry.default()
     return CountryRegistry.from_tsv(path)
+
+
+@contextmanager
+def _surnames_from(path: Path | str) -> Iterator[None]:
+    """Report a surname the n-gram pass rejects as an input error in `path`."""
+    try:
+        yield
+    except SurnameError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def _read_population(path: Path | str) -> list[str]:
@@ -191,7 +201,8 @@ def cmd_typology(args) -> int:
     overrides = load_overrides(args.overrides) if args.overrides else ()
 
     try:
-        matrix = build_country_matrix(core, config, args.min_core_names)
+        with _surnames_from(args.core):
+            matrix = build_country_matrix(core, config, args.min_core_names)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     dendrogram = ward_cluster(matrix)
@@ -229,13 +240,14 @@ def cmd_train(args) -> int:
     labeled = read_labeled_tsv(args.labeled)
     try:
         train_set, eval_set = split(labeled, args.train_fraction, args.seed)
-        model = train(
-            train_set,
-            args.alpha,
-            config,
-            min_df=args.min_df,
-            strip_diacritics=args.strip_diacritics,
-        )
+        with _surnames_from(args.labeled):
+            model = train(
+                train_set,
+                args.alpha,
+                config,
+                min_df=args.min_df,
+                strip_diacritics=args.strip_diacritics,
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     model.save(args.out)
@@ -264,7 +276,8 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("--eval requires --model")
         model = TrainedModel.load(args.model)
         eval_set = read_labeled_tsv(args.eval)
-        report = evaluate(model, eval_set)
+        with _surnames_from(args.eval):
+            report = evaluate(model, eval_set)
     atomic_write(args.out, report.to_json())
     if args.confusion_out:
         from .correction import render_confusion_csv
@@ -297,7 +310,8 @@ def cmd_calibrate(args) -> int:
         model = TrainedModel.load(args.model)
         if model.regions != counts.regions:
             raise ConfigError("model regions do not match the confusion matrix")
-        _, priors = _reference_priors(model, _read_population(args.reference))
+        with _surnames_from(args.reference):
+            _, priors = _reference_priors(model, _read_population(args.reference))
         provenance["priors_source"] = f"reference:{Path(args.reference).name}"
     else:
         raise ConfigError("need either --priors or both --reference and --model")
@@ -313,7 +327,8 @@ def cmd_classify_population(args) -> int:
     operator = CorrectionOperator.from_csv(args.operator)
     names = _read_population(args.input)
     dataset = args.name or Path(args.input).stem
-    dist = diversity.distribution(names, model, operator, dataset)
+    with _surnames_from(args.input):
+        dist = diversity.distribution(names, model, operator, dataset)
     doc = {
         "dataset": dist.dataset_name,
         "n_names": dist.n_names,
@@ -329,17 +344,18 @@ def cmd_classify_population(args) -> int:
 def cmd_compare(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
-    datasets: list[tuple[str, list[str]]] = []
+    datasets: list[tuple[str, str, list[str]]] = []
     seen: set[str] = set()
     for path in [args.reference, *args.targets]:
         name = Path(path).stem
         if name in seen:
             raise ConfigError(f"duplicate dataset name {name!r}")
         seen.add(name)
-        datasets.append((name, _read_population(path)))
-    dists = [
-        diversity.distribution(names, model, operator, dataset) for dataset, names in datasets
-    ]
+        datasets.append((path, name, _read_population(path)))
+    dists = []
+    for path, dataset, names in datasets:
+        with _surnames_from(path):
+            dists.append(diversity.distribution(names, model, operator, dataset))
     reference = dists[0]
     profiles = [diversity.representation_ratios(d, reference) for d in dists]
     provenance = {
@@ -610,7 +626,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     del table  # the largest structure of the run; only its sizes are reported
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation.
-    core_features = featurize(list(dict.fromkeys(n.surname for n in core)), feature_config)
+    with _surnames_from(corpus_path):
+        core_features = featurize(list(dict.fromkeys(n.surname for n in core)), feature_config)
 
     log.info("stage: typology")
     try:
@@ -670,7 +687,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     provenance: dict[str, object] = {"confusion": "confusion.csv"}
     if reference_path is not None:
         reference_names = _read_population(reference_path)
-        reference_tally, priors = _reference_priors(model, reference_names)
+        with _surnames_from(reference_path):
+            reference_tally, priors = _reference_priors(model, reference_names)
         counts = reweight_priors(counts, priors)
         provenance["priors_source"] = f"reference:{Path(reference_path).name}"
         provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
@@ -686,10 +704,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         names = [dataset_names.get(Path(path), Path(path).stem) for path, _, _ in datasets]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate dataset names among reference/targets")
-        dists = [
-            diversity.distribution(surnames, model, operator, name, tally=tally)
-            for name, (_, surnames, tally) in zip(names, datasets)
-        ]
+        dists = []
+        for name, (path, surnames, tally) in zip(names, datasets):
+            with _surnames_from(path):
+                dists.append(diversity.distribution(surnames, model, operator, name, tally=tally))
         profiles = [diversity.representation_ratios(d, dists[0]) for d in dists]
         report_paths = diversity.emit_report(
             profiles,

@@ -9,6 +9,10 @@ class InputFormatError(OnomaError):
     """An input file does not conform to its documented format."""
 
 
+class SurnameError(OnomaError, ValueError):
+    """A surname cannot be split into n-grams: it is empty or holds a marker."""
+
+
 class ConfigError(OnomaError):
     """A configuration value is out of range or inconsistent."""
 

@@ -8,6 +8,14 @@ particles carry origin signal and should not blur across word boundaries.
 Stages that read many names share one `featurize` pass: each distinct name
 is decomposed once into a sparse row of a `FeatureMatrix`, and the country
 matrix, training, evaluation and population tallies all read those rows.
+
+`featurize` has no loop over names. It takes _CHUNK names at a time, lays
+their padded words end to end as code points, and gives every window of n
+code points inside one word an integer key. One sort per n groups the equal
+(name, n-gram) pairs; each pair becomes an entry placed at its first window
+in `extract`'s order (word, then n, then start), so every row equals the
+one-name `extract` result, order included. Token ids follow the tokens'
+sorted order. `extract` stays the one-name reference that `classify` uses.
 """
 
 from __future__ import annotations
@@ -15,10 +23,13 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, count, pairwise
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .errors import SurnameError
 
 FeatureVector = dict[str, int]
 
@@ -32,6 +43,9 @@ __all__ = [
     "write_vocabulary",
     "read_vocabulary",
 ]
+
+# Names decomposed together by `featurize`; its transient arrays scale with it.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -147,31 +161,140 @@ class FeatureMatrix:
 
 
 def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> FeatureMatrix:
-    """One `extract` pass over distinct names into a shared sparse matrix."""
+    """Distinct names into a shared sparse matrix whose rows equal `extract`'s.
+
+    The names are decomposed with numpy, _CHUNK names at a time, so the
+    transient arrays are bounded by one chunk and the result. Each row lists
+    its tokens in the order `extract` first meets them, and token ids index
+    the sorted `tokens`. A name that is empty or holds a boundary marker
+    raises `SurnameError` naming it.
+    """
     names = tuple(names)
     # A token seen for the first time gets the next id.
-    token_ids: defaultdict[str, int] = defaultdict()
-    token_ids.default_factory = token_ids.__len__
+    token_ids: defaultdict[bytes, int] = defaultdict(count().__next__)
+    indptr = np.zeros(len(names) + 1, dtype=np.int64)
     ids = array("i")
     counts = array("i")
-    indptr = np.zeros(len(names) + 1, dtype=np.int64)
-    for i, name in enumerate(names):
-        row = extract(name, config)
-        ids.extend(map(token_ids.__getitem__, row))
-        counts.extend(row.values())
-        indptr[i + 1] = len(ids)
-    tokens = tuple(sorted(token_ids))
-    # Ids were handed out in first-seen order; renumber them in token order.
-    rank = np.empty(len(tokens), dtype=np.int32)
-    rank[[token_ids[token] for token in tokens]] = np.arange(len(tokens), dtype=np.int32)
+    for lo in range(0, len(names), _CHUNK):
+        chunk = names[lo : lo + _CHUNK]
+        rows, chunk_ids, chunk_counts = _chunk_entries(chunk, config, token_ids)
+        indptr[lo + 1 : lo + 1 + len(chunk)] = np.bincount(rows, minlength=len(chunk))
+        ids.frombytes(chunk_ids.tobytes())
+        counts.frombytes(chunk_counts.tobytes())
+    np.cumsum(indptr, out=indptr)
+    # UTF-32-BE bytes sort as their code points do, so as the tokens do.
+    keys = sorted(token_ids)
+    # Ids were handed out as tokens were found; renumber them in token order.
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[[token_ids[key] for key in keys]] = np.arange(len(keys), dtype=np.int32)
+    ids = rank[np.frombuffer(ids, dtype=np.int32)]
+    text = b"".join(keys).decode("utf-32-be", "surrogatepass")
+    lengths = [len(key) // 4 for key in keys]
+    del token_ids, keys  # freed before the tokens are made, not pinned under them
+    bounds = pairwise(accumulate(lengths, initial=0))
+    tokens = tuple(text[start:end] for start, end in bounds)
     return FeatureMatrix(
         names=names,
         tokens=tokens,
         indptr=indptr,
-        ids=rank[np.frombuffer(ids, dtype=np.int32)],
+        ids=ids,
         counts=np.frombuffer(counts, dtype=np.int32),
         config=config,
     )
+
+
+def _check_names(chunk: Sequence[str], text: str, config: NGramConfig) -> None:
+    """`extract`'s input checks over a chunk and its space-joined `text`."""
+    markers = (config.start_marker, config.end_marker)
+    if all(chunk) and not any(marker in text for marker in markers):
+        return
+    for name in chunk:
+        if not name:
+            raise SurnameError("empty surname")
+        for marker in markers:
+            if marker in name:
+                raise SurnameError(f"surname {name!r} contains reserved marker {marker!r}")
+
+
+def _rerank(key: np.ndarray, span: int, factor: int) -> tuple[np.ndarray, int]:
+    """`key` and its bound, replaced by its ranks if key * factor could pass 2**63."""
+    if span <= (2**63 - 1) // factor:
+        return key, span
+    distinct, key = np.unique(key, return_inverse=True)
+    return key, len(distinct)
+
+
+def _chunk_entries(
+    chunk: Sequence[str], config: NGramConfig, token_ids: defaultdict[bytes, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row (within the chunk), token id and count of each of the chunk's entries.
+
+    Entries come row by row, each row in `extract`'s first-seen order. Token
+    ids are looked up in `token_ids` by the token's UTF-32-BE bytes; it hands
+    out the next id to a token it has not seen.
+    """
+    text = " ".join(chunk)
+    _check_names(chunk, text, config)
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # Words are the runs of non-space code points; the joining spaces end
+    # each name's last word, and a word's row follows from the name lengths.
+    letter = code != 32
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], letter, [False]))))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    name_len = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+    word_row = np.searchsorted(np.cumsum(name_len + 1), starts, side="right")
+
+    # The padded words back to back; each window inside one word is an n-gram.
+    pad = int(config.pad_boundaries)
+    width = lengths + 2 * pad
+    offset = np.cumsum(width) - width
+    padded = np.empty(int(width.sum()), dtype=np.uint32)
+    padded[np.flatnonzero(letter) + np.repeat(offset + pad - starts, lengths)] = code[letter]
+    if pad:
+        padded[offset] = ord(config.start_marker)
+        padded[offset + width - 1] = ord(config.end_marker)
+    word_of = np.repeat(np.arange(len(width)), width)
+    room = np.repeat(offset + width, width) - np.arange(len(padded))  # code points left in the word
+
+    # `extract` meets the windows word by word, then by n, then by start:
+    # window t of size n_values[j] in word w comes at base[w, j] + t.
+    windows = np.maximum(width[:, None] - np.asarray(config.n_values) + 1, 0)
+    base = (np.cumsum(windows) - windows.ravel()).reshape(windows.shape) - offset[:, None]
+    row = np.repeat(word_row, windows.sum(axis=1))  # by position in `extract`'s order
+    token = np.empty(len(row), dtype=np.int64)  # numbered within the chunk
+    tally = np.zeros(len(row), dtype=np.int32)  # set at each entry's first occurrence
+    found: list[bytes] = []  # each chunk token's UTF-32-BE bytes
+
+    # key[s] identifies the n code points from s on: the (n - 1)-gram key
+    # times the code point bound plus the next code point. Keys are
+    # re-ranked before a product that could overflow.
+    symbol = padded.astype(np.int64)
+    size, rows = int(padded.max(initial=0)) + 1, len(chunk)
+    key, span = symbol, size
+    for n in range(1, config.n_values[-1] + 1):
+        if n > 1:
+            key, span = _rerank(key, span, size)
+            key = key[:-1] * size + symbol[n - 1 :]
+            span *= size
+        if n not in config.n_values:
+            continue
+        key, span = _rerank(key, span, rows)
+        at = np.flatnonzero(room >= n)
+        # Equal (token, row) pairs are one entry, placed at their first
+        # occurrence; the sort only groups, so the order among ties is free.
+        pair = key[at] * rows + word_row[word_of[at]]
+        order = np.argsort(pair)
+        heads = np.flatnonzero(np.diff(pair[order], prepend=-1))
+        new = np.diff(pair[order[heads]] // rows, prepend=-1) != 0  # a token's first entry
+        position = base[word_of[at], config.n_values.index(n)] + at
+        first = np.minimum.reduceat(position[order], heads)
+        token[first] = np.cumsum(new) - 1 + len(found)
+        tally[first] = np.diff(heads, append=len(pair))
+        code_points = padded[at[order[heads[new]], None] + np.arange(n)].astype(">u4")
+        found.extend(code_points.view(f"V{4 * n}").ravel().tolist())
+    ids = np.fromiter(map(token_ids.__getitem__, found), dtype=np.int32, count=len(found))
+    entries = np.flatnonzero(tally)
+    return row[entries], ids[token[entries]], tally[entries]
 
 
 def build_vocabulary(

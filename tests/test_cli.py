@@ -407,3 +407,80 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
     assert run(["pipeline", "--config", config]) == 3
     assert "unknown config keys: alpah, targest" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _pipeline_config(tmp_path, synth_dir, corpus, reference):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "seed": 11,
+                "out_dir": str(tmp_path / "out"),
+                "corpus": str(corpus),
+                "registry": str(synth_dir / "countries.tsv"),
+                "reference": str(reference),
+                "k_regions": 3,
+                "min_core_names": 5,
+            }
+        ),
+        encoding="utf-8",
+    )
+    return config
+
+
+def test_pipeline_corpus_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    text = (synth_dir / "corpus.tsv").read_text(encoding="utf-8")
+    country = text.splitlines()[0].split("\t")[1]
+    corpus.write_text(text + f"o^brien\t{country}\t500\n", encoding="utf-8")
+    reference = synth_dir / "population_heldout.txt"
+    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {corpus}: surname 'o^brien' contains reserved marker '^'" in err
+
+
+def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):
+    reference = tmp_path / "reference.txt"
+    text = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8")
+    reference.write_text(text + "o$brien\n", encoding="utf-8")
+    corpus = synth_dir / "corpus.tsv"
+    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {reference}: surname 'o$brien' contains reserved marker '$'" in err
+
+
+def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, capsys):
+    core = tmp_path / "core.tsv"
+    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
+         "--out", core])
+    bad_core = tmp_path / "bad_core.tsv"
+    line = core.read_text(encoding="utf-8").splitlines()[0].split("\t")
+    bad_core.write_text(
+        core.read_text(encoding="utf-8") + "\t".join(["o^brien", *line[1:]]) + "\n",
+        encoding="utf-8",
+    )
+    assert run(["typology", "--core", bad_core, "--k", 3, "--min-core-names", 5,
+                "--out-dir", tmp_path / "bad_typ"]) == 2
+    assert f"input error: {bad_core}: surname 'o^brien'" in capsys.readouterr().err
+
+    typ_dir = tmp_path / "typ"
+    run(["typology", "--core", core, "--k", 3, "--min-core-names", 5, "--out-dir", typ_dir])
+    model, eval_tsv = tmp_path / "model.json", tmp_path / "eval.tsv"
+    run(["train", "--labeled", typ_dir / "labeled.tsv", "--out", model, "--seed", 1,
+         "--eval-out", eval_tsv])
+    confusion = tmp_path / "confusion.csv"
+    run(["evaluate", "--model", model, "--eval", eval_tsv, "--out", tmp_path / "r.json",
+         "--confusion-out", confusion])
+    reference = synth_dir / "population_heldout.txt"
+    bad = tmp_path / "bad.txt"
+    bad.write_text(reference.read_text(encoding="utf-8") + "o$brien\n", encoding="utf-8")
+    capsys.readouterr()
+    operator = tmp_path / "operator.csv"
+    assert run(["calibrate", "--confusion", confusion, "--model", model, "--reference", bad,
+                "--out", operator]) == 2
+    assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
+    assert run(["calibrate", "--confusion", confusion, "--model", model,
+                "--reference", reference, "--out", operator]) == 0
+    assert run(["compare", "--model", model, "--operator", operator, "--reference", reference,
+                bad, "--out-dir", tmp_path / "cmp"]) == 2
+    assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 """n-gram extraction and vocabulary construction."""
 
+import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from onoma.errors import SurnameError
 from onoma.features import (
+    _CHUNK,
     NGramConfig,
     build_vocabulary,
     extract,
@@ -136,7 +141,7 @@ def test_vocabulary_file_round_trip(tmp_path):
 
 def test_featurize_rows_round_trip_to_extract():
     rng = random.Random(8)
-    names = {"de la cruz", "o'neil", "garcía", "ab", "a", "aaa aaa"}
+    names = {"de la cruz", "o'neil", "garcía", "ab", "a", "aaa aaa", "ñ🙂ñ", " x  y "}
     while len(names) < 200:
         words = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 7)))
                  for _ in range(rng.randint(1, 3))]
@@ -161,6 +166,12 @@ def test_featurize_validation():
         featurize(["ab", "ab"], NGramConfig())
     with pytest.raises(ValueError, match="marker"):
         featurize(["ab", "a$b"], NGramConfig())
+    with pytest.raises(SurnameError, match=r"surname 'o\^brien' contains reserved marker '\^'"):
+        featurize([f"n{i}" for i in range(_CHUNK)] + ["o^brien"], NGramConfig())
+    with pytest.raises(SurnameError, match="empty surname"):
+        featurize(["ab", ""], NGramConfig())
+    with pytest.raises(SurnameError, match="'a<b'"):
+        featurize(["a$b", "a<b"], NGramConfig(start_marker="<", end_marker=">"))
     with pytest.raises(KeyError):
         featurize(["ab"], NGramConfig()).rows_of(["cd"])
 
@@ -173,3 +184,122 @@ def test_vocabulary_from_shared_matrix_matches_own_pass():
         assert build_vocabulary(corpus, config, min_df, shared) == build_vocabulary(
             corpus, config, min_df
         )
+
+
+# ------------------------------------------------- featurize against extract
+
+
+def reference_featurize(names, config):
+    """The per-name `extract` loop the vectorized pass replaced, as arrays."""
+    first_ids: dict[str, int] = {}
+    ids, counts, indptr = [], [], [0]
+    for name in names:
+        for token, count in extract(name, config).items():
+            ids.append(first_ids.setdefault(token, len(first_ids)))
+            counts.append(count)
+        indptr.append(len(ids))
+    tokens = tuple(sorted(first_ids))
+    rank = {first_ids[token]: r for r, token in enumerate(tokens)}
+    return (
+        tokens,
+        np.array(indptr, dtype=np.int64),
+        np.array([rank[i] for i in ids], dtype=np.int32),
+        np.array(counts, dtype=np.int32),
+    )
+
+
+def assert_matches_reference(names, config):
+    matrix = featurize(names, config)
+    tokens, indptr, ids, counts = reference_featurize(names, config)
+    assert matrix.names == tuple(names)
+    assert matrix.tokens == tokens
+    # Arrays compared entry by entry, so within-row order counts too.
+    for got, want in ((matrix.indptr, indptr), (matrix.ids, ids), (matrix.counts, counts)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def random_names(rng, letters, count, max_words=3, max_length=9):
+    names = set()
+    while len(names) < count:
+        words = [
+            "".join(rng.choice(letters) for _ in range(rng.randint(1, max_length)))
+            for _ in range(rng.randint(1, max_words))
+        ]
+        names.add(" ".join(words))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_featurize_equals_extract_for_every_n_values_subset(size):
+    rng = random.Random(size)
+    names = random_names(rng, "abcdeé", 40)
+    for n_values in itertools.combinations(range(1, 9), size):
+        for pad in (True, False):
+            assert_matches_reference(names, NGramConfig(n_values=n_values, pad_boundaries=pad))
+
+
+def test_featurize_equals_extract_with_custom_markers():
+    # The default markers are plain letters here; the markers sort before,
+    # after and among the letters.
+    names = random_names(random.Random(2), "bc^$", 60)
+    for start, end in (("<", ">"), ("\x00", "\U0010ffff"), ("z", "a")):
+        config = NGramConfig(n_values=(1, 2, 3), start_marker=start, end_marker=end)
+        assert_matches_reference(names, config)
+
+
+def test_featurize_equals_extract_on_word_shapes():
+    names = [" lead", "trail ", "two  spaces", "  both  ", "a b c", "de la cruz", "x", "xy z", " "]
+    for n_values in ((1,), (2, 3), (4,), (8,), (1, 5, 8)):
+        for pad in (True, False):
+            assert_matches_reference(names, NGramConfig(n_values=n_values, pad_boundaries=pad))
+
+
+def test_featurize_equals_extract_on_any_characters():
+    letters = ["ß", "ø", "ł", "ж", "中", "🙂", "𝔸", "\n", "\t", "\x00", "\ud800", "a", "b"]
+    names = random_names(random.Random(4), letters, 80)
+    names += ["o\nbrien", "tab\tbed", "\n", "\t \n"]
+    for config in (NGramConfig(), NGramConfig(n_values=(1, 4, 8), pad_boundaries=False)):
+        assert_matches_reference(names, config)
+
+
+def test_featurize_keys_do_not_overflow_on_a_wide_alphabet():
+    # 300 code points from U+0400 in one chunk: without re-ranking, the
+    # 8-gram keys would pass 2**63.
+    alphabet = [chr(0x400 + i) for i in range(300)]
+    rng = random.Random(5)
+    names = random_names(rng, alphabet, 200, max_words=2, max_length=12)
+    assert len(set("".join(names))) >= 300
+    assert_matches_reference(names, NGramConfig(n_values=(1, 2, 7, 8)))
+
+
+@pytest.mark.parametrize("count", [0, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_featurize_equals_extract_across_chunk_boundaries(count):
+    names = random_names(random.Random(count), "abcdefgh", count)
+    assert_matches_reference(names, NGramConfig())
+
+
+def test_featurize_transient_memory_is_bounded_by_a_chunk():
+    # Eight chunks of distinct 7-letter words over four letters.
+    chunks, length = 8, 7
+    names = ["".join(letters) for letters in itertools.product("abcd", repeat=length)]
+    names = names[: chunks * _CHUNK]
+    config = NGramConfig()
+    featurize(names[:10], config)  # numpy's lazy set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = featurize(names, config)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # Design: one chunk's pass holds about six arrays at once of one 8-byte
+    # word per padded code point and per n-gram window (positions, keys,
+    # rows, sort orders); 12 allows for numpy's own temporaries. Gathering
+    # the chunks' entries then holds the result's ids and counts once more.
+    # A pass over all names at once would need the chunk term eight times.
+    padded = length + 2
+    windows = sum(padded - n + 1 for n in config.n_values)
+    chunk = 12 * 8 * _CHUNK * (padded + windows)
+    entries = matrix.ids.nbytes + matrix.counts.nbytes
+    assert peak - kept <= chunk + entries, (peak - kept, chunk, entries)
