@@ -4,17 +4,25 @@ The training corpus is a table of (surname, country, count) observations.
 Counts are normalized per country so that heavily sampled countries do not
 dominate, and surnames concentrated in a single country ("core names") are
 kept as labeled learning examples. Concentration is measured with the
-Herfindahl-Hirschman index over per-country shares.
+Herfindahl-Hirschman index over per-country shares. The table is stored as
+sorted integer columns and the filter runs on them with numpy; its sums add
+left to right, so its floats equal the one-surname functions' bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 import re
 import unicodedata
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import InputFormatError
 from .util import atomic_write
@@ -40,6 +48,8 @@ __all__ = [
 ]
 
 _WS_RUN = re.compile(r"\s+")
+
+_TOTAL_LIMIT = 2**53  # see OccurrenceTable
 
 
 def normalize_surname(raw: str, strip_diacritics: bool = False) -> str:
@@ -173,41 +183,69 @@ class CoreName:
     max_frequency: float
 
 
+def _intern(column: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values of `column`, sorted, and each row's index among them."""
+    order = np.array(sorted(range(len(column)), key=column.__getitem__), np.int64)
+    values = np.array(column, dtype=object)[order]
+    new = np.ones(len(values), bool)
+    new[1:] = values[1:] != values[:-1]
+    ids = np.empty(len(values), np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return tuple(values[new].tolist()), ids
+
+
 class OccurrenceTable:
     """Immutable (surname, country) -> count table with per-country totals.
 
-    Duplicate observations merge additively at construction; afterwards the
-    table is read-only and safe for concurrent use. `len()` (distinct
-    (surname, country) pairs) and `n_surnames` are counted at construction.
+    Columns: the sorted surnames and country codes (tuples), and int64 arrays
+    of surname id, country id and count, one row per distinct pair, sorted by
+    (surname, country). Duplicate observations merge additively; afterwards
+    the table is read-only and safe for concurrent use. A country total of
+    2**53 or more raises `ValueError`: below it an int64 converts to a double
+    exactly, so a frequency divides as Python's int / int does.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, int]]):
-        by_surname: dict[str, dict[str, int]] = {}
-        totals: dict[str, int] = {}
+        surnames, country_ids, cids, counts = [], {}, array("q"), array("q")
         for surname, country, count in pairs:
-            if not isinstance(count, int) or count < 1:
-                raise ValueError(f"count must be a positive integer, got {count!r}")
+            if not isinstance(count, int) or not 0 < count < _TOTAL_LIMIT:
+                raise ValueError(f"count must be a positive integer below 2**53, got {count!r}")
             if not surname:
                 raise ValueError("empty surname")
             if not country:
                 raise ValueError("empty country code")
-            per_country = by_surname.get(surname)
-            if per_country is None:
-                per_country = by_surname[surname] = {}
-            per_country[country] = per_country.get(country, 0) + count
-            totals[country] = totals.get(country, 0) + count
-        self._by_surname = by_surname
-        self._n_pairs = sum(map(len, by_surname.values()))
-        self.n_surnames = len(by_surname)
-        self.country_totals: dict[str, int] = totals
+            surnames.append(surname)
+            cids.append(country_ids.setdefault(country, len(country_ids)))
+            counts.append(count)
+        self._set_columns(surnames, country_ids, cids, counts, ValueError)
+
+    def _set_columns(self, surnames, country_ids, cids, counts, error) -> None:
+        """Sort and merge rows; `cids` number the countries in first-seen order."""
+        names, sid = _intern(surnames)
+        codes, rank = _intern(list(country_ids))
+        cid, counts = rank[np.asarray(cids)], np.asarray(counts)
+        # Summed in doubles, exact below 2**53; a sum that reaches 2**53
+        # never rounds back below it, and no int64 sum can wrap here.
+        totals = np.bincount(cid, weights=counts, minlength=len(codes))
+        if (totals >= _TOTAL_LIMIT).any():
+            code = codes[int(np.argmax(totals >= _TOTAL_LIMIT))]
+            raise error(f"country {code!r} total reaches 2**53")
+        key = sid * len(codes) + cid
+        order = np.argsort(key)
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        self._surnames, self._countries = names, codes
+        self._sid, self._cid = sid[order[first]], cid[order[first]]
+        self._count = np.add.reduceat(counts[order], first)
+        self._totals = totals.astype(np.int64)
+        self.country_totals = dict(zip(codes, self._totals.tolist()))
+        self.n_surnames = len(names)
 
     def __len__(self) -> int:
         """Number of distinct (surname, country) pairs."""
-        return self._n_pairs
+        return len(self._count)
 
     def count(self, surname: str, country: str) -> int:
-        per_country = self._by_surname.get(surname)
-        return per_country.get(country, 0) if per_country else 0
+        return self.countries_of(surname).get(country, 0)
 
     def frequency(self, surname: str, country: str) -> float:
         """count(surname, country) / total occurrences of the country."""
@@ -217,21 +255,24 @@ class OccurrenceTable:
         return self.count(surname, country) / total
 
     def surnames(self) -> list[str]:
-        return sorted(self._by_surname)
+        return list(self._surnames)
 
     def countries(self) -> list[str]:
-        return sorted(self.country_totals)
+        return list(self._countries)
 
     def countries_of(self, surname: str) -> dict[str, int]:
-        return dict(self._by_surname.get(surname, {}))
+        i = bisect_left(self._surnames, surname)
+        if i == self.n_surnames or self._surnames[i] != surname:
+            return {}
+        lo, hi = np.searchsorted(self._sid, (i, i + 1))
+        cids, counts = self._cid[lo:hi].tolist(), self._count[lo:hi].tolist()
+        return {self._countries[c]: n for c, n in zip(cids, counts)}
 
     def records(self) -> Iterator[OccurrenceRecord]:
         """Every (surname, country, count), by surname, then by country."""
-        by_surname = self._by_surname
-        for surname in sorted(by_surname):
-            per_country = by_surname[surname]
-            for country in sorted(per_country):
-                yield OccurrenceRecord(surname, country, per_country[country])
+        names, codes = self._surnames, self._countries
+        for s, c, n in zip(self._sid.tolist(), self._cid.tolist(), self._count.tolist()):
+            yield OccurrenceRecord(names[s], codes[c], n)
 
 
 def ingest(
@@ -246,8 +287,9 @@ def ingest(
 
     Duplicates merge; row order never affects the result. Unknown country
     codes are skipped with a warning, or rejected outright in strict mode.
+    A country total at or above 2**53 raises `InputFormatError`.
     """
-    pairs: list[tuple[str, str, int]] = []
+    surnames, country_ids, cids, counts = [], {}, array("q"), array("q")
     skipped = 0
     for lineno, raw in enumerate(lines, 1):
         if lineno == 1 and header:
@@ -281,25 +323,37 @@ def ingest(
             skipped += 1
             log.warning("line %d: unknown country code %r, row skipped", lineno, country)
             continue
-        pairs.append((surname, country, count))
+        if count >= _TOTAL_LIMIT:
+            raise InputFormatError(f"line {lineno}: country {country!r} total reaches 2**53")
+        surnames.append(surname)
+        cids.append(country_ids.setdefault(country, len(country_ids)))
+        counts.append(count)
     if skipped:
         log.info("ingest: skipped %d rows with unknown country codes", skipped)
-    return OccurrenceTable(pairs)
+    table = OccurrenceTable.__new__(OccurrenceTable)
+    table._set_columns(surnames, country_ids, cids, counts, InputFormatError)
+    return table
+
+
+def _sum_left(values: Iterable[float]) -> float:
+    """Left-to-right float sum: `sum()` before Python 3.12 (later ones compensate)."""
+    return reduce(operator.add, values, 0.0)
 
 
 def hhi(shares: Iterable[float]) -> float:
     """Herfindahl-Hirschman concentration: sum of squared shares.
 
     1.0 is full concentration in one entry; a uniform split over k entries
-    gives exactly 1/k. The input must be a probability vector.
+    gives exactly 1/k. The input must be a probability vector. Sums add
+    left to right on every Python version.
     """
     values = [float(s) for s in shares]
     if any(s < 0 for s in values):
         raise ValueError("shares must be nonnegative")
-    total = sum(values)
+    total = _sum_left(values)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"shares must sum to 1 (got {total!r})")
-    return sum(s * s for s in values)
+    return _sum_left(s * s for s in values)
 
 
 def core_shares(
@@ -309,7 +363,7 @@ def core_shares(
 
     Shares are computed over per-country normalized frequencies by default,
     so heavily sampled countries do not dominate the concentration measure.
-    `basis="count"` switches to raw counts.
+    `basis="count"` switches to raw counts. Weights add left to right.
     """
     per_country = table.countries_of(surname)
     if not per_country:
@@ -321,8 +375,20 @@ def core_shares(
         weights = [table.frequency(surname, c) for c in countries]
     else:
         weights = [float(per_country[c]) for c in countries]
-    total = sum(weights)
+    total = _sum_left(weights)
     return {c: w / total for c, w in zip(countries, weights)}
+
+
+def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
+    """Each segment's sum, added left to right as `_sum_left` does (numpy's
+    `add.reduceat` does not). `plan`: the segments' first positions, longest
+    segment first; for k = 1, 2, ... how many are longer than k; and the
+    permutation back to segment order."""
+    firsts, widths, unsort = plan
+    sums = values[firsts]
+    for k, width in enumerate(widths, 1):
+        sums[:width] += values[firsts[:width] + k]
+    return sums[unsort]
 
 
 def filter_core_names(
@@ -336,48 +402,52 @@ def filter_core_names(
 
     Each passing surname is assigned to the country where its normalized
     frequency is maximal; exact frequency ties break to the lexicographically
-    smallest country code and are logged. Shares and HHI are computed in the
-    order of operations of `core_shares` and `hhi`, so every float equals
-    theirs bit for bit. One INFO line counts the surnames read, those dropped
-    by the HHI threshold, those (of the rest) dropped by the frequency floor
-    and the frequency ties broken.
+    smallest country code and are logged. Computed with numpy over the
+    table's columns, every float equals `core_shares` and `hhi` bit for bit:
+    each division and product is the same IEEE operation, and each
+    per-surname sum adds left to right as theirs do. One INFO line counts the
+    surnames read, those dropped by the HHI threshold, those (of the rest)
+    dropped by the frequency floor and the frequency ties broken.
     """
     if len(table) == 0:
         raise ValueError("empty occurrence table")
     if basis not in ("frequency", "count"):
         raise ValueError(f"unknown share basis {basis!r}")
-    by_surname = table._by_surname
-    totals = table.country_totals
-    out: list[CoreName] = []
-    below_hhi = below_freq = ties = 0
-    for surname in sorted(by_surname):
-        per_country = by_surname[surname]
-        countries = sorted(per_country)
-        freqs = [per_country[c] / totals[c] for c in countries]
-        weights = freqs if basis == "frequency" else [float(per_country[c]) for c in countries]
-        total = sum(weights)
-        shares = [w / total for w in weights]
-        share_sum = sum(shares)
-        if min(shares) < 0 or abs(share_sum - 1.0) > 1e-9:
-            raise ValueError(f"surname {surname!r}: shares sum to {share_sum!r}, not 1")
-        concentration = sum([s * s for s in shares])
-        max_freq = max(freqs)
-        if concentration < hhi_min:
-            below_hhi += 1
-            continue
-        if max_freq < freq_min:
-            below_freq += 1
-            continue
-        best = countries[freqs.index(max_freq)]
-        if freqs.count(max_freq) > 1:
-            ties += 1
-            candidates = [c for c, f in zip(countries, freqs) if f == max_freq]
-            log.info("surname %r: frequency tie across %s, assigned %s", surname, candidates, best)
-        out.append(CoreName(surname, best, concentration, max_freq))
+    names, codes = table._surnames, table._countries
+    sid, cid, counts = table._sid, table._cid, table._count
+    starts = np.searchsorted(sid, np.arange(table.n_surnames))
+    lengths = np.diff(starts, append=len(sid))
+    order = np.argsort(-lengths, kind="stable")
+    widths = np.searchsorted(-lengths[order], -np.arange(1, lengths.max())).tolist()
+    plan = (starts[order], widths, np.argsort(order))
+    freqs = counts / table._totals[cid]
+    weights = freqs if basis == "frequency" else counts.astype(np.float64)
+    shares = weights / np.repeat(_segment_sums(weights, plan), lengths)
+    share_sums = _segment_sums(shares, plan)
+    bad = (np.minimum.reduceat(shares, starts) < 0) | (np.abs(share_sums - 1.0) > 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"surname {names[i]!r}: shares sum to {float(share_sums[i])!r}, not 1")
+    concentration = _segment_sums(shares * shares, plan)
+    max_freq = np.maximum.reduceat(freqs, starts)
+    is_max = freqs == np.repeat(max_freq, lengths)
+    best = cid[np.minimum.reduceat(np.where(is_max, np.arange(len(cid)), len(cid)), starts)]
+    tied = np.add.reduceat(is_max, starts, dtype=np.int64) > 1
+    low_hhi = concentration < hhi_min
+    low_freq = ~low_hhi & (max_freq < freq_min)
+    kept = np.flatnonzero(~low_hhi & ~low_freq)
+    for i in kept[tied[kept]].tolist():
+        rows = slice(starts[i], starts[i] + lengths[i])
+        tie = [codes[c] for c in cid[rows][is_max[rows]].tolist()]
+        log.info("surname %r: frequency tie across %s, assigned %s", names[i], tie, codes[best[i]])
+    columns = (kept, best[kept], concentration[kept], max_freq[kept])
+    out = [
+        CoreName(names[i], codes[c], h, m) for i, c, h, m in zip(*(a.tolist() for a in columns))
+    ]
     log.info(
         "filter-core: %d surnames read, %d below hhi_min, %d below freq_min, "
         "%d frequency ties broken, %d kept",
-        len(by_surname), below_hhi, below_freq, ties, len(out),
+        table.n_surnames, low_hhi.sum(), low_freq.sum(), tied[kept].sum(), len(out),
     )
     return out
 
@@ -391,9 +461,12 @@ def read_corpus_tsv(
     strip_diacritics: bool = False,
 ) -> OccurrenceTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return ingest(
+        table = ingest(
             fh, registry, header=header, strict=strict, strip_diacritics=strip_diacritics
         )
+    if len(table) == 0:
+        raise InputFormatError(f"{path}: no records")
+    return table
 
 
 def render_corpus_tsv(table: OccurrenceTable) -> str:

@@ -78,7 +78,9 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         # Flat numeric/str lists stay on one line to keep files compact.
         kinds = set(map(type, obj))
         if kinds == {float}:
-            out.append("[" + ", ".join(map(fmt_float, obj)) + "]")
+            if not all(map(math.isfinite, obj)):
+                fmt_float(next(x for x in obj if not math.isfinite(x)))
+            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
             return
         if kinds == {str}:
             # The same ", "-separated bytes as emitting each string.

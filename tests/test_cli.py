@@ -428,6 +428,29 @@ def _pipeline_config(tmp_path, synth_dir, corpus, reference):
     return config
 
 
+def test_empty_corpus_file_is_an_input_error(tmp_path, synth_dir, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("", encoding="utf-8")
+    assert run(["filter-core", corpus]) == 2
+    assert f"input error: {corpus}: no records" in capsys.readouterr().err
+    reference = synth_dir / "population_heldout.txt"
+    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    assert f"input error: {corpus}: no records" in capsys.readouterr().err
+
+
+def test_corpus_of_only_unknown_countries_is_an_input_error(tmp_path, synth_dir, capsys):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("smith\tZZ\t3\njones\tQQ\t1\n", encoding="utf-8")
+    registry = synth_dir / "countries.tsv"
+    assert run(["filter-core", corpus, "--registry", registry]) == 2
+    err = capsys.readouterr().err
+    assert "unknown country code 'ZZ', row skipped" in err
+    assert f"input error: {corpus}: no records" in err
+    reference = synth_dir / "population_heldout.txt"
+    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    assert f"input error: {corpus}: no records" in capsys.readouterr().err
+
+
 def test_pipeline_corpus_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):
     corpus = tmp_path / "corpus.tsv"
     text = (synth_dir / "corpus.tsv").read_text(encoding="utf-8")

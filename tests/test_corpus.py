@@ -1,6 +1,7 @@
 """Ingestion, normalization, HHI and core-name filtering."""
 
 import logging
+import math
 import random
 
 import pytest
@@ -127,30 +128,73 @@ def test_ingest_unknown_country_modes():
 
 
 def test_table_reads_match_pair_reference():
+    """Every accessor against a dict-of-dicts built from the same rows."""
     rng = random.Random(21)
-    rows = [
-        (f"n{rng.randint(0, 30)}", rng.choice(["US", "FR", "JP", "CN"]), rng.randint(1, 9))
-        for _ in range(400)
-    ]
-    rows += rows[:100]  # duplicate rows merge additively
-    rng.shuffle(rows)
-    pairs = {}
-    for s, c, n in rows:
-        pairs[(s, c)] = pairs.get((s, c), 0) + n
-    table = OccurrenceTable(rows)
-    assert len(table) == len(pairs)
-    assert table.n_surnames == len({s for s, _ in pairs}) == len(table.surnames())
-    assert [(r.surname, r.country, r.count) for r in table.records()] == [
-        (s, c, pairs[(s, c)]) for s, c in sorted(pairs)
-    ]
-    for s in [f"n{i}" for i in range(32)]:
-        for c in ["US", "FR", "JP", "CN", "DE"]:
-            assert table.count(s, c) == pairs.get((s, c), 0)
-        assert table.countries_of(s) == {c: n for (t, c), n in pairs.items() if t == s}
-    view = table.countries_of("n0")
+    countries = ["US", "FR", "JP", "CN", "Ωx", "DE"]
+    names = [f"n{i}" for i in range(30)] + ["a", "a b", "zoë", "ß", "\x00", "n1\x00"]
+    for trial in range(12):
+        rows = [
+            (rng.choice(names), rng.choice(countries[: rng.randint(1, 6)]), rng.randint(1, 9))
+            for _ in range(rng.randint(1, 400))
+        ]
+        rows += rows[: len(rows) // 4]  # duplicate rows merge additively
+        rng.shuffle(rows)
+        pairs, by_surname, totals = {}, {}, {}
+        for s, c, n in rows:
+            pairs[(s, c)] = pairs.get((s, c), 0) + n
+            by_surname.setdefault(s, {})[c] = by_surname.get(s, {}).get(c, 0) + n
+            totals[c] = totals.get(c, 0) + n
+        table = OccurrenceTable(rows)
+        assert len(table) == len(pairs), trial
+        assert table.n_surnames == len(by_surname)
+        assert table.surnames() == sorted(by_surname)
+        assert table.countries() == sorted(totals)
+        assert table.country_totals == totals
+        assert [(r.surname, r.country, r.count) for r in table.records()] == [
+            (s, c, pairs[(s, c)]) for s, c in sorted(pairs)
+        ]
+        for s in names + ["absent", "zzz"]:
+            assert table.countries_of(s) == by_surname.get(s, {})
+            for c in countries + ["ZZ"]:
+                assert table.count(s, c) == pairs.get((s, c), 0)
+                if c in totals:
+                    assert table.frequency(s, c) == pairs.get((s, c), 0) / totals[c]
+    view = table.countries_of(rows[0][0])
     view["ZZ"] = 1  # a copy: the table does not change
-    assert table.count("n0", "ZZ") == 0
-    assert "ZZ" not in table.countries_of("n0")
+    assert table.count(rows[0][0], "ZZ") == 0
+    assert "ZZ" not in table.countries_of(rows[0][0])
+
+
+def test_empty_table_reads():
+    table = OccurrenceTable([])
+    assert (len(table), table.n_surnames, table.surnames(), table.countries()) == (0, 0, [], [])
+    assert table.country_totals == {} and list(table.records()) == []
+    assert table.countries_of("a") == {} and table.count("a", "US") == 0
+    assert len(ingest(["\n"])) == 0
+
+
+def test_country_total_must_stay_below_2_pow_53():
+    # Below the limit every frequency is Python's exact int / int.
+    table = ingest([f"a\tUS\t{2**53 - 2}\n", "b\tUS\t1\n"])
+    assert table.frequency("b", "US") == 1 / (2**53 - 1)
+    with pytest.raises(InputFormatError, match=r"line 2: country 'US' total reaches 2\*\*53"):
+        ingest(["a\tFR\t1\n", f"b\tUS\t{2**53}\n"])
+    with pytest.raises(InputFormatError, match=r"line 1: country 'US' total reaches 2\*\*53"):
+        ingest([f"a\tUS\t{2**64}\n"])
+    for count in (2**53, 2**64):
+        with pytest.raises(ValueError, match=r"positive integer below 2\*\*53, got"):
+            OccurrenceTable([("a", "US", count)])
+    # Rows each below the limit whose total reaches it, also where an int64
+    # sum would wrap: 2048 * (2**53 - 1) is 2**64 - 2048, -2048 in int64.
+    for rows in (
+        [("a", "US", 2**52), ("b", "FR", 5), ("b", "US", 2**52)],
+        [("a", "US", 2**52), ("a", "US", 2**52)],
+        [(f"s{i}", "US", 2**53 - 1) for i in range(2048)],
+    ):
+        with pytest.raises(ValueError, match="country 'US' total reaches 2"):
+            OccurrenceTable(rows)
+        with pytest.raises(InputFormatError, match="country 'US' total reaches 2"):
+            ingest(f"{s}\t{c}\t{n}\n" for s, c, n in rows)
 
 
 # ---------------------------------------------------------------- normalization
@@ -360,6 +404,51 @@ def test_filter_matches_per_surname_reference():
                 expected = parent_filter_core_names(table, hhi_min, freq_min, basis=basis)
                 got = filter_core_names(table, hhi_min, freq_min, basis=basis)
                 assert got == expected, (trial, basis, hhi_min, freq_min)
+
+
+def bits(core_names):
+    return [(n.surname, n.assigned_country, n.hhi.hex(), n.max_frequency.hex()) for n in core_names]
+
+
+def test_filter_matches_reference_bitwise_over_many_countries():
+    # numpy's add.reduceat sums 8 or more elements pairwise; the filter's
+    # per-surname sums must still add left to right, like core_shares and hhi.
+    rng = random.Random(31)
+    countries = [f"C{i:02d}" for i in range(14)]
+    rows = []
+    for i in range(300):
+        for c in rng.sample(countries, rng.randint(1, 14)):
+            rows.append((f"s{i}", c, rng.randint(1, 10**rng.randint(1, 6))))
+    rng.shuffle(rows)
+    table = OccurrenceTable(rows)
+    assert sum(len(table.countries_of(s)) >= 9 for s in table.surnames()) > 100
+    for basis in ("frequency", "count"):
+        expected = parent_filter_core_names(table, 0.0, 0.0, basis=basis)
+        assert len(expected) == 300
+        assert bits(filter_core_names(table, 0.0, 0.0, basis=basis)) == bits(expected), basis
+
+
+def test_filter_sums_left_to_right_on_every_python():
+    """From Python 3.12 on `sum()` compensates; HHI must not change with it."""
+
+    def left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    # One surname per country, so every frequency is 1.0 and both bases see
+    # equal weights when the counts are equal.
+    for counts, basis in (([1] * 6, "frequency"), ([1] * 10, "count"), ([2, 8, 3, 1], "count")):
+        table = OccurrenceTable([("s", f"C{i}", n) for i, n in enumerate(counts)])
+        weights = [float(n) for n in counts]
+        total = left_to_right(weights)
+        squares = [(w / total) * (w / total) for w in weights]
+        expected = left_to_right(squares)
+        assert expected != math.fsum(squares)  # a compensated sum differs
+        [core] = filter_core_names(table, 0.0, 0.0, basis=basis)
+        assert core.hhi.hex() == expected.hex()
+        assert hhi(core_shares(table, "s", basis=basis).values()).hex() == expected.hex()
 
 
 def test_filter_logs_the_same_frequency_ties(caplog):

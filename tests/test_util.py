@@ -1,6 +1,7 @@
 """Seed derivation and deterministic serialization helpers."""
 
 import json
+import math
 import random
 import struct
 from typing import Any, Mapping
@@ -122,6 +123,9 @@ def test_dumps_matches_element_by_element_reference():
     floats = [rng.uniform(-1e6, 1e6) for _ in range(200)]
     floats += [rng.random() * 10 ** rng.randint(-300, 300) for _ in range(200)]
     floats += [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 2 / 3, 1.0, -1.0]
+    floats += [2.2250738585072009e-308, 1e-310, -3e-320, 1.7e308, 2.0**53, 1e16, 123.0, -7.0]
+    raw = (struct.unpack("d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(600))
+    floats += [x for x in raw if math.isfinite(x)]  # every exponent, subnormals included
     strings = [
         "", "plain", "Ñúñez", "李", "Ølsen-Šimić", "🙂", 'quote"d', "back\\slash",
         "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "\u2028\u2029", "/slash", "it's",
@@ -151,10 +155,12 @@ def test_dumps_matches_element_by_element_reference():
 
 def test_dumps_rejects_non_finite_in_float_lists():
     nan, inf = float("nan"), float("inf")
-    for bad in ([0.1, nan], [inf], [1.0, 2.0, -inf], [[0.5, nan]]):
-        with pytest.raises(ValueError, match="non-finite"):
+    for bad, first in (([0.1, nan], nan), ([inf], inf), ([1.0, 2.0, -inf, nan], -inf),
+                       ([[0.5, nan]], nan)):
+        message = f"^non-finite value in output: {first!r}$"  # as fmt_float says it
+        with pytest.raises(ValueError, match=message):
             dumps(bad)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=message):
             dumps({"x": bad})
 
 
