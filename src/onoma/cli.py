@@ -1,6 +1,9 @@
-"""Command-line interface orchestrating the pipeline stages.
+"""Command-line interface: argument parsing, config reading and file I/O.
 
-Each subcommand reads and validates its inputs completely before any output
+The method lives in the library, its chain in `onoma.stages`
+(`build_typology`, `fit`, `calibrate`, `compare`); the `cmd_*` commands and
+`run_pipeline` read files, call the library and write what it returns. Each
+subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. Exit codes: 1 usage,
 2 input format, 3 config validation, 4 internal invariant violation.
@@ -12,46 +15,35 @@ import argparse
 import json
 import logging
 import sys
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import diversity, synth
+from . import diversity, stages, synth
 from .classifier import (
     EvalReport,
     TrainedModel,
     evaluate,
     read_labeled_tsv,
     render_labeled_tsv,
-    split,
-    train,
 )
-from .correction import (
-    ConfusionCounts,
-    CorrectionOperator,
-    correction_operator,
-    reweight_priors,
-)
+from .correction import ConfusionCounts, CorrectionOperator, render_confusion_csv
 from .corpus import (
     CountryRegistry,
+    OccurrenceTable,
     filter_core_names,
     read_core_names,
     read_corpus_tsv,
     render_core_names,
     render_corpus_tsv,
 )
-from .errors import ConfigError, InputFormatError, InvariantError, OnomaError, SurnameError
-from .features import NGramConfig, featurize
-from .typology import (
-    build_country_matrix,
-    cut_dendrogram,
-    load_overrides,
-    relabel,
-    ward_cluster,
-)
+from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
+from .features import NGramConfig, featurize, write_vocabulary
+from .typology import load_overrides
 from .util import atomic_write, dumps, sha256_file
 
 log = logging.getLogger(__name__)
@@ -94,12 +86,29 @@ def _load_registry(path: str | None) -> CountryRegistry:
     return CountryRegistry.from_tsv(path)
 
 
+def _read_corpus(path: Path | str, registry: CountryRegistry, options) -> OccurrenceTable:
+    """The corpus file, read with the `header`, `strict` and `strip_diacritics`
+    of `options` (the parsed arguments or a `PipelineConfig`)."""
+    return read_corpus_tsv(
+        path,
+        registry,
+        header=options.header,
+        strict=options.strict,
+        strip_diacritics=options.strip_diacritics,
+    )
+
+
 @contextmanager
-def _surnames_from(path: Path | str) -> Iterator[None]:
-    """Report a surname the n-gram pass rejects as an input error in `path`."""
+def _surnames_from(source: Path | str | Mapping[str, Path | str]) -> Iterator[None]:
+    """Report a surname the n-gram pass rejects as an input error in its file.
+
+    `source` is that file, or for `stages.compare` a map from each dataset
+    name to its file.
+    """
     try:
         yield
     except SurnameError as exc:
+        path = source[exc.dataset] if isinstance(source, Mapping) else source
         raise InputFormatError(f"{path}: {exc}") from None
 
 
@@ -112,18 +121,6 @@ def _read_population(path: Path | str) -> list[str]:
     if not names:
         raise InputFormatError(f"{path}: no surnames")
     return names
-
-
-def _reference_priors(
-    model: TrainedModel, names: Sequence[str]
-) -> tuple[tuple[np.ndarray, int], np.ndarray]:
-    """A reference population's guess tally and the guess shares it calibrates to."""
-    tally = diversity.tally_guesses(model, names)
-    guessed = tally[0]
-    if np.any(guessed == 0):
-        missing = [r for r, g in zip(model.regions, guessed) if g == 0]
-        raise ConfigError(f"reference population yields zero guesses for: {', '.join(missing)}")
-    return tally, guessed / guessed.sum()
 
 
 def _add_corpus_opts(parser: argparse.ArgumentParser) -> None:
@@ -148,14 +145,7 @@ def _add_feature_opts(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_ingest(args) -> int:
-    registry = _load_registry(args.registry)
-    table = read_corpus_tsv(
-        args.corpus,
-        registry,
-        header=args.header,
-        strict=args.strict,
-        strip_diacritics=args.strip_diacritics,
-    )
+    table = _read_corpus(args.corpus, _load_registry(args.registry), args)
     content = render_corpus_tsv(table)
     if args.out:
         atomic_write(args.out, content)
@@ -173,14 +163,7 @@ def cmd_filter_core(args) -> int:
         raise ConfigError(f"--hhi-min must be in (0, 1], got {args.hhi_min}")
     if args.freq_min < 0:
         raise ConfigError(f"--freq-min must be >= 0, got {args.freq_min}")
-    registry = _load_registry(args.registry)
-    table = read_corpus_tsv(
-        args.corpus,
-        registry,
-        header=args.header,
-        strict=args.strict,
-        strip_diacritics=args.strip_diacritics,
-    )
+    table = _read_corpus(args.corpus, _load_registry(args.registry), args)
     core = filter_core_names(table, args.hhi_min, args.freq_min, basis=args.basis)
     content = render_core_names(core)
     if args.out:
@@ -199,25 +182,16 @@ def cmd_typology(args) -> int:
     config = _feature_config(args)
     core = read_core_names(args.core)
     overrides = load_overrides(args.overrides) if args.overrides else ()
-
-    try:
-        with _surnames_from(args.core):
-            matrix = build_country_matrix(core, config, args.min_core_names)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    dendrogram = ward_cluster(matrix)
-    k = min(args.k, len(matrix.countries))
-    del matrix
-    weights: dict[str, float] = {}
-    for name in core:
-        weights[name.assigned_country] = weights.get(name.assigned_country, 0.0) + 1.0
-    typology = cut_dendrogram(dendrogram, k, overrides, weights)
-
-    covered = [n for n in core if n.assigned_country in typology.assignment]
-    dropped = len(core) - len(covered)
-    if dropped:
-        log.warning("%d core names in countries below the matrix threshold; dropped", dropped)
-    labeled, counts = relabel(covered, typology)
+    with _surnames_from(args.core):
+        typology, dendrogram, labeled, counts = stages.build_typology(
+            core,
+            config,
+            args.min_core_names,
+            args.k,
+            features=None,
+            overrides=overrides,
+            leaf_weights=Counter(name.assigned_country for name in core),
+        )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,26 +212,23 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--min-df must be >= 1, got {args.min_df}")
     config = _feature_config(args)
     labeled = read_labeled_tsv(args.labeled)
-    try:
-        train_set, eval_set = split(labeled, args.train_fraction, args.seed)
-        with _surnames_from(args.labeled):
-            model = train(
-                train_set,
-                args.alpha,
-                config,
-                min_df=args.min_df,
-                strip_diacritics=args.strip_diacritics,
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    with _surnames_from(args.labeled):
+        model, train_set, eval_set = stages.fit(
+            labeled,
+            seed=args.seed,
+            train_fraction=args.train_fraction,
+            alpha=args.alpha,
+            feature_config=config,
+            min_df=args.min_df,
+            strip_diacritics=args.strip_diacritics,
+            features=None,
+        )
     model.save(args.out)
     if args.eval_out:
         atomic_write(args.eval_out, render_labeled_tsv(eval_set))
     if args.train_out:
         atomic_write(args.train_out, render_labeled_tsv(train_set))
     if args.vocab_out:
-        from .features import write_vocabulary
-
         write_vocabulary(model.vocabulary, args.vocab_out)
     print(
         f"trained on {len(train_set)} names, {len(model.vocabulary)} features,"
@@ -280,8 +251,6 @@ def cmd_evaluate(args) -> int:
             report = evaluate(model, eval_set)
     atomic_write(args.out, report.to_json())
     if args.confusion_out:
-        from .correction import render_confusion_csv
-
         atomic_write(args.confusion_out, render_confusion_csv(report.regions, report.confusion))
     for region, p, r in zip(report.regions, report.precision, report.recall):
         print(f"{region}\tprecision={p:.4f}\trecall={r:.4f}", file=sys.stderr)
@@ -303,20 +272,18 @@ def _normalized_priors(text: str, n: int) -> np.ndarray:
 def cmd_calibrate(args) -> int:
     counts = ConfusionCounts.from_csv(args.confusion)
     provenance: dict[str, object] = {"confusion": Path(args.confusion).name}
+    model = reference = priors = None
     if args.priors:
         priors = _normalized_priors(args.priors, len(counts.regions))
         provenance["priors_source"] = "explicit"
     elif args.reference and args.model:
         model = TrainedModel.load(args.model)
-        if model.regions != counts.regions:
-            raise ConfigError("model regions do not match the confusion matrix")
-        with _surnames_from(args.reference):
-            _, priors = _reference_priors(model, _read_population(args.reference))
+        reference = _read_population(args.reference)
         provenance["priors_source"] = f"reference:{Path(args.reference).name}"
     else:
         raise ConfigError("need either --priors or both --reference and --model")
-    provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
-    operator = correction_operator(reweight_priors(counts, priors), provenance)
+    with _surnames_from(args.reference):
+        operator, _ = stages.calibrate(counts, model, reference, provenance, priors=priors)
     atomic_write(args.out, operator.to_csv())
     print(f"operator over {len(operator.regions)} regions -> {args.out}", file=sys.stderr)
     return 0
@@ -344,24 +311,15 @@ def cmd_classify_population(args) -> int:
 def cmd_compare(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
-    datasets: list[tuple[str, str, list[str]]] = []
-    seen: set[str] = set()
-    for path in [args.reference, *args.targets]:
-        name = Path(path).stem
-        if name in seen:
-            raise ConfigError(f"duplicate dataset name {name!r}")
-        seen.add(name)
-        datasets.append((path, name, _read_population(path)))
-    dists = []
-    for path, dataset, names in datasets:
-        with _surnames_from(path):
-            dists.append(diversity.distribution(names, model, operator, dataset))
-    reference = dists[0]
-    profiles = [diversity.representation_ratios(d, reference) for d in dists]
+    files = [args.reference, *args.targets]
+    names = [Path(path).stem for path in files]
+    datasets = [(name, _read_population(path), None) for name, path in zip(names, files)]
+    with _surnames_from(dict(zip(names, files))):
+        dists, profiles = stages.compare(datasets, model, operator)
     provenance = {
         "model_sha256": sha256_file(args.model),
         "operator": Path(args.operator).name,
-        "reference": reference.dataset_name,
+        "reference": dists[0].dataset_name,
     }
     paths = diversity.emit_report(profiles, dists, args.out_dir, provenance)
     for key in sorted(paths):
@@ -382,15 +340,10 @@ def _spec_from_args(args) -> synth.SynthSpec:
         if value is None:
             raise ConfigError(f"{option} is required when --spec is not given")
     try:
-        return synth.standard_spec(
-            args.regions,
-            args.countries_per_region,
-            args.names,
-            args.overlap,
-            args.seed,
-            populations=(synth.PopulationSpec("heldout", args.population_size,
-                                              tuple(float(2 ** (i % 4)) for i in range(args.regions))),),
+        spec = synth.standard_spec(
+            args.regions, args.countries_per_region, args.names, args.overlap, args.seed
         )
+        return replace(spec, populations=(synth.default_population(spec, args.population_size),))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -499,76 +452,72 @@ class PipelineConfig:
         merged.update({k: v for k, v in overrides.items() if v is not None})
         base = Path(path).parent
 
-        def path_of(key: str) -> Path | None:
-            value = merged.get(key)
-            if value is None:
-                return None
+        def resolve(value: object) -> Path:  # relative to the config file
             p = Path(str(value))
             return p if p.is_absolute() else base / p
+
+        def optional_path(value: object) -> Path | None:
+            return None if value is None else resolve(value)
 
         synth_spec = None
         synth_block = merged.get("synth")
         if synth_block is not None:
             if not isinstance(synth_block, dict):
                 raise ConfigError("synth block must be an object")
-            seed = int(merged.get("seed", 0))
             if "spec" in synth_block:
                 synth_spec = synth.SynthSpec.load(base / str(synth_block["spec"]))
             elif "standard" in synth_block:
-                params = dict(synth_block["standard"])
-                populations = tuple(
-                    synth.PopulationSpec(
-                        name=str(p["name"]),
-                        n_names=int(p["n_names"]),
-                        region_weights=tuple(float(w) for w in p["region_weights"]),
-                    )
-                    for p in synth_block.get("populations", [])
-                )
                 try:
+                    params = synth_block["standard"]
                     synth_spec = synth.standard_spec(
                         int(params["n_regions"]),
                         int(params["countries_per_region"]),
                         int(params["names_per_country"]),
                         float(params["overlap"]),
-                        seed,
-                        populations=populations,
+                        int(merged.get("seed", 0)),
+                        populations=tuple(
+                            synth.PopulationSpec.from_dict(p)
+                            for p in synth_block.get("populations", [])
+                        ),
                     )
-                except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"bad synth.standard block: {exc}") from None
+                except KeyError as exc:
+                    raise ConfigError(f"bad synth block: missing key {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad synth block: {exc}") from None
             else:
                 raise ConfigError("synth block needs a 'spec' path or 'standard' parameters")
 
+        # Keys absent from the file take the field's default.
+        convert = {
+            "seed": int,
+            "out_dir": lambda v: Path(str(v)),
+            "corpus": optional_path,
+            "registry": optional_path,
+            "header": bool,
+            "strict": bool,
+            "strip_diacritics": bool,
+            "hhi_min": float,
+            "freq_min": float,
+            "basis": str,
+            "min_core_names": int,
+            "min_df": int,
+            "n_values": lambda v: tuple(int(n) for n in v),
+            "pad_boundaries": bool,
+            "k_regions": int,
+            "overrides": optional_path,
+            "alpha": float,
+            "train_fraction": float,
+            "reference": optional_path,
+            "targets": lambda v: tuple(resolve(t) for t in v),
+        }
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in merged:
+                raise ConfigError(f"missing config key: {f.name!r}")
         try:
-            return cls(
-                seed=int(merged["seed"]),
-                out_dir=Path(str(merged["out_dir"])),
-                corpus=path_of("corpus"),
-                synth_spec=synth_spec,
-                registry=path_of("registry"),
-                header=bool(merged.get("header", False)),
-                strict=bool(merged.get("strict", False)),
-                strip_diacritics=bool(merged.get("strip_diacritics", False)),
-                hhi_min=float(merged.get("hhi_min", 0.8)),
-                freq_min=float(merged.get("freq_min", 1e-6)),
-                basis=str(merged.get("basis", "frequency")),
-                min_core_names=int(merged.get("min_core_names", 20)),
-                min_df=int(merged.get("min_df", 1)),
-                n_values=tuple(int(n) for n in merged.get("n_values", (2, 3))),
-                pad_boundaries=bool(merged.get("pad_boundaries", True)),
-                k_regions=int(merged.get("k_regions", 7)),
-                overrides=path_of("overrides"),
-                alpha=float(merged.get("alpha", 0.1)),
-                train_fraction=float(merged.get("train_fraction", 0.85)),
-                reference=path_of("reference"),
-                targets=tuple(
-                    Path(str(t)) if Path(str(t)).is_absolute() else base / str(t)
-                    for t in merged.get("targets", [])
-                ),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from None
+            values = {key: to(merged[key]) for key, to in convert.items() if key in merged}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc}") from None
+        return cls(synth_spec=synth_spec, **values)
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
@@ -604,20 +553,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 target_paths.append(pop_path)
     else:
         corpus_path = config.corpus
-        registry = (
-            CountryRegistry.from_tsv(config.registry)
-            if config.registry
-            else CountryRegistry.default()
-        )
+        registry = _load_registry(config.registry)
 
     log.info("stage: ingest (%s)", corpus_path)
-    table = read_corpus_tsv(
-        corpus_path,
-        registry,
-        header=config.header,
-        strict=config.strict,
-        strip_diacritics=config.strip_diacritics,
-    )
+    table = _read_corpus(corpus_path, registry, config)
 
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
@@ -630,44 +569,30 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         core_features = featurize(list(dict.fromkeys(n.surname for n in core)), feature_config)
 
     log.info("stage: typology")
-    try:
-        matrix = build_country_matrix(
-            core, feature_config, config.min_core_names, core_features
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    dendrogram = ward_cluster(matrix)
-    overrides = load_overrides(config.overrides) if config.overrides else ()
-    weights: dict[str, float] = {}
-    for name in core:
-        weights[name.assigned_country] = weights.get(name.assigned_country, 0.0) + 1.0
-    k = min(config.k_regions, len(matrix.countries))
-    del matrix
-    try:
-        typology = cut_dendrogram(dendrogram, k, overrides, weights)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    typology, dendrogram, labeled, region_counts = stages.build_typology(
+        core,
+        feature_config,
+        config.min_core_names,
+        config.k_regions,
+        features=core_features,
+        overrides=load_overrides(config.overrides) if config.overrides else (),
+        leaf_weights=Counter(name.assigned_country for name in core),
+    )
     artifacts["typology"] = atomic_write(out_dir / "typology.tsv", typology.to_tsv())
     artifacts["dendrogram"] = atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    covered = [n for n in core if n.assigned_country in typology.assignment]
-    if len(covered) < len(core):
-        log.warning("%d core names outside the typology dropped", len(core) - len(covered))
-    labeled, region_counts = relabel(covered, typology)
     artifacts["labeled"] = atomic_write(out_dir / "labeled.tsv", render_labeled_tsv(labeled))
 
     log.info("stage: train")
-    try:
-        train_set, eval_set = split(labeled, config.train_fraction, config.seed)
-        model = train(
-            train_set,
-            config.alpha,
-            feature_config,
-            min_df=config.min_df,
-            strip_diacritics=config.strip_diacritics,
-            features=core_features,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model, train_set, eval_set = stages.fit(
+        labeled,
+        seed=config.seed,
+        train_fraction=config.train_fraction,
+        alpha=config.alpha,
+        feature_config=feature_config,
+        min_df=config.min_df,
+        strip_diacritics=config.strip_diacritics,
+        features=core_features,
+    )
 
     log.info("stage: evaluate")
     report = evaluate(model, eval_set, core_features)
@@ -675,40 +600,34 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     del core_features
     artifacts["model"] = model.save(out_dir / "model.json")
     artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", render_labeled_tsv(eval_set))
-    from .correction import render_confusion_csv
-
     artifacts["eval_report"] = atomic_write(out_dir / "eval_report.json", report.to_json())
     artifacts["confusion"] = atomic_write(
         out_dir / "confusion.csv", render_confusion_csv(report.regions, report.confusion)
     )
 
     log.info("stage: calibrate")
-    counts = ConfusionCounts(report.regions, report.confusion.astype(float))
-    provenance: dict[str, object] = {"confusion": "confusion.csv"}
+    reference_names = None
+    priors_source = "evaluation column shares (no reference given)"
     if reference_path is not None:
         reference_names = _read_population(reference_path)
-        with _surnames_from(reference_path):
-            reference_tally, priors = _reference_priors(model, reference_names)
-        counts = reweight_priors(counts, priors)
-        provenance["priors_source"] = f"reference:{Path(reference_path).name}"
-        provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
-    else:
-        provenance["priors_source"] = "evaluation column shares (no reference given)"
-    operator = correction_operator(counts, provenance)
+        priors_source = f"reference:{Path(reference_path).name}"
+    with _surnames_from(reference_path):
+        operator, reference_tally = stages.calibrate(
+            ConfusionCounts(report.regions, report.confusion.astype(float)),
+            model,
+            reference_names,
+            {"confusion": "confusion.csv", "priors_source": priors_source},
+        )
     artifacts["operator"] = atomic_write(out_dir / "operator.csv", operator.to_csv())
 
     if reference_path is not None:
         log.info("stage: compare")
-        datasets = [(reference_path, reference_names, reference_tally)]
-        datasets += [(path, _read_population(path), None) for path in target_paths]
-        names = [dataset_names.get(Path(path), Path(path).stem) for path, _, _ in datasets]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate dataset names among reference/targets")
-        dists = []
-        for name, (path, surnames, tally) in zip(names, datasets):
-            with _surnames_from(path):
-                dists.append(diversity.distribution(surnames, model, operator, name, tally=tally))
-        profiles = [diversity.representation_ratios(d, dists[0]) for d in dists]
+        files = [reference_path, *target_paths]
+        names = [dataset_names.get(Path(path), Path(path).stem) for path in files]
+        datasets = [(names[0], reference_names, reference_tally)]
+        datasets += [(n, _read_population(path), None) for n, path in zip(names[1:], files[1:])]
+        with _surnames_from(dict(zip(names, files))):
+            dists, profiles = stages.compare(datasets, model, operator)
         report_paths = diversity.emit_report(
             profiles,
             dists,
@@ -749,15 +668,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
 
 def cmd_pipeline(args) -> int:
-    overrides: dict[str, object] = {}
-    if args.out_dir:
-        overrides["out_dir"] = args.out_dir
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.k is not None:
-        overrides["k_regions"] = args.k
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
+    # from_file skips the options left unset (None).
+    overrides = {
+        "out_dir": args.out_dir, "seed": args.seed, "k_regions": args.k, "alpha": args.alpha
+    }
     config = PipelineConfig.from_file(args.config, overrides)
     artifacts = run_pipeline(config)
     for key in sorted(artifacts):

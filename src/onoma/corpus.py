@@ -461,9 +461,12 @@ def read_corpus_tsv(
     strip_diacritics: bool = False,
 ) -> OccurrenceTable:
     with open(path, "r", encoding="utf-8") as fh:
-        table = ingest(
-            fh, registry, header=header, strict=strict, strip_diacritics=strip_diacritics
-        )
+        try:
+            table = ingest(
+                fh, registry, header=header, strict=strict, strip_diacritics=strip_diacritics
+            )
+        except InputFormatError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
     if len(table) == 0:
         raise InputFormatError(f"{path}: no records")
     return table

@@ -10,7 +10,13 @@ class InputFormatError(OnomaError):
 
 
 class SurnameError(OnomaError, ValueError):
-    """A surname cannot be split into n-grams: it is empty or holds a marker."""
+    """A surname cannot be split into n-grams: it is empty or holds a marker.
+
+    `dataset` names the population it came from when a stage over several
+    populations raised it.
+    """
+
+    dataset: str | None = None
 
 
 class ConfigError(OnomaError):

@@ -1,0 +1,182 @@
+"""The method's stages as pure functions: objects in, objects out.
+
+The chain is core names (`corpus.filter_core_names`), then `build_typology`
+(a Ward typology of countries and the relabeled core names), `fit` (the
+split and the n-gram naive Bayes model), `calibrate` (the correction
+operator from the evaluation confusion) and `compare` (corrected
+distributions and representation ratios). The stage commands,
+`cli.run_pipeline` and `synth.score_pipeline` are sequences of calls to
+these functions; none of them reads a path, parses an argument or writes a
+file. `build_typology` and `fit` raise the library's `ValueError`s, which
+come from settings such as k or the train fraction, as `ConfigError`.
+"""
+
+from __future__ import annotations
+
+import logging
+from contextlib import contextmanager
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
+
+from .classifier import TrainedModel, split, train
+from .corpus import CoreName
+from .correction import ConfusionCounts, CorrectionOperator, correction_operator, reweight_priors
+from .diversity import (
+    OriginDistribution,
+    RepresentationProfile,
+    distribution,
+    representation_ratios,
+    tally_guesses,
+)
+from .errors import ConfigError, SurnameError
+from .features import FeatureMatrix, NGramConfig
+from .typology import (
+    Dendrogram,
+    Override,
+    RegionTypology,
+    build_country_matrix,
+    cut_dendrogram,
+    relabel,
+    ward_cluster,
+)
+
+log = logging.getLogger(__name__)
+
+__all__ = ["build_typology", "fit", "calibrate", "compare"]
+
+# A population's per-region guess counts and its prior-only count.
+Tally = tuple[np.ndarray, int]
+
+
+@contextmanager
+def _config_errors() -> Iterator[None]:
+    """A `ValueError` from the block as a `ConfigError`; a bad surname stays one."""
+    try:
+        yield
+    except SurnameError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def build_typology(
+    core: Sequence[CoreName],
+    feature_config: NGramConfig,
+    min_core_names: int,
+    k: int,
+    *,
+    features: FeatureMatrix | None,
+    overrides: Sequence[Override] = (),
+    leaf_weights: Mapping[str, float] | None = None,
+) -> tuple[RegionTypology, Dendrogram, list[tuple[str, str]], dict[str, int]]:
+    """Cluster the countries with enough core names and relabel the core names.
+
+    Returns the typology cut at k regions (at most one per clustered
+    country), the dendrogram, the (surname, region) pairs and the names per
+    region. Core names of countries left out of the matrix are dropped with
+    a warning. `features` holds every core name's n-grams, or is None to
+    featurize here; `leaf_weights` is passed to `cut_dendrogram`.
+    """
+    with _config_errors():
+        matrix = build_country_matrix(core, feature_config, min_core_names, features)
+    dendrogram = ward_cluster(matrix)
+    k = min(k, len(matrix.countries))
+    del matrix  # the stage's largest structure; only the tree is cut
+    with _config_errors():
+        typology = cut_dendrogram(dendrogram, k, overrides, leaf_weights)
+    covered = [n for n in core if n.assigned_country in typology.assignment]
+    if len(covered) < len(core):
+        log.warning("%d core names outside the typology dropped", len(core) - len(covered))
+    labeled, region_counts = relabel(covered, typology)
+    return typology, dendrogram, labeled, region_counts
+
+
+def fit(
+    labeled: Sequence[tuple[str, str]],
+    *,
+    seed: int,
+    train_fraction: float,
+    alpha: float,
+    feature_config: NGramConfig,
+    min_df: int,
+    strip_diacritics: bool,
+    features: FeatureMatrix | None,
+) -> tuple[TrainedModel, list[tuple[str, str]], list[tuple[str, str]]]:
+    """Split the labeled names and train on the first part.
+
+    Returns the model, the training set and the held-out evaluation set.
+    `features` holds every labeled name's n-grams, or is None to featurize
+    the training names here.
+    """
+    with _config_errors():
+        train_set, eval_set = split(labeled, train_fraction, seed)
+        model = train(
+            train_set,
+            alpha,
+            feature_config,
+            min_df=min_df,
+            strip_diacritics=strip_diacritics,
+            features=features,
+        )
+    return model, train_set, eval_set
+
+
+def calibrate(
+    confusion: ConfusionCounts,
+    model: TrainedModel | None,
+    reference_names: Sequence[str] | None,
+    provenance: Mapping[str, object],
+    *,
+    priors: Sequence[float] | None = None,
+) -> tuple[CorrectionOperator, Tally | None]:
+    """The correction operator, with the confusion reweighted to a population.
+
+    With `reference_names`, the columns are rescaled to the model's guess
+    shares on that population, and its tally is returned as well so it need
+    not be classified again. Otherwise explicit `priors` are used, and with
+    neither the evaluation column shares stand. The priors used are added
+    to the operator's `provenance`.
+    """
+    provenance = dict(provenance)
+    tally = None
+    if reference_names is not None:
+        if model.regions != confusion.regions:
+            raise ConfigError("model regions do not match the confusion matrix")
+        tally = tally_guesses(model, reference_names)
+        guessed = tally[0]
+        if np.any(guessed == 0):
+            missing = [r for r, g in zip(model.regions, guessed) if g == 0]
+            raise ConfigError(
+                f"reference population yields zero guesses for: {', '.join(missing)}"
+            )
+        priors = guessed / guessed.sum()
+    if priors is not None:
+        confusion = reweight_priors(confusion, priors)
+        provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
+    return correction_operator(confusion, provenance), tally
+
+
+def compare(
+    datasets: Sequence[tuple[str, Sequence[str], Tally | None]],
+    model: TrainedModel,
+    operator: CorrectionOperator,
+) -> tuple[list[OriginDistribution], list[RepresentationProfile]]:
+    """Corrected distributions of (name, surnames, tally) datasets and their ratios.
+
+    The first dataset is the reference every ratio divides by. A tally of
+    None is counted here. A `SurnameError` names its dataset in `dataset`.
+    """
+    seen: set[str] = set()
+    for name, _, _ in datasets:
+        if name in seen:
+            raise ConfigError(f"duplicate dataset name {name!r}")
+        seen.add(name)
+    dists = []
+    for name, surnames, tally in datasets:
+        try:
+            dists.append(distribution(surnames, model, operator, name, tally=tally))
+        except SurnameError as exc:
+            exc.dataset = name
+            raise
+    return dists, [representation_ratios(d, dists[0]) for d in dists]

@@ -20,12 +20,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import classify_batch, split, train
+from .classifier import EvalReport, classify_batch
 from .corpus import CountryRegistry, OccurrenceTable, filter_core_names
-from .correction import ConfusionCounts, correct_counts, correction_operator, reweight_priors
+from .correction import ConfusionCounts, correct_counts
 from .errors import InputFormatError, InvariantError
 from .features import NGramConfig, featurize
-from .typology import build_country_matrix, cut_dendrogram, relabel, ward_cluster
+from .stages import build_typology, calibrate, fit
 from .util import derive_seed, dumps
 
 __all__ = [
@@ -191,6 +191,14 @@ class PopulationSpec:
             raise ValueError("region_weights must be nonnegative with positive sum")
         object.__setattr__(self, "region_weights", weights)
 
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "PopulationSpec":
+        return cls(
+            name=str(data["name"]),
+            n_names=int(data["n_names"]),
+            region_weights=tuple(float(w) for w in data["region_weights"]),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SynthSpec:
@@ -299,12 +307,7 @@ class SynthSpec:
                     for c in doc["countries"]
                 ),
                 populations=tuple(
-                    PopulationSpec(
-                        name=str(p["name"]),
-                        n_names=int(p["n_names"]),
-                        region_weights=tuple(float(w) for w in p["region_weights"]),
-                    )
-                    for p in doc.get("populations", [])
+                    PopulationSpec.from_dict(p) for p in doc.get("populations", [])
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -584,11 +587,9 @@ def score_pipeline(
     table, truth = generate(spec) if corpus is None else corpus
     core = filter_core_names(table, hhi_min, freq_min)
     core_features = featurize([name.surname for name in core], feature_config)
-    matrix = build_country_matrix(core, feature_config, min_core_names, core_features)
-    dendrogram = ward_cluster(matrix)
-    k = min(len(spec.generators), len(matrix.countries))
-    del matrix
-    typology = cut_dendrogram(dendrogram, k)
+    typology, _, labeled, _ = build_typology(
+        core, feature_config, min_core_names, len(spec.generators), features=core_features
+    )
 
     country_truth = {c.code: c.region for c in spec.countries}
     true_partition = {
@@ -604,69 +605,63 @@ def score_pipeline(
         country_truth,
     )
 
-    labeled, _counts = relabel(core, typology)
-    train_set, eval_set = split(labeled, train_fraction, seed=spec.seed)
-    model = train(train_set, alpha, feature_config, min_df=min_df, features=core_features)
+    model, _, eval_set = fit(
+        labeled,
+        seed=spec.seed,
+        train_fraction=train_fraction,
+        alpha=alpha,
+        feature_config=feature_config,
+        min_df=min_df,
+        strip_diacritics=False,
+        features=core_features,
+    )
 
-    # One pass over the evaluation set fills both the typology-space confusion
-    # (feeding the correction operator) and the truth-space tallies.
-    n_typ = len(model.regions)
-    typ_index = model.region_index  # type: ignore[attr-defined]
+    # One classification of the evaluation set fills both the typology-space
+    # confusion, which calibrates the correction, and the truth-space one,
+    # through region_map; a guess whose region maps to no true region is
+    # left out of the latter.
     true_labels = spec.region_labels
     true_index = {r: i for i, r in enumerate(true_labels)}
-    conf_typ = np.zeros((n_typ, n_typ), dtype=np.int64)
-    conf_true = np.zeros((len(true_labels), len(true_labels)), dtype=np.int64)
-    labels, _, _ = classify_batch(model, [surname for surname, _ in eval_set], core_features)
+    guessed, _, _ = classify_batch(model, [surname for surname, _ in eval_set], core_features)
     del core_features
-    for (surname, actual_typ), g in zip(eval_set, labels):
-        conf_typ[g, typ_index[actual_typ]] += 1
-        guessed_true = region_map.get(model.regions[g])
-        actual_true = truth[surname]
-        if guessed_true is not None:
-            conf_true[true_index[guessed_true], true_index[actual_true]] += 1
-
-    diag = np.diag(conf_true).astype(float)
-    col = conf_true.sum(axis=0).astype(float)
-    row = conf_true.sum(axis=1).astype(float)
-    recall = {
-        r: float(diag[i] / col[i]) if col[i] > 0 else 0.0
-        for i, r in enumerate(true_labels)
-    }
-    precision = {
-        r: float(diag[i] / row[i]) if row[i] > 0 else 0.0
-        for i, r in enumerate(true_labels)
-    }
+    typ_index = model.region_index  # type: ignore[attr-defined]
+    actual = np.fromiter((typ_index[r] for _, r in eval_set), np.int64, len(eval_set))
+    conf_typ = np.zeros((len(model.regions), len(model.regions)))
+    np.add.at(conf_typ, (guessed, actual), 1)
+    to_true = np.array([true_index.get(region_map.get(r), -1) for r in model.regions])
+    guessed_true = to_true[guessed]
+    actual_true = np.fromiter((true_index[truth[s]] for s, _ in eval_set), np.int64, len(eval_set))
+    kept = guessed_true >= 0
+    conf_true = np.zeros((len(true_labels), len(true_labels)), dtype=np.int64)
+    np.add.at(conf_true, (guessed_true[kept], actual_true[kept]), 1)
+    truth_report = EvalReport.from_confusion(true_labels, conf_true)
 
     population = spec.populations[0] if spec.populations else default_population(spec)
     names, truth_counts = generate_population(spec, population) if heldout is None else heldout
-    from .diversity import tally_guesses
-
-    guessed, _prior_only = tally_guesses(model, names)
-    priors = guessed / guessed.sum()
-    confusion = ConfusionCounts(model.regions, conf_typ.astype(float))
-    operator = correction_operator(
-        reweight_priors(confusion, priors),
-        provenance={"priors_source": f"population:{population.name}"},
+    operator, (guessed_counts, _) = calibrate(
+        ConfusionCounts(model.regions, conf_typ),
+        model,
+        names,
+        {"priors_source": f"population:{population.name}"},
     )
-    corrected = correct_counts(guessed, operator)
+    corrected = correct_counts(guessed_counts, operator)
 
     def to_true_space(vector: np.ndarray) -> np.ndarray:
         out = np.zeros(len(true_labels))
-        for label, value in zip(model.regions, vector):
-            mapped = region_map.get(label)
-            if mapped is not None:
-                out[true_index[mapped]] += value
+        for i, value in zip(to_true, vector):
+            if i >= 0:
+                out[i] += value
         return out
 
     total = float(len(names))
     truth_vec = np.array([truth_counts[r] for r in true_labels], dtype=float)
-    l1_raw = float(np.abs(to_true_space(guessed) / total - truth_vec / total).sum())
+    l1_raw = float(np.abs(to_true_space(guessed_counts) / total - truth_vec / total).sum())
     l1_corrected = float(np.abs(to_true_space(corrected) / total - truth_vec / total).sum())
 
     return Scorecard(
         true_regions=true_labels,
-        recall=recall,
-        precision=precision,
+        recall=dict(zip(true_labels, truth_report.recall.tolist())),
+        precision=dict(zip(true_labels, truth_report.precision.tolist())),
         partition_exact=partition_exact,
         l1_raw=l1_raw,
         l1_corrected=l1_corrected,

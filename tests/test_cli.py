@@ -129,9 +129,17 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
     )
     now, ref = tmp_path / "now", tmp_path / "ref"
     assert run(["pipeline", "--config", config, "--out-dir", now]) == 0
+    calls = []
+
+    def counted_filter(*args, **kwargs):
+        calls.append(1)
+        return parent_filter_core_names(*args, **kwargs)
+
     monkeypatch.setattr(util, "_emit", parent_emit)
-    monkeypatch.setattr(cli, "filter_core_names", parent_filter_core_names)
+    # Patched where run_pipeline binds it; the counter shows the reference ran.
+    monkeypatch.setattr(cli, "filter_core_names", counted_filter)
     assert run(["pipeline", "--config", config, "--out-dir", ref]) == 0
+    assert len(calls) == 1
     names = sorted(p.name for p in now.iterdir())
     assert {"model.json", "core.tsv", "summary.json"} <= set(names)
     assert names == sorted(p.name for p in ref.iterdir())
@@ -201,6 +209,59 @@ def test_stage_chain(tmp_path, synth_dir):
         ["compare", "--model", model, "--operator", operator,
          "--reference", reference, str(reference), "--out-dir", compare_dir]
     ) == 3
+
+
+def test_stage_commands_equal_pipeline(tmp_path):
+    """The stage commands chained by hand write the same bytes as `pipeline`."""
+    spec = synth.standard_spec(
+        3, 3, 150, 0.3, seed=5,
+        populations=(synth.PopulationSpec("reference", 400, (1.0, 2.0, 4.0)),
+                     synth.PopulationSpec("target", 300, (4.0, 2.0, 1.0))),
+    )
+    spec.save(tmp_path / "spec.json")
+    data = tmp_path / "data"
+    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", data]) == 0
+    corpus, registry = data / "corpus.tsv", data / "countries.tsv"
+    reference, target = data / "population_reference.txt", data / "population_target.txt"
+
+    st = tmp_path / "stages"
+    st.mkdir()
+    assert run(["filter-core", corpus, "--registry", registry, "--out", st / "core.tsv"]) == 0
+    assert run(["typology", "--core", st / "core.tsv", "--k", 3, "--min-core-names", 5,
+                "--out-dir", st]) == 0
+    assert run(["train", "--labeled", st / "labeled.tsv", "--out", st / "model.json",
+                "--seed", 5, "--eval-out", st / "eval.tsv"]) == 0
+    assert run(["evaluate", "--model", st / "model.json", "--eval", st / "eval.tsv",
+                "--out", st / "eval_report.json", "--confusion-out", st / "confusion.csv"]) == 0
+    assert run(["calibrate", "--confusion", st / "confusion.csv", "--model", st / "model.json",
+                "--reference", reference, "--out", st / "operator.csv"]) == 0
+    assert run(["compare", "--model", st / "model.json", "--operator", st / "operator.csv",
+                "--reference", reference, target, "--out-dir", st]) == 0
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 5, "out_dir": str(tmp_path / "pipe"), "corpus": str(corpus),
+                    "registry": str(registry), "reference": str(reference),
+                    "targets": [str(target)], "k_regions": 3, "min_core_names": 5}),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 0
+    pipe = tmp_path / "pipe"
+
+    shared = sorted({p.name for p in st.iterdir()} & {p.name for p in pipe.iterdir()})
+    assert shared == sorted([
+        "confusion.csv", "core.tsv", "dendrogram.tsv", "distributions.csv", "eval.tsv",
+        "eval_report.json", "labeled.tsv", "model.json", "operator.csv", "ratios.csv",
+        "report.json", "typology.tsv",
+    ])
+    for name in shared:
+        if name != "report.json":
+            assert (st / name).read_bytes() == (pipe / name).read_bytes(), name
+    chained = json.loads((st / "report.json").read_text(encoding="utf-8"))
+    piped = json.loads((pipe / "report.json").read_text(encoding="utf-8"))
+    assert "config" not in chained["provenance"]
+    del piped["provenance"]["config"]
+    assert chained == piped
 
 
 def test_evaluate_confusion_fixture(tmp_path):
@@ -310,6 +371,14 @@ def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_corpus_format_errors_name_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a\tUS\t3\nbroken row\n", encoding="utf-8")
+    assert run(["filter-core", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {bad}: line 2: expected 3 tab-separated fields, got 1" in err
+
+
 def test_no_partial_artifacts_on_format_error(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tUS\t3\nbroken\n", encoding="utf-8")
@@ -409,6 +478,30 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"standard": 5},
+        {"standard": {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
+                      "overlap": 0.2},
+         "populations": [{"name": "reference", "region_weights": [1, 1, 1]}]},
+        {"standard": {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
+                      "overlap": 0.2},
+         "populations": ["reference"]},
+    ],
+    ids=["standard-not-an-object", "population-without-n_names", "population-not-an-object"],
+)
+def test_pipeline_malformed_synth_block_is_a_config_error(tmp_path, capsys, block):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 1, "out_dir": str(tmp_path / "o"), "synth": block}),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 3
+    assert "config error: bad synth block: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _pipeline_config(tmp_path, synth_dir, corpus, reference):
     config = tmp_path / "config.json"
     config.write_text(
@@ -468,6 +561,13 @@ def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, syn
     reference.write_text(text + "o$brien\n", encoding="utf-8")
     corpus = synth_dir / "corpus.tsv"
     assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {reference}: surname 'o$brien' contains reserved marker '$'" in err
+    # The same file as a target is named too.
+    config = _pipeline_config(tmp_path, synth_dir, corpus, synth_dir / "population_heldout.txt")
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**doc, "targets": [str(reference)]}), encoding="utf-8")
+    assert run(["pipeline", "--config", config]) == 2
     err = capsys.readouterr().err
     assert f"input error: {reference}: surname 'o$brien' contains reserved marker '$'" in err
 

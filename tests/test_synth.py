@@ -8,7 +8,7 @@ import pytest
 
 from onoma.classifier import evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
-from onoma.errors import InvariantError
+from onoma.errors import ConfigError, InvariantError
 from onoma.features import NGramConfig
 from onoma.synth import (
     MarkovChain,
@@ -221,3 +221,11 @@ def test_scorecard_serializes():
     text = card.to_json()
     assert '"partition_exact"' in text
     assert card.l1_raw >= 0 and card.l1_corrected >= 0
+
+
+def test_score_pipeline_reports_bad_settings_as_config_errors():
+    spec = standard_spec(2, 2, 80, 0.2, seed=2)
+    with pytest.raises(ConfigError, match="need at least 2 countries"):
+        score_pipeline(spec, min_core_names=1000)
+    with pytest.raises(ConfigError, match="train_fraction"):
+        score_pipeline(spec, min_core_names=10, train_fraction=1.0)
