@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from onoma.corpus import CoreName
-from onoma.errors import InvariantError
+from onoma.errors import InputFormatError, InvariantError
 from onoma.features import FeatureMatrix, NGramConfig, extract, featurize
 from onoma.typology import (
     DEFAULT_REGION_LABELS,
     WARD_BLOCK_ROWS,
+    WARD_PATCH_RATIO,
     CountryFeatureMatrix,
     Dendrogram,
     Merge,
@@ -444,6 +445,73 @@ def test_ward_cluster_matches_reference_on_generated_typology():
     assert ward_cluster(matrix).merges == expected.merges
 
 
+def crossover_rows():
+    """Rows on both sides of the patch crossover, in several orders, for
+    2, WARD_BLOCK_ROWS - 1, WARD_BLOCK_ROWS, + 1 and 2 x + 1 of them."""
+    rng = np.random.default_rng(43)
+    block, width = WARD_BLOCK_ROWS, 24 * WARD_PATCH_RATIO
+    limit = width // WARD_PATCH_RATIO  # the fewest entries a subtracted row stores
+    for n in sorted({2, max(2, block - 1), block, block + 1, 2 * block + 1}):
+        for dense in (
+            np.arange(n) % 2 == 1,
+            np.arange(n) % 3 == 1,
+            np.arange(n) % 2 == 0,
+            rng.random(n) < 0.5,
+        ):
+            sizes = np.where(dense, rng.integers(limit, 4 * limit, size=n), 0)
+            sizes[~dense] = rng.integers(1, limit, size=int((~dense).sum()))
+            # Rows at the crossover itself and just below it.
+            sizes[dense & (np.arange(n) % 4 == 3)] = limit
+            sizes[~dense & (np.arange(n) % 4 == 2)] = limit - 1
+            rows = np.zeros((n, width))
+            for i, size in enumerate(sizes):
+                # Columns drawn from a narrow range, so most supports overlap.
+                columns = rng.choice(8 * limit, size=size, replace=False)
+                rows[i, columns] = rng.random(size) + 0.01
+            yield rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture
+def ward_distances(monkeypatch):
+    """The distance matrices ward_cluster hands to agglomerate, in call order."""
+    from onoma import typology
+
+    seen = []
+
+    def recording_agglomerate(labels, dist, method="ward"):
+        seen.append(dist.copy())
+        return agglomerate(labels, dist, method)
+
+    monkeypatch.setattr(typology, "agglomerate", recording_agglomerate)
+    return seen
+
+
+def test_ward_cluster_patch_and_subtract_match_reference(ward_distances):
+    branches = set()
+    for rows in crossover_rows():
+        matrix = sparse_matrix(rows)
+        width = len(matrix.vocabulary)
+        branches.update(np.diff(matrix.indptr) * WARD_PATCH_RATIO < width)
+        expected, dist = parent_ward_cluster(matrix.countries, rows)
+        assert ward_cluster(matrix).merges == expected.merges
+        assert ward_distances.pop().tobytes() == dist.tobytes()
+    assert branches == {False, True}
+
+
+def test_ward_cluster_matches_reference_on_sparse_generated_typology(ward_distances):
+    from onoma.corpus import filter_core_names
+    from onoma.synth import generate, standard_spec
+
+    table, _ = generate(standard_spec(6, 6, 60, 0.3, 1))
+    matrix = build_country_matrix(filter_core_names(table), NGramConfig(), 5)
+    assert len(matrix.countries) == 36 > 2 * WARD_BLOCK_ROWS
+    # Every row is below the crossover, so each distance comes from a patch.
+    assert np.all(np.diff(matrix.indptr) * WARD_PATCH_RATIO < len(matrix.vocabulary))
+    expected, dist = parent_ward_cluster(matrix.countries, matrix.rows)
+    assert ward_cluster(matrix).merges == expected.merges
+    assert ward_distances.pop().tobytes() == dist.tobytes()
+
+
 def random_sparse_matrix(n, width, per_row, seed):
     """n x width shares with per_row nonzero cells a row; every column used."""
     rng = np.random.default_rng(seed)
@@ -487,12 +555,16 @@ def test_ward_cluster_memory_stays_within_blocks():
     peak, dendrogram = traced_peak(ward_cluster, matrix)
     assert dendrogram.n_leaves == N_TRACED
     # Design: two block x V float buffers (the densified rows and their
-    # squared differences) and one V-float row, plus the n x n distances and
-    # agglomerate's (2n-1)^2 node distances; 512 KiB covers the small arrays
+    # squares) and the V-float row a denser row is subtracted through; per
+    # patched row three block x 900 arrays (the flat cell ids, the block's
+    # values there and their squared differences); the n x n distances and
+    # agglomerate's (2n-1)^2 node distances. 512 KiB covers the small arrays
     # and the Python objects. A dense (n-1) x V buffer alone is 14 MB here.
     blocks = 2 * WARD_BLOCK_ROWS * V_TRACED * 8 + V_TRACED * 8
+    patch = 3 * WARD_BLOCK_ROWS * 900 * 8
     pairs = N_TRACED**2 * 8 + (2 * N_TRACED - 1) ** 2 * 8
-    assert peak <= blocks + pairs + 512 * 1024, (peak, blocks + pairs)
+    bound = blocks + patch + pairs + 512 * 1024
+    assert peak <= bound, (peak, bound)
     assert peak < (N_TRACED - 1) * V_TRACED * 8 / 2
 
 
@@ -668,6 +740,35 @@ def test_load_overrides(tmp_path):
         Override("REASSIGN", "PH", "Asian"),
         Override("DELETE", "PG"),
     )
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# leaf\t1\tBB\n# leaf\t0\tAA\n0\t1\t0.5\t2\n", "line 1: leaf 1 before leaf 0"),
+        ("# leaf\t0\tAA\n# leaf\t2\tBB\n0\t2\t0.5\t3\n", "line 2: leaf 2 before leaf 1"),
+        ("# leaf\t0\tAA\n# leaf\t0\tBB\n0\t1\t0.5\t2\n", "line 2: leaf 0 listed twice"),
+        ("# leaf\t0\tAA\n# leaf\tBB\n0\t1\t0.5\t2\n", "line 2: expected # leaf"),
+        ("# leaf\t0\tAA\n# leaf\tx\tBB\n0\t1\t0.5\t2\n", "line 2: expected # leaf"),
+        ("# leaf 0 AA\n# leaf\t1\tBB\n0\t1\t0.5\t2\n", "line 1: expected # leaf"),
+    ],
+    ids=["out-of-order", "gap", "duplicate", "two-fields", "bad-id", "spaces"],
+)
+def test_dendrogram_tsv_rejects_bad_leaf_lines(text, match):
+    with pytest.raises(InputFormatError, match=match):
+        Dendrogram.from_tsv(text)
+
+
+def test_dendrogram_tsv_skips_other_comments():
+    text = "# leaves then merges\n# leaf\t0\tAA\n#leaf\t1\tBB\n0\t1\t0.5\t2\n"
+    dendrogram = Dendrogram.from_tsv(text)
+    assert dendrogram.leaves == ("AA", "BB")
+    assert dendrogram.merges == (Merge(0, 1, 0.5, 2),)
+
+
+def test_typology_tsv_rejects_a_country_listed_twice():
+    with pytest.raises(InputFormatError, match="line 3: country AA already listed on line 1"):
+        RegionTypology.from_tsv("AA\tR1\nBB\tR2\naa\tR2\n")
 
 
 def test_typology_tsv_round_trip():
