@@ -176,29 +176,26 @@ class TrainedModel:
 
 def train(
     train_set: Sequence[tuple[str, str]],
+    features: FeatureMatrix,
     alpha: float = 0.1,
-    config: NGramConfig = NGramConfig(),
     *,
     min_df: int = 1,
     strip_diacritics: bool = False,
-    features: FeatureMatrix | None = None,
 ) -> TrainedModel:
     """Fit priors and smoothed token likelihoods from (surname, region) pairs.
 
     prior(r) is the share of names labeled r; likelihood(r, g) is
     (count of g in r + alpha) / (in-vocabulary tokens of r + alpha * |V|),
     which sums to 1 over the vocabulary by construction. N-gram counts are
-    read from `features` when given (it must hold every training surname).
+    read from `features`, which must hold every training surname; the model
+    keeps its n-gram config.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not train_set:
         raise ValueError("empty training set")
     regions = tuple(sorted({region for _, region in train_set}))
-    surnames = [surname for surname, _ in train_set]
-    if features is None:
-        features = featurize(list(dict.fromkeys(surnames)), config)
-    vocabulary = tuple(build_vocabulary(surnames, config, min_df, features))
+    vocabulary = tuple(build_vocabulary([surname for surname, _ in train_set], features, min_df))
     columns = _token_columns(features, {token: j for j, token in enumerate(vocabulary)})
     by_region: dict[str, list[str]] = {}
     for surname, region in train_set:
@@ -225,7 +222,7 @@ def train(
         log_priors=np.log(priors),
         log_likelihoods=np.log(likelihood),
         alpha=alpha,
-        feature_config=config,
+        feature_config=features.config,
         strip_diacritics=strip_diacritics,
     )
 
@@ -287,9 +284,11 @@ def classify_batch(
     Returns each surname's label as an index into model.regions (exact ties
     go to the lexicographically first region), its prior-only flag, and the
     (surnames x regions) score matrix. Each distinct normalized surname is
-    scored once: from the rows of `features` when it holds all of them,
-    otherwise from a featurize pass here. The in-vocabulary terms of every
-    name are summed with one bincount per region.
+    scored once, from its row of `features`, or of a featurize pass here
+    when `features` is None. A given matrix must hold every normalized
+    surname and have the model's n-gram config, or ValueError is raised.
+    The in-vocabulary terms of every name are summed with one bincount per
+    region.
     """
     normalized: list[str] = []
     for surname in surnames:
@@ -298,12 +297,10 @@ def classify_batch(
             raise ValueError(f"surname {surname!r} is empty after normalization")
         normalized.append(name)
     distinct = list(dict.fromkeys(normalized))
-    if (
-        features is None
-        or features.config != model.feature_config
-        or any(name not in features.index for name in distinct)  # type: ignore[attr-defined]
-    ):
+    if features is None:
         features = featurize(distinct, model.feature_config)
+    elif features.config != model.feature_config:
+        raise ValueError("feature matrix was built with another n-gram config")
     owner, ids, counts = features.entries(features.rows_of(distinct))
     cols = _token_columns(features, model.vocab_index)[ids]  # type: ignore[attr-defined]
     known = cols >= 0
@@ -381,7 +378,7 @@ def evaluate(
     """Confusion matrix of guessed vs actual region over an evaluation set.
 
     Names are scored by `classify_batch`, from the rows of `features` when
-    it holds them all.
+    given.
     """
     if not eval_set:
         raise ValueError("empty evaluation set")

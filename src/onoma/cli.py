@@ -15,11 +15,10 @@ import argparse
 import json
 import logging
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -183,14 +182,9 @@ def cmd_typology(args) -> int:
     core = read_core_names(args.core)
     overrides = load_overrides(args.overrides) if args.overrides else ()
     with _surnames_from(args.core):
+        features = featurize(list(dict.fromkeys(name.surname for name in core)), config)
         typology, dendrogram, labeled, counts = stages.build_typology(
-            core,
-            config,
-            args.min_core_names,
-            args.k,
-            features=None,
-            overrides=overrides,
-            leaf_weights=Counter(name.assigned_country for name in core),
+            core, features, args.min_core_names, args.k, overrides
         )
 
     out_dir = Path(args.out_dir)
@@ -213,15 +207,15 @@ def cmd_train(args) -> int:
     config = _feature_config(args)
     labeled = read_labeled_tsv(args.labeled)
     with _surnames_from(args.labeled):
+        features = featurize(list(dict.fromkeys(surname for surname, _ in labeled)), config)
         model, train_set, eval_set = stages.fit(
             labeled,
+            features,
             seed=args.seed,
             train_fraction=args.train_fraction,
             alpha=args.alpha,
-            feature_config=config,
             min_df=args.min_df,
             strip_diacritics=args.strip_diacritics,
-            features=None,
         )
     model.save(args.out)
     if args.eval_out:
@@ -383,6 +377,22 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON values each kind of pipeline config key takes; a bool is no number.
+_JSON_KINDS: dict[str, Callable[[object], bool]] = {
+    "true or false": lambda v: isinstance(v, bool),
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+}
+
+
 @dataclass
 class PipelineConfig:
     """File-based configuration for the all-in-one pipeline command."""
@@ -452,12 +462,45 @@ class PipelineConfig:
         merged.update({k: v for k, v in overrides.items() if v is not None})
         base = Path(path).parent
 
-        def resolve(value: object) -> Path:  # relative to the config file
-            p = Path(str(value))
+        def resolve(value: str) -> Path:  # relative to the config file
+            p = Path(value)
             return p if p.is_absolute() else base / p
 
-        def optional_path(value: object) -> Path | None:
+        def optional_path(value: str | None) -> Path | None:
             return None if value is None else resolve(value)
+
+        # Keys absent from the file take the field's default.
+        convert = {
+            "seed": ("an integer", int),
+            "out_dir": ("a string", Path),
+            "corpus": ("a string or null", optional_path),
+            "registry": ("a string or null", optional_path),
+            "header": ("true or false", bool),
+            "strict": ("true or false", bool),
+            "strip_diacritics": ("true or false", bool),
+            "hhi_min": ("a number", float),
+            "freq_min": ("a number", float),
+            "basis": ("a string", str),
+            "min_core_names": ("an integer", int),
+            "min_df": ("an integer", int),
+            "n_values": ("a list of integers", tuple),
+            "pad_boundaries": ("true or false", bool),
+            "k_regions": ("an integer", int),
+            "overrides": ("a string or null", optional_path),
+            "alpha": ("a number", float),
+            "train_fraction": ("a number", float),
+            "reference": ("a string or null", optional_path),
+            "targets": ("a list of strings", lambda v: tuple(resolve(t) for t in v)),
+        }
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in merged:
+                raise ConfigError(f"missing config key: {f.name!r}")
+        values = {}
+        for key, (kind, to) in convert.items():
+            if key in merged:
+                if not _JSON_KINDS[kind](merged[key]):
+                    raise ConfigError(f"{path}: {key} must be {kind}, got {merged[key]!r}")
+                values[key] = to(merged[key])
 
         synth_spec = None
         synth_block = merged.get("synth")
@@ -474,7 +517,7 @@ class PipelineConfig:
                         int(params["countries_per_region"]),
                         int(params["names_per_country"]),
                         float(params["overlap"]),
-                        int(merged.get("seed", 0)),
+                        values["seed"],
                         populations=tuple(
                             synth.PopulationSpec.from_dict(p)
                             for p in synth_block.get("populations", [])
@@ -487,36 +530,6 @@ class PipelineConfig:
             else:
                 raise ConfigError("synth block needs a 'spec' path or 'standard' parameters")
 
-        # Keys absent from the file take the field's default.
-        convert = {
-            "seed": int,
-            "out_dir": lambda v: Path(str(v)),
-            "corpus": optional_path,
-            "registry": optional_path,
-            "header": bool,
-            "strict": bool,
-            "strip_diacritics": bool,
-            "hhi_min": float,
-            "freq_min": float,
-            "basis": str,
-            "min_core_names": int,
-            "min_df": int,
-            "n_values": lambda v: tuple(int(n) for n in v),
-            "pad_boundaries": bool,
-            "k_regions": int,
-            "overrides": optional_path,
-            "alpha": float,
-            "train_fraction": float,
-            "reference": optional_path,
-            "targets": lambda v: tuple(resolve(t) for t in v),
-        }
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in merged:
-                raise ConfigError(f"missing config key: {f.name!r}")
-        try:
-            values = {key: to(merged[key]) for key, to in convert.items() if key in merged}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
         return cls(synth_spec=synth_spec, **values)
 
 
@@ -566,17 +579,15 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation.
     with _surnames_from(corpus_path):
-        core_features = featurize(list(dict.fromkeys(n.surname for n in core)), feature_config)
+        core_features = featurize([name.surname for name in core], feature_config)
 
     log.info("stage: typology")
     typology, dendrogram, labeled, region_counts = stages.build_typology(
         core,
-        feature_config,
+        core_features,
         config.min_core_names,
         config.k_regions,
-        features=core_features,
-        overrides=load_overrides(config.overrides) if config.overrides else (),
-        leaf_weights=Counter(name.assigned_country for name in core),
+        load_overrides(config.overrides) if config.overrides else (),
     )
     artifacts["typology"] = atomic_write(out_dir / "typology.tsv", typology.to_tsv())
     artifacts["dendrogram"] = atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
@@ -585,13 +596,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     log.info("stage: train")
     model, train_set, eval_set = stages.fit(
         labeled,
+        core_features,
         seed=config.seed,
         train_fraction=config.train_fraction,
         alpha=config.alpha,
-        feature_config=feature_config,
         min_df=config.min_df,
         strip_diacritics=config.strip_diacritics,
-        features=core_features,
     )
 
     log.info("stage: evaluate")

@@ -55,11 +55,12 @@ _TOTAL_LIMIT = 2**53  # see OccurrenceTable
 def normalize_surname(raw: str, strip_diacritics: bool = False) -> str:
     """Canonical surname form used everywhere downstream.
 
-    Unicode NFC, lowercase, trimmed, inner whitespace collapsed to single
-    spaces. Hyphens and apostrophes are kept; diacritics are kept unless
-    explicitly stripped.
+    Lowercase, then Unicode NFC (lowercasing can undo a composition), trimmed,
+    inner whitespace collapsed to single spaces. Hyphens and apostrophes are
+    kept; diacritics are kept unless explicitly stripped. Normalizing a
+    normalized name returns it unchanged.
     """
-    text = unicodedata.normalize("NFC", raw).lower()
+    text = unicodedata.normalize("NFC", raw.lower())
     text = _WS_RUN.sub(" ", text).strip()
     if strip_diacritics:
         decomposed = unicodedata.normalize("NFD", text)

@@ -7,7 +7,8 @@ particles carry origin signal and should not blur across word boundaries.
 
 Stages that read many names share one `featurize` pass: each distinct name
 is decomposed once into a sparse row of a `FeatureMatrix`, and the country
-matrix, training, evaluation and population tallies all read those rows.
+matrix, training and evaluation read those rows. The matrix carries its
+`NGramConfig`, so those stages take the matrix alone.
 
 `featurize` has no loop over names. It takes _CHUNK names at a time, lays
 their padded words end to end as code points, and gives every window of n
@@ -138,9 +139,12 @@ class FeatureMatrix:
         object.__setattr__(self, "index", index)
 
     def rows_of(self, names: Iterable[str]) -> np.ndarray:
-        """Row index of each name, in order; KeyError for a name not featurized."""
+        """Row index of each name, in order; ValueError for a name not featurized."""
         index = self.index  # type: ignore[attr-defined]
-        return np.fromiter((index[name] for name in names), dtype=np.int64)
+        try:
+            return np.fromiter((index[name] for name in names), dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"surname {exc.args[0]!r} is not in the feature matrix") from None
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries of the given rows (repeats allowed), row after row.
@@ -298,25 +302,17 @@ def _chunk_entries(
 
 
 def build_vocabulary(
-    corpus: Iterable[str],
-    config: NGramConfig = NGramConfig(),
-    min_df: int = 1,
-    features: FeatureMatrix | None = None,
+    corpus: Iterable[str], features: FeatureMatrix, min_df: int = 1
 ) -> list[str]:
     """Sorted list of tokens occurring in at least min_df distinct surnames.
 
-    The surnames' rows are read from `features` when given (it must hold
-    every surname), otherwise they are featurized here.
+    The surnames' rows are read from `features`, which must hold them all.
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     distinct = list(dict.fromkeys(corpus))
     if not distinct:
         raise ValueError("empty corpus")
-    if features is None:
-        features = featurize(distinct, config)
-    elif features.config != config:
-        raise ValueError("feature matrix was built with another n-gram config")
     chosen = np.zeros(len(features.names), dtype=bool)
     chosen[features.rows_of(distinct)] = True
     ids = features.ids[np.repeat(chosen, np.diff(features.indptr))]

@@ -14,6 +14,7 @@ come from settings such as k or the train fraction, as `ConfigError`.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
@@ -30,7 +31,7 @@ from .diversity import (
     tally_guesses,
 )
 from .errors import ConfigError, SurnameError
-from .features import FeatureMatrix, NGramConfig
+from .features import FeatureMatrix
 from .typology import (
     Dendrogram,
     Override,
@@ -62,29 +63,28 @@ def _config_errors() -> Iterator[None]:
 
 def build_typology(
     core: Sequence[CoreName],
-    feature_config: NGramConfig,
+    features: FeatureMatrix,
     min_core_names: int,
     k: int,
-    *,
-    features: FeatureMatrix | None,
     overrides: Sequence[Override] = (),
-    leaf_weights: Mapping[str, float] | None = None,
 ) -> tuple[RegionTypology, Dendrogram, list[tuple[str, str]], dict[str, int]]:
     """Cluster the countries with enough core names and relabel the core names.
 
-    Returns the typology cut at k regions (at most one per clustered
-    country), the dendrogram, the (surname, region) pairs and the names per
-    region. Core names of countries left out of the matrix are dropped with
-    a warning. `features` holds every core name's n-grams, or is None to
-    featurize here; `leaf_weights` is passed to `cut_dendrogram`.
+    `features` holds every core name's n-grams. Returns the typology cut at
+    k regions (at most one per clustered country), each region named after
+    its country with the most core names unless k is 7, the dendrogram, the
+    (surname, region) pairs and the names per region. Core names of
+    countries left out of the matrix are dropped with a warning.
     """
     with _config_errors():
-        matrix = build_country_matrix(core, feature_config, min_core_names, features)
+        matrix = build_country_matrix(core, features, min_core_names)
     dendrogram = ward_cluster(matrix)
     k = min(k, len(matrix.countries))
     del matrix  # the stage's largest structure; only the tree is cut
     with _config_errors():
-        typology = cut_dendrogram(dendrogram, k, overrides, leaf_weights)
+        typology = cut_dendrogram(
+            dendrogram, k, overrides, Counter(name.assigned_country for name in core)
+        )
     covered = [n for n in core if n.assigned_country in typology.assignment]
     if len(covered) < len(core):
         log.warning("%d core names outside the typology dropped", len(core) - len(covered))
@@ -94,30 +94,23 @@ def build_typology(
 
 def fit(
     labeled: Sequence[tuple[str, str]],
+    features: FeatureMatrix,
     *,
     seed: int,
     train_fraction: float,
     alpha: float,
-    feature_config: NGramConfig,
     min_df: int,
     strip_diacritics: bool,
-    features: FeatureMatrix | None,
 ) -> tuple[TrainedModel, list[tuple[str, str]], list[tuple[str, str]]]:
     """Split the labeled names and train on the first part.
 
-    Returns the model, the training set and the held-out evaluation set.
-    `features` holds every labeled name's n-grams, or is None to featurize
-    the training names here.
+    `features` holds every labeled name's n-grams. Returns the model, the
+    training set and the held-out evaluation set.
     """
     with _config_errors():
         train_set, eval_set = split(labeled, train_fraction, seed)
         model = train(
-            train_set,
-            alpha,
-            feature_config,
-            min_df=min_df,
-            strip_diacritics=strip_diacritics,
-            features=features,
+            train_set, features, alpha, min_df=min_df, strip_diacritics=strip_diacritics
         )
     return model, train_set, eval_set
 

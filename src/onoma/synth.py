@@ -493,18 +493,6 @@ def render_truth_tsv(truth: Mapping[str, str]) -> str:
     return "".join(f"{name}\t{region}\n" for name, region in sorted(truth.items()))
 
 
-def read_truth_tsv(path: Path | str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise InputFormatError(f"{path}: line {lineno}: expected surname<TAB>region")
-        out[fields[0]] = fields[1]
-    return out
-
-
 def default_population(spec: SynthSpec, n_names: int = 2000) -> PopulationSpec:
     """Held-out mix deliberately shifted away from the near-uniform corpus mix."""
     weights = tuple(float(2 ** (i % 4)) for i in range(len(spec.generators)))
@@ -588,7 +576,7 @@ def score_pipeline(
     core = filter_core_names(table, hhi_min, freq_min)
     core_features = featurize([name.surname for name in core], feature_config)
     typology, _, labeled, _ = build_typology(
-        core, feature_config, min_core_names, len(spec.generators), features=core_features
+        core, core_features, min_core_names, len(spec.generators)
     )
 
     country_truth = {c.code: c.region for c in spec.countries}
@@ -607,13 +595,12 @@ def score_pipeline(
 
     model, _, eval_set = fit(
         labeled,
+        core_features,
         seed=spec.seed,
         train_fraction=train_fraction,
         alpha=alpha,
-        feature_config=feature_config,
         min_df=min_df,
         strip_diacritics=False,
-        features=core_features,
     )
 
     # One classification of the evaluation set fills both the typology-space

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import CoreName
 from .errors import InputFormatError, InvariantError
-from .features import FeatureMatrix, NGramConfig, featurize
+from .features import FeatureMatrix
 from .util import fmt_float
 
 log = logging.getLogger(__name__)
@@ -171,7 +171,10 @@ class Dendrogram:
                 )
             except ValueError:
                 raise InputFormatError(f"line {lineno}: malformed merge row") from None
-        return cls(tuple(leaves), tuple(merges))
+        try:
+            return cls(tuple(leaves), tuple(merges))
+        except (ValueError, InvariantError) as exc:
+            raise InputFormatError(f"malformed dendrogram: {exc}") from None
 
 
 def agglomerate(labels: Sequence[str], dist: np.ndarray, method: str = "ward") -> Dendrogram:
@@ -312,18 +315,15 @@ class CountryFeatureMatrix:
 
 
 def build_country_matrix(
-    core_names: Iterable[CoreName],
-    config: NGramConfig = NGramConfig(),
-    min_core_names: int = 20,
-    features: FeatureMatrix | None = None,
+    core_names: Iterable[CoreName], features: FeatureMatrix, min_core_names: int = 20
 ) -> CountryFeatureMatrix:
     """Country x n-gram frequency matrix over core names.
 
     Cell (c, g) is the share of token g among all n-gram occurrences of
     country c's core names. Countries contributing fewer than min_core_names
     names (or no tokens at all) are excluded; at least two must remain.
-    N-gram counts are read from `features` when given (it must hold the
-    surnames of every kept country), otherwise they are featurized here.
+    N-gram counts are read from `features`, which must hold the surnames of
+    every kept country.
     """
     by_country: dict[str, list[str]] = {}
     for name in core_names:
@@ -333,13 +333,6 @@ def build_country_matrix(
         for country in sorted(by_country)
         if len(by_country[country]) >= min_core_names
     }
-    if features is None:
-        features = featurize(
-            list(dict.fromkeys(s for names in selected.values() for s in names)), config
-        )
-    elif features.config != config:
-        raise ValueError("feature matrix was built with another n-gram config")
-
     # Per kept country: the token ids it uses and their summed counts.
     kept: list[tuple[str, np.ndarray, np.ndarray]] = []
     seen = np.zeros(len(features.tokens), dtype=bool)
@@ -513,12 +506,18 @@ class RegionTypology:
             if not line.strip():
                 continue
             if line.startswith("#"):
+                if line[1:].split(None, 1)[:1] != ["override"]:
+                    continue
                 fields = line[1:].strip().split("\t")
-                if fields and fields[0] == "override":
-                    if len(fields) == 4 and fields[1] == "REASSIGN":
-                        overrides.append(Override("REASSIGN", fields[2], fields[3]))
-                    elif len(fields) == 3 and fields[1] == "DELETE":
-                        overrides.append(Override("DELETE", fields[2]))
+                if fields[:2] == ["override", "REASSIGN"] and len(fields) == 4:
+                    overrides.append(Override("REASSIGN", fields[2], fields[3]))
+                elif fields[:2] == ["override", "DELETE"] and len(fields) == 3:
+                    overrides.append(Override("DELETE", fields[2]))
+                else:
+                    raise InputFormatError(
+                        f"line {lineno}: expected # override<TAB>REASSIGN<TAB>country"
+                        "<TAB>region or # override<TAB>DELETE<TAB>country"
+                    )
                 continue
             fields = line.split("\t")
             if len(fields) != 2:

@@ -23,7 +23,7 @@ from onoma.correction import (
     reweight_priors,
 )
 from onoma.diversity import OriginDistribution, canberra, representation_ratios
-from onoma.features import NGramConfig, extract
+from onoma.features import NGramConfig, extract, featurize
 from onoma.resources import reference_confusion_path
 from onoma.synth import score_pipeline, standard_spec
 from onoma.typology import agglomerate
@@ -98,7 +98,7 @@ def test_criterion_2_nb_oracle_equivalence():
         for i, region in enumerate(regions):
             names[i] = (names[i][0], region)
         alpha = rng.choice([0.1, 0.3, 1.0])
-        model = train(names, alpha, config)
+        model = train(names, featurize(list(dict.fromkeys(s for s, _ in names)), config), alpha)
         assert len(model.vocabulary) <= 20
         for _ in range(5):
             surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 7)))

@@ -83,6 +83,12 @@ def nb_oracle_scores(train_set, alpha, config, surname):
     return scores
 
 
+def train_on(train_set, alpha, config, **options):
+    """`train` on a feature matrix of exactly the training names."""
+    names = list(dict.fromkeys(surname for surname, _ in train_set))
+    return train(train_set, featurize(names, config), alpha, **options)
+
+
 def random_nb_instance(rng):
     n_regions = rng.randint(2, 5)
     regions = [f"G{i}" for i in range(n_regions)]
@@ -154,7 +160,7 @@ def test_split_validation():
 
 
 def test_train_equal_priors():
-    model = train([("ab", "X"), ("ba", "Y")], 0.1, BIGRAM)
+    model = train_on([("ab", "X"), ("ba", "Y")], 0.1, BIGRAM)
     assert np.allclose(model.log_priors, math.log(0.5))
 
 
@@ -162,7 +168,7 @@ def test_train_smoothing_only_region():
     # Region Y's only token misses the min_df=2 cut, leaving it with zero
     # in-vocabulary tokens: every likelihood is alpha / (alpha * |V|) = 0.5.
     train_set = [("xy", "X"), ("yx", "X"), ("qq", "Y")]
-    model = train(train_set, 0.1, CHAR1, min_df=2)
+    model = train_on(train_set, 0.1, CHAR1, min_df=2)
     assert model.vocabulary == ("x", "y")
     y_row = np.exp(model.log_likelihoods[list(model.regions).index("Y")])
     assert y_row == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -170,7 +176,7 @@ def test_train_smoothing_only_region():
 
 def test_train_likelihood_arithmetic():
     # Single region surname xxxy: counts x:3 y:1, alpha 0.1, |V| = 2
-    model = train([("xxxy", "X"), ("yy", "Z")], 0.1, CHAR1)
+    model = train_on([("xxxy", "X"), ("yy", "Z")], 0.1, CHAR1)
     x_index = model.vocabulary.index("x")
     row = np.exp(model.log_likelihoods[list(model.regions).index("X")])
     assert row[x_index] == pytest.approx(3.1 / 4.2, abs=1e-12)
@@ -178,14 +184,25 @@ def test_train_likelihood_arithmetic():
 
 def test_train_validation():
     with pytest.raises(ValueError, match="alpha"):
-        train([("ab", "X")], 0.0, BIGRAM)
+        train_on([("ab", "X")], 0.0, BIGRAM)
     with pytest.raises(ValueError, match="empty training set"):
-        train([], 0.1, BIGRAM)
+        train_on([], 0.1, BIGRAM)
+
+
+def test_train_reads_only_the_training_rows_of_a_larger_matrix():
+    rng = random.Random(12)
+    train_set = random_nb_instance(rng)
+    names = list(dict.fromkeys(surname for surname, _ in train_set))
+    exact = train(train_set, featurize(names, BIGRAM), 0.1, min_df=2)
+    larger = train(train_set, featurize(["zzzz", *names, "dcdc"], BIGRAM), 0.1, min_df=2)
+    assert larger.to_json() == exact.to_json()
+    with pytest.raises(ValueError, match="not in the feature matrix"):
+        train(train_set, featurize(names[1:], BIGRAM), 0.1)
 
 
 def test_model_invariants_hold():
     rng = random.Random(9)
-    model = train(random_nb_instance(rng), 0.1, BIGRAM)
+    model = train_on(random_nb_instance(rng), 0.1, BIGRAM)
     assert math.exp(np.logaddexp.reduce(model.log_priors)) == pytest.approx(1.0, abs=1e-9)
     for row in model.log_likelihoods:
         assert np.exp(row).sum() == pytest.approx(1.0, abs=1e-9)
@@ -195,13 +212,13 @@ def test_model_invariants_hold():
 
 
 def test_classify_separable():
-    model = train(separable_training_set(), 0.1, BIGRAM)
+    model = train_on(separable_training_set(), 0.1, BIGRAM)
     assert classify(model, "aaa").label == "A"
     assert classify(model, "bbb").label == "B"
 
 
 def test_classify_prior_only_flag():
-    model = train([("aa", "A"), ("aa b", "B"), ("bb", "B")], 0.1, BIGRAM)
+    model = train_on([("aa", "A"), ("aa b", "B"), ("bb", "B")], 0.1, BIGRAM)
     result = classify(model, "zzz")
     assert result.prior_only
     # priors: A 1/3, B 2/3 -> argmax prior
@@ -212,7 +229,7 @@ def test_classify_prior_only_flag():
 
 def test_classify_posterior_sums_to_one():
     rng = random.Random(10)
-    model = train(random_nb_instance(rng), 0.1, BIGRAM)
+    model = train_on(random_nb_instance(rng), 0.1, BIGRAM)
     for _ in range(30):
         surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 8)))
         result = classify(model, surname)
@@ -222,7 +239,7 @@ def test_classify_posterior_sums_to_one():
 
 def test_classify_label_invariant_to_score_shift():
     rng = random.Random(23)
-    model = train(random_nb_instance(rng), 0.1, BIGRAM)
+    model = train_on(random_nb_instance(rng), 0.1, BIGRAM)
     for _ in range(20):
         surname = "".join(rng.choice("abcd") for _ in range(3))
         result = classify(model, surname)
@@ -233,7 +250,7 @@ def test_classify_label_invariant_to_score_shift():
 
 
 def test_classify_normalizes_input():
-    model = train(separable_training_set(), 0.1, BIGRAM)
+    model = train_on(separable_training_set(), 0.1, BIGRAM)
     assert classify(model, "  AAA ").label == "A"
     with pytest.raises(ValueError, match="empty"):
         classify(model, "   ")
@@ -244,7 +261,7 @@ def test_classify_matches_brute_force_oracle():
     for _ in range(20):
         train_set = random_nb_instance(rng)
         alpha = rng.choice([0.1, 0.5, 1.0])
-        model = train(train_set, alpha, BIGRAM)
+        model = train_on(train_set, alpha, BIGRAM)
         for _ in range(10):
             surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 7)))
             expected = nb_oracle_scores(train_set, alpha, BIGRAM, surname)
@@ -266,7 +283,7 @@ def spec_model():
 
     _, truth = generate(standard_spec(4, 2, 80, 0.3, seed=13))
     train_set, eval_set = split(sorted(truth.items()), 0.8, seed=2)
-    return train(train_set, 0.1, NGramConfig()), [surname for surname, _ in eval_set]
+    return train_on(train_set, 0.1, NGramConfig()), [surname for surname, _ in eval_set]
 
 
 def assert_batch_matches_classify(model, names, features=None):
@@ -295,8 +312,12 @@ def test_classify_batch_reads_rows_from_a_shared_matrix(spec_model):
     model, held_out = spec_model
     shared = featurize(held_out + ["zzz"], model.feature_config)
     assert_batch_matches_classify(model, held_out, shared)
-    # A matrix missing some names is not used; the names are featurized afresh.
-    assert_batch_matches_classify(model, held_out[:50] + ["o'brien"], shared)
+    # A given matrix is authoritative: a name it lacks, or another n-gram
+    # config, is an error, not a reason to featurize afresh.
+    with pytest.raises(ValueError, match="surname \"o'brien\" is not in the feature matrix"):
+        classify_batch(model, held_out[:50] + ["o'brien"], shared)
+    with pytest.raises(ValueError, match="another n-gram config"):
+        classify_batch(model, held_out, featurize(held_out, BIGRAM))
 
 
 def test_classify_batch_rejects_reserved_marker_and_empty(spec_model):
@@ -309,7 +330,7 @@ def test_classify_batch_rejects_reserved_marker_and_empty(spec_model):
 
 def test_classify_batch_exact_tie_goes_to_first_region():
     # Both regions see the same names: identical priors and likelihoods.
-    model = train([("ab", "B"), ("ab", "A"), ("cd", "A"), ("cd", "B")], 0.1, BIGRAM)
+    model = train_on([("ab", "B"), ("ab", "A"), ("cd", "A"), ("cd", "B")], 0.1, BIGRAM)
     names = ["ab", "cdab", "zz"]
     labels, _, scores = classify_batch(model, names)
     assert np.all(scores[:, 0] == scores[:, 1])
@@ -322,7 +343,7 @@ def test_classify_batch_exact_tie_goes_to_first_region():
 
 def test_evaluate_perfect_classifier():
     train_set = separable_training_set()
-    model = train(train_set, 0.1, BIGRAM)
+    model = train_on(train_set, 0.1, BIGRAM)
     report = evaluate(model, train_set)
     assert np.array_equal(report.confusion, np.diag([3, 3]))
     assert np.allclose(report.precision, 1.0)
@@ -331,7 +352,7 @@ def test_evaluate_perfect_classifier():
 
 
 def test_evaluate_rejects_unknown_labels():
-    model = train(separable_training_set(), 0.1, BIGRAM)
+    model = train_on(separable_training_set(), 0.1, BIGRAM)
     with pytest.raises(ValueError, match="unknown to the model"):
         evaluate(model, [("aaa", "Z")])
 
@@ -380,7 +401,7 @@ def test_empty_row_precision_guard():
 
 def test_model_round_trip_is_bit_exact(tmp_path):
     rng = random.Random(31)
-    model = train(random_nb_instance(rng), 0.1, NGramConfig())
+    model = train_on(random_nb_instance(rng), 0.1, NGramConfig())
     path = tmp_path / "model.json"
     model.save(path)
     loaded = TrainedModel.load(path)
@@ -397,8 +418,8 @@ def test_model_round_trip_is_bit_exact(tmp_path):
 def test_training_is_deterministic(tmp_path):
     rng = random.Random(32)
     train_set = random_nb_instance(rng)
-    train(train_set, 0.1, BIGRAM).save(tmp_path / "a.json")
-    train(train_set, 0.1, BIGRAM).save(tmp_path / "b.json")
+    train_on(train_set, 0.1, BIGRAM).save(tmp_path / "a.json")
+    train_on(train_set, 0.1, BIGRAM).save(tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from onoma import synth
-from onoma.cli import main
+from onoma.cli import PipelineConfig, main
 from onoma.resources import reference_confusion_path
 
 
@@ -264,6 +264,22 @@ def test_stage_commands_equal_pipeline(tmp_path):
     assert chained == piped
 
 
+def test_typology_names_regions_as_synth_score_does(tmp_path):
+    """At k other than 7, `typology` and `synth --score` give a cluster one name."""
+    data = tmp_path / "synth"
+    assert run(["synth", "--regions", 4, "--countries-per-region", 5, "--names", 100,
+                "--overlap", 0.2, "--seed", 1, "--population-size", 300,
+                "--min-core-names", 10, "--out-dir", data, "--score"]) == 0
+    core = tmp_path / "core.tsv"
+    assert run(["filter-core", data / "corpus.tsv", "--registry", data / "countries.tsv",
+                "--out", core]) == 0
+    assert run(["typology", "--core", core, "--k", 4, "--min-core-names", 10,
+                "--out-dir", tmp_path / "typ"]) == 0
+    lines = (tmp_path / "typ" / "typology.tsv").read_text(encoding="utf-8").splitlines()
+    card = json.loads((data / "scorecard.json").read_text(encoding="utf-8"))
+    assert {line.split("\t")[1] for line in lines} == set(card["region_map"])
+
+
 def test_evaluate_confusion_fixture(tmp_path):
     out = tmp_path / "report.json"
     assert run(["evaluate", "--confusion", reference_confusion_path(), "--out", out]) == 0
@@ -464,6 +480,49 @@ def test_pipeline_bad_config_value(tmp_path):
         encoding="utf-8",
     )
     assert run(["pipeline", "--config", config]) == 3
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("header", "no", "true or false"),
+        ("pad_boundaries", "false", "true or false"),
+        ("strict", 1, "true or false"),
+        ("k_regions", 7.9, "an integer"),
+        ("min_df", True, "an integer"),
+        ("alpha", True, "a number"),
+        ("hhi_min", "0.8", "a number"),
+        ("registry", 5, "a string or null"),
+        ("basis", 1, "a string"),
+        ("out_dir", ["o"], "a string"),
+        ("n_values", [2, "3"], "a list of integers"),
+        ("n_values", [2, True], "a list of integers"),
+        ("n_values", "2,3", "a list of integers"),
+        ("targets", ["t.txt", 3], "a list of strings"),
+        ("targets", "t.txt", "a list of strings"),
+    ],
+)
+def test_pipeline_config_values_must_have_their_json_type(tmp_path, capsys, key, value, kind):
+    config = tmp_path / "config.json"
+    doc = {"seed": 1, "out_dir": str(tmp_path / "o"), "corpus": "x.tsv", key: value}
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["pipeline", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {config}: {key} must be {kind}, got {value!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pipeline_config_takes_an_integer_as_a_number_and_null_as_no_path(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 1, "out_dir": "o", "corpus": "x.tsv", "registry": None,
+                    "alpha": 1, "header": True, "n_values": [3, 2], "targets": ["t.txt"]}),
+        encoding="utf-8",
+    )
+    loaded = PipelineConfig.from_file(config, {})
+    assert loaded.alpha == 1.0 and isinstance(loaded.alpha, float)
+    assert loaded.registry is None and loaded.header is True
+    assert loaded.n_values == (3, 2) and loaded.targets == (tmp_path / "t.txt",)
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import unicodedata
 
 import pytest
 
@@ -213,6 +214,18 @@ def test_normalize_composes_and_keeps_diacritics():
 
 def test_normalize_collapses_tabs_and_newlines():
     assert normalize_surname("de\tla\ncruz") == "de la cruz"
+
+
+def test_normalize_is_idempotent_on_every_bmp_letter():
+    # Lowercasing can leave a letter and a mark that NFC then composes, as
+    # "J" + caron becomes "ǰ"; a second pass must find nothing left to do.
+    assert normalize_surname("J\u030cones") == "\u01f0ones"
+    letters = [chr(c) for c in range(0x10000) if unicodedata.category(chr(c)).startswith("L")]
+    marks = ["", "\u0300", "\u0301", "\u0307", "\u0308", "\u030c"]
+    for strip in (False, True):
+        for name in (letter + mark for letter in letters for mark in marks):
+            once = normalize_surname(name, strip)
+            assert normalize_surname(once, strip) == once, (name, strip)
 
 
 # ---------------------------------------------------------------- frequency / hhi

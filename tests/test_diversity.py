@@ -18,15 +18,14 @@ from onoma.diversity import (
     order_profiles,
     representation_ratios,
 )
-from onoma.features import NGramConfig
+from onoma.features import NGramConfig, featurize
 
 BIGRAM = NGramConfig(n_values=(2,), pad_boundaries=False)
 
 
 def separable_model():
-    return train(
-        [("aaba", "A"), ("abaa", "A"), ("bbab", "B"), ("babb", "B")], 0.1, BIGRAM
-    )
+    train_set = [("aaba", "A"), ("abaa", "A"), ("bbab", "B"), ("babb", "B")]
+    return train(train_set, featurize([s for s, _ in train_set], BIGRAM), 0.1)
 
 
 def identity_operator(regions):

@@ -89,44 +89,49 @@ def test_config_dict_round_trip():
     assert NGramConfig.from_dict(config.to_dict()) == config
 
 
+def vocabulary_of(corpus, config, min_df=1):
+    """`build_vocabulary` over a feature matrix of exactly the corpus."""
+    return build_vocabulary(corpus, featurize(list(dict.fromkeys(corpus)), config), min_df)
+
+
 def test_vocabulary_single_surname():
-    vocab = build_vocabulary(["ab"], NGramConfig(n_values=(2,)))
+    vocab = vocabulary_of(["ab"], NGramConfig(n_values=(2,)))
     assert vocab == ["^a", "ab", "b$"]
 
 
 def test_vocabulary_min_df_threshold():
     config = NGramConfig(n_values=(2,), pad_boundaries=False)
-    vocab = build_vocabulary(["abc", "abd"], config, min_df=2)
+    vocab = vocabulary_of(["abc", "abd"], config, min_df=2)
     assert vocab == ["ab"]
     with pytest.raises(ValueError, match="min_df"):
-        build_vocabulary(["abc", "xyz"], config, min_df=2)
+        vocabulary_of(["abc", "xyz"], config, min_df=2)
 
 
 def test_vocabulary_sorted_pair():
-    vocab = build_vocabulary(["ab", "ba"], NGramConfig(n_values=(2,), pad_boundaries=False))
+    vocab = vocabulary_of(["ab", "ba"], NGramConfig(n_values=(2,), pad_boundaries=False))
     assert vocab == ["ab", "ba"]
 
 
 def test_vocabulary_order_independent():
     config = NGramConfig()
     corpus = ["garcia", "lopez", "tanaka", "smith"]
-    assert build_vocabulary(corpus, config) == build_vocabulary(list(reversed(corpus)), config)
+    assert vocabulary_of(corpus, config) == vocabulary_of(list(reversed(corpus)), config)
 
 
 def test_vocabulary_counts_distinct_surnames():
     # The same surname repeated still counts once toward min_df.
     config = NGramConfig(n_values=(2,), pad_boundaries=False)
     with pytest.raises(ValueError, match="min_df"):
-        build_vocabulary(["ab", "ab", "ab"], config, min_df=2)
+        vocabulary_of(["ab", "ab", "ab"], config, min_df=2)
 
 
 def test_vocabulary_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
-        build_vocabulary([], NGramConfig())
+        vocabulary_of([], NGramConfig())
 
 
 def test_vocabulary_file_round_trip(tmp_path):
-    vocab = build_vocabulary(["garcia", "tanaka"], NGramConfig())
+    vocab = vocabulary_of(["garcia", "tanaka"], NGramConfig())
     path = tmp_path / "vocab.txt"
     write_vocabulary(vocab, path)
     assert read_vocabulary(path) == vocab
@@ -172,18 +177,16 @@ def test_featurize_validation():
         featurize(["ab", ""], NGramConfig())
     with pytest.raises(SurnameError, match="'a<b'"):
         featurize(["a$b", "a<b"], NGramConfig(start_marker="<", end_marker=">"))
-    with pytest.raises(KeyError):
-        featurize(["ab"], NGramConfig()).rows_of(["cd"])
+    with pytest.raises(ValueError, match="surname 'cd' is not in the feature matrix"):
+        featurize(["ab"], NGramConfig()).rows_of(["ab", "cd"])
 
 
-def test_vocabulary_from_shared_matrix_matches_own_pass():
+def test_vocabulary_from_a_larger_matrix_matches_one_of_exactly_the_corpus():
     config = NGramConfig(n_values=(2,), pad_boundaries=False)
     corpus = ["aab", "abb", "bba", "abab"]
-    shared = featurize(corpus + ["zzz", "qq"], config)
+    larger = featurize(["baab", *corpus, "zzz", "qq"], config)
     for min_df in (1, 2, 3):
-        assert build_vocabulary(corpus, config, min_df, shared) == build_vocabulary(
-            corpus, config, min_df
-        )
+        assert build_vocabulary(corpus, larger, min_df) == vocabulary_of(corpus, config, min_df)
 
 
 # ------------------------------------------------- featurize against extract

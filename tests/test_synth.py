@@ -9,7 +9,7 @@ import pytest
 from onoma.classifier import evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
-from onoma.features import NGramConfig
+from onoma.features import NGramConfig, featurize
 from onoma.synth import (
     MarkovChain,
     PopulationSpec,
@@ -186,7 +186,7 @@ def test_indistinguishable_overlap_matches_prior_baseline():
         core = filter_core_names(table)
         labeled = [(n.surname, truth[n.surname]) for n in core]
         train_set, eval_set = split(labeled, 0.85, seed=seed)
-        model = train(train_set, 0.1, config)
+        model = train(train_set, featurize([s for s, _ in train_set], config), 0.1)
         report = evaluate(model, eval_set)
         shares = np.array([sum(1 for _, r in train_set if r == g) for g in model.regions])
         max_prior = shares.max() / shares.sum()

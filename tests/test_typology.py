@@ -92,14 +92,20 @@ def euclidean_matrix(points):
 # ---------------------------------------------------------------- matrix
 
 
+def country_matrix(core, config, min_core_names):
+    """`build_country_matrix` over a feature matrix of exactly the core names."""
+    names = list(dict.fromkeys(name.surname for name in core))
+    return build_country_matrix(core, featurize(names, config), min_core_names)
+
+
 def test_matrix_needs_two_countries():
     with pytest.raises(ValueError, match="at least 2"):
-        build_country_matrix(names_for("AA", ["ab"]), UNPADDED2, min_core_names=1)
+        country_matrix(names_for("AA", ["ab"]), UNPADDED2, 1)
 
 
 def test_matrix_disjoint_tokens():
     core = names_for("AA", ["aa"]) + names_for("BB", ["bb"])
-    matrix = build_country_matrix(core, UNPADDED2, min_core_names=1)
+    matrix = country_matrix(core, UNPADDED2, 1)
     assert matrix.countries == ("AA", "BB")
     assert matrix.vocabulary == ("aa", "bb")
     assert np.array_equal(matrix.rows, np.eye(2))
@@ -108,7 +114,7 @@ def test_matrix_disjoint_tokens():
 def test_matrix_row_normalization():
     # aaa -> aa:2, aab -> aa:1 ab:1, so counts aa:3 ab:1 -> row (0.75, 0.25)
     core = names_for("AA", ["aaa", "aab"]) + names_for("BB", ["bb"])
-    matrix = build_country_matrix(core, UNPADDED2, min_core_names=1)
+    matrix = country_matrix(core, UNPADDED2, 1)
     row = matrix.rows[list(matrix.countries).index("AA")]
     by_token = dict(zip(matrix.vocabulary, row))
     assert by_token["aa"] == pytest.approx(0.75)
@@ -121,7 +127,7 @@ def test_matrix_min_core_names_filter():
         + names_for("BB", ["bb", "bc", "cb"])
         + names_for("CC", ["cc"])  # below the threshold
     )
-    matrix = build_country_matrix(core, UNPADDED2, min_core_names=2)
+    matrix = country_matrix(core, UNPADDED2, 2)
     assert matrix.countries == ("AA", "BB")
 
 
@@ -168,9 +174,9 @@ def check_matrix_against_per_name_reference(seed, config):
                 seen.add(surname)
                 core += names_for(country, [surname])
     countries, vocabulary, rows = reference_country_matrix(core, config, 10)
-    shared = featurize([c.surname for c in core], config)
-    for matrix in (build_country_matrix(core, config, 10),
-                   build_country_matrix(core, config, 10, shared)):
+    # A matrix holding other names too gives the same country matrix.
+    larger = featurize(["qq", *(c.surname for c in core), "ab ab ab"], config)
+    for matrix in (country_matrix(core, config, 10), build_country_matrix(core, larger, 10)):
         assert matrix.countries == countries == ("AA", "BB", "CC")
         assert matrix.vocabulary == vocabulary
         assert not any("x" in token for token in matrix.vocabulary)  # DD is below the bar
@@ -187,7 +193,7 @@ def test_matrix_logs_funnel_counts(caplog):
         + names_for("DD", ["d", "e"])  # no bigram in a one-letter name
     )
     caplog.set_level(logging.INFO, logger="onoma.typology")
-    matrix = build_country_matrix(core, UNPADDED2, min_core_names=2)
+    matrix = country_matrix(core, UNPADDED2, 2)
     assert matrix.countries == ("AA", "BB")
     funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("country-")]
     assert funnel == [
@@ -197,7 +203,7 @@ def test_matrix_logs_funnel_counts(caplog):
     # Logged before the check that too few countries are left.
     caplog.clear()
     with pytest.raises(ValueError, match="at least 2"):
-        build_country_matrix(core[2:], UNPADDED2, min_core_names=2)
+        country_matrix(core[2:], UNPADDED2, 2)
     funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("country-")]
     assert funnel == [
         "country-matrix: 3 countries with core names, 1 below min_core_names, "
@@ -246,7 +252,7 @@ def test_matrix_rejects_malformed_rows(indptr, columns, values, error, match):
 
 def test_ward_two_rows_merges_at_euclidean_distance():
     core = names_for("AA", ["aa"]) + names_for("BB", ["bb"])
-    matrix = build_country_matrix(core, UNPADDED2, min_core_names=1)
+    matrix = country_matrix(core, UNPADDED2, 1)
     dendrogram = ward_cluster(matrix)
     assert len(dendrogram.merges) == 1
     merge = dendrogram.merges[0]
@@ -439,7 +445,7 @@ def test_ward_cluster_matches_reference_on_generated_typology():
     from onoma.synth import generate, standard_spec
 
     table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
-    matrix = build_country_matrix(filter_core_names(table), NGramConfig(), 5)
+    matrix = country_matrix(filter_core_names(table), NGramConfig(), 5)
     assert len(matrix.countries) == 25
     expected, _ = parent_ward_cluster(matrix.countries, matrix.rows)
     assert ward_cluster(matrix).merges == expected.merges
@@ -503,7 +509,7 @@ def test_ward_cluster_matches_reference_on_sparse_generated_typology(ward_distan
     from onoma.synth import generate, standard_spec
 
     table, _ = generate(standard_spec(6, 6, 60, 0.3, 1))
-    matrix = build_country_matrix(filter_core_names(table), NGramConfig(), 5)
+    matrix = country_matrix(filter_core_names(table), NGramConfig(), 5)
     assert len(matrix.countries) == 36 > 2 * WARD_BLOCK_ROWS
     # Every row is below the crossover, so each distance comes from a patch.
     assert np.all(np.diff(matrix.indptr) * WARD_PATCH_RATIO < len(matrix.vocabulary))
@@ -590,7 +596,7 @@ def test_build_country_matrix_memory_is_linear_in_nonzeros():
     )
     core = [CoreName(name, name[:3].upper(), 1.0, 0.01) for name in names]
     nnz = len(ids)
-    peak, matrix = traced_peak(build_country_matrix, core, NGramConfig(), 10, features)
+    peak, matrix = traced_peak(build_country_matrix, core, features, 10)
     assert matrix.countries == sparse.countries and len(matrix.vocabulary) == V_TRACED
     assert len(matrix.values) == nnz == N_TRACED * 900
     # Design: per country a bincount over the featurized tokens (V floats);
@@ -759,6 +765,24 @@ def test_dendrogram_tsv_rejects_bad_leaf_lines(text, match):
         Dendrogram.from_tsv(text)
 
 
+THREE_LEAVES = "# leaf\t0\tAA\n# leaf\t1\tBB\n# leaf\t2\tCC\n"
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# leaf\t0\tAA\n# leaf\t1\tAA\n0\t1\t0.5\t2\n", "duplicate leaf labels"),
+        ("# leaf\t0\tAA\n# leaf\t1\tBB\n", "expected 1 merges, got 0"),
+        (THREE_LEAVES + "0\t1\t0.5\t3\n0\t2\t0.7\t4\n", "merge 1: node 0 merged twice"),
+        (THREE_LEAVES + "0\t1\t0.5\t3\n2\t3\t0.2\t4\n", "merge heights decrease"),
+    ],
+    ids=["duplicate-label", "no-merges", "merged-twice", "decreasing-heights"],
+)
+def test_dendrogram_tsv_reports_a_bad_tree_as_an_input_error(text, match):
+    with pytest.raises(InputFormatError, match=f"malformed dendrogram: {match}"):
+        Dendrogram.from_tsv(text)
+
+
 def test_dendrogram_tsv_skips_other_comments():
     text = "# leaves then merges\n# leaf\t0\tAA\n#leaf\t1\tBB\n0\t1\t0.5\t2\n"
     dendrogram = Dendrogram.from_tsv(text)
@@ -769,6 +793,16 @@ def test_dendrogram_tsv_skips_other_comments():
 def test_typology_tsv_rejects_a_country_listed_twice():
     with pytest.raises(InputFormatError, match="line 3: country AA already listed on line 1"):
         RegionTypology.from_tsv("AA\tR1\nBB\tR2\naa\tR2\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["# override\tREASSIGN\tAA", "# override\tDELET\tAA", "# override\tDELETE",
+     "# override REASSIGN AA R1"],
+)
+def test_typology_tsv_rejects_a_malformed_override_line(line):
+    with pytest.raises(InputFormatError, match="line 1: expected # override"):
+        RegionTypology.from_tsv(f"{line}\nAA\tR1\n")
 
 
 def test_typology_tsv_round_trip():
