@@ -11,21 +11,20 @@ from .classifier import (
     Classification,
     EvalReport,
     TrainedModel,
+    Labeled,
     classify,
     classify_batch,
+    classify_rows,
     evaluate,
     split,
     train,
 )
 from .corpus import (
-    CoreName,
+    CoreSet,
     CountryRegistry,
     Gazetteer,
-    OccurrenceRecord,
     OccurrenceTable,
-    core_shares,
     filter_core_names,
-    hhi,
     ingest,
     normalize_surname,
     tag_affiliation_country,

@@ -4,9 +4,10 @@ Covers the stratified train/eval split, training with additive smoothing,
 log-space scoring and confusion-matrix evaluation. Scores are computed in
 log space throughout so long names cannot underflow, and every stochastic
 step draws from a seed derived per region, making splits independent of
-iteration order. Training and batch scoring read n-gram counts from a shared
-`FeatureMatrix`; `classify` scores one name on its own and is the reference
-the batch scorer agrees with.
+iteration order. A labeled set (`Labeled`) holds rows of a shared
+`FeatureMatrix` and region ids, not names; splitting, training and
+evaluation read n-gram counts from those rows. `classify` scores one name on
+its own and is the reference the batch scorer agrees with.
 """
 
 from __future__ import annotations
@@ -16,21 +17,23 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import normalize_surname
 from .errors import InputFormatError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, extract, featurize
-from .util import atomic_write, derive_seed, dumps
+from .util import atomic_write, derive_seed, dumps, intern, pick, tsv_lines
 
 __all__ = [
+    "Labeled",
     "split",
     "train",
     "TrainedModel",
     "Classification",
     "classify",
+    "classify_rows",
     "classify_batch",
     "EvalReport",
     "evaluate",
@@ -55,37 +58,68 @@ def _token_columns(features: FeatureMatrix, vocab_index: Mapping[str, int]) -> n
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Labeled:
+    """Surnames with a region each: name i is row rows[i] of a `FeatureMatrix`
+    of sorted names, so rows ascend as surnames do, and its region is
+    regions[region[i]], `regions` sorted."""
+
+    rows: np.ndarray  # int64
+    region: np.ndarray  # int64
+    regions: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", np.asarray(self.rows, np.int64))
+        object.__setattr__(self, "region", np.asarray(self.region, np.int64))
+        if self.rows.shape != self.region.shape or self.rows.ndim != 1:
+            raise ValueError("rows and region ids differ in length")
+        if list(self.regions) != sorted(set(self.regions)):
+            raise ValueError("regions must be sorted and distinct")
+        if len(self.region) and not 0 <= self.region.min() <= self.region.max() < len(self.regions):
+            raise ValueError("region id out of range")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[str, str]]) -> tuple[tuple[str, ...], "Labeled"]:
+        """The pairs' sorted distinct surnames, and the pairs as rows among them."""
+        names, rows = intern([surname for surname, _ in pairs])
+        regions, region = intern([region for _, region in pairs])
+        return names, cls(rows, region, regions)
+
+
 def split(
-    labeled: Sequence[tuple[str, str]],
+    labeled: Labeled,
     train_fraction: float = 0.85,
     seed: int = 0,
-) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+) -> tuple[Labeled, Labeled]:
     """Stratified split: per region, ceil(fraction * n) names go to training.
 
-    Within each region the sorted names are shuffled by a generator seeded
-    from (seed, region), so the split is deterministic and unaffected by the
-    order regions are processed in.
+    Within each region the ascending rows, so the sorted names, are shuffled
+    by a generator seeded from (seed, region): the split is deterministic and
+    unaffected by the input order or the order regions are processed in.
+    Both parts come sorted by row, then region.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    by_region: dict[str, list[str]] = {}
-    for surname, region in labeled:
-        by_region.setdefault(region, []).append(surname)
-    small = sorted(r for r, names in by_region.items() if len(names) < 2)
+    order = np.lexsort((labeled.region, labeled.rows))
+    rows, region, regions = labeled.rows[order], labeled.region[order], labeled.regions
+    sizes = np.bincount(region, minlength=len(regions))
+    small = [regions[g] for g in np.flatnonzero(sizes == 1)]
     if small:
         raise ValueError(f"regions with fewer than 2 names: {', '.join(small)}")
-    train_set: list[tuple[str, str]] = []
-    eval_set: list[tuple[str, str]] = []
-    for region in sorted(by_region):
-        names = sorted(by_region[region])
-        rng = random.Random(derive_seed(seed, f"split:{region}"))
-        rng.shuffle(names)
-        cut = math.ceil(train_fraction * len(names))
-        train_set.extend((name, region) for name in names[:cut])
-        eval_set.extend((name, region) for name in names[cut:])
-    train_set.sort()
-    eval_set.sort()
-    return train_set, eval_set
+    to_train = np.zeros(len(rows), dtype=bool)
+    for g in np.flatnonzero(sizes).tolist():
+        # A region's positions ascend as its sorted names do, and
+        # random.shuffle's draws depend only on the list's length.
+        members = np.flatnonzero(region == g).tolist()
+        random.Random(derive_seed(seed, f"split:{regions[g]}")).shuffle(members)
+        to_train[members[: math.ceil(train_fraction * len(members))]] = True
+    return (
+        Labeled(rows[to_train], region[to_train], regions),
+        Labeled(rows[~to_train], region[~to_train], regions),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +172,7 @@ class TrainedModel:
             "regions": list(self.regions),
             "vocabulary": list(self.vocabulary),
             "log_priors": self.log_priors.tolist(),
-            "log_likelihoods": self.log_likelihoods.tolist(),
+            "log_likelihoods": list(self.log_likelihoods),  # arrays: distinct values once
             "alpha": float(self.alpha),
             "feature_config": {
                 **self.feature_config.to_dict(),
@@ -175,38 +209,35 @@ class TrainedModel:
 
 
 def train(
-    train_set: Sequence[tuple[str, str]],
+    train_set: Labeled,
     features: FeatureMatrix,
     alpha: float = 0.1,
     *,
     min_df: int = 1,
     strip_diacritics: bool = False,
 ) -> TrainedModel:
-    """Fit priors and smoothed token likelihoods from (surname, region) pairs.
+    """Fit priors and smoothed token likelihoods from labeled rows of `features`.
 
     prior(r) is the share of names labeled r; likelihood(r, g) is
     (count of g in r + alpha) / (in-vocabulary tokens of r + alpha * |V|),
-    which sums to 1 over the vocabulary by construction. N-gram counts are
-    read from `features`, which must hold every training surname; the model
-    keeps its n-gram config.
+    which sums to 1 over the vocabulary by construction. The model's regions
+    are those with training names, and it keeps the matrix's n-gram config.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not train_set:
+    if not len(train_set):
         raise ValueError("empty training set")
-    regions = tuple(sorted({region for _, region in train_set}))
-    vocabulary = tuple(build_vocabulary([surname for surname, _ in train_set], features, min_df))
+    present = np.flatnonzero(np.bincount(train_set.region, minlength=len(train_set.regions)))
+    regions = tuple(train_set.regions[g] for g in present)
+    vocabulary = tuple(build_vocabulary(train_set.rows, features, min_df))
     columns = _token_columns(features, {token: j for j, token in enumerate(vocabulary)})
-    by_region: dict[str, list[str]] = {}
-    for surname, region in train_set:
-        by_region.setdefault(region, []).append(surname)
 
     token_counts = np.zeros((len(regions), len(vocabulary)))
     name_counts = np.zeros(len(regions))
-    for i, region in enumerate(regions):
-        names = by_region[region]
-        name_counts[i] = len(names)
-        _, ids, counts = features.entries(features.rows_of(names))
+    for i, g in enumerate(present):
+        rows = train_set.rows[train_set.region == g]
+        name_counts[i] = len(rows)
+        _, ids, counts = features.entries(rows)
         cols = columns[ids]
         known = cols >= 0
         token_counts[i] = np.bincount(
@@ -274,52 +305,49 @@ def classify(model: TrainedModel, surname: str) -> Classification:
     )
 
 
-def classify_batch(
-    model: TrainedModel,
-    surnames: Sequence[str],
-    features: FeatureMatrix | None = None,
+def classify_rows(
+    model: TrainedModel, features: FeatureMatrix, rows: Sequence[int] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score many surnames at once; agrees name by name with `classify`.
+    """Score the given rows of `features`, which has the model's n-gram config.
 
-    Returns each surname's label as an index into model.regions (exact ties
-    go to the lexicographically first region), its prior-only flag, and the
-    (surnames x regions) score matrix. Each distinct normalized surname is
-    scored once, from its row of `features`, or of a featurize pass here
-    when `features` is None. A given matrix must hold every normalized
-    surname and have the model's n-gram config, or ValueError is raised.
+    Returns each name's label as an index into model.regions (exact ties go
+    to the lexicographically first region), its prior-only flag, and the
+    (rows x regions) score matrix; each agrees with `classify` on the name.
     The in-vocabulary terms of every name are summed with one bincount per
     region.
     """
-    normalized: list[str] = []
-    for surname in surnames:
-        name = normalize_surname(surname, model.strip_diacritics)
-        if not name:
-            raise ValueError(f"surname {surname!r} is empty after normalization")
-        normalized.append(name)
-    distinct = list(dict.fromkeys(normalized))
-    if features is None:
-        features = featurize(distinct, model.feature_config)
-    elif features.config != model.feature_config:
+    if features.config != model.feature_config:
         raise ValueError("feature matrix was built with another n-gram config")
-    owner, ids, counts = features.entries(features.rows_of(distinct))
+    owner, ids, counts = features.entries(rows)
     cols = _token_columns(features, model.vocab_index)[ids]  # type: ignore[attr-defined]
     known = cols >= 0
     owner, cols, weights = owner[known], cols[known], counts[known].astype(float)
 
-    n = len(distinct)
+    n = len(rows)
     scores = np.empty((len(model.regions), n))
     for i in range(len(model.regions)):
         terms = weights * model.log_likelihoods[i, cols]
         scores[i] = model.log_priors[i] + np.bincount(owner, weights=terms, minlength=n)
     prior_only = np.bincount(owner, minlength=n) == 0
     order = np.argsort(model.regions)
-    labels = order[np.argmax(scores[order], axis=0)]
+    return order[np.argmax(scores[order], axis=0)], prior_only, scores.T
 
-    row_of = {name: k for k, name in enumerate(distinct)}
-    back = np.fromiter(
-        (row_of[name] for name in normalized), dtype=np.int64, count=len(normalized)
-    )
-    return labels[back], prior_only[back], scores.T[back]
+
+def classify_batch(
+    model: TrainedModel, surnames: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score many surnames at once, as `classify_rows` does, in input order.
+
+    Each distinct normalized surname is featurized and scored once.
+    """
+    normalized = [normalize_surname(surname, model.strip_diacritics) for surname in surnames]
+    if not all(normalized):
+        empty = surnames[normalized.index("")]
+        raise ValueError(f"surname {empty!r} is empty after normalization")
+    distinct, back = intern(normalized)
+    features = featurize(distinct, model.feature_config)
+    labels, prior_only, scores = classify_rows(model, features, range(len(distinct)))
+    return labels[back], prior_only[back], scores[back]
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,33 +398,25 @@ class EvalReport:
         return dumps(doc)
 
 
-def evaluate(
-    model: TrainedModel,
-    eval_set: Sequence[tuple[str, str]],
-    features: FeatureMatrix | None = None,
-) -> EvalReport:
-    """Confusion matrix of guessed vs actual region over an evaluation set.
-
-    Names are scored by `classify_batch`, from the rows of `features` when
-    given.
-    """
-    if not eval_set:
+def evaluate(model: TrainedModel, eval_set: Labeled, features: FeatureMatrix) -> EvalReport:
+    """Confusion matrix of guessed vs actual region over labeled rows of `features`."""
+    if not len(eval_set):
         raise ValueError("empty evaluation set")
-    unknown = sorted({region for _, region in eval_set} - set(model.regions))
-    if unknown:
-        raise ValueError(f"evaluation labels unknown to the model: {', '.join(unknown)}")
     region_index = model.region_index  # type: ignore[attr-defined]
-    guessed, _, _ = classify_batch(model, [surname for surname, _ in eval_set], features)
-    actual = np.fromiter(
-        (region_index[region] for _, region in eval_set), dtype=np.int64, count=len(eval_set)
-    )
+    to_model = np.array([region_index.get(r, -1) for r in eval_set.regions], dtype=np.int64)
+    actual = to_model[eval_set.region]
+    if (actual < 0).any():
+        unknown = sorted({eval_set.regions[g] for g in eval_set.region[actual < 0].tolist()})
+        raise ValueError(f"evaluation labels unknown to the model: {', '.join(unknown)}")
+    guessed, _, _ = classify_rows(model, features, eval_set.rows)
     confusion = np.zeros((len(model.regions), len(model.regions)), dtype=np.int64)
     np.add.at(confusion, (guessed, actual), 1)
     return EvalReport.from_confusion(model.regions, confusion)
 
 
-def render_labeled_tsv(labeled: Iterable[tuple[str, str]]) -> str:
-    return "".join(f"{surname}\t{region}\n" for surname, region in labeled)
+def render_labeled_tsv(names: Sequence[str], labeled: Labeled) -> str:
+    """One surname<TAB>region line per labeled row of a matrix of `names`."""
+    return tsv_lines(pick(names, labeled.rows), pick(labeled.regions, labeled.region))
 
 
 def read_labeled_tsv(path: Path | str) -> list[tuple[str, str]]:

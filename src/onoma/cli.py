@@ -25,6 +25,7 @@ import numpy as np
 from . import diversity, stages, synth
 from .classifier import (
     EvalReport,
+    Labeled,
     TrainedModel,
     evaluate,
     read_labeled_tsv,
@@ -35,6 +36,7 @@ from .corpus import (
     CountryRegistry,
     OccurrenceTable,
     filter_core_names,
+    normalize_surname,
     read_core_names,
     read_corpus_tsv,
     render_core_names,
@@ -182,7 +184,7 @@ def cmd_typology(args) -> int:
     core = read_core_names(args.core)
     overrides = load_overrides(args.overrides) if args.overrides else ()
     with _surnames_from(args.core):
-        features = featurize(list(dict.fromkeys(name.surname for name in core)), config)
+        features = featurize(core.names, config)
         typology, dendrogram, labeled, counts = stages.build_typology(
             core, features, args.min_core_names, args.k, overrides
         )
@@ -191,7 +193,7 @@ def cmd_typology(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "typology.tsv", typology.to_tsv())
     atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    atomic_write(out_dir / "labeled.tsv", render_labeled_tsv(labeled))
+    atomic_write(out_dir / "labeled.tsv", render_labeled_tsv(core.names, labeled))
     for region in typology.regions:
         print(f"{region}\t{counts[region]}", file=sys.stderr)
     return 0
@@ -205,9 +207,9 @@ def cmd_train(args) -> int:
     if args.min_df < 1:
         raise ConfigError(f"--min-df must be >= 1, got {args.min_df}")
     config = _feature_config(args)
-    labeled = read_labeled_tsv(args.labeled)
+    names, labeled = Labeled.from_pairs(read_labeled_tsv(args.labeled))
     with _surnames_from(args.labeled):
-        features = featurize(list(dict.fromkeys(surname for surname, _ in labeled)), config)
+        features = featurize(names, config)
         model, train_set, eval_set = stages.fit(
             labeled,
             features,
@@ -219,9 +221,9 @@ def cmd_train(args) -> int:
         )
     model.save(args.out)
     if args.eval_out:
-        atomic_write(args.eval_out, render_labeled_tsv(eval_set))
+        atomic_write(args.eval_out, render_labeled_tsv(names, eval_set))
     if args.train_out:
-        atomic_write(args.train_out, render_labeled_tsv(train_set))
+        atomic_write(args.train_out, render_labeled_tsv(names, train_set))
     if args.vocab_out:
         write_vocabulary(model.vocabulary, args.vocab_out)
     print(
@@ -240,9 +242,11 @@ def cmd_evaluate(args) -> int:
         if not args.model:
             raise ConfigError("--eval requires --model")
         model = TrainedModel.load(args.model)
-        eval_set = read_labeled_tsv(args.eval)
+        strip = model.strip_diacritics
+        pairs = [(normalize_surname(s, strip), r) for s, r in read_labeled_tsv(args.eval)]
+        names, eval_set = Labeled.from_pairs(pairs)
         with _surnames_from(args.eval):
-            report = evaluate(model, eval_set)
+            report = evaluate(model, eval_set, featurize(names, model.feature_config))
     atomic_write(args.out, report.to_json())
     if args.confusion_out:
         atomic_write(args.confusion_out, render_confusion_csv(report.regions, report.confusion))
@@ -510,12 +514,18 @@ class PipelineConfig:
             if "spec" in synth_block:
                 synth_spec = synth.SynthSpec.load(base / str(synth_block["spec"]))
             elif "standard" in synth_block:
+                params = synth_block["standard"]
+                for key in ("n_regions", "countries_per_region", "names_per_country", "overlap"):
+                    kind = "a number" if key == "overlap" else "an integer"
+                    value = params.get(key) if isinstance(params, dict) else None
+                    if value is not None and not _JSON_KINDS[kind](value):
+                        key = f"synth.standard.{key}"
+                        raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
                 try:
-                    params = synth_block["standard"]
                     synth_spec = synth.standard_spec(
-                        int(params["n_regions"]),
-                        int(params["countries_per_region"]),
-                        int(params["names_per_country"]),
+                        params["n_regions"],
+                        params["countries_per_region"],
+                        params["names_per_country"],
                         float(params["overlap"]),
                         values["seed"],
                         populations=tuple(
@@ -577,9 +587,9 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     n_records, n_surnames = len(table), table.n_surnames
     del table  # the largest structure of the run; only its sizes are reported
     # Every core name's n-grams, extracted once for the country matrix,
-    # training and evaluation.
+    # training and evaluation; row i is core name i.
     with _surnames_from(corpus_path):
-        core_features = featurize([name.surname for name in core], feature_config)
+        core_features = featurize(core.names, feature_config)
 
     log.info("stage: typology")
     typology, dendrogram, labeled, region_counts = stages.build_typology(
@@ -591,7 +601,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     )
     artifacts["typology"] = atomic_write(out_dir / "typology.tsv", typology.to_tsv())
     artifacts["dendrogram"] = atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    artifacts["labeled"] = atomic_write(out_dir / "labeled.tsv", render_labeled_tsv(labeled))
+    labeled_tsv = render_labeled_tsv(core.names, labeled)
+    artifacts["labeled"] = atomic_write(out_dir / "labeled.tsv", labeled_tsv)
 
     log.info("stage: train")
     model, train_set, eval_set = stages.fit(
@@ -609,7 +620,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     # Released before the model is serialized, the run's peak of memory.
     del core_features
     artifacts["model"] = model.save(out_dir / "model.json")
-    artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", render_labeled_tsv(eval_set))
+    eval_tsv = render_labeled_tsv(core.names, eval_set)
+    artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", eval_tsv)
     artifacts["eval_report"] = atomic_write(out_dir / "eval_report.json", report.to_json())
     artifacts["confusion"] = atomic_write(
         out_dir / "confusion.csv", render_confusion_csv(report.regions, report.confusion)

@@ -7,25 +7,26 @@ kept as labeled learning examples. Concentration is measured with the
 Herfindahl-Hirschman index over per-country shares. The table is stored as
 sorted integer columns and the filter runs on them with numpy; its sums add
 left to right, so its floats equal the one-surname functions' bit for bit.
+The core names come out as columns too (`CoreSet`), sorted by surname, so
+row i of `featurize(core.names)` is core name i and the later stages pass
+row positions, not names.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
 import re
 import unicodedata
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InputFormatError
-from .util import atomic_write
+from .util import format_each, intern, pick, tsv_lines
 
 log = logging.getLogger(__name__)
 
@@ -34,12 +35,9 @@ __all__ = [
     "CountryRegistry",
     "Gazetteer",
     "tag_affiliation_country",
-    "OccurrenceRecord",
     "OccurrenceTable",
-    "CoreName",
+    "CoreSet",
     "ingest",
-    "hhi",
-    "core_shares",
     "filter_core_names",
     "read_corpus_tsv",
     "render_corpus_tsv",
@@ -58,8 +56,11 @@ def normalize_surname(raw: str, strip_diacritics: bool = False) -> str:
     Lowercase, then Unicode NFC (lowercasing can undo a composition), trimmed,
     inner whitespace collapsed to single spaces. Hyphens and apostrophes are
     kept; diacritics are kept unless explicitly stripped. Normalizing a
-    normalized name returns it unchanged.
+    normalized name returns it unchanged. ASCII skips NFC and NFD, which
+    leave it unchanged; `str.split` splits where `\\s` matches.
     """
+    if raw.isascii():
+        return " ".join(raw.lower().split())
     text = unicodedata.normalize("NFC", raw.lower())
     text = _WS_RUN.sub(" ", text).strip()
     if strip_diacritics:
@@ -84,9 +85,6 @@ class CountryRegistry:
 
     def codes(self) -> list[str]:
         return sorted(self._names)
-
-    def name(self, code: str) -> str:
-        return self._names[code]
 
     @classmethod
     def from_tsv(cls, path: Path | str) -> "CountryRegistry":
@@ -167,32 +165,20 @@ def tag_affiliation_country(affiliation: str, gazetteer: Gazetteer) -> str | Non
     return None
 
 
-@dataclass(frozen=True)
-class OccurrenceRecord:
-    surname: str
-    country: str
-    count: int
+@dataclass(frozen=True, eq=False)
+class CoreSet:
+    """Surnames concentrated enough in one country to serve as labeled examples,
+    as columns: `names` sorted and distinct, each name's country as an id into
+    the sorted `countries`, its share HHI and its maximal frequency."""
 
+    names: tuple[str, ...]
+    countries: tuple[str, ...]
+    country: np.ndarray  # int64
+    hhi: np.ndarray  # float64
+    max_frequency: np.ndarray  # float64
 
-@dataclass(frozen=True)
-class CoreName:
-    """A surname concentrated enough in one country to serve as a labeled example."""
-
-    surname: str
-    assigned_country: str
-    hhi: float
-    max_frequency: float
-
-
-def _intern(column: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct values of `column`, sorted, and each row's index among them."""
-    order = np.array(sorted(range(len(column)), key=column.__getitem__), np.int64)
-    values = np.array(column, dtype=object)[order]
-    new = np.ones(len(values), bool)
-    new[1:] = values[1:] != values[:-1]
-    ids = np.empty(len(values), np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return tuple(values[new].tolist()), ids
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 class OccurrenceTable:
@@ -222,8 +208,8 @@ class OccurrenceTable:
 
     def _set_columns(self, surnames, country_ids, cids, counts, error) -> None:
         """Sort and merge rows; `cids` number the countries in first-seen order."""
-        names, sid = _intern(surnames)
-        codes, rank = _intern(list(country_ids))
+        names, sid = intern(surnames)
+        codes, rank = intern(list(country_ids))
         cid, counts = rank[np.asarray(cids)], np.asarray(counts)
         # Summed in doubles, exact below 2**53; a sum that reaches 2**53
         # never rounds back below it, and no int64 sum can wrap here.
@@ -268,12 +254,6 @@ class OccurrenceTable:
         lo, hi = np.searchsorted(self._sid, (i, i + 1))
         cids, counts = self._cid[lo:hi].tolist(), self._count[lo:hi].tolist()
         return {self._countries[c]: n for c, n in zip(cids, counts)}
-
-    def records(self) -> Iterator[OccurrenceRecord]:
-        """Every (surname, country, count), by surname, then by country."""
-        names, codes = self._surnames, self._countries
-        for s, c, n in zip(self._sid.tolist(), self._cid.tolist(), self._count.tolist()):
-            yield OccurrenceRecord(names[s], codes[c], n)
 
 
 def ingest(
@@ -336,55 +316,11 @@ def ingest(
     return table
 
 
-def _sum_left(values: Iterable[float]) -> float:
-    """Left-to-right float sum: `sum()` before Python 3.12 (later ones compensate)."""
-    return reduce(operator.add, values, 0.0)
-
-
-def hhi(shares: Iterable[float]) -> float:
-    """Herfindahl-Hirschman concentration: sum of squared shares.
-
-    1.0 is full concentration in one entry; a uniform split over k entries
-    gives exactly 1/k. The input must be a probability vector. Sums add
-    left to right on every Python version.
-    """
-    values = [float(s) for s in shares]
-    if any(s < 0 for s in values):
-        raise ValueError("shares must be nonnegative")
-    total = _sum_left(values)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"shares must sum to 1 (got {total!r})")
-    return _sum_left(s * s for s in values)
-
-
-def core_shares(
-    table: OccurrenceTable, surname: str, *, basis: str = "frequency"
-) -> dict[str, float]:
-    """Per-country share vector for one surname, keyed by sorted country code.
-
-    Shares are computed over per-country normalized frequencies by default,
-    so heavily sampled countries do not dominate the concentration measure.
-    `basis="count"` switches to raw counts. Weights add left to right.
-    """
-    per_country = table.countries_of(surname)
-    if not per_country:
-        raise ValueError(f"surname {surname!r} has no occurrences")
-    if basis not in ("frequency", "count"):
-        raise ValueError(f"unknown share basis {basis!r}")
-    countries = sorted(per_country)
-    if basis == "frequency":
-        weights = [table.frequency(surname, c) for c in countries]
-    else:
-        weights = [float(per_country[c]) for c in countries]
-    total = _sum_left(weights)
-    return {c: w / total for c, w in zip(countries, weights)}
-
-
 def _segment_sums(values: np.ndarray, plan: tuple) -> np.ndarray:
-    """Each segment's sum, added left to right as `_sum_left` does (numpy's
-    `add.reduceat` does not). `plan`: the segments' first positions, longest
-    segment first; for k = 1, 2, ... how many are longer than k; and the
-    permutation back to segment order."""
+    """Each segment's sum, added left to right as `sum()` did before Python
+    3.12 (numpy's `add.reduceat` does not). `plan`: the segments' first
+    positions, longest segment first; for k = 1, 2, ... how many are longer
+    than k; and the permutation back to segment order."""
     firsts, widths, unsort = plan
     sums = values[firsts]
     for k, width in enumerate(widths, 1):
@@ -398,17 +334,18 @@ def filter_core_names(
     freq_min: float = 1e-6,
     *,
     basis: str = "frequency",
-) -> list[CoreName]:
+) -> CoreSet:
     """Surnames whose share HHI and maximal frequency both pass the thresholds.
 
     Each passing surname is assigned to the country where its normalized
     frequency is maximal; exact frequency ties break to the lexicographically
     smallest country code and are logged. Computed with numpy over the
-    table's columns, every float equals `core_shares` and `hhi` bit for bit:
-    each division and product is the same IEEE operation, and each
-    per-surname sum adds left to right as theirs do. One INFO line counts the
-    surnames read, those dropped by the HHI threshold, those (of the rest)
-    dropped by the frequency floor and the frequency ties broken.
+    table's columns, every float equals a per-surname loop's bit for bit
+    (the tests keep one): each division and product is the same IEEE
+    operation, and each per-surname sum adds left to right. One INFO line
+    counts the surnames read, those dropped by the HHI threshold, those (of
+    the rest) dropped by the frequency floor and the frequency ties broken.
+    Returns the kept surnames as a `CoreSet`, sorted by surname.
     """
     if len(table) == 0:
         raise ValueError("empty occurrence table")
@@ -441,10 +378,7 @@ def filter_core_names(
         rows = slice(starts[i], starts[i] + lengths[i])
         tie = [codes[c] for c in cid[rows][is_max[rows]].tolist()]
         log.info("surname %r: frequency tie across %s, assigned %s", names[i], tie, codes[best[i]])
-    columns = (kept, best[kept], concentration[kept], max_freq[kept])
-    out = [
-        CoreName(names[i], codes[c], h, m) for i, c, h, m in zip(*(a.tolist() for a in columns))
-    ]
+    out = CoreSet(tuple(pick(names, kept)), codes, best[kept], concentration[kept], max_freq[kept])
     log.info(
         "filter-core: %d surnames read, %d below hhi_min, %d below freq_min, "
         "%d frequency ties broken, %d kept",
@@ -474,22 +408,26 @@ def read_corpus_tsv(
 
 
 def render_corpus_tsv(table: OccurrenceTable) -> str:
-    return "".join(f"{r.surname}\t{r.country}\t{r.count}\n" for r in table.records())
-
-
-def render_core_names(names: Iterable[CoreName]) -> str:
-    return "".join(
-        f"{n.surname}\t{n.assigned_country}\t{n.hhi:.6g}\t{n.max_frequency:.6g}\n"
-        for n in names
+    """Every (surname, country, count), by surname, then by country."""
+    return tsv_lines(
+        pick(table._surnames, table._sid),
+        pick(table._countries, table._cid),
+        format_each("%d", table._count),
     )
 
 
-def write_core_names(names: Iterable[CoreName], path: Path | str) -> Path:
-    return atomic_write(path, render_core_names(names))
+def render_core_names(core: CoreSet) -> str:
+    return tsv_lines(
+        core.names,
+        pick(core.countries, core.country),
+        format_each("%.6g", core.hhi),
+        format_each("%.6g", core.max_frequency),
+    )
 
 
-def read_core_names(path: Path | str) -> list[CoreName]:
-    out: list[CoreName] = []
+def read_core_names(path: Path | str) -> CoreSet:
+    """A core-name TSV in any row order; a surname listed twice is an input error."""
+    rows: list[tuple[str, str, float, float, int]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -497,7 +435,14 @@ def read_core_names(path: Path | str) -> list[CoreName]:
         if len(fields) != 4:
             raise InputFormatError(f"{path}: line {lineno}: expected 4 fields")
         try:
-            out.append(CoreName(fields[0], fields[1], float(fields[2]), float(fields[3])))
+            rows.append((fields[0], fields[1], float(fields[2]), float(fields[3]), lineno))
         except ValueError:
             raise InputFormatError(f"{path}: line {lineno}: malformed numeric field") from None
-    return out
+    rows.sort()
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            first, again = sorted((a[4], b[4]))
+            raise InputFormatError(f"{path}: line {again}: surname {a[0]!r} repeats line {first}")
+    names, codes, hhi, max_freq, _ = zip(*rows) if rows else ((),) * 5
+    countries, country = intern(codes)
+    return CoreSet(names, countries, country, np.array(hhi, float), np.array(max_freq, float))

@@ -7,8 +7,8 @@ particles carry origin signal and should not blur across word boundaries.
 
 Stages that read many names share one `featurize` pass: each distinct name
 is decomposed once into a sparse row of a `FeatureMatrix`, and the country
-matrix, training and evaluation read those rows. The matrix carries its
-`NGramConfig`, so those stages take the matrix alone.
+matrix, training and evaluation read those rows by position. The matrix
+carries its `NGramConfig`, so those stages take the matrix alone.
 
 `featurize` has no loop over names. It takes _CHUNK names at a time, lays
 their padded words end to end as code points, and gives every window of n
@@ -133,35 +133,28 @@ class FeatureMatrix:
     config: NGramConfig
 
     def __post_init__(self) -> None:
-        index = {name: i for i, name in enumerate(self.names)}
-        if len(index) != len(self.names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate names in feature matrix")
-        object.__setattr__(self, "index", index)
 
-    def rows_of(self, names: Iterable[str]) -> np.ndarray:
-        """Row index of each name, in order; ValueError for a name not featurized."""
-        index = self.index  # type: ignore[attr-defined]
-        try:
-            return np.fromiter((index[name] for name in names), dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"surname {exc.args[0]!r} is not in the feature matrix") from None
+    def check_rows(self, rows: Iterable[int]) -> np.ndarray:
+        """`rows` as an int64 array; ValueError for a row outside the matrix."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.names)):
+            raise ValueError(f"row outside the feature matrix of {len(self.names)} names")
+        return rows
 
-    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def entries(self, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entries of the given rows (repeats allowed), row after row.
 
         Returns (position of the entry's row within `rows`, token id, count).
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = self.check_rows(rows)
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         owner = np.repeat(np.arange(len(rows), dtype=np.int32), lengths)
         positions = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
         positions += np.arange(len(positions))
         return owner, self.ids[positions], self.counts[positions]
-
-    def row(self, i: int) -> FeatureVector:
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return {self.tokens[j]: int(c) for j, c in zip(self.ids[a:b], self.counts[a:b])}
 
 
 def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> FeatureMatrix:
@@ -302,19 +295,19 @@ def _chunk_entries(
 
 
 def build_vocabulary(
-    corpus: Iterable[str], features: FeatureMatrix, min_df: int = 1
+    rows: Iterable[int], features: FeatureMatrix, min_df: int = 1
 ) -> list[str]:
     """Sorted list of tokens occurring in at least min_df distinct surnames.
 
-    The surnames' rows are read from `features`, which must hold them all.
+    The surnames are the given rows of `features` (repeats count once).
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
-    distinct = list(dict.fromkeys(corpus))
-    if not distinct:
+    rows = features.check_rows(rows)
+    if not len(rows):
         raise ValueError("empty corpus")
     chosen = np.zeros(len(features.names), dtype=bool)
-    chosen[features.rows_of(distinct)] = True
+    chosen[rows] = True
     ids = features.ids[np.repeat(chosen, np.diff(features.indptr))]
     df = np.bincount(ids, minlength=len(features.tokens))
     vocabulary = [features.tokens[j] for j in np.flatnonzero(df >= min_df)]

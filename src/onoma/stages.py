@@ -4,7 +4,8 @@ The chain is core names (`corpus.filter_core_names`), then `build_typology`
 (a Ward typology of countries and the relabeled core names), `fit` (the
 split and the n-gram naive Bayes model), `calibrate` (the correction
 operator from the evaluation confusion) and `compare` (corrected
-distributions and representation ratios). The stage commands,
+distributions and representation ratios). Core and labeled names are row
+positions in a `FeatureMatrix` of the sorted core names. The stage commands,
 `cli.run_pipeline` and `synth.score_pipeline` are sequences of calls to
 these functions; none of them reads a path, parses an argument or writes a
 file. `build_typology` and `fit` raise the library's `ValueError`s, which
@@ -14,14 +15,13 @@ come from settings such as k or the train fraction, as `ConfigError`.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import TrainedModel, split, train
-from .corpus import CoreName
+from .classifier import Labeled, TrainedModel, split, train
+from .corpus import CoreSet
 from .correction import ConfusionCounts, CorrectionOperator, correction_operator, reweight_priors
 from .diversity import (
     OriginDistribution,
@@ -62,19 +62,19 @@ def _config_errors() -> Iterator[None]:
 
 
 def build_typology(
-    core: Sequence[CoreName],
+    core: CoreSet,
     features: FeatureMatrix,
     min_core_names: int,
     k: int,
     overrides: Sequence[Override] = (),
-) -> tuple[RegionTypology, Dendrogram, list[tuple[str, str]], dict[str, int]]:
+) -> tuple[RegionTypology, Dendrogram, Labeled, dict[str, int]]:
     """Cluster the countries with enough core names and relabel the core names.
 
-    `features` holds every core name's n-grams. Returns the typology cut at
-    k regions (at most one per clustered country), each region named after
+    Row i of `features` holds core name i. Returns the typology cut at k
+    regions (at most one per clustered country), each region named after
     its country with the most core names unless k is 7, the dendrogram, the
-    (surname, region) pairs and the names per region. Core names of
-    countries left out of the matrix are dropped with a warning.
+    labeled core rows and the names per region. Core names of countries
+    left out of the matrix are dropped with a warning.
     """
     with _config_errors():
         matrix = build_country_matrix(core, features, min_core_names)
@@ -82,18 +82,18 @@ def build_typology(
     k = min(k, len(matrix.countries))
     del matrix  # the stage's largest structure; only the tree is cut
     with _config_errors():
-        typology = cut_dendrogram(
-            dendrogram, k, overrides, Counter(name.assigned_country for name in core)
-        )
-    covered = [n for n in core if n.assigned_country in typology.assignment]
+        sizes = np.bincount(core.country, minlength=len(core.countries)).tolist()
+        typology = cut_dendrogram(dendrogram, k, overrides, dict(zip(core.countries, sizes)))
+    in_typology = np.array([c in typology.assignment for c in core.countries], dtype=bool)
+    covered = np.flatnonzero(in_typology[core.country])
     if len(covered) < len(core):
         log.warning("%d core names outside the typology dropped", len(core) - len(covered))
-    labeled, region_counts = relabel(covered, typology)
+    labeled, region_counts = relabel(core, typology, covered)
     return typology, dendrogram, labeled, region_counts
 
 
 def fit(
-    labeled: Sequence[tuple[str, str]],
+    labeled: Labeled,
     features: FeatureMatrix,
     *,
     seed: int,
@@ -101,11 +101,10 @@ def fit(
     alpha: float,
     min_df: int,
     strip_diacritics: bool,
-) -> tuple[TrainedModel, list[tuple[str, str]], list[tuple[str, str]]]:
-    """Split the labeled names and train on the first part.
+) -> tuple[TrainedModel, Labeled, Labeled]:
+    """Split the labeled rows of `features` and train on the first part.
 
-    `features` holds every labeled name's n-grams. Returns the model, the
-    training set and the held-out evaluation set.
+    Returns the model, the training set and the held-out evaluation set.
     """
     with _config_errors():
         train_set, eval_set = split(labeled, train_fraction, seed)

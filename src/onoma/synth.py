@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import EvalReport, classify_batch
+from .classifier import EvalReport, classify_rows
 from .corpus import CountryRegistry, OccurrenceTable, filter_core_names
 from .correction import ConfusionCounts, correct_counts
 from .errors import InputFormatError, InvariantError
@@ -574,7 +574,7 @@ def score_pipeline(
     """
     table, truth = generate(spec) if corpus is None else corpus
     core = filter_core_names(table, hhi_min, freq_min)
-    core_features = featurize([name.surname for name in core], feature_config)
+    core_features = featurize(core.names, feature_config)
     typology, _, labeled, _ = build_typology(
         core, core_features, min_core_names, len(spec.generators)
     )
@@ -609,15 +609,15 @@ def score_pipeline(
     # left out of the latter.
     true_labels = spec.region_labels
     true_index = {r: i for i, r in enumerate(true_labels)}
-    guessed, _, _ = classify_batch(model, [surname for surname, _ in eval_set], core_features)
+    guessed, _, _ = classify_rows(model, core_features, eval_set.rows)
     del core_features
     typ_index = model.region_index  # type: ignore[attr-defined]
-    actual = np.fromiter((typ_index[r] for _, r in eval_set), np.int64, len(eval_set))
+    actual = np.array([typ_index.get(r, -1) for r in eval_set.regions], np.int64)[eval_set.region]
     conf_typ = np.zeros((len(model.regions), len(model.regions)))
     np.add.at(conf_typ, (guessed, actual), 1)
     to_true = np.array([true_index.get(region_map.get(r), -1) for r in model.regions])
     guessed_true = to_true[guessed]
-    actual_true = np.fromiter((true_index[truth[s]] for s, _ in eval_set), np.int64, len(eval_set))
+    actual_true = np.array([true_index[truth[core.names[i]]] for i in eval_set.rows], np.int64)
     kept = guessed_true >= 0
     conf_true = np.zeros((len(true_labels), len(true_labels)), dtype=np.int64)
     np.add.at(conf_true, (guessed_true[kept], actual_true[kept]), 1)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CoreName
+from .classifier import Labeled
+from .corpus import CoreSet
 from .errors import InputFormatError, InvariantError
 from .features import FeatureMatrix
 from .util import fmt_float
@@ -307,37 +308,29 @@ class CountryFeatureMatrix:
         out[owner, self.columns[a:b]] = self.values[a:b]
         return out
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The dense countries x vocabulary array, built on each access."""
-        n = len(self.countries)
-        return self.dense_rows(0, n, np.empty((n, len(self.vocabulary))))
-
 
 def build_country_matrix(
-    core_names: Iterable[CoreName], features: FeatureMatrix, min_core_names: int = 20
+    core: CoreSet, features: FeatureMatrix, min_core_names: int = 20
 ) -> CountryFeatureMatrix:
     """Country x n-gram frequency matrix over core names.
 
     Cell (c, g) is the share of token g among all n-gram occurrences of
     country c's core names. Countries contributing fewer than min_core_names
     names (or no tokens at all) are excluded; at least two must remain.
-    N-gram counts are read from `features`, which must hold the surnames of
-    every kept country.
+    Row i of `features` holds core name i.
     """
-    by_country: dict[str, list[str]] = {}
-    for name in core_names:
-        by_country.setdefault(name.assigned_country, []).append(name.surname)
-    selected = {
-        country: by_country[country]
-        for country in sorted(by_country)
-        if len(by_country[country]) >= min_core_names
-    }
+    if len(features.names) != len(core):
+        raise ValueError("the feature matrix does not have one row per core name")
+    order = np.argsort(core.country, kind="stable")
+    sizes = np.bincount(core.country, minlength=len(core.countries))
+    groups = zip(core.countries, np.split(order, np.cumsum(sizes)[:-1]))
+    by_country = {country: rows for country, rows in groups if len(rows)}
+    selected = {c: rows for c, rows in by_country.items() if len(rows) >= min_core_names}
     # Per kept country: the token ids it uses and their summed counts.
     kept: list[tuple[str, np.ndarray, np.ndarray]] = []
     seen = np.zeros(len(features.tokens), dtype=bool)
-    for country, names in selected.items():
-        _, ids, counts = features.entries(features.rows_of(names))
+    for country, rows in selected.items():
+        _, ids, counts = features.entries(rows)
         totals = np.bincount(ids, weights=counts, minlength=len(features.tokens))
         present = np.flatnonzero(totals)
         if not len(present):
@@ -476,9 +469,6 @@ class RegionTypology:
             if region is not None and region not in self.regions:
                 raise ValueError(f"{country} assigned to unknown region {region!r}")
 
-    def region_of(self, country: str) -> str | None:
-        return self.assignment[country]
-
     def countries(self) -> list[str]:
         return sorted(self.assignment)
 
@@ -584,23 +574,24 @@ def cut_dendrogram(
 
 
 def relabel(
-    core_names: Iterable[CoreName], typology: RegionTypology
-) -> tuple[list[tuple[str, str]], dict[str, int]]:
-    """Core names as (surname, region) pairs, dropping deleted countries.
+    core: CoreSet, typology: RegionTypology, rows: np.ndarray
+) -> tuple[Labeled, dict[str, int]]:
+    """The core names in the given rows labeled with their country's region.
 
-    Every core-name country must be covered by the typology; offenders are
-    reported together. Also returns the per-region name counts.
+    Names of deleted countries are dropped. Every country of the rows must
+    be covered by the typology; offenders are reported together. Also
+    returns the per-region name counts.
     """
-    names = sorted(core_names, key=lambda n: n.surname)
-    missing = sorted({n.assigned_country for n in names} - set(typology.assignment))
+    rows = np.asarray(rows, dtype=np.int64)
+    present = np.bincount(core.country[rows], minlength=len(core.countries)) > 0
+    missing = [c for c, p in zip(core.countries, present) if p and c not in typology.assignment]
     if missing:
         raise ValueError(f"countries not covered by typology: {', '.join(missing)}")
-    labeled: list[tuple[str, str]] = []
-    counts = {region: 0 for region in typology.regions}
-    for name in names:
-        region = typology.assignment[name.assigned_country]
-        if region is None:
-            continue
-        labeled.append((name.surname, region))
-        counts[region] += 1
-    return labeled, counts
+    regions = tuple(sorted(typology.regions))
+    region_id = {region: g for g, region in enumerate(regions)}
+    # Country id -> region id; -1 for a deleted or an uncovered country.
+    lookup = [region_id.get(typology.assignment.get(c), -1) for c in core.countries]
+    region = np.array(lookup, dtype=np.int64)[core.country[rows]]
+    labeled = Labeled(rows[region >= 0], region[region >= 0], regions)
+    sizes = np.bincount(labeled.region, minlength=len(regions)).tolist()
+    return labeled, {region: sizes[region_id[region]] for region in typology.regions}

@@ -2,7 +2,8 @@
 
 Output files must be byte-identical across runs with the same inputs, so all
 floats are rendered with an explicit 17-significant-digit format (enough to
-round-trip IEEE doubles exactly) instead of relying on repr.
+round-trip IEEE doubles exactly) instead of relying on repr. Tables are
+written as whole columns, each distinct value formatted once.
 """
 
 from __future__ import annotations
@@ -13,11 +14,17 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "derive_seed",
     "fmt_float",
+    "intern",
+    "pick",
+    "format_each",
+    "tsv_lines",
     "dumps",
     "atomic_write",
     "sha256_file",
@@ -40,6 +47,36 @@ def fmt_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value in output: {value!r}")
     return format(value, ".17g")
+
+
+def intern(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values of `column`, sorted, and each row's index among them."""
+    order = np.array(sorted(range(len(column)), key=column.__getitem__), np.int64)
+    values = np.array(column, dtype=object)[order]
+    new = np.ones(len(values), bool)
+    new[1:] = values[1:] != values[:-1]
+    ids = np.empty(len(values), np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return tuple(values[new].tolist()), ids
+
+
+def pick(values: Sequence[str], ids: np.ndarray) -> list[str]:
+    """values[i] for each i of `ids`."""
+    return np.array(values, dtype=object)[ids].tolist()
+
+
+def format_each(template: str, values: np.ndarray) -> list[str]:
+    """`template % v` for each value of an int64 or float64 array, formatting
+    each distinct bit pattern once (so 0.0 and -0.0 stay apart)."""
+    keys = np.ascontiguousarray(values).view(np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = [template % v for v in values[first].tolist()]
+    return np.array(distinct, dtype=object)[inverse.reshape(-1)].tolist()
+
+
+def tsv_lines(*columns: Sequence[str]) -> str:
+    """One line per row of the equally long string columns, fields tab-separated."""
+    return "\n".join(map("\t".join, zip(*columns))) + "\n" if len(columns[0]) else ""
 
 
 def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
@@ -100,6 +137,10 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             _emit(value, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(close_pad + "]")
+    elif isinstance(obj, np.ndarray):  # a float vector, as a flat float list
+        if not np.isfinite(obj).all():
+            fmt_float(obj[~np.isfinite(obj)][0])
+        out.append("[" + ", ".join(format_each("%.17g", obj)) + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from onoma.classifier import EvalReport, classify, train
+from onoma.classifier import EvalReport, Labeled, classify, train
 from onoma.cli import PipelineConfig, run_pipeline
 from onoma.corpus import OccurrenceTable, filter_core_names
 from onoma.correction import (
@@ -98,7 +98,8 @@ def test_criterion_2_nb_oracle_equivalence():
         for i, region in enumerate(regions):
             names[i] = (names[i][0], region)
         alpha = rng.choice([0.1, 0.3, 1.0])
-        model = train(names, featurize(list(dict.fromkeys(s for s, _ in names)), config), alpha)
+        distinct, labeled = Labeled.from_pairs(names)
+        model = train(labeled, featurize(distinct, config), alpha)
         assert len(model.vocabulary) <= 20
         for _ in range(5):
             surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 7)))
@@ -190,10 +191,8 @@ def test_criterion_4_core_name_filter_oracle():
         ]
         hhi_min = rng.choice([0.5, 0.8, 0.9])
         freq_min = rng.choice([0.0, 1e-6, 0.01])
-        got = {
-            (n.surname, n.assigned_country)
-            for n in filter_core_names(OccurrenceTable(rows), hhi_min, freq_min)
-        }
+        core = filter_core_names(OccurrenceTable(rows), hhi_min, freq_min)
+        got = {(n, core.countries[c]) for n, c in zip(core.names, core.country.tolist())}
         assert got == _core_name_oracle(rows, hhi_min, freq_min)
     passed("criterion 4 (core-name filter oracle, 100 tables)", time.perf_counter() - start, 5.0)
 

@@ -8,9 +8,11 @@ import pytest
 
 from onoma.classifier import (
     EvalReport,
+    Labeled,
     TrainedModel,
     classify,
     classify_batch,
+    classify_rows,
     evaluate,
     read_labeled_tsv,
     render_labeled_tsv,
@@ -83,10 +85,28 @@ def nb_oracle_scores(train_set, alpha, config, surname):
     return scores
 
 
+def as_pairs(names, labeled):
+    """A `Labeled` over rows of a matrix of `names` as (surname, region) pairs."""
+    return [(names[r], labeled.regions[g]) for r, g in zip(labeled.rows, labeled.region)]
+
+
+def split_pairs(pairs, train_fraction, seed):
+    """`split` on (surname, region) pairs; both parts come back as pairs."""
+    names, labeled = Labeled.from_pairs(pairs)
+    train_set, eval_set = split(labeled, train_fraction, seed)
+    return as_pairs(names, train_set), as_pairs(names, eval_set)
+
+
 def train_on(train_set, alpha, config, **options):
     """`train` on a feature matrix of exactly the training names."""
-    names = list(dict.fromkeys(surname for surname, _ in train_set))
-    return train(train_set, featurize(names, config), alpha, **options)
+    names, labeled = Labeled.from_pairs(train_set)
+    return train(labeled, featurize(names, config), alpha, **options)
+
+
+def evaluate_pairs(model, eval_set):
+    """`evaluate` on (surname, region) pairs of normalized surnames."""
+    names, labeled = Labeled.from_pairs(eval_set)
+    return evaluate(model, labeled, featurize(names, model.feature_config))
 
 
 def random_nb_instance(rng):
@@ -118,22 +138,22 @@ def separable_training_set():
 
 def test_split_fraction_and_sizes():
     labeled = [(f"name{i:03d}", "R") for i in range(100)]
-    train_set, eval_set = split(labeled, 0.85, seed=1)
+    train_set, eval_set = split_pairs(labeled, 0.85, seed=1)
     assert len(train_set) == 85
     assert len(eval_set) == 15
 
 
 def test_split_deterministic_and_seed_sensitive():
     labeled = [(f"name{i:03d}", "R") for i in range(40)]
-    assert split(labeled, 0.85, seed=7) == split(labeled, 0.85, seed=7)
-    assert split(labeled, 0.85, seed=7) != split(labeled, 0.85, seed=8)
+    assert split_pairs(labeled, 0.85, seed=7) == split_pairs(labeled, 0.85, seed=7)
+    assert split_pairs(labeled, 0.85, seed=7) != split_pairs(labeled, 0.85, seed=8)
 
 
 def test_split_stratified_disjoint_exhaustive():
     rng = random.Random(2)
     labeled = [(f"n{i}", rng.choice(["A", "B", "C"])) for i in range(200)]
     labeled = list(dict.fromkeys(labeled))
-    train_set, eval_set = split(labeled, 0.7, seed=3)
+    train_set, eval_set = split_pairs(labeled, 0.7, seed=3)
     assert not (set(train_set) & set(eval_set))
     assert sorted(train_set + eval_set) == sorted(labeled)
     for region in ("A", "B", "C"):
@@ -146,14 +166,57 @@ def test_split_input_order_irrelevant():
     labeled = [(f"n{i}", "AB"[i % 2]) for i in range(60)]
     shuffled = labeled[:]
     random.Random(0).shuffle(shuffled)
-    assert split(labeled, 0.8, seed=5) == split(shuffled, 0.8, seed=5)
+    assert split_pairs(labeled, 0.8, seed=5) == split_pairs(shuffled, 0.8, seed=5)
+
+
+def parent_split(labeled, train_fraction, seed):
+    """The split over (surname, region) pairs that the positional one replaced."""
+    from onoma.util import derive_seed
+
+    by_region = {}
+    for surname, region in labeled:
+        by_region.setdefault(region, []).append(surname)
+    train_set, eval_set = [], []
+    for region in sorted(by_region):
+        names = sorted(by_region[region])
+        random.Random(derive_seed(seed, f"split:{region}")).shuffle(names)
+        cut = math.ceil(train_fraction * len(names))
+        train_set.extend((name, region) for name in names[:cut])
+        eval_set.extend((name, region) for name in names[cut:])
+    return sorted(train_set), sorted(eval_set)
+
+
+def test_split_equals_the_split_of_names():
+    # Shuffling rows draws as shuffling the sorted names did; repeated
+    # surnames, also in two regions, keep their places too.
+    rng = random.Random(14)
+    for trial in range(40):
+        regions = ["R", "S", "T"][: rng.randint(1, 3)]
+        labeled = [(f"n{rng.randint(0, 90)}", rng.choice(regions)) for _ in range(120)]
+        labeled += [(f"m{i}", region) for i, region in enumerate(regions * 2)]
+        rng.shuffle(labeled)
+        fraction, seed = rng.choice([0.5, 0.7, 0.85]), rng.randint(0, 10**6)
+        expected = parent_split(labeled, fraction, seed)
+        assert split_pairs(labeled, fraction, seed) == expected, trial
+
+
+def test_labeled_validation():
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        Labeled([0, 1], [0, 1], ("B", "A"))
+    with pytest.raises(ValueError, match="out of range"):
+        Labeled([0, 1], [0, 2], ("A", "B"))
+    with pytest.raises(ValueError, match="differ in length"):
+        Labeled([0, 1], [0], ("A",))
+    names, labeled = Labeled.from_pairs([("b", "Y"), ("a", "X"), ("b", "X")])
+    assert names == ("a", "b") and labeled.regions == ("X", "Y")
+    assert as_pairs(names, labeled) == [("b", "Y"), ("a", "X"), ("b", "X")]
 
 
 def test_split_validation():
     with pytest.raises(ValueError, match="fewer than 2"):
-        split([("a", "R"), ("b", "S"), ("c", "S")], 0.85, seed=1)
+        split_pairs([("a", "R"), ("b", "S"), ("c", "S")], 0.85, seed=1)
     with pytest.raises(ValueError, match="train_fraction"):
-        split([("a", "R"), ("b", "R")], 1.0, seed=1)
+        split_pairs([("a", "R"), ("b", "R")], 1.0, seed=1)
 
 
 # ---------------------------------------------------------------- train
@@ -191,12 +254,12 @@ def test_train_validation():
 
 def test_train_reads_only_the_training_rows_of_a_larger_matrix():
     rng = random.Random(12)
-    train_set = random_nb_instance(rng)
-    names = list(dict.fromkeys(surname for surname, _ in train_set))
+    names, train_set = Labeled.from_pairs(random_nb_instance(rng))
     exact = train(train_set, featurize(names, BIGRAM), 0.1, min_df=2)
-    larger = train(train_set, featurize(["zzzz", *names, "dcdc"], BIGRAM), 0.1, min_df=2)
+    shifted = Labeled(train_set.rows + 1, train_set.region, train_set.regions)
+    larger = train(shifted, featurize(["zzzz", *names, "dcdc"], BIGRAM), 0.1, min_df=2)
     assert larger.to_json() == exact.to_json()
-    with pytest.raises(ValueError, match="not in the feature matrix"):
+    with pytest.raises(ValueError, match="outside the feature matrix"):
         train(train_set, featurize(names[1:], BIGRAM), 0.1)
 
 
@@ -282,12 +345,17 @@ def spec_model():
     from onoma.synth import generate, standard_spec
 
     _, truth = generate(standard_spec(4, 2, 80, 0.3, seed=13))
-    train_set, eval_set = split(sorted(truth.items()), 0.8, seed=2)
+    train_set, eval_set = split_pairs(sorted(truth.items()), 0.8, seed=2)
     return train_on(train_set, 0.1, NGramConfig()), [surname for surname, _ in eval_set]
 
 
 def assert_batch_matches_classify(model, names, features=None):
-    labels, prior_only, scores = classify_batch(model, names, features)
+    """`classify_batch`, or `classify_rows` over the first rows of `features`,
+    agrees with `classify` on every name."""
+    if features is None:
+        labels, prior_only, scores = classify_batch(model, names)
+    else:
+        labels, prior_only, scores = classify_rows(model, features, range(len(names)))
     assert len(labels) == len(prior_only) == len(scores) == len(names)
     for i, name in enumerate(names):
         expected = classify(model, name)
@@ -312,12 +380,14 @@ def test_classify_batch_reads_rows_from_a_shared_matrix(spec_model):
     model, held_out = spec_model
     shared = featurize(held_out + ["zzz"], model.feature_config)
     assert_batch_matches_classify(model, held_out, shared)
-    # A given matrix is authoritative: a name it lacks, or another n-gram
+    # A given matrix is authoritative: a row it lacks, or another n-gram
     # config, is an error, not a reason to featurize afresh.
-    with pytest.raises(ValueError, match="surname \"o'brien\" is not in the feature matrix"):
-        classify_batch(model, held_out[:50] + ["o'brien"], shared)
+    with pytest.raises(ValueError, match="row outside the feature matrix"):
+        classify_rows(model, shared, [0, len(held_out) + 1])
+    with pytest.raises(ValueError, match="row outside the feature matrix"):
+        classify_rows(model, shared, [-1])
     with pytest.raises(ValueError, match="another n-gram config"):
-        classify_batch(model, held_out, featurize(held_out, BIGRAM))
+        classify_rows(model, featurize(held_out, BIGRAM), range(len(held_out)))
 
 
 def test_classify_batch_rejects_reserved_marker_and_empty(spec_model):
@@ -344,7 +414,7 @@ def test_classify_batch_exact_tie_goes_to_first_region():
 def test_evaluate_perfect_classifier():
     train_set = separable_training_set()
     model = train_on(train_set, 0.1, BIGRAM)
-    report = evaluate(model, train_set)
+    report = evaluate_pairs(model, train_set)
     assert np.array_equal(report.confusion, np.diag([3, 3]))
     assert np.allclose(report.precision, 1.0)
     assert np.allclose(report.recall, 1.0)
@@ -354,7 +424,7 @@ def test_evaluate_perfect_classifier():
 def test_evaluate_rejects_unknown_labels():
     model = train_on(separable_training_set(), 0.1, BIGRAM)
     with pytest.raises(ValueError, match="unknown to the model"):
-        evaluate(model, [("aaa", "Z")])
+        evaluate_pairs(model, [("aaa", "Z")])
 
 
 def test_fixture_reproduces_published_metrics():
@@ -426,5 +496,5 @@ def test_training_is_deterministic(tmp_path):
 def test_labeled_tsv_round_trip(tmp_path):
     labeled = [("garcia", "X"), ("tanaka", "Y")]
     path = tmp_path / "labeled.tsv"
-    path.write_text(render_labeled_tsv(labeled), encoding="utf-8")
+    path.write_text(render_labeled_tsv(*Labeled.from_pairs(labeled)), encoding="utf-8")
     assert read_labeled_tsv(path) == labeled

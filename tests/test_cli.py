@@ -105,7 +105,7 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
     """Every artifact is byte-equal to a run through the reference core filter
     and JSON writer kept in the corpus and util tests."""
     from onoma import cli, util
-    from test_corpus import parent_filter_core_names
+    from test_corpus import as_core_set, parent_filter_core_names
     from test_util import parent_emit
 
     config = tmp_path / "config.json"
@@ -133,7 +133,7 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
 
     def counted_filter(*args, **kwargs):
         calls.append(1)
-        return parent_filter_core_names(*args, **kwargs)
+        return as_core_set(parent_filter_core_names(*args, **kwargs))
 
     monkeypatch.setattr(util, "_emit", parent_emit)
     # Patched where run_pipeline binds it; the counter shows the reference ran.
@@ -666,3 +666,86 @@ def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, s
     assert run(["compare", "--model", model, "--operator", operator, "--reference", reference,
                 bad, "--out-dir", tmp_path / "cmp"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("n_regions", 3.7, "an integer"), ("overlap", True, "a number"),
+     ("names_per_country", "50", "an integer"), ("countries_per_region", False, "an integer")],
+)
+def test_pipeline_synth_standard_values_must_have_their_json_type(
+    tmp_path, capsys, key, value, kind
+):
+    standard = {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
+                "overlap": 0.2, key: value}
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 1, "out_dir": str(tmp_path / "o"), "synth": {"standard": standard}}),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {config}: synth.standard.{key} must be {kind}, got {value!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_typology_rejects_a_surname_listed_twice(tmp_path, synth_dir, capsys):
+    core = tmp_path / "core.tsv"
+    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
+         "--out", core])
+    lines = core.read_text(encoding="utf-8").splitlines()
+    core.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    assert run(["typology", "--core", core, "--k", 3, "--min-core-names", 5,
+                "--out-dir", tmp_path / "typ"]) == 2
+    name = lines[1].split("\t")[0]
+    repeated = f"line {len(lines) + 1}: surname {name!r} repeats line 2"
+    assert f"input error: {core}: {repeated}" in capsys.readouterr().err
+    assert not (tmp_path / "typ").exists()
+
+
+def test_stage_commands_read_their_files_in_any_order(tmp_path, synth_dir):
+    """The labeled, evaluation and core files give the same outputs shuffled."""
+    import random
+
+    def shuffled(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        random.Random(3).shuffle(lines)
+        out = path.with_name("shuffled_" + path.name)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return out
+
+    core = tmp_path / "core.tsv"
+    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
+         "--out", core])
+    for name, core_file in (("a", core), ("b", shuffled(core))):
+        assert run(["typology", "--core", core_file, "--k", 3, "--min-core-names", 5,
+                    "--out-dir", tmp_path / name]) == 0
+    labeled = tmp_path / "a" / "labeled.tsv"
+    assert labeled.read_bytes() == (tmp_path / "b" / "labeled.tsv").read_bytes()
+    for name, labeled_file in (("a", labeled), ("b", shuffled(labeled))):
+        d = tmp_path / name
+        assert run(["train", "--labeled", labeled_file, "--out", d / "m.json", "--seed", 2,
+                    "--eval-out", d / "e.tsv", "--train-out", d / "t.tsv"]) == 0
+    for file in ("m.json", "e.tsv", "t.tsv"):
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    model, eval_tsv = tmp_path / "a" / "m.json", tmp_path / "a" / "e.tsv"
+    for name, eval_file in (("a", eval_tsv), ("b", shuffled(eval_tsv))):
+        assert run(["evaluate", "--model", model, "--eval", eval_file,
+                    "--out", tmp_path / name / "r.json"]) == 0
+    assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
+
+
+def test_evaluate_reports_an_empty_surname_as_an_input_error(tmp_path, synth_dir, capsys):
+    typ_dir, model, eval_tsv = tmp_path / "typ", tmp_path / "m.json", tmp_path / "e.tsv"
+    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
+         "--out", tmp_path / "core.tsv"])
+    run(["typology", "--core", tmp_path / "core.tsv", "--k", 3, "--min-core-names", 5,
+         "--out-dir", typ_dir])
+    run(["train", "--labeled", typ_dir / "labeled.tsv", "--out", model, "--seed", 1,
+         "--eval-out", eval_tsv])
+    region = eval_tsv.read_text(encoding="utf-8").split("\t")[1].split("\n")[0]
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(eval_tsv.read_text(encoding="utf-8") + f" \t{region}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["evaluate", "--model", model, "--eval", bad, "--out", tmp_path / "r.json"]) == 2
+    assert f"input error: {bad}: empty surname" in capsys.readouterr().err

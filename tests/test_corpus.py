@@ -4,17 +4,17 @@ import logging
 import math
 import random
 import unicodedata
+from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from onoma.corpus import (
-    CoreName,
+    CoreSet,
     CountryRegistry,
     Gazetteer,
     OccurrenceTable,
-    core_shares,
     filter_core_names,
-    hhi,
     ingest,
     normalize_surname,
     read_core_names,
@@ -22,9 +22,36 @@ from onoma.corpus import (
     render_core_names,
     render_corpus_tsv,
     tag_affiliation_country,
-    write_core_names,
 )
 from onoma.errors import InputFormatError
+from reference import core_shares, hhi
+
+# One core name, as the reference loops below build them.
+CoreRow = namedtuple("CoreRow", "surname assigned_country hhi max_frequency")
+
+
+def core_rows(core):
+    """The columns of a `CoreSet`, one `CoreRow` per core name."""
+    codes = [core.countries[c] for c in core.country.tolist()]
+    return list(map(CoreRow, core.names, codes, core.hhi.tolist(), core.max_frequency.tolist()))
+
+
+def as_core_set(rows):
+    """`CoreRow`s, sorted by surname as the reference loops give them, as a `CoreSet`."""
+    countries = tuple(sorted({n.assigned_country for n in rows}))
+    return CoreSet(
+        tuple(n.surname for n in rows),
+        countries,
+        np.array([countries.index(n.assigned_country) for n in rows], dtype=np.int64),
+        np.array([n.hhi for n in rows], dtype=float),
+        np.array([n.max_frequency for n in rows], dtype=float),
+    )
+
+
+def triples(table):
+    """Every (surname, country, count) of a table, as its corpus TSV lists them."""
+    lines = render_corpus_tsv(table).split("\n")[:-1]
+    return [(s, c, int(n)) for s, c, n in (line.split("\t") for line in lines)]
 
 
 def brute_force_core(rows, hhi_min=0.8, freq_min=1e-6):
@@ -59,7 +86,7 @@ def parent_filter_core_names(table, hhi_min=0.8, freq_min=1e-6, *, basis="freque
     log = logging.getLogger("onoma.corpus")
     if len(table) == 0:
         raise ValueError("empty occurrence table")
-    out: list[CoreName] = []
+    out: list[CoreRow] = []
     for surname in table.surnames():
         shares = core_shares(table, surname, basis=basis)
         concentration = hhi(shares.values())
@@ -71,7 +98,7 @@ def parent_filter_core_names(table, hhi_min=0.8, freq_min=1e-6, *, basis="freque
         best = [c for c in countries if freqs[c] == max_freq]
         if len(best) > 1:
             log.info("surname %r: frequency tie across %s, assigned %s", surname, best, best[0])
-        out.append(CoreName(surname, best[0], concentration, max_freq))
+        out.append(CoreRow(surname, best[0], concentration, max_freq))
     return out
 
 
@@ -86,9 +113,9 @@ def test_ingest_single_record():
 
 def test_ingest_merges_duplicates():
     table = ingest(["li\tCN\t3\n", "li\tCN\t2\n"])
-    records = list(table.records())
+    records = triples(table)
     assert len(records) == 1
-    assert records[0].count == 5
+    assert records[0][2] == 5
 
 
 def test_ingest_country_totals():
@@ -100,7 +127,7 @@ def test_ingest_order_irrelevant():
     rows = ["li\tCN\t3\n", "li\tUS\t1\n", "smith\tUS\t9\n", "li\tCN\t4\n"]
     a = ingest(rows)
     b = ingest(list(reversed(rows)))
-    assert list(a.records()) == list(b.records())
+    assert triples(a) == triples(b)
     assert a.country_totals == b.country_totals
 
 
@@ -151,7 +178,7 @@ def test_table_reads_match_pair_reference():
         assert table.surnames() == sorted(by_surname)
         assert table.countries() == sorted(totals)
         assert table.country_totals == totals
-        assert [(r.surname, r.country, r.count) for r in table.records()] == [
+        assert triples(table) == [
             (s, c, pairs[(s, c)]) for s, c in sorted(pairs)
         ]
         for s in names + ["absent", "zzz"]:
@@ -169,7 +196,7 @@ def test_table_reads_match_pair_reference():
 def test_empty_table_reads():
     table = OccurrenceTable([])
     assert (len(table), table.n_surnames, table.surnames(), table.countries()) == (0, 0, [], [])
-    assert table.country_totals == {} and list(table.records()) == []
+    assert table.country_totals == {} and triples(table) == []
     assert table.countries_of("a") == {} and table.count("a", "US") == 0
     assert len(ingest(["\n"])) == 0
 
@@ -312,7 +339,7 @@ def test_core_shares_ratio():
 def test_filter_includes_concentrated_name():
     rows = ["solo\tJP\t1\n"] + [f"filler{i}\tJP\t9999\n" for i in range(10)]
     table = ingest(rows)
-    core = {n.surname: n for n in filter_core_names(table)}
+    core = {n.surname: n for n in core_rows(filter_core_names(table))}
     assert "solo" in core
     assert core["solo"].hhi == 1.0
     assert core["solo"].assigned_country == "JP"
@@ -320,12 +347,12 @@ def test_filter_includes_concentrated_name():
 
 def test_filter_excludes_even_split():
     table = ingest(["dual\tUS\t5\n", "dual\tFR\t5\n"])
-    assert filter_core_names(table) == []
+    assert core_rows(filter_core_names(table)) == []
 
 
 def test_filter_frequency_floor():
     table = ingest(["rare\tUS\t1\n", "big\tUS\t10\n"])
-    kept = filter_core_names(table, freq_min=0.5)
+    kept = core_rows(filter_core_names(table, freq_min=0.5))
     assert [n.surname for n in kept] == ["big"]
 
 
@@ -336,7 +363,7 @@ def test_filter_assigned_is_argmax_frequency():
         for c in rng.sample(["US", "FR", "JP", "CN", "DE"], rng.randint(1, 3)):
             rows.append((f"name{i}", c, rng.randint(1, 40)))
     table = OccurrenceTable(rows)
-    for name in filter_core_names(table, hhi_min=0.0, freq_min=0.0):
+    for name in core_rows(filter_core_names(table, hhi_min=0.0, freq_min=0.0)):
         best = table.frequency(name.surname, name.assigned_country)
         for c in table.countries():
             assert best >= table.frequency(name.surname, c)
@@ -356,17 +383,17 @@ def test_filter_matches_brute_force_oracle():
             )
         table = OccurrenceTable(rows)
         expected = brute_force_core(rows)
-        got = {(n.surname, n.assigned_country) for n in filter_core_names(table)}
+        got = {(n.surname, n.assigned_country) for n in core_rows(filter_core_names(table))}
         assert got == expected
 
 
 def test_filter_row_order_independent():
     rng = random.Random(5)
     rows = [(f"n{i % 40}", rng.choice(["US", "FR", "JP"]), rng.randint(1, 9)) for i in range(200)]
-    a = filter_core_names(OccurrenceTable(rows))
+    a = core_rows(filter_core_names(OccurrenceTable(rows)))
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    b = filter_core_names(OccurrenceTable(shuffled))
+    b = core_rows(filter_core_names(OccurrenceTable(shuffled)))
     assert a == b
 
 
@@ -374,8 +401,8 @@ def test_filter_count_basis_flag():
     # Equal raw counts but very different frequencies: the frequency basis
     # sees concentration, the count basis does not.
     table = ingest(["a\tUS\t10\n", "x\tUS\t99990\n", "a\tFR\t10\n", "y\tFR\t90\n"])
-    by_freq = {n.surname for n in filter_core_names(table)}
-    by_count = {n.surname for n in filter_core_names(table, basis="count")}
+    by_freq = {n.surname for n in core_rows(filter_core_names(table))}
+    by_count = {n.surname for n in core_rows(filter_core_names(table, basis="count"))}
     assert "a" in by_freq
     assert "a" not in by_count
 
@@ -415,7 +442,7 @@ def test_filter_matches_per_surname_reference():
         for basis in ("frequency", "count"):
             for hhi_min, freq_min in ((0.8, 1e-6), (0.5, 0.0), (0.3, 0.02), (1.0, 0.1)):
                 expected = parent_filter_core_names(table, hhi_min, freq_min, basis=basis)
-                got = filter_core_names(table, hhi_min, freq_min, basis=basis)
+                got = core_rows(filter_core_names(table, hhi_min, freq_min, basis=basis))
                 assert got == expected, (trial, basis, hhi_min, freq_min)
 
 
@@ -438,7 +465,8 @@ def test_filter_matches_reference_bitwise_over_many_countries():
     for basis in ("frequency", "count"):
         expected = parent_filter_core_names(table, 0.0, 0.0, basis=basis)
         assert len(expected) == 300
-        assert bits(filter_core_names(table, 0.0, 0.0, basis=basis)) == bits(expected), basis
+        got = core_rows(filter_core_names(table, 0.0, 0.0, basis=basis))
+        assert bits(got) == bits(expected), basis
 
 
 def test_filter_sums_left_to_right_on_every_python():
@@ -459,7 +487,7 @@ def test_filter_sums_left_to_right_on_every_python():
         squares = [(w / total) * (w / total) for w in weights]
         expected = left_to_right(squares)
         assert expected != math.fsum(squares)  # a compensated sum differs
-        [core] = filter_core_names(table, 0.0, 0.0, basis=basis)
+        [core] = core_rows(filter_core_names(table, 0.0, 0.0, basis=basis))
         assert core.hhi.hex() == expected.hex()
         assert hhi(core_shares(table, "s", basis=basis).values()).hex() == expected.hex()
 
@@ -482,7 +510,7 @@ def test_filter_unknown_basis_rejected_before_any_surname():
     # Every surname sits in one country, so no share vector needs the basis.
     table = ingest(["a\tUS\t3\n", "b\tFR\t2\n"])
     with pytest.raises(ValueError, match="unknown share basis"):
-        filter_core_names(table, basis="weights")
+        core_rows(filter_core_names(table, basis="weights"))
 
 
 def test_filter_logs_funnel_counts(caplog):
@@ -494,7 +522,7 @@ def test_filter_logs_funnel_counts(caplog):
         ("fillb", "B", 80), ("fillc", "C", 89),  # every country totals 100
     ]
     caplog.set_level(logging.INFO, logger="onoma.corpus")
-    kept = filter_core_names(OccurrenceTable(rows), hhi_min=0.5, freq_min=0.05)
+    kept = core_rows(filter_core_names(OccurrenceTable(rows), hhi_min=0.5, freq_min=0.05))
     assert [n.surname for n in kept] == ["filla", "fillb", "fillc", "solo", "tied"]
     funnel = [r.getMessage() for r in caplog.records if r.getMessage().startswith("filter-core:")]
     assert funnel == [
@@ -546,17 +574,17 @@ def test_corpus_tsv_round_trip(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text(render_corpus_tsv(table), encoding="utf-8")
     again = read_corpus_tsv(path)
-    assert list(again.records()) == list(table.records())
+    assert triples(again) == triples(table)
 
 
 def test_core_names_tsv_round_trip(tmp_path):
     table = ingest(["solo\tJP\t1\n", "x\tJP\t999998\n", "dual\tUS\t1\n", "dual\tFR\t1\n"])
     core = filter_core_names(table)
     path = tmp_path / "core.tsv"
-    write_core_names(core, path)
+    path.write_text(render_core_names(core), encoding="utf-8")
     again = read_core_names(path)
-    assert [(n.surname, n.assigned_country) for n in again] == [
-        (n.surname, n.assigned_country) for n in core
+    assert [(n.surname, n.assigned_country) for n in core_rows(again)] == [
+        (n.surname, n.assigned_country) for n in core_rows(core)
     ]
     # 6 significant digits in the rendering
     line = render_core_names(core).splitlines()[0]
@@ -568,3 +596,54 @@ def test_read_core_names_rejects_bad_rows(tmp_path):
     path.write_text("a\tUS\tnot-a-number\t0.5\n", encoding="utf-8")
     with pytest.raises(InputFormatError):
         read_core_names(path)
+
+
+def test_core_names_render_as_the_per_name_format():
+    rng = random.Random(6)
+    rows = [(f"s{rng.randint(0, 400)}", rng.choice(["US", "FR", "JP"]), rng.randint(1, 99))
+            for _ in range(900)]
+    core = filter_core_names(OccurrenceTable(rows), 0.3, 0.0)
+    assert len(core) > 100 and len(set(core.hhi.tolist())) > 10
+    expected = "".join(
+        f"{n.surname}\t{n.assigned_country}\t{n.hhi:.6g}\t{n.max_frequency:.6g}\n"
+        for n in core_rows(core)
+    )
+    assert render_core_names(core) == expected
+
+
+def test_read_core_names_sorts_and_rejects_a_repeated_surname(tmp_path):
+    path = tmp_path / "core.tsv"
+    path.write_text("b\tUS\t1\t0.5\n\na\tFR\t0.9\t0.25\nc\tUS\t1\t0.125\n", encoding="utf-8")
+    core = read_core_names(path)
+    assert (core.names, core.countries) == (("a", "b", "c"), ("FR", "US"))
+    assert core_rows(core) == [
+        ("a", "FR", 0.9, 0.25), ("b", "US", 1.0, 0.5), ("c", "US", 1.0, 0.125)
+    ]
+    path.write_text("a\tUS\t1\t0.5\nb\tUS\t1\t0.5\n\na\tFR\t1\t0.5\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match="line 4: surname 'a' repeats line 1"):
+        read_core_names(path)
+    path.write_text("", encoding="utf-8")
+    assert len(read_core_names(path)) == 0
+
+
+def normalize_slow_path(raw, strip_diacritics):
+    """`normalize_surname` without its ASCII shortcut."""
+    import re
+
+    text = unicodedata.normalize("NFC", raw.lower())
+    text = re.sub(r"\s+", " ", text).strip()
+    if strip_diacritics:
+        decomposed = unicodedata.normalize("NFD", text)
+        text = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+        text = unicodedata.normalize("NFC", text)
+    return text
+
+
+def test_normalize_ascii_shortcut_equals_the_unicode_path():
+    for code in range(128):
+        ch = chr(code)
+        for raw in (ch + "ab", "a" + ch + "b", "ab" + ch, ch, f" {ch}{ch} x{ch}Y "):
+            for strip in (False, True):
+                assert normalize_surname(raw, strip) == normalize_slow_path(raw, strip), (
+                    code, raw, strip
+                )

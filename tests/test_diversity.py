@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from onoma.classifier import train
+from onoma.classifier import Labeled, train
 from onoma.correction import CorrectionOperator
 from onoma.diversity import (
     OriginDistribution,
@@ -25,7 +25,8 @@ BIGRAM = NGramConfig(n_values=(2,), pad_boundaries=False)
 
 def separable_model():
     train_set = [("aaba", "A"), ("abaa", "A"), ("bbab", "B"), ("babb", "B")]
-    return train(train_set, featurize([s for s, _ in train_set], BIGRAM), 0.1)
+    names, labeled = Labeled.from_pairs(train_set)
+    return train(labeled, featurize(names, BIGRAM), 0.1)
 
 
 def identity_operator(regions):

@@ -17,6 +17,8 @@ from onoma.features import (
     read_vocabulary,
     write_vocabulary,
 )
+from onoma.util import intern
+from reference import feature_row
 
 
 def test_extract_padded_bigrams():
@@ -91,7 +93,8 @@ def test_config_dict_round_trip():
 
 def vocabulary_of(corpus, config, min_df=1):
     """`build_vocabulary` over a feature matrix of exactly the corpus."""
-    return build_vocabulary(corpus, featurize(list(dict.fromkeys(corpus)), config), min_df)
+    names, rows = intern(corpus)
+    return build_vocabulary(rows, featurize(names, config), min_df)
 
 
 def test_vocabulary_single_surname():
@@ -158,8 +161,8 @@ def test_featurize_rows_round_trip_to_extract():
         assert list(matrix.tokens) == sorted(set(matrix.tokens))
         assert matrix.ids.dtype.name == "int32" and matrix.counts.dtype.name == "int32"
         for i, name in enumerate(names):
-            assert matrix.row(i) == extract(name, config), name
-        _, ids, counts = matrix.entries(matrix.rows_of([names[3], names[0], names[3]]))
+            assert feature_row(matrix, i) == extract(name, config), name
+        _, ids, counts = matrix.entries([3, 0, 3])
         row_0, row_3 = extract(names[0], config), extract(names[3], config)
         assert sum(counts) == sum(row_0.values()) + 2 * sum(row_3.values())
         assert {matrix.tokens[j] for j in ids} == set(row_0) | set(row_3)
@@ -177,8 +180,8 @@ def test_featurize_validation():
         featurize(["ab", ""], NGramConfig())
     with pytest.raises(SurnameError, match="'a<b'"):
         featurize(["a$b", "a<b"], NGramConfig(start_marker="<", end_marker=">"))
-    with pytest.raises(ValueError, match="surname 'cd' is not in the feature matrix"):
-        featurize(["ab"], NGramConfig()).rows_of(["ab", "cd"])
+    with pytest.raises(ValueError, match="row outside the feature matrix of 1 names"):
+        featurize(["ab"], NGramConfig()).entries([0, 1])
 
 
 def test_vocabulary_from_a_larger_matrix_matches_one_of_exactly_the_corpus():
@@ -186,7 +189,8 @@ def test_vocabulary_from_a_larger_matrix_matches_one_of_exactly_the_corpus():
     corpus = ["aab", "abb", "bba", "abab"]
     larger = featurize(["baab", *corpus, "zzz", "qq"], config)
     for min_df in (1, 2, 3):
-        assert build_vocabulary(corpus, larger, min_df) == vocabulary_of(corpus, config, min_df)
+        expected = vocabulary_of(corpus, config, min_df)
+        assert build_vocabulary([1, 2, 3, 4], larger, min_df) == expected
 
 
 # ------------------------------------------------- featurize against extract

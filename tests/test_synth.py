@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from onoma.classifier import evaluate, split, train
+from onoma.classifier import Labeled, evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
 from onoma.features import NGramConfig, featurize
@@ -118,9 +118,10 @@ def test_generate_truth_covers_every_surname():
     surnames = set(table.surnames())
     assert surnames == set(truth)
     region_of = {c.code: c.region for c in spec.countries}
-    for record in table.records():
-        assert truth[record.surname] == region_of[record.country]
-        assert record.count >= 1
+    for line in render_corpus_tsv(table).splitlines():
+        surname, country, count = line.split("\t")
+        assert truth[surname] == region_of[country]
+        assert int(count) >= 1
 
 
 def test_generate_respects_length_bounds():
@@ -184,11 +185,13 @@ def test_indistinguishable_overlap_matches_prior_baseline():
         spec = standard_spec(3, 2, 150, 1.0, seed=seed)
         table, truth = generate(spec)
         core = filter_core_names(table)
-        labeled = [(n.surname, truth[n.surname]) for n in core]
+        names, labeled = Labeled.from_pairs([(s, truth[s]) for s in core.names])
         train_set, eval_set = split(labeled, 0.85, seed=seed)
-        model = train(train_set, featurize([s for s, _ in train_set], config), 0.1)
-        report = evaluate(model, eval_set)
-        shares = np.array([sum(1 for _, r in train_set if r == g) for g in model.regions])
+        features = featurize(names, config)
+        model = train(train_set, features, 0.1)
+        report = evaluate(model, eval_set, features)
+        train_regions = [train_set.regions[g] for g in train_set.region]
+        shares = np.array([sum(1 for r in train_regions if r == g) for g in model.regions])
         max_prior = shares.max() / shares.sum()
         gaps.append(report.accuracy - max_prior)
     assert abs(float(np.mean(gaps))) <= 0.05

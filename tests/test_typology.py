@@ -4,11 +4,12 @@ import logging
 import math
 import random
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from onoma.corpus import CoreName
+from onoma.corpus import CoreSet
 from onoma.errors import InputFormatError, InvariantError
 from onoma.features import FeatureMatrix, NGramConfig, extract, featurize
 from onoma.typology import (
@@ -27,12 +28,33 @@ from onoma.typology import (
     relabel,
     ward_cluster,
 )
+from reference import dense
 
 UNPADDED2 = NGramConfig(n_values=(2,), pad_boundaries=False)
 
 
+# A core name as the reference loops read it.
+Core = namedtuple("Core", "surname assigned_country")
+
+
 def names_for(country, surnames):
-    return [CoreName(s, country, 1.0, 0.01) for s in surnames]
+    return [Core(s, country) for s in surnames]
+
+
+def core_set(names):
+    """A `CoreSet` of `Core` rows, sorted by surname."""
+    names = sorted(names)
+    countries = tuple(sorted({n.assigned_country for n in names}))
+    ids = [countries.index(n.assigned_country) for n in names]
+    return CoreSet(
+        tuple(n.surname for n in names), countries, np.array(ids, dtype=np.int64),
+        np.ones(len(names)), np.full(len(names), 0.01),
+    )
+
+
+def labeled_pairs(core, labeled):
+    """A `Labeled` over core rows as (surname, region) pairs."""
+    return [(core.names[r], labeled.regions[g]) for r, g in zip(labeled.rows, labeled.region)]
 
 
 def ward_oracle(points):
@@ -94,8 +116,8 @@ def euclidean_matrix(points):
 
 def country_matrix(core, config, min_core_names):
     """`build_country_matrix` over a feature matrix of exactly the core names."""
-    names = list(dict.fromkeys(name.surname for name in core))
-    return build_country_matrix(core, featurize(names, config), min_core_names)
+    core = core if isinstance(core, CoreSet) else core_set(core)
+    return build_country_matrix(core, featurize(core.names, config), min_core_names)
 
 
 def test_matrix_needs_two_countries():
@@ -108,14 +130,14 @@ def test_matrix_disjoint_tokens():
     matrix = country_matrix(core, UNPADDED2, 1)
     assert matrix.countries == ("AA", "BB")
     assert matrix.vocabulary == ("aa", "bb")
-    assert np.array_equal(matrix.rows, np.eye(2))
+    assert np.array_equal(dense(matrix), np.eye(2))
 
 
 def test_matrix_row_normalization():
     # aaa -> aa:2, aab -> aa:1 ab:1, so counts aa:3 ab:1 -> row (0.75, 0.25)
     core = names_for("AA", ["aaa", "aab"]) + names_for("BB", ["bb"])
     matrix = country_matrix(core, UNPADDED2, 1)
-    row = matrix.rows[list(matrix.countries).index("AA")]
+    row = dense(matrix)[list(matrix.countries).index("AA")]
     by_token = dict(zip(matrix.vocabulary, row))
     assert by_token["aa"] == pytest.approx(0.75)
     assert by_token["ab"] == pytest.approx(0.25)
@@ -174,21 +196,24 @@ def check_matrix_against_per_name_reference(seed, config):
                 seen.add(surname)
                 core += names_for(country, [surname])
     countries, vocabulary, rows = reference_country_matrix(core, config, 10)
-    # A matrix holding other names too gives the same country matrix.
-    larger = featurize(["qq", *(c.surname for c in core), "ab ab ab"], config)
-    for matrix in (country_matrix(core, config, 10), build_country_matrix(core, larger, 10)):
-        assert matrix.countries == countries == ("AA", "BB", "CC")
-        assert matrix.vocabulary == vocabulary
-        assert not any("x" in token for token in matrix.vocabulary)  # DD is below the bar
-        assert np.array_equal(matrix.rows, rows)
-        assert matrix.rows.flags.c_contiguous
-        assert len(matrix.values) == np.count_nonzero(rows)
+    matrix = country_matrix(core, config, 10)
+    assert matrix.countries == countries == ("AA", "BB", "CC")
+    assert matrix.vocabulary == vocabulary
+    assert not any("x" in token for token in matrix.vocabulary)  # DD is below the bar
+    assert np.array_equal(dense(matrix), rows)
+    assert dense(matrix).flags.c_contiguous
+    assert len(matrix.values) == np.count_nonzero(rows)
+    # Row i of the feature matrix is core name i, so it has one row per name.
+    core = core_set(core)
+    larger = featurize(["0qq", *core.names], config)
+    with pytest.raises(ValueError, match="one row per core name"):
+        build_country_matrix(core, larger, 10)
 
 
 def test_matrix_logs_funnel_counts(caplog):
     core = (
         names_for("AA", ["aa", "ab"])
-        + names_for("BB", ["bb", "ab"])  # shares "ab" with AA
+        + names_for("BB", ["bb", "abb"])  # shares "ab" with AA
         + names_for("CC", ["cc"])  # below min_core_names
         + names_for("DD", ["d", "e"])  # no bigram in a one-letter name
     )
@@ -215,7 +240,7 @@ def test_matrix_sparse_layout_and_dense_rows():
     matrix = sparse_matrix([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     assert matrix.indptr.tolist() == [0, 2, 3]
     assert matrix.columns.tolist() == [0, 2, 1]
-    assert np.array_equal(matrix.rows, [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    assert np.array_equal(dense(matrix), [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     out = np.full((1, 3), 7.0)
     assert matrix.dense_rows(1, 2, out) is out
     assert np.array_equal(out, [[0.0, 1.0, 0.0]])
@@ -241,8 +266,9 @@ def test_matrix_sparse_layout_and_dense_rows():
 def test_matrix_rejects_malformed_rows(indptr, columns, values, error, match):
     labels = ("C00", "C01", "C02")
     vocabulary = ("t0", "t1", "t2")
-    assert CountryFeatureMatrix(labels, vocabulary, [0, 2, 3, 4], [0, 1, 1, 2],
-                                [0.5, 0.5, 1.0, 1.0]).rows.shape == (3, 3)
+    valid = CountryFeatureMatrix(labels, vocabulary, [0, 2, 3, 4], [0, 1, 1, 2],
+                                 [0.5, 0.5, 1.0, 1.0])
+    assert dense(valid).shape == (3, 3)
     with pytest.raises(error, match=match):
         CountryFeatureMatrix(labels, vocabulary, indptr, columns, values)
 
@@ -447,7 +473,7 @@ def test_ward_cluster_matches_reference_on_generated_typology():
     table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
     matrix = country_matrix(filter_core_names(table), NGramConfig(), 5)
     assert len(matrix.countries) == 25
-    expected, _ = parent_ward_cluster(matrix.countries, matrix.rows)
+    expected, _ = parent_ward_cluster(matrix.countries, dense(matrix))
     assert ward_cluster(matrix).merges == expected.merges
 
 
@@ -513,7 +539,7 @@ def test_ward_cluster_matches_reference_on_sparse_generated_typology(ward_distan
     assert len(matrix.countries) == 36 > 2 * WARD_BLOCK_ROWS
     # Every row is below the crossover, so each distance comes from a patch.
     assert np.all(np.diff(matrix.indptr) * WARD_PATCH_RATIO < len(matrix.vocabulary))
-    expected, dist = parent_ward_cluster(matrix.countries, matrix.rows)
+    expected, dist = parent_ward_cluster(matrix.countries, dense(matrix))
     assert ward_cluster(matrix).merges == expected.merges
     assert ward_distances.pop().tobytes() == dist.tobytes()
 
@@ -594,7 +620,8 @@ def test_build_country_matrix_memory_is_linear_in_nonzeros():
         counts=rng.integers(1, 4, size=len(ids)).astype(np.int32),
         config=NGramConfig(),
     )
-    core = [CoreName(name, name[:3].upper(), 1.0, 0.01) for name in names]
+    core = core_set(Core(name, name[:3].upper()) for name in names)
+    assert core.names == features.names
     nnz = len(ids)
     peak, matrix = traced_peak(build_country_matrix, core, features, 10)
     assert matrix.countries == sparse.countries and len(matrix.vocabulary) == V_TRACED
@@ -823,9 +850,9 @@ def test_relabel_maps_and_drops():
     typology = RegionTypology(
         regions=("R",), assignment={"AA": "R", "BB": None}, overrides=()
     )
-    core = names_for("AA", ["aa", "ab"]) + names_for("BB", ["bb"])
-    labeled, counts = relabel(core, typology)
-    assert labeled == [("aa", "R"), ("ab", "R")]
+    core = core_set(names_for("AA", ["aa", "ab"]) + names_for("BB", ["bb"]))
+    labeled, counts = relabel(core, typology, np.arange(3))
+    assert labeled_pairs(core, labeled) == [("aa", "R"), ("ab", "R")]
     assert counts == {"R": 2}
 
 
@@ -833,7 +860,7 @@ def test_relabel_uncovered_country_listed():
     typology = RegionTypology(regions=("R",), assignment={"AA": "R"}, overrides=())
     core = names_for("AA", ["aa"]) + names_for("XX", ["xx"]) + names_for("YY", ["yy"])
     with pytest.raises(ValueError, match="XX, YY"):
-        relabel(core, typology)
+        relabel(core_set(core), typology, np.arange(3))
 
 
 def test_relabel_preserves_totals_minus_deleted():
@@ -841,13 +868,13 @@ def test_relabel_preserves_totals_minus_deleted():
     countries = ["AA", "BB", "CC", "DD"]
     core = []
     for i in range(200):
-        core.append(CoreName(f"s{i}", rng.choice(countries), 1.0, 0.01))
+        core.append(Core(f"s{i}", rng.choice(countries)))
     typology = RegionTypology(
         regions=("R1", "R2"),
         assignment={"AA": "R1", "BB": "R1", "CC": "R2", "DD": None},
         overrides=(),
     )
-    labeled, counts = relabel(core, typology)
+    labeled, counts = relabel(core_set(core), typology, np.arange(len(core)))
     deleted = sum(1 for n in core if n.assigned_country == "DD")
     assert len(labeled) == len(core) - deleted
     assert sum(counts.values()) == len(labeled)

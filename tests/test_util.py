@@ -9,12 +9,24 @@ from typing import Any, Mapping
 import numpy as np
 import pytest
 
-from onoma.util import atomic_write, derive_seed, dumps, fmt_float, sha256_file
+from onoma.util import (
+    atomic_write,
+    derive_seed,
+    dumps,
+    fmt_float,
+    format_each,
+    intern,
+    sha256_file,
+    tsv_lines,
+)
 
 
 def parent_emit(obj: Any, out: list[str], indent: int, level: int) -> None:
     """The element-by-element writer that `util._emit`'s flat-list fast paths
-    replaced, kept verbatim as their reference."""
+    replaced, kept verbatim as their reference. A float array, as the model
+    now hands its likelihood rows over, is read as the list of its floats."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
     if obj is None:
@@ -219,3 +231,29 @@ def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename refused"):
         atomic_write(tmp_path / "out.txt", "data")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_float_arrays_format_each_distinct_value_once_as_per_value_17g():
+    tiny = 5e-324
+    row = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, np.finfo(float).max,
+                    -np.finfo(float).max, 0.1, 0.1, -0.0, 0.0, 1 / 3, tiny, -1.5, 0.1])
+    expected = "[" + ", ".join("%.17g" % x for x in row.tolist()) + "]"
+    assert "-0, 0," in expected
+    assert dumps({"r": [row, row[:3]]}) == parent_dumps({"r": [row.tolist(), row[:3].tolist()]})
+    assert dumps(row) == expected + "\n"
+    assert format_each("%.17g", row) == ["%.17g" % x for x in row.tolist()]
+    assert dumps({"r": np.array([])}) == '{\n  "r": []\n}\n'
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps([np.array([1.0, bad, 2.0])])
+
+
+def test_column_helpers():
+    counts = np.array([3, 1, 3, 2**62, -7, 1], dtype=np.int64)
+    assert format_each("%d", counts) == [str(n) for n in counts.tolist()]
+    assert intern(["b", "a", "b", "c"]) == (("a", "b", "c"), pytest.approx([1, 0, 1, 2]))
+    assert intern([]) == ((), pytest.approx([]))
+    column = [f"n{i}" for i in range(70000)]
+    text = tsv_lines(column, column[::-1])
+    assert text == "".join(f"{a}\t{b}\n" for a, b in zip(column, column[::-1]))
+    assert tsv_lines([], []) == ""
