@@ -22,12 +22,10 @@ from .classifier import (
 from .corpus import (
     CoreSet,
     CountryRegistry,
-    Gazetteer,
     OccurrenceTable,
     filter_core_names,
     ingest,
     normalize_surname,
-    tag_affiliation_country,
 )
 from .correction import (
     ConfusionCounts,

@@ -709,7 +709,6 @@ file formats:
   corpus TSV       surname<TAB>country<TAB>count, UTF-8, LF endings, no header
                    by default (--header skips the first row)
   registry TSV     country_code<TAB>name (bundled 176-entry list by default)
-  gazetteer TSV    alias<TAB>country_code
   core-name TSV    surname<TAB>country<TAB>hhi<TAB>max_frequency (6 sig. digits)
   labeled TSV      surname<TAB>region (train/eval sets)
   overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country

@@ -33,8 +33,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "normalize_surname",
     "CountryRegistry",
-    "Gazetteer",
-    "tag_affiliation_country",
     "OccurrenceTable",
     "CoreSet",
     "ingest",
@@ -111,58 +109,6 @@ class CountryRegistry:
         from .resources import countries_path
 
         return cls.from_tsv(countries_path())
-
-
-class Gazetteer:
-    """Country-name alias table for tagging free-text affiliations."""
-
-    def __init__(self, entries: Iterable[tuple[str, str]]):
-        self._patterns: list[tuple[re.Pattern[str], str]] = []
-        for alias, code in entries:
-            alias = alias.strip()
-            code = code.strip().upper()
-            if not alias or not code:
-                raise ValueError("gazetteer entries need a non-empty alias and code")
-            pattern = re.compile(
-                r"(?<!\w)" + re.escape(alias) + r"(?!\w)", re.IGNORECASE | re.UNICODE
-            )
-            self._patterns.append((pattern, code))
-
-    def __len__(self) -> int:
-        return len(self._patterns)
-
-    def matches(self, text: str) -> set[str]:
-        return {code for pattern, code in self._patterns if pattern.search(text)}
-
-    @classmethod
-    def from_tsv(cls, path: Path | str) -> "Gazetteer":
-        entries: list[tuple[str, str]] = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected alias<TAB>country_code")
-            entries.append((fields[0], fields[1]))
-        return cls(entries)
-
-    @classmethod
-    def default(cls) -> "Gazetteer":
-        from .resources import gazetteer_path
-
-        return cls.from_tsv(gazetteer_path())
-
-
-def tag_affiliation_country(affiliation: str, gazetteer: Gazetteer) -> str | None:
-    """Country code of the single whole-word alias match, else None.
-
-    Zero matches and ambiguous multi-country matches both yield None; both
-    are normal outcomes for free-text affiliations.
-    """
-    codes = gazetteer.matches(affiliation)
-    if len(codes) == 1:
-        return next(iter(codes))
-    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 __all__ = [
     "countries_path",
-    "gazetteer_path",
     "reference_confusion_path",
 ]
 
@@ -20,11 +19,6 @@ def _data_path(name: str) -> Path:
 def countries_path() -> Path:
     """Bundled 176-entry country registry (code, name)."""
     return _data_path("countries.tsv")
-
-
-def gazetteer_path() -> Path:
-    """Bundled country-name alias table for affiliation tagging."""
-    return _data_path("gazetteer.tsv")
 
 
 def reference_confusion_path() -> Path:

@@ -84,16 +84,6 @@ class _RowSampler:
         weights = np.array([p for _, p in nonstop])
         self.cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
 
-    def draw(self, rng: np.random.Generator, allow_stop: bool) -> str:
-        # The first sum above u wins, so a u on a boundary takes the next
-        # symbol; the clamp covers a last sum that rounds below 1.
-        u = rng.random()
-        if allow_stop:
-            idx = bisect_right(self.cum_full, u)
-            return self.symbols[min(idx, len(self.symbols) - 1)]
-        idx = bisect_right(self.cum_nonstop, u)
-        return self.nonstop_symbols[min(idx, len(self.nonstop_symbols) - 1)]
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
@@ -113,20 +103,6 @@ class MarkovChain:
             samplers[context] = _RowSampler(row)
         object.__setattr__(self, "_start_sampler", _RowSampler(self.start))
         object.__setattr__(self, "_samplers", samplers)
-
-    def next_symbol(self, generated: str, rng: np.random.Generator, allow_stop: bool) -> str:
-        # Unknown contexts (possible after a cross-chain character) fall back
-        # to the start distribution.
-        if generated:
-            sampler = self._samplers.get(generated[-self.order :])  # type: ignore[attr-defined]
-            if sampler is None and self.order == 2:
-                sampler = self._samplers.get(generated[-1:])  # type: ignore[attr-defined]
-        else:
-            sampler = None
-        if sampler is None:
-            sampler = self._start_sampler  # type: ignore[attr-defined]
-            allow_stop = False
-        return sampler.draw(rng, allow_stop)
 
     def to_dict(self) -> dict:
         return {
@@ -420,21 +396,49 @@ def standard_spec(
     )
 
 
-def _sample_name(
+def _draw_name(
     generator: RegionGenerator,
     global_chain: MarkovChain,
     overlap: float,
-    rng: np.random.Generator,
-) -> str:
-    chars: list[str] = []
-    while len(chars) < generator.max_len:
-        chain = global_chain if rng.random() < overlap else generator.chain
-        allow_stop = len(chars) >= generator.min_len
-        symbol = chain.next_symbol("".join(chars[-2:]), rng, allow_stop)
+    u: list[float],
+    pos: int,
+) -> tuple[str, int]:
+    """One name read from the doubles `u[pos:]`, and the position after them.
+
+    Each character takes two doubles, so a name takes at most
+    `2 * max_len`. The first picks the global chain when it is below
+    `overlap`. The second picks the symbol from the chain's row for the last
+    `order` characters; an order-2 chain falls back to the row of the last
+    character, and any chain to its start distribution (never the stop
+    state) when it has no row. The first cumulative sum above the double
+    wins, so a double on a boundary takes the next symbol, and the last
+    symbol covers a last sum that rounds below 1. The stop state can end a
+    name once it has `min_len` characters.
+    """
+    own = generator.chain
+    min_len = generator.min_len
+    max_len = generator.max_len
+    name = ""
+    while len(name) < max_len:
+        chain = global_chain if u[pos] < overlap else own
+        x = u[pos + 1]
+        pos += 2
+        sampler = None
+        if name:
+            samplers = chain._samplers  # type: ignore[attr-defined]
+            sampler = samplers.get(name[-chain.order :]) or samplers.get(name[-1:])
+        if sampler is None:
+            sampler = chain._start_sampler  # type: ignore[attr-defined]
+            symbols, cum = sampler.nonstop_symbols, sampler.cum_nonstop
+        elif len(name) >= min_len:
+            symbols, cum = sampler.symbols, sampler.cum_full
+        else:
+            symbols, cum = sampler.nonstop_symbols, sampler.cum_nonstop
+        symbol = symbols[min(bisect_right(cum, x), len(symbols) - 1)]
         if symbol == STOP:
             break
-        chars.append(symbol)
-    return "".join(chars)
+        name += symbol
+    return name, pos
 
 
 def generate(spec: SynthSpec) -> tuple[OccurrenceTable, dict[str, str]]:
@@ -443,22 +447,40 @@ def generate(spec: SynthSpec) -> tuple[OccurrenceTable, dict[str, str]]:
     A name drawn for one region but already owned by another is regenerated
     (up to 100 attempts) so the truth map stays a function; duplicates within
     a region are kept and merge into the occurrence counts.
+
+    Each name reads a block of doubles that covers its longest attempt, and
+    a retry reads on from the same block. The generator then steps back over
+    the doubles the name left unused, so the count's Poisson draw reads the
+    stream that one double per call would leave it.
     """
     truth: dict[str, str] = {}
     pairs: list[tuple[str, str, int]] = []
     for country in sorted(spec.countries, key=lambda c: c.code):
         generator = spec.generator_for(country.region)
-        rng = np.random.default_rng(derive_seed(spec.seed, f"corpus:{country.code}"))
+        span = 2 * generator.max_len
+        seed = derive_seed(spec.seed, f"corpus:{country.code}")
+        # what default_rng(seed) returns; numpy.random loads on this first
+        # use, so `onoma pipeline`, which never draws from it, stays smaller
+        rng = np.random.Generator(np.random.PCG64(seed))
         for _ in range(country.n_names):
+            u = rng.random(span).tolist()
+            pos = 0
             for _attempt in range(100):
-                name = _sample_name(generator, spec.global_chain, spec.overlap, rng)
+                name, pos = _draw_name(generator, spec.global_chain, spec.overlap, u, pos)
                 owner = truth.get(name)
                 if owner is None or owner == country.region:
                     break
+                # top up to one longest attempt past `pos`
+                u += rng.random(span - len(u) + pos).tolist()
             else:
                 raise InvariantError(
                     f"no collision-free name for {country.code} after 100 attempts"
                 )
+            # PCG64's state has period 2**128, so this steps back, and the
+            # delta stays in the documented range 0 < delta < 2**128.
+            unused = len(u) - pos
+            if unused:
+                rng.bit_generator.advance(2**128 - unused)
             truth[name] = country.region
             count = 1 + int(rng.poisson(country.volume - 1.0))
             pairs.append((name, country.code, count))
@@ -468,18 +490,31 @@ def generate(spec: SynthSpec) -> tuple[OccurrenceTable, dict[str, str]]:
 def generate_population(
     spec: SynthSpec, population: PopulationSpec
 ) -> tuple[list[str], dict[str, int]]:
-    """Surname list drawn with the population's region mix, plus truth tallies."""
+    """Surname list drawn with the population's region mix, plus truth tallies.
+
+    Every draw is a double: one picks the region, then the name reads on. So
+    the doubles come in blocks, and what the last name leaves is never read.
+    """
     if len(population.region_weights) != len(spec.generators):
         raise ValueError(f"population {population.name}: weight count mismatch")
-    rng = np.random.default_rng(derive_seed(spec.seed, f"population:{population.name}"))
+    seed = derive_seed(spec.seed, f"population:{population.name}")
+    rng = np.random.Generator(np.random.PCG64(seed))
     weights = np.asarray(population.region_weights, dtype=float)
     cum = np.cumsum(weights / weights.sum()).tolist()
+    last = len(spec.generators) - 1
+    need = 1 + 2 * max(g.max_len for g in spec.generators)
+    block = max(need, 4096)
+    u: list[float] = []
+    pos = 0
     names: list[str] = []
     truth_counts = {g.region: 0 for g in spec.generators}
     for _ in range(population.n_names):
-        idx = min(bisect_right(cum, rng.random()), len(spec.generators) - 1)
-        generator = spec.generators[idx]
-        names.append(_sample_name(generator, spec.global_chain, spec.overlap, rng))
+        if len(u) - pos < need:
+            u = u[pos:] + rng.random(block).tolist()
+            pos = 0
+        generator = spec.generators[min(bisect_right(cum, u[pos]), last)]
+        name, pos = _draw_name(generator, spec.global_chain, spec.overlap, u, pos + 1)
+        names.append(name)
         truth_counts[generator.region] += 1
     return names, truth_counts
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -74,9 +75,20 @@ def format_each(template: str, values: np.ndarray) -> list[str]:
     return np.array(distinct, dtype=object)[inverse.reshape(-1)].tolist()
 
 
+_TSV_BLOCK_ROWS = 65536
+
+
 def tsv_lines(*columns: Sequence[str]) -> str:
-    """One line per row of the equally long string columns, fields tab-separated."""
-    return "\n".join(map("\t".join, zip(*columns))) + "\n" if len(columns[0]) else ""
+    """One line per row of the equally long string columns, fields tab-separated.
+
+    Rows are joined a block at a time, so no more than one block's line
+    strings exist at once.
+    """
+    rows = zip(*columns)
+    return "".join(
+        "\n".join(map("\t".join, islice(rows, _TSV_BLOCK_ROWS))) + "\n"
+        for _ in range(0, len(columns[0]), _TSV_BLOCK_ROWS)
+    )
 
 
 def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:

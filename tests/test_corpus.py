@@ -12,7 +12,6 @@ import pytest
 from onoma.corpus import (
     CoreSet,
     CountryRegistry,
-    Gazetteer,
     OccurrenceTable,
     filter_core_names,
     ingest,
@@ -21,7 +20,6 @@ from onoma.corpus import (
     read_corpus_tsv,
     render_core_names,
     render_corpus_tsv,
-    tag_affiliation_country,
 )
 from onoma.errors import InputFormatError
 from reference import core_shares, hhi
@@ -531,39 +529,13 @@ def test_filter_logs_funnel_counts(caplog):
     ]
 
 
-# ---------------------------------------------------------------- registry / gazetteer
+# ---------------------------------------------------------------- registry
 
 
 def test_default_registry_has_176_entries():
     registry = CountryRegistry.default()
     assert len(registry) == 176
     assert "JP" in registry and "ME" in registry and "ES" in registry
-
-
-def test_tag_affiliation_single_match():
-    gazetteer = Gazetteer.default()
-    assert tag_affiliation_country("Univ. of Tokyo, Japan", gazetteer) == "JP"
-
-
-def test_tag_affiliation_no_match():
-    gazetteer = Gazetteer.default()
-    assert tag_affiliation_country("Institute of Science", gazetteer) is None
-
-
-def test_tag_affiliation_ambiguous():
-    gazetteer = Gazetteer.default()
-    assert tag_affiliation_country("France–Germany joint lab", gazetteer) is None
-
-
-def test_tag_affiliation_whole_word_only():
-    gazetteer = Gazetteer([("Niger", "NE"), ("Nigeria", "NG")])
-    assert tag_affiliation_country("Lagos, Nigeria", gazetteer) == "NG"
-    assert tag_affiliation_country("Niamey, Niger", gazetteer) == "NE"
-
-
-def test_tag_affiliation_multiple_aliases_same_country():
-    gazetteer = Gazetteer([("United States", "US"), ("USA", "US")])
-    assert tag_affiliation_country("NIH, United States (USA)", gazetteer) == "US"
 
 
 # ---------------------------------------------------------------- file round trips

@@ -1,21 +1,25 @@
 """Synthetic corpus generation and end-to-end pipeline scoring."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator
 
 from onoma.classifier import Labeled, evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
 from onoma.features import NGramConfig, featurize
 from onoma.synth import (
+    CountrySpec,
     MarkovChain,
     PopulationSpec,
     RegionGenerator,
     STOP,
     SynthSpec,
+    _draw_name,
     _RowSampler,
     generate,
     generate_population,
@@ -23,6 +27,7 @@ from onoma.synth import (
     score_pipeline,
     standard_spec,
 )
+import reference
 
 
 def test_chain_validation():
@@ -42,33 +47,101 @@ def test_spec_json_round_trip():
     assert again.region_labels == ("R0", "R1", "R2")
 
 
-class FixedDraws:
-    """Stands in for a numpy Generator whose `random()` yields given values."""
+def order2_spec(
+    seed: int = 5,
+    overlap: float = 0.3,
+    n_names: int = 50,
+    *,
+    min_len: int = 3,
+    max_len: int = 12,
+) -> SynthSpec:
+    """`standard_spec(3, 2, ...)` with order-2 region chains, built through JSON.
 
-    def __init__(self, *values):
-        self.values = list(values)
+    Each region writes four letters. Only three of them have a one-letter
+    row and about two thirds of the letter pairs have a pair row, so a name
+    meets all three lookups: the pair, the last letter, and the start
+    distribution (also after a letter from the global chain).
+    """
+    rng = random.Random(seed)
 
-    def random(self):
-        return self.values.pop(0)
+    def dist(symbols: str, stop: float) -> dict[str, float]:
+        weights = [rng.random() + 0.05 for _ in symbols]
+        total = sum(weights) / (1.0 - stop)
+        row = {s: w / total for s, w in zip(symbols, weights)}
+        if stop:
+            row[STOP] = 1.0 - sum(row.values())
+        return row
+
+    doc = json.loads(standard_spec(3, 2, n_names, overlap, seed).to_json())
+    for i, region in enumerate(doc["regions"]):
+        letters = "abcdefghijkl"[4 * i : 4 * i + 4]
+        transitions = {ch: dist(letters, 0.2) for ch in letters[:3]}
+        for a in letters:
+            for b in letters[1:]:
+                if (ord(a) + ord(b)) % 3:
+                    transitions[a + b] = dist(letters, 0.15)
+        region.update(min_len=min_len, max_len=max_len)
+        region["chain"] = {"order": 2, "start": dist(letters, 0.0), "transitions": transitions}
+    return SynthSpec.from_json(json.dumps(doc))
+
+
+def collision_spec() -> SynthSpec:
+    """Two regions writing the same short names, so names collide.
+
+    Names of one to three letters stop at different draws, so a retry
+    starts part of the way into its block of doubles.
+    """
+    row = {"a": 0.25, "b": 0.25, "c": 0.25, STOP: 0.25}
+    chain = MarkovChain(
+        order=1, start={"a": 0.2, "b": 0.3, "c": 0.5}, transitions={ch: row for ch in "abc"}
+    )
+    return SynthSpec(
+        seed=4,
+        overlap=0.0,
+        generators=(
+            RegionGenerator("R0", chain, min_len=1, max_len=3),
+            RegionGenerator("R1", chain, min_len=1, max_len=3),
+        ),
+        countries=(
+            CountrySpec("AA", "R0", n_names=12, volume=10.0),
+            CountrySpec("BA", "R1", n_names=8, volume=100.0),
+        ),
+        global_chain=chain,
+    )
+
+
+def pick(dist: dict[str, float], u: float, allow_stop: bool) -> str:
+    """The symbol the name sampler takes from `dist` for the double `u`.
+
+    The name's first letter is "x", from the start distribution; its second
+    comes from `dist`, the row of context "x", and may be the stop state
+    when the length bounds allow one letter.
+    """
+    chain = MarkovChain(order=1, start={"x": 1.0}, transitions={"x": dist})
+    generator = RegionGenerator("R", chain, min_len=1 if allow_stop else 2, max_len=2)
+    name, pos = _draw_name(generator, chain, 0.0, [0.5, 0.5, 0.5, u], 0)
+    assert pos == 4 and name[0] == "x"
+    return name[1:]
 
 
 def test_sampler_boundary_picks_next_symbol():
     # Sums 0.25, 0.5, 1.0 are exact: a draw on a boundary takes the symbol
     # after it (the side="right" rule of np.searchsorted).
-    sampler = _RowSampler({"": 0.25, "a": 0.25, "b": 0.5})
-    assert sampler.draw(FixedDraws(0.25), allow_stop=True) == "a"
-    assert sampler.draw(FixedDraws(0.5), allow_stop=True) == "b"
-    assert sampler.draw(FixedDraws(0.0), allow_stop=True) == ""
+    dist = {"": 0.25, "a": 0.25, "b": 0.5}
+    assert pick(dist, 0.25, allow_stop=True) == "a"
+    assert pick(dist, 0.5, allow_stop=True) == "b"
+    assert pick(dist, 0.0, allow_stop=True) == ""
     # Without the stop state the sums are 1/3, 1.0 over "a", "b".
-    assert sampler.draw(FixedDraws(1 / 3), allow_stop=False) == "b"
+    assert pick(dist, 1 / 3, allow_stop=False) == "b"
 
 
 def test_sampler_clamps_above_last_sum():
-    sampler = _RowSampler({ch: 0.1 for ch in "abcdefghij"})
+    dist = {ch: 0.1 for ch in "abcdefghij"}
+    sampler = _RowSampler(dist)
     assert sampler.cum_full[-1] < 1.0  # ten 0.1 steps round below 1
     for u in (sampler.cum_full[-1], float(np.nextafter(1.0, 0.0))):
-        assert sampler.draw(FixedDraws(u), allow_stop=True) == "j"
-        assert sampler.draw(FixedDraws(u), allow_stop=False) == "j"
+        assert pick(dist, u, allow_stop=True) == "j"
+        assert pick(dist, u, allow_stop=False) == "j"
 
 
 def test_sampler_matches_searchsorted():
@@ -86,12 +159,33 @@ def test_sampler_matches_searchsorted():
         ):
             idx = int(np.searchsorted(np.array(cum), u, side="right"))
             expected = symbols[min(idx, len(symbols) - 1)]
-            assert sampler.draw(FixedDraws(u), allow_stop) == expected
+            assert pick(dist, u, allow_stop) == expected
+
+
+def test_block_of_doubles_equals_scalar_draws():
+    block, scalar = Generator(PCG64(7)), Generator(PCG64(7))
+    assert block.random(1000).tolist() == [scalar.random() for _ in range(1000)]
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("unused", [1, 2, 23, 24])
+def test_advance_by_period_minus_k_steps_back_k_draws(unused):
+    # generate() rewinds with this documented positive delta below 2**128.
+    rewound, short = Generator(PCG64(7)), Generator(PCG64(7))
+    rewound.random(24)
+    rewound.bit_generator.advance(2**128 - unused)
+    short.random(24 - unused)
+    assert rewound.bit_generator.state == short.bit_generator.state
+    for lam in (0.0, 9.0, 99.0):
+        assert rewound.poisson(lam) == short.poisson(lam)
+    assert rewound.random(5).tolist() == short.random(5).tolist()
 
 
 def test_generation_stream_golden():
     # Digests pinned when sampling used np.searchsorted; equal digests show
-    # that bisect consumes the RNG stream in the same order and number.
+    # that bisect consumes the RNG stream in the same order and number. The
+    # order-2 digests were pinned while every double was a scalar
+    # `rng.random()`, before names read them from blocks.
     spec = standard_spec(3, 2, 50, 0.3, seed=5)
     corpus = render_corpus_tsv(generate(spec)[0])
     assert hashlib.sha256(corpus.encode()).hexdigest() == (
@@ -102,6 +196,51 @@ def test_generation_stream_golden():
         "af58110155ad8117b66529f2f5ca4a982488197c1c094c0457ea88d8a918fc41"
     )
     assert tally == {"R0": 43, "R1": 77, "R2": 180}
+
+    spec = order2_spec()
+    corpus = render_corpus_tsv(generate(spec)[0])
+    assert hashlib.sha256(corpus.encode()).hexdigest() == (
+        "35535e75af84271f797576387a8da5dc334b1ff61e22c0de79634b23301f204e"
+    )
+    names, tally = generate_population(spec, PopulationSpec("p", 300, (1.0, 2.0, 4.0)))
+    assert hashlib.sha256(("\n".join(names) + "\n").encode()).hexdigest() == (
+        "01f450bdc8867cd107370df101df3e7f1393fc47ee3adb10dfa015924659b449"
+    )
+    assert tally == {"R0": 48, "R1": 83, "R2": 169}
+
+
+DIFFERENTIAL_SPECS = {
+    **{f"order1-overlap{o}": lambda o=o: standard_spec(3, 2, 60, o, 8) for o in (0.0, 0.3, 1.0)},
+    **{f"order2-overlap{o}": lambda o=o: order2_spec(9, o, 60) for o in (0.0, 0.3, 1.0)},
+    "order2-min-eq-max": lambda: order2_spec(10, 0.3, 60, min_len=4, max_len=4),
+    "collisions": collision_spec,
+}
+
+
+@pytest.mark.parametrize("make_spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS)
+def test_block_draws_match_scalar_reference(make_spec):
+    # Countries cycle through volumes 1, 10 and 100: Poisson means 0, 9 and
+    # 99 run numpy's two Poisson algorithms on the stream after a rewind.
+    spec = make_spec()
+    table, truth = generate(spec)
+    want_table, want_truth = reference.generate(spec)
+    assert render_corpus_tsv(table) == render_corpus_tsv(want_table)
+    assert truth == want_truth
+    weights = tuple(float(i + 1) for i in range(len(spec.generators)))
+    for n in (1, 700):
+        population = PopulationSpec("p", n, weights)
+        assert generate_population(spec, population) == reference.generate_population(
+            spec, population
+        )
+
+
+def test_collision_spec_retries(monkeypatch):
+    calls = []
+    sample = reference._sample_name
+    monkeypatch.setattr(reference, "_sample_name", lambda *a: calls.append(1) or sample(*a))
+    spec = collision_spec()
+    reference.generate(spec)
+    assert len(calls) > sum(c.n_names for c in spec.countries)
 
 
 def test_generate_deterministic():

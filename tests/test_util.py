@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from onoma.util import (
+    _TSV_BLOCK_ROWS,
     atomic_write,
     derive_seed,
     dumps,
@@ -253,7 +254,13 @@ def test_column_helpers():
     assert format_each("%d", counts) == [str(n) for n in counts.tolist()]
     assert intern(["b", "a", "b", "c"]) == (("a", "b", "c"), pytest.approx([1, 0, 1, 2]))
     assert intern([]) == ((), pytest.approx([]))
-    column = [f"n{i}" for i in range(70000)]
-    text = tsv_lines(column, column[::-1])
-    assert text == "".join(f"{a}\t{b}\n" for a, b in zip(column, column[::-1]))
     assert tsv_lines([], []) == ""
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, _TSV_BLOCK_ROWS + 1])
+def test_tsv_lines_across_blocks_equal_one_join(extra):
+    n = _TSV_BLOCK_ROWS + extra
+    names = [f"n{i}" for i in range(n)]
+    codes = tuple(f"c{i % 7}" for i in range(n))
+    one_join = "\n".join(map("\t".join, zip(names, codes, names[::-1]))) + "\n"
+    assert tsv_lines(names, codes, names[::-1]) == one_join
