@@ -2,7 +2,9 @@
 
 The method lives in the library, its chain in `onoma.stages`
 (`build_typology`, `fit`, `calibrate`, `compare`); the `cmd_*` commands and
-`run_pipeline` read files, call the library and write what it returns. Each
+`run_pipeline` read files, call the library and write what it returns.
+Each setting is one `PipelineConfig` field, which gives the config file its
+JSON type and every command its option's default and range check. Each
 subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. Exit codes: 1 usage,
@@ -16,9 +18,9 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,12 +73,10 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
         raise ConfigError(f"bad n-gram sizes {text!r}, expected e.g. 2,3") from None
 
 
-def _feature_config(args) -> NGramConfig:
+def feature_config(options) -> NGramConfig:
+    """The n-gram settings of `options`, the parsed arguments or a `PipelineConfig`."""
     try:
-        return NGramConfig(
-            n_values=_parse_n_values(args.n_values),
-            pad_boundaries=not args.no_pad,
-        )
+        return NGramConfig(n_values=options.n_values, pad_boundaries=options.pad_boundaries)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -124,22 +124,39 @@ def _read_population(path: Path | str) -> list[str]:
     return names
 
 
+class _Setting(argparse.Action):
+    """Stores the value given to a setting's option once it lies in its field's range."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        _check_setting(_FIELDS[self.dest], value, option_string)
+        setattr(namespace, self.dest, value)
+
+
+def _add_setting(parser: argparse.ArgumentParser, name: str, flag: str = "", **kwargs) -> None:
+    """The option `flag` (else `--<name>`) with the type, default and range of
+    the `PipelineConfig` field `name`; a switch flips the default."""
+    f = _FIELDS[name]
+    kwargs.setdefault("default", f.default)
+    if "rule" in f.metadata:
+        kwargs["help"] = f"{kwargs.get('help', '')} ({f.metadata['rule'][0]})".lstrip()
+    if f.type == "bool":
+        kwargs["action"] = "store_false" if f.default else "store_true"
+    else:
+        kwargs["type"] = _parse_n_values if f.type == "tuple[int, ...]" else type(f.default)
+        kwargs["action"] = _Setting
+    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, **kwargs)
+
+
 def _add_corpus_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--registry", help="country registry TSV (default: bundled list)")
-    parser.add_argument("--header", action="store_true", help="skip the first input row")
-    parser.add_argument(
-        "--strict", action="store_true", help="fail on unknown country codes instead of skipping"
-    )
-    parser.add_argument(
-        "--strip-diacritics", action="store_true", help="fold accented letters in normalization"
-    )
+    _add_setting(parser, "header", help="skip the first input row")
+    _add_setting(parser, "strict", help="fail on unknown country codes instead of skipping")
+    _add_setting(parser, "strip_diacritics", help="fold accented letters in normalization")
 
 
 def _add_feature_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-values", default="2,3", help="comma-separated n-gram sizes")
-    parser.add_argument(
-        "--no-pad", action="store_true", help="disable word-boundary padding markers"
-    )
+    _add_setting(parser, "n_values", help="comma-separated n-gram sizes")
+    _add_setting(parser, "pad_boundaries", "--no-pad", help="disable word-boundary padding markers")
 
 
 # ---------------------------------------------------------------- commands
@@ -160,10 +177,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_filter_core(args) -> int:
-    if not 0 < args.hhi_min <= 1:
-        raise ConfigError(f"--hhi-min must be in (0, 1], got {args.hhi_min}")
-    if args.freq_min < 0:
-        raise ConfigError(f"--freq-min must be >= 0, got {args.freq_min}")
     table = _read_corpus(args.corpus, _load_registry(args.registry), args)
     core = filter_core_names(table, args.hhi_min, args.freq_min, basis=args.basis)
     content = render_core_names(core)
@@ -176,17 +189,13 @@ def cmd_filter_core(args) -> int:
 
 
 def cmd_typology(args) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if args.min_core_names < 1:
-        raise ConfigError(f"--min-core-names must be >= 1, got {args.min_core_names}")
-    config = _feature_config(args)
+    config = feature_config(args)
     core = read_core_names(args.core)
     overrides = load_overrides(args.overrides) if args.overrides else ()
     with _surnames_from(args.core):
         features = featurize(core.names, config)
         typology, dendrogram, labeled, counts = stages.build_typology(
-            core, features, args.min_core_names, args.k, overrides
+            core, features, args.min_core_names, args.k_regions, overrides
         )
 
     out_dir = Path(args.out_dir)
@@ -200,13 +209,7 @@ def cmd_typology(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.alpha <= 0:
-        raise ConfigError(f"--alpha must be > 0, got {args.alpha}")
-    if not 0 < args.train_fraction < 1:
-        raise ConfigError(f"--train-fraction must be in (0, 1), got {args.train_fraction}")
-    if args.min_df < 1:
-        raise ConfigError(f"--min-df must be >= 1, got {args.min_df}")
-    config = _feature_config(args)
+    config = feature_config(args)
     names, labeled = Labeled.from_pairs(read_labeled_tsv(args.labeled))
     with _surnames_from(args.labeled):
         features = featurize(names, config)
@@ -346,31 +349,46 @@ def _spec_from_args(args) -> synth.SynthSpec:
         raise ConfigError(str(exc)) from None
 
 
+def _write_synth(
+    spec: synth.SynthSpec, out_dir: Path
+) -> tuple[dict[str, Path], OccurrenceTable, dict[str, str], list[tuple[list[str], dict]]]:
+    """Write the spec, its generated corpus, truth map and registry, and each
+    population's names and truth counts under `out_dir`. Returns the paths
+    by artifact name, the table, the truth map and the populations' names
+    and truth counts in the spec's order."""
+    table, truth = synth.generate(spec)
+    paths = {
+        "spec": spec.save(out_dir / "spec.json"),
+        "corpus": atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table)),
+        "truth": atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth)),
+        "registry": atomic_write(out_dir / "countries.tsv", synth.registry_for(spec).to_tsv()),
+    }
+    populations = []
+    for population in spec.populations:
+        names, counts = synth.generate_population(spec, population)
+        populations.append((names, counts))
+        stem = f"population_{population.name}"
+        paths[f"population:{population.name}"] = atomic_write(
+            out_dir / f"{stem}.txt", "\n".join(names) + "\n"
+        )
+        paths[f"population_truth:{population.name}"] = atomic_write(
+            out_dir / f"{stem}_truth.json", dumps({r: counts[r] for r in sorted(counts)})
+        )
+    return paths, table, truth, populations
+
+
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table, truth = synth.generate(spec)
-    spec.save(out_dir / "spec.json")
-    atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table))
-    atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth))
-    atomic_write(out_dir / "countries.tsv", synth.registry_for(spec).to_tsv())
-    heldout = None  # the first population, which the scorecard scores
-    for population in spec.populations:
-        names, truth_counts = synth.generate_population(spec, population)
-        heldout = heldout or (names, truth_counts)
-        atomic_write(out_dir / f"population_{population.name}.txt", "\n".join(names) + "\n")
-        atomic_write(
-            out_dir / f"population_{population.name}_truth.json",
-            dumps({r: truth_counts[r] for r in sorted(truth_counts)}),
-        )
+    _, table, truth, populations = _write_synth(spec, out_dir)
     if args.score:
         card = synth.score_pipeline(
             spec,
             min_core_names=args.min_core_names,
             alpha=args.alpha,
             corpus=(table, truth),
-            heldout=heldout,
+            heldout=populations[0] if populations else None,  # the population it scores
         )
         atomic_write(out_dir / "scorecard.json", card.to_json())
         print(card.to_json(), end="", file=sys.stderr)
@@ -385,21 +403,56 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The JSON values each kind of pipeline config key takes; a bool is no number.
-_JSON_KINDS: dict[str, Callable[[object], bool]] = {
-    "true or false": lambda v: isinstance(v, bool),
-    "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
-    "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+def _resolve(value: str, base: Path) -> Path:
+    path = Path(value)
+    return path if path.is_absolute() else base / path
+
+
+# Per field annotation: its JSON kind in words, whether a JSON value is of
+# that kind (a bool is no number), and the field's value from one, given the
+# config file's directory. Input paths are relative to the config file, but
+# `out_dir`, the one `Path`, is relative to the working directory.
+_JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path], object]]] = {
+    "bool": ("true or false", lambda v: isinstance(v, bool), lambda v, _: v),
+    "int": ("an integer", _is_int, lambda v, _: v),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), lambda v, _: float(v)),
+    "str": ("a string", lambda v: isinstance(v, str), lambda v, _: v),
+    "Path": ("a string", lambda v: isinstance(v, str), lambda v, _: Path(v)),
+    "Path | None": (
+        "a string or null",
+        lambda v: v is None or isinstance(v, str),
+        lambda v, base: None if v is None else _resolve(v, base),
+    ),
+    "tuple[int, ...]": (
+        "a list of integers",
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        lambda v, _: tuple(v),
+    ),
+    "tuple[Path, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        lambda v, base: tuple(_resolve(t, base) for t in v),
+    ),
 }
+
+
+def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
+    """A field's default and its range: the values `ok` accepts, `rule` in words."""
+    return field(default=default, metadata={"rule": (rule, ok)})
+
+
+def _check_setting(f: Field, value: object, name: str | None = None) -> None:
+    """Raise `ConfigError`, naming the setting `name` or else `f.name`, unless
+    `value` lies in the range of the field `f`."""
+    rule, ok = f.metadata.get("rule", ("", None))
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
 
 
 @dataclass
 class PipelineConfig:
-    """File-based configuration for the all-in-one pipeline command."""
+    """File-based configuration for the all-in-one pipeline command; each
+    field declares a setting's default, JSON kind (its annotation) and range."""
 
     seed: int
     out_dir: Path
@@ -409,46 +462,30 @@ class PipelineConfig:
     header: bool = False
     strict: bool = False
     strip_diacritics: bool = False
-    hhi_min: float = 0.8
-    freq_min: float = 1e-6
-    basis: str = "frequency"
-    min_core_names: int = 20
-    min_df: int = 1
-    n_values: tuple[int, ...] = (2, 3)
+    hhi_min: float = _setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
+    freq_min: float = _setting(1e-6, ">= 0", lambda v: v >= 0)
+    basis: str = _setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
+    min_core_names: int = _setting(20, ">= 1", lambda v: v >= 1)
+    min_df: int = _setting(1, ">= 1", lambda v: v >= 1)
+    n_values: tuple[int, ...] = (2, 3)  # whatever NGramConfig accepts
     pad_boundaries: bool = True
-    k_regions: int = 7
+    k_regions: int = _setting(7, ">= 1", lambda v: v >= 1)
     overrides: Path | None = None
-    alpha: float = 0.1
-    train_fraction: float = 0.85
+    alpha: float = _setting(0.1, "> 0", lambda v: v > 0)
+    train_fraction: float = _setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
     reference: Path | None = None
     targets: tuple[Path, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer (stochastic stages require it)")
-        if not 0 < self.hhi_min <= 1:
-            raise ConfigError(f"hhi_min must be in (0, 1], got {self.hhi_min}")
-        if self.freq_min < 0:
-            raise ConfigError(f"freq_min must be >= 0, got {self.freq_min}")
-        if self.basis not in ("frequency", "count"):
-            raise ConfigError(f"basis must be frequency or count, got {self.basis!r}")
-        if self.min_core_names < 1 or self.min_df < 1 or self.k_regions < 1:
-            raise ConfigError("min_core_names, min_df and k_regions must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        for f in fields(self):
+            _check_setting(f, getattr(self, f.name))
+        feature_config(self)
         if self.corpus is None and self.synth_spec is None:
             raise ConfigError("config needs either a corpus path or a synth block")
         if self.corpus is not None and self.synth_spec is not None:
             raise ConfigError("config cannot have both a corpus path and a synth block")
-
-    @property
-    def feature_config(self) -> NGramConfig:
-        try:
-            return NGramConfig(n_values=self.n_values, pad_boundaries=self.pad_boundaries)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: Path | str, overrides: Mapping[str, object]) -> "PipelineConfig":
@@ -466,45 +503,17 @@ class PipelineConfig:
         merged.update({k: v for k, v in overrides.items() if v is not None})
         base = Path(path).parent
 
-        def resolve(value: str) -> Path:  # relative to the config file
-            p = Path(value)
-            return p if p.is_absolute() else base / p
-
-        def optional_path(value: str | None) -> Path | None:
-            return None if value is None else resolve(value)
-
         # Keys absent from the file take the field's default.
-        convert = {
-            "seed": ("an integer", int),
-            "out_dir": ("a string", Path),
-            "corpus": ("a string or null", optional_path),
-            "registry": ("a string or null", optional_path),
-            "header": ("true or false", bool),
-            "strict": ("true or false", bool),
-            "strip_diacritics": ("true or false", bool),
-            "hhi_min": ("a number", float),
-            "freq_min": ("a number", float),
-            "basis": ("a string", str),
-            "min_core_names": ("an integer", int),
-            "min_df": ("an integer", int),
-            "n_values": ("a list of integers", tuple),
-            "pad_boundaries": ("true or false", bool),
-            "k_regions": ("an integer", int),
-            "overrides": ("a string or null", optional_path),
-            "alpha": ("a number", float),
-            "train_fraction": ("a number", float),
-            "reference": ("a string or null", optional_path),
-            "targets": ("a list of strings", lambda v: tuple(resolve(t) for t in v)),
-        }
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in merged:
-                raise ConfigError(f"missing config key: {f.name!r}")
         values = {}
-        for key, (kind, to) in convert.items():
-            if key in merged:
-                if not _JSON_KINDS[kind](merged[key]):
-                    raise ConfigError(f"{path}: {key} must be {kind}, got {merged[key]!r}")
-                values[key] = to(merged[key])
+        for f in fields(cls):
+            if f.name not in merged:
+                if f.default is MISSING:
+                    raise ConfigError(f"missing config key: {f.name!r}")
+                continue
+            kind, is_kind, to = _JSON_KINDS[f.type]
+            if not is_kind(merged[f.name]):
+                raise ConfigError(f"{path}: {f.name} must be {kind}, got {merged[f.name]!r}")
+            values[f.name] = to(merged[f.name], base)
 
         synth_spec = None
         synth_block = merged.get("synth")
@@ -516,9 +525,9 @@ class PipelineConfig:
             elif "standard" in synth_block:
                 params = synth_block["standard"]
                 for key in ("n_regions", "countries_per_region", "names_per_country", "overlap"):
-                    kind = "a number" if key == "overlap" else "an integer"
+                    kind, is_kind, _ = _JSON_KINDS["float" if key == "overlap" else "int"]
                     value = params.get(key) if isinstance(params, dict) else None
-                    if value is not None and not _JSON_KINDS[kind](value):
+                    if value is not None and not is_kind(value):
                         key = f"synth.standard.{key}"
                         raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
                 try:
@@ -543,43 +552,32 @@ class PipelineConfig:
         return cls(synth_spec=synth_spec, **values)
 
 
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Run every stage from one config; returns the artifact paths."""
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
-    feature_config = config.feature_config
 
+    corpus_path, registry_path = config.corpus, config.registry
     reference_path = config.reference
     target_paths = list(config.targets)
     dataset_names: dict[Path, str] = {}
-
     if config.synth_spec is not None:
-        spec = config.synth_spec
-        table, truth = synth.generate(spec)
-        registry = synth.registry_for(spec)
-        artifacts["spec"] = spec.save(out_dir / "spec.json")
-        artifacts["corpus"] = atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table))
-        artifacts["truth"] = atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth))
-        artifacts["registry"] = atomic_write(out_dir / "countries.tsv", registry.to_tsv())
-        corpus_path = artifacts["corpus"]
-        for population in spec.populations:
-            names, _ = synth.generate_population(spec, population)
-            pop_path = atomic_write(
-                out_dir / f"population_{population.name}.txt", "\n".join(names) + "\n"
-            )
-            artifacts[f"population:{population.name}"] = pop_path
+        artifacts.update(_write_synth(config.synth_spec, out_dir)[0])
+        corpus_path, registry_path = artifacts["corpus"], artifacts["registry"]
+        for population in config.synth_spec.populations:
+            pop_path = artifacts[f"population:{population.name}"]
             dataset_names[pop_path] = population.name
             if reference_path is None:
                 reference_path = pop_path
             else:
                 target_paths.append(pop_path)
-    else:
-        corpus_path = config.corpus
-        registry = _load_registry(config.registry)
 
     log.info("stage: ingest (%s)", corpus_path)
-    table = _read_corpus(corpus_path, registry, config)
+    table = _read_corpus(corpus_path, _load_registry(registry_path), config)
 
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
@@ -589,7 +587,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation; row i is core name i.
     with _surnames_from(corpus_path):
-        core_features = featurize(core.names, feature_config)
+        core_features = featurize(core.names, feature_config(config))
 
     log.info("stage: typology")
     typology, dendrogram, labeled, region_counts = stages.build_typology(
@@ -658,17 +656,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 "model_sha256": sha256_file(artifacts["model"]),
                 "operator": "operator.csv",
                 "reference": dists[0].dataset_name,
-                "config": {
-                    "seed": config.seed,
-                    "alpha": config.alpha,
-                    "train_fraction": config.train_fraction,
-                    "hhi_min": config.hhi_min,
-                    "freq_min": config.freq_min,
-                    "min_core_names": config.min_core_names,
-                    "min_df": config.min_df,
-                    "n_values": list(config.n_values),
-                    "pad_boundaries": config.pad_boundaries,
-                    "k_regions": config.k_regions,
+                "config": {  # every setting but the paths and the synth block
+                    f.name: getattr(config, f.name)
+                    for f in fields(config)
+                    if "Path" not in f.type and f.name != "synth_spec"
                 },
             },
         )
@@ -690,10 +681,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
 
 def cmd_pipeline(args) -> int:
-    # from_file skips the options left unset (None).
-    overrides = {
-        "out_dir": args.out_dir, "seed": args.seed, "k_regions": args.k, "alpha": args.alpha
-    }
+    # The options named after fields; from_file skips those left unset (None).
+    overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
     config = PipelineConfig.from_file(args.config, overrides)
     artifacts = run_pipeline(config)
     for key in sorted(artifacts):
@@ -746,22 +735,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filter-core", help="extract concentration-filtered core names")
     p.add_argument("corpus")
     p.add_argument("--out", help="core-name TSV (default: stdout)")
-    p.add_argument("--hhi-min", type=float, default=0.8, help="minimum share concentration")
-    p.add_argument("--freq-min", type=float, default=1e-6, help="minimum maximal frequency")
-    p.add_argument(
-        "--basis",
-        choices=("frequency", "count"),
-        default="frequency",
-        help="share basis for the concentration index",
-    )
+    _add_setting(p, "hhi_min", help="minimum share concentration")
+    _add_setting(p, "freq_min", help="minimum maximal frequency")
+    _add_setting(p, "basis", help="share basis for the concentration index")
     _add_corpus_opts(p)
     p.set_defaults(func=cmd_filter_core)
 
     p = sub.add_parser("typology", help="cluster countries and relabel core names")
     p.add_argument("--core", required=True, help="core-name TSV")
-    p.add_argument("--k", type=int, default=7, help="number of regions")
+    _add_setting(p, "k_regions", "--k", help="number of regions")
     p.add_argument("--overrides", help="REASSIGN/DELETE override TSV")
-    p.add_argument("--min-core-names", type=int, default=20)
+    _add_setting(p, "min_core_names", help="fewest core names a clustered country has")
     p.add_argument("--out-dir", required=True)
     _add_feature_opts(p)
     p.set_defaults(func=cmd_typology)
@@ -769,14 +753,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="split the labeled set and fit the classifier")
     p.add_argument("--labeled", required=True, help="surname<TAB>region TSV")
     p.add_argument("--out", required=True, help="model JSON path")
-    p.add_argument("--alpha", type=float, default=0.1, help="additive smoothing")
-    p.add_argument("--train-fraction", type=float, default=0.85)
+    _add_setting(p, "alpha", help="additive smoothing")
+    _add_setting(p, "train_fraction", help="share of each region's names trained on")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--min-df", type=int, default=1)
+    _add_setting(p, "min_df", help="fewest training names an n-gram must occur in")
     p.add_argument("--eval-out", help="write the held-out evaluation set here")
     p.add_argument("--train-out", help="write the training set here")
     p.add_argument("--vocab-out", help="write the vocabulary (one token per line)")
-    p.add_argument("--strip-diacritics", action="store_true")
+    _add_setting(p, "strip_diacritics")
     _add_feature_opts(p)
     p.set_defaults(func=cmd_train)
 
@@ -825,47 +809,45 @@ def build_parser() -> _Parser:
     p.add_argument("--population-size", type=int, default=2000)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--score", action="store_true", help="also run the scored pipeline")
-    p.add_argument("--min-core-names", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.1)
+    _add_setting(p, "min_core_names", help="fewest core names a clustered country has")
+    _add_setting(p, "alpha", help="additive smoothing")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pipeline", help="run every stage from one JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", help="override the config's output directory")
     p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument("--k", type=int, help="override the region count")
-    p.add_argument("--alpha", type=float, help="override the smoothing parameter")
+    _add_setting(p, "k_regions", "--k", default=None, help="override the region count")
+    _add_setting(p, "alpha", default=None, help="override the smoothing parameter")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     # The package's log records go to this call's stderr: warnings always,
     # the INFO stage lines and counts with -v. Undone on return.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(message)s"))
     package_log = logging.getLogger("onoma")
     package_log.addHandler(handler)
-    package_log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    package_log.setLevel(logging.WARNING)
     try:
+        # A setting's option out of its range is a config error while parsing.
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            package_log.setLevel(logging.INFO)
         return args.func(args)
+    except _UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantError as exc:

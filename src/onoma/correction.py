@@ -120,7 +120,10 @@ class ConfusionCounts:
         regions, matrix = parse_confusion_csv(
             Path(path).read_text(encoding="utf-8"), source=str(path)
         )
-        return cls(regions, matrix)
+        try:
+            return cls(regions, matrix)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
     def to_csv(self) -> str:
         return render_confusion_csv(self.regions, self.matrix)
@@ -183,7 +186,10 @@ class CorrectionOperator:
                 key, _, value = line[1:].partition(":")
                 provenance[key.strip()] = value.strip()
         regions, matrix = parse_confusion_csv(text, source=str(path))
-        return cls(regions, matrix, provenance)
+        try:
+            return cls(regions, matrix, provenance)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
 
 
 def correction_operator(

@@ -153,6 +153,16 @@ def _ratio_vectors(profiles: Sequence[RepresentationProfile]) -> tuple[np.ndarra
     return stacked[:, defined], kept
 
 
+def _canberra_tree(labels: Sequence[str], vectors: np.ndarray) -> Dendrogram:
+    """Average-linkage tree of `labels` on Canberra distances between the rows of `vectors`."""
+    n = len(labels)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = canberra(vectors[i], vectors[j])
+    return agglomerate(labels, dist, method="average")
+
+
 def order_profiles(
     profiles: Sequence[RepresentationProfile],
 ) -> tuple[list[RepresentationProfile], Dendrogram | None]:
@@ -175,13 +185,7 @@ def order_profiles(
             raise ValueError("profiles disagree on regions")
     profiles = sorted(profiles, key=lambda p: p.dataset_name)
     names = [p.dataset_name for p in profiles]
-    vectors, _ = _ratio_vectors(profiles)
-    n = len(profiles)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = canberra(vectors[i], vectors[j])
-    tree = agglomerate(names, dist, method="average")
+    tree = _canberra_tree(names, _ratio_vectors(profiles)[0])
     by_name = {p.dataset_name: p for p in profiles}
     return [by_name[name] for name in tree.leaf_order()], tree
 
@@ -196,12 +200,7 @@ def _region_order(
     missing = [r for r in regions if r not in kept]
     if len(kept) < 2:
         return list(regions), None
-    n = len(kept)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = canberra(vectors[:, i], vectors[:, j])
-    tree = agglomerate(kept, dist, method="average")
+    tree = _canberra_tree(kept, vectors.T)
     return tree.leaf_order() + missing, tree
 
 

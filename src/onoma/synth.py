@@ -24,7 +24,7 @@ from .classifier import EvalReport, classify_rows
 from .corpus import CountryRegistry, OccurrenceTable, filter_core_names
 from .correction import ConfusionCounts, correct_counts
 from .errors import InputFormatError, InvariantError
-from .features import NGramConfig, featurize
+from .features import featurize
 from .stages import build_typology, calibrate, fit
 from .util import derive_seed, dumps
 
@@ -585,13 +585,8 @@ def _majority_region_map(
 def score_pipeline(
     spec: SynthSpec,
     *,
-    hhi_min: float = 0.8,
-    freq_min: float = 1e-6,
-    min_core_names: int = 20,
-    min_df: int = 1,
-    feature_config: NGramConfig = NGramConfig(),
-    alpha: float = 0.1,
-    train_fraction: float = 0.85,
+    min_core_names: int | None = None,
+    alpha: float | None = None,
     corpus: tuple[OccurrenceTable, Mapping[str, str]] | None = None,
     heldout: tuple[Sequence[str], Mapping[str, int]] | None = None,
 ) -> Scorecard:
@@ -606,12 +601,20 @@ def score_pipeline(
     `corpus` is `generate(spec)` and `heldout` is `generate_population` of
     the scored population (the spec's first, else `default_population`),
     for a caller that already has them; each is generated here when None.
+    Every other setting, and these two when None, is `cli.PipelineConfig`'s
+    default; a value out of its range raises `ConfigError`.
     """
+    from .cli import PipelineConfig, feature_config  # cli imports this module
+
+    given = {"min_core_names": min_core_names, "alpha": alpha}
+    config = PipelineConfig(  # nothing is written to its out_dir
+        spec.seed, Path(), synth_spec=spec, **{k: v for k, v in given.items() if v is not None}
+    )
     table, truth = generate(spec) if corpus is None else corpus
-    core = filter_core_names(table, hhi_min, freq_min)
-    core_features = featurize(core.names, feature_config)
+    core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
+    core_features = featurize(core.names, feature_config(config))
     typology, _, labeled, _ = build_typology(
-        core, core_features, min_core_names, len(spec.generators)
+        core, core_features, config.min_core_names, len(spec.generators)
     )
 
     country_truth = {c.code: c.region for c in spec.countries}
@@ -632,10 +635,10 @@ def score_pipeline(
         labeled,
         core_features,
         seed=spec.seed,
-        train_fraction=train_fraction,
-        alpha=alpha,
-        min_df=min_df,
-        strip_diacritics=False,
+        train_fraction=config.train_fraction,
+        alpha=config.alpha,
+        min_df=config.min_df,
+        strip_diacritics=config.strip_diacritics,
     )
 
     # One classification of the evaluation set fills both the typology-space

@@ -1,11 +1,14 @@
 """Command surface: formats, exit codes, end-to-end stage chaining."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from onoma import synth
-from onoma.cli import PipelineConfig, main
+from onoma.classifier import Labeled, train
+from onoma.cli import PipelineConfig, build_parser, main
+from onoma.features import featurize
 from onoma.resources import reference_confusion_path
 
 
@@ -378,6 +381,64 @@ def test_exit_code_config(tmp_path, synth_dir):
     ) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        pytest.param(argv, name, id=f"{argv[0]}:{name}")
+        for argv, names in [
+            (["filter-core", "c.tsv"],
+             ("hhi_min", "freq_min", "basis", "header", "strict", "strip_diacritics")),
+            (["typology", "--core", "c.tsv", "--out-dir", "o"],
+             ("k_regions", "min_core_names", "n_values", "pad_boundaries")),
+            (["train", "--labeled", "l.tsv", "--out", "m.json", "--seed", "1"],
+             ("alpha", "train_fraction", "min_df", "strip_diacritics", "n_values",
+              "pad_boundaries")),
+            (["synth", "--out-dir", "o"], ("min_core_names", "alpha")),
+        ]
+        for name in names
+    ],
+)
+def test_stage_option_defaults_are_the_config_field_defaults(argv, name):
+    args = build_parser().parse_args(argv)
+    field = next(f for f in fields(PipelineConfig) if f.name == name)
+    assert getattr(args, name) == field.default
+
+
+@pytest.mark.parametrize("score", [[], ["--score"]], ids=["plain", "score"])
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--alpha", -1, "--alpha must be > 0, got -1.0"),
+     ("--min-core-names", 0, "--min-core-names must be >= 1, got 0")],
+    ids=["alpha", "min_core_names"],
+)
+def test_synth_checks_its_settings_before_writing(tmp_path, capsys, score, option, value, message):
+    out = tmp_path / "synth"
+    assert run(["synth", "--regions", 2, "--countries-per-region", 2, "--names", 50,
+                "--overlap", 0.2, "--seed", 1, "--out-dir", out, option, value, *score]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
+    names, labeled = Labeled.from_pairs([("abc", "A"), ("abd", "A"), ("xyz", "B"), ("xyw", "B")])
+    model = tmp_path / "model.json"
+    train(labeled, featurize(names), 0.1).save(model)
+    population = tmp_path / "population.txt"
+    population.write_text("abc\nxyz\n", encoding="utf-8")
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,0.5,1\nB,0,1\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    assert f"input error: {operator}: operator rows must sum to 1" in capsys.readouterr().err
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("guessed,A,B\nA,3,0\nB,1,0\n", encoding="utf-8")
+    assert run(["evaluate", "--confusion", confusion, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {confusion}: regions with zero actual names: B" in err
+    assert not out.exists()
+
+
 def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):
     core = tmp_path / "core.tsv"
     core.write_text("".join(f"name{c}\tAA\t1\t0.01\n" for c in "abcdef"), encoding="utf-8")
@@ -438,6 +499,11 @@ def test_pipeline_from_config(tmp_path):
         assert (out / name).exists(), name
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["seed"] == 42
+    # The synth block writes what `onoma synth` writes, truth counts included.
+    for name in ("reference", "elite"):
+        truth = json.loads((out / f"population_{name}_truth.json").read_text(encoding="utf-8"))
+        assert sum(truth.values()) == {"reference": 500, "elite": 300}[name]
+        assert summary["artifacts"][f"population_truth:{name}"] == f"population_{name}_truth.json"
     ratios = (out / "ratios.csv").read_text(encoding="utf-8").splitlines()
     reference_row = next(line for line in ratios[1:] if line.startswith("reference,"))
     assert set(reference_row.split(",")[1:]) == {"1"}

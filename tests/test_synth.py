@@ -12,6 +12,7 @@ from onoma.classifier import Labeled, evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
 from onoma.features import NGramConfig, featurize
+from onoma.stages import fit
 from onoma.synth import (
     CountrySpec,
     MarkovChain,
@@ -369,5 +370,13 @@ def test_score_pipeline_reports_bad_settings_as_config_errors():
     spec = standard_spec(2, 2, 80, 0.2, seed=2)
     with pytest.raises(ConfigError, match="need at least 2 countries"):
         score_pipeline(spec, min_core_names=1000)
+    for key, value in (("min_core_names", 0), ("alpha", -1.0)):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            score_pipeline(spec, **{key: value})
+    # score_pipeline takes the pipeline's train fraction; the stage it calls
+    # reports a bad one.
+    table, truth = generate(spec)
+    names, labeled = Labeled.from_pairs([(s, truth[s]) for s in filter_core_names(table).names])
     with pytest.raises(ConfigError, match="train_fraction"):
-        score_pipeline(spec, min_core_names=10, train_fraction=1.0)
+        fit(labeled, featurize(names), seed=2, train_fraction=1.0, alpha=0.1, min_df=1,
+            strip_diacritics=False)
