@@ -7,6 +7,13 @@ aggregate guesses through a prior-reweighted confusion matrix, and compares
 populations by representativeness ratios.
 """
 
+import os
+
+# numpy's OpenBLAS starts a worker per extra CPU at import, each spinning for
+# about 0.1 s of CPU; onoma's regions-sized products need none. Set before
+# numpy is first imported; a caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .classifier import (
     Classification,
     EvalReport,

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import normalize_surname
-from .errors import InputFormatError
+from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, extract, featurize
 from .util import atomic_write, derive_seed, dumps, intern, pick, tsv_lines
 
@@ -338,12 +338,14 @@ def classify_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score many surnames at once, as `classify_rows` does, in input order.
 
-    Each distinct normalized surname is featurized and scored once.
+    Each distinct normalized surname is featurized and scored once. A name
+    empty after normalization or holding a boundary marker raises
+    `SurnameError`.
     """
     normalized = [normalize_surname(surname, model.strip_diacritics) for surname in surnames]
     if not all(normalized):
         empty = surnames[normalized.index("")]
-        raise ValueError(f"surname {empty!r} is empty after normalization")
+        raise SurnameError(f"surname {empty!r} is empty after normalization")
     distinct, back = intern(normalized)
     features = featurize(distinct, model.feature_config)
     labels, prior_only, scores = classify_rows(model, features, range(len(distinct)))

@@ -113,12 +113,11 @@ def _surnames_from(source: Path | str | Mapping[str, Path | str]) -> Iterator[No
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _read_population(path: Path | str) -> list[str]:
-    names = [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+def _read_population(path: Path | str, text: str | None = None) -> list[str]:
+    """The surnames of a population file, one per line; from its `text` if given."""
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    names = [line.strip() for line in text.splitlines() if line.strip()]
     if not names:
         raise InputFormatError(f"{path}: no surnames")
     return names
@@ -555,9 +554,42 @@ class PipelineConfig:
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
+def _read_checked_population(path: Path, config: PipelineConfig) -> str:
+    """The text of a population file whose names classifying would accept.
+
+    It must hold a surname, and none may be empty after normalization or hold
+    a boundary marker. Stripped ASCII never normalizes to nothing, and
+    normalizing keeps markers, so only a text with a non-ASCII character or a
+    marker is split into names. The text is kept, not its names, so that they
+    add nothing to the run's peak of memory."""
+    text = Path(path).read_text(encoding="utf-8")
+    if not text.strip():
+        raise InputFormatError(f"{path}: no surnames")
+    ngrams = feature_config(config)
+    markers = (ngrams.start_marker, ngrams.end_marker)
+    if text.isascii() and not any(marker in text for marker in markers):
+        return text
+    for name in _read_population(path, text):
+        if not (name.isascii() or normalize_surname(name, config.strip_diacritics)):
+            raise InputFormatError(f"{path}: surname {name!r} is empty after normalization")
+        for marker in markers:
+            if marker in name:
+                name = normalize_surname(name, config.strip_diacritics)
+                message = f"surname {name!r} contains reserved marker {marker!r}"
+                raise InputFormatError(f"{path}: {message}")
+    return text
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Run every stage from one config; returns the artifact paths."""
     out_dir = config.out_dir
+    # The configured population files are read and checked before anything
+    # is written; a synth block's are read from the files this run writes.
+    population_texts = {
+        path: _read_checked_population(path, config)
+        for path in (config.reference, *config.targets)
+        if path is not None
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
@@ -629,7 +661,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     reference_names = None
     priors_source = "evaluation column shares (no reference given)"
     if reference_path is not None:
-        reference_names = _read_population(reference_path)
+        reference_names = _read_population(reference_path, population_texts.get(reference_path))
         priors_source = f"reference:{Path(reference_path).name}"
     with _surnames_from(reference_path):
         operator, reference_tally = stages.calibrate(
@@ -645,7 +677,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         files = [reference_path, *target_paths]
         names = [dataset_names.get(Path(path), Path(path).stem) for path in files]
         datasets = [(names[0], reference_names, reference_tally)]
-        datasets += [(n, _read_population(path), None) for n, path in zip(names[1:], files[1:])]
+        datasets += [
+            (n, _read_population(path, population_texts.get(path)), None)
+            for n, path in zip(names[1:], files[1:])
+        ]
         with _surnames_from(dict(zip(names, files))):
             dists, profiles = stages.compare(datasets, model, operator)
         report_paths = diversity.emit_report(

@@ -91,6 +91,10 @@ def tsv_lines(*columns: Sequence[str]) -> str:
     )
 
 
+# `json.dumps(text, ensure_ascii=False)` without building an encoder per call.
+_quote = json.encoder.encode_basestring
+
+
 def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
@@ -105,7 +109,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(_quote(obj))
     elif isinstance(obj, Mapping):
         if not obj:
             out.append("{}")
@@ -115,7 +119,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             out.append(pad)
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(_quote(key))
             out.append(": ")
             _emit(value, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")

@@ -20,6 +20,7 @@ from onoma.classifier import (
     train,
 )
 from onoma.correction import ConfusionCounts
+from onoma.errors import SurnameError
 from onoma.features import NGramConfig, extract, featurize
 from onoma.resources import reference_confusion_path
 
@@ -392,9 +393,10 @@ def test_classify_batch_reads_rows_from_a_shared_matrix(spec_model):
 
 def test_classify_batch_rejects_reserved_marker_and_empty(spec_model):
     model, held_out = spec_model
-    with pytest.raises(ValueError, match="marker"):
+    # A SurnameError, which the command line reports as an input error.
+    with pytest.raises(SurnameError, match="marker"):
         classify_batch(model, [held_out[0], "ab^c"])
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(SurnameError, match="empty"):
         classify_batch(model, [held_out[0], "   "])
 
 

@@ -1,10 +1,15 @@
 """Command surface: formats, exit codes, end-to-end stage chaining."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import onoma
 from onoma import synth
 from onoma.classifier import Labeled, train
 from onoma.cli import PipelineConfig, build_parser, main
@@ -456,6 +461,37 @@ def test_corpus_format_errors_name_the_file(tmp_path, capsys):
     assert f"input error: {bad}: line 2: expected 3 tab-separated fields, got 1" in err
 
 
+def _fresh_onoma(env: dict[str, str]) -> list[str]:
+    """The `Threads:` count and OPENBLAS_NUM_THREADS after `import onoma` in a
+    new interpreter, with OPENBLAS_NUM_THREADS taken from `env` alone (this
+    process imported numpy before onoma, so it cannot show the pool)."""
+    env = {
+        **{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
+        **env,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(onoma.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    code = (
+        "import os, onoma\n"
+        "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')]\n"
+        "print(threads[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_importing_onoma_keeps_openblas_to_one_thread():
+    assert _fresh_onoma({}) == ["1", "1"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_importing_onoma_keeps_the_callers_openblas_setting():
+    assert _fresh_onoma({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
 def test_no_partial_artifacts_on_format_error(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tUS\t3\nbroken\n", encoding="utf-8")
@@ -688,6 +724,7 @@ def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, syn
     assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
     err = capsys.readouterr().err
     assert f"input error: {reference}: surname 'o$brien' contains reserved marker '$'" in err
+    assert not (tmp_path / "out").exists()
     # The same file as a target is named too.
     config = _pipeline_config(tmp_path, synth_dir, corpus, synth_dir / "population_heldout.txt")
     doc = json.loads(config.read_text(encoding="utf-8"))
@@ -695,6 +732,36 @@ def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, syn
     assert run(["pipeline", "--config", config]) == 2
     err = capsys.readouterr().err
     assert f"input error: {reference}: surname 'o$brien' contains reserved marker '$'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, target, message",
+    [
+        (None, True, "io error: "),
+        (" \n\u2028\t\n", False, "input error: {path}: no surnames"),
+        ("\u0301\n", False, "input error: {path}: surname '\u0301' is empty after normalization"),
+        ("ab\nÓ$Brien\n", True, "input error: {path}: surname 'o$brien' contains reserved marker '$'"),
+    ],
+)
+def test_pipeline_reads_its_population_files_before_writing(
+    tmp_path, synth_dir, capsys, lines, target, message
+):
+    """A missing, empty or rejected population file leaves no out dir."""
+    path = tmp_path / "population.txt"
+    if lines is not None:
+        path.write_text(lines, encoding="utf-8")
+    heldout = synth_dir / "population_heldout.txt"
+    config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv", heldout)
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    population = {"targets": [str(path)]} if target else {"reference": str(path)}
+    # With diacritics stripped, a lone combining accent normalizes to nothing.
+    config.write_text(
+        json.dumps({**doc, **population, "strip_diacritics": True}), encoding="utf-8"
+    )
+    assert run(["pipeline", "--config", config]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, capsys):

@@ -166,6 +166,14 @@ def test_dumps_matches_element_by_element_reference():
         assert dumps(doc) == parent_dumps(doc), doc
 
 
+def test_dumps_quotes_strings_and_keys_as_json_dumps_does():
+    texts = ['quote"d', "back\\slash", "\u2028", "Ñúñez 李", "🙂", "\ud800", "a\udfffb"]
+    texts += [chr(code) for code in range(0x20)] + ["".join(map(chr, range(0x20)))]
+    for text in texts:
+        quoted = json.dumps(text, ensure_ascii=False)
+        assert dumps({text: [text, 1]}) == f"{{\n  {quoted}: [{quoted}, 1]\n}}\n", text
+
+
 def test_dumps_rejects_non_finite_in_float_lists():
     nan, inf = float("nan"), float("inf")
     for bad, first in (([0.1, nan], nan), ([inf], inf), ([1.0, 2.0, -inf, nan], -inf),
