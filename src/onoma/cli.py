@@ -7,8 +7,11 @@ Each setting is one `PipelineConfig` field, which gives the config file its
 JSON type and every command its option's default and range check. Each
 subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
-deterministic for a given (inputs, config, seed) triple. Exit codes: 1 usage,
-2 input format, 3 config validation, 4 internal invariant violation.
+deterministic for a given (inputs, config, seed) triple. Population files
+are read by `_read_population`, which rejects every name classifying would
+reject; a surname in another file that the n-gram pass rejects is reported
+as an input error in that file. Exit codes: 1 usage, 2 input format,
+3 config validation, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -100,26 +103,33 @@ def _read_corpus(path: Path | str, registry: CountryRegistry, options) -> Occurr
 
 
 @contextmanager
-def _surnames_from(source: Path | str | Mapping[str, Path | str]) -> Iterator[None]:
-    """Report a surname the n-gram pass rejects as an input error in its file.
-
-    `source` is that file, or for `stages.compare` a map from each dataset
-    name to its file.
-    """
+def _surnames_from(path: Path | str) -> Iterator[None]:
+    """Report a surname the n-gram pass rejects as an input error in `path`."""
     try:
         yield
     except SurnameError as exc:
-        path = source[exc.dataset] if isinstance(source, Mapping) else source
         raise InputFormatError(f"{path}: {exc}") from None
 
 
-def _read_population(path: Path | str, text: str | None = None) -> list[str]:
-    """The surnames of a population file, one per line; from its `text` if given."""
-    if text is None:
-        text = Path(path).read_text(encoding="utf-8")
-    names = [line.strip() for line in text.splitlines() if line.strip()]
+def _read_population(path: Path | str, strip_diacritics: bool, ngrams: NGramConfig) -> list[str]:
+    """The surnames of a population file, one per line, each one classifying accepts.
+
+    The file must hold a surname, and no name may be empty after
+    `normalize_surname` or hold one of the boundary markers of `ngrams`.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    names = [name for line in lines if (name := line.strip())]
     if not names:
         raise InputFormatError(f"{path}: no surnames")
+    markers = (ngrams.start_marker, ngrams.end_marker)
+    for name in names:
+        normalized = normalize_surname(name, strip_diacritics)
+        if not normalized:
+            raise InputFormatError(f"{path}: surname {name!r} is empty after normalization")
+        for marker in markers:
+            if marker in normalized:
+                message = f"surname {normalized!r} contains reserved marker {marker!r}"
+                raise InputFormatError(f"{path}: {message}")
     return names
 
 
@@ -262,6 +272,8 @@ def _normalized_priors(text: str, n: int) -> np.ndarray:
         values = np.asarray([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
         raise ConfigError(f"bad priors {text!r}, expected comma-separated numbers") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"--priors must be finite numbers, got {text!r}")
     if values.shape != (n,):
         raise ConfigError(f"expected {n} priors, got {len(values)}")
     if np.any(values <= 0):
@@ -278,12 +290,11 @@ def cmd_calibrate(args) -> int:
         provenance["priors_source"] = "explicit"
     elif args.reference and args.model:
         model = TrainedModel.load(args.model)
-        reference = _read_population(args.reference)
+        reference = _read_population(args.reference, model.strip_diacritics, model.feature_config)
         provenance["priors_source"] = f"reference:{Path(args.reference).name}"
     else:
         raise ConfigError("need either --priors or both --reference and --model")
-    with _surnames_from(args.reference):
-        operator, _ = stages.calibrate(counts, model, reference, provenance, priors=priors)
+    operator, _ = stages.calibrate(counts, model, reference, provenance, priors=priors)
     atomic_write(args.out, operator.to_csv())
     print(f"operator over {len(operator.regions)} regions -> {args.out}", file=sys.stderr)
     return 0
@@ -292,10 +303,8 @@ def cmd_calibrate(args) -> int:
 def cmd_classify_population(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
-    names = _read_population(args.input)
-    dataset = args.name or Path(args.input).stem
-    with _surnames_from(args.input):
-        dist = diversity.distribution(names, model, operator, dataset)
+    names = _read_population(args.input, model.strip_diacritics, model.feature_config)
+    dist = diversity.distribution(names, model, operator, args.name or Path(args.input).stem)
     doc = {
         "dataset": dist.dataset_name,
         "n_names": dist.n_names,
@@ -311,11 +320,12 @@ def cmd_classify_population(args) -> int:
 def cmd_compare(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
-    files = [args.reference, *args.targets]
-    names = [Path(path).stem for path in files]
-    datasets = [(name, _read_population(path), None) for name, path in zip(names, files)]
-    with _surnames_from(dict(zip(names, files))):
-        dists, profiles = stages.compare(datasets, model, operator)
+    strip, ngrams = model.strip_diacritics, model.feature_config
+    datasets = [
+        (Path(path).stem, _read_population(path, strip, ngrams), None)
+        for path in (args.reference, *args.targets)
+    ]
+    dists, profiles = stages.compare(datasets, model, operator)
     provenance = {
         "model_sha256": sha256_file(args.model),
         "operator": Path(args.operator).name,
@@ -485,6 +495,9 @@ class PipelineConfig:
             raise ConfigError("config needs either a corpus path or a synth block")
         if self.corpus is not None and self.synth_spec is not None:
             raise ConfigError("config cannot have both a corpus path and a synth block")
+        populations = self.synth_spec.populations if self.synth_spec is not None else ()
+        if self.targets and self.reference is None and not populations:
+            raise ConfigError("targets need a reference: a reference path or a synth population")
 
     @classmethod
     def from_file(cls, path: Path | str, overrides: Mapping[str, object]) -> "PipelineConfig":
@@ -554,62 +567,40 @@ class PipelineConfig:
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
-def _read_checked_population(path: Path, config: PipelineConfig) -> str:
-    """The text of a population file whose names classifying would accept.
-
-    It must hold a surname, and none may be empty after normalization or hold
-    a boundary marker. Stripped ASCII never normalizes to nothing, and
-    normalizing keeps markers, so only a text with a non-ASCII character or a
-    marker is split into names. The text is kept, not its names, so that they
-    add nothing to the run's peak of memory."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        raise InputFormatError(f"{path}: no surnames")
-    ngrams = feature_config(config)
-    markers = (ngrams.start_marker, ngrams.end_marker)
-    if text.isascii() and not any(marker in text for marker in markers):
-        return text
-    for name in _read_population(path, text):
-        if not (name.isascii() or normalize_surname(name, config.strip_diacritics)):
-            raise InputFormatError(f"{path}: surname {name!r} is empty after normalization")
-        for marker in markers:
-            if marker in name:
-                name = normalize_surname(name, config.strip_diacritics)
-                message = f"surname {name!r} contains reserved marker {marker!r}"
-                raise InputFormatError(f"{path}: {message}")
-    return text
-
-
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
-    """Run every stage from one config; returns the artifact paths."""
-    out_dir = config.out_dir
-    # The configured population files are read and checked before anything
-    # is written; a synth block's are read from the files this run writes.
-    population_texts = {
-        path: _read_checked_population(path, config)
-        for path in (config.reference, *config.targets)
-        if path is not None
+    """Run every stage from one config; returns the artifact paths.
+
+    The dataset names and every configured input are checked before
+    `out_dir` is created. The reference dataset is `config.reference`, or
+    else the synth block's first population; the targets are
+    `config.targets`, then the other synth populations.
+    """
+    out_dir, spec = config.out_dir, config.synth_spec
+    synth_names = [population.name for population in spec.populations] if spec is not None else []
+    files = [path for path in (config.reference, *config.targets) if path is not None]
+    # Without a reference file, the first synth population is the reference.
+    lead = 0 if config.reference is not None else 1
+    datasets = synth_names[:lead] + [path.stem for path in files] + synth_names[lead:]
+    stages.check_dataset_names(datasets)
+    ngrams = feature_config(config)
+    surnames = {
+        path.stem: _read_population(path, config.strip_diacritics, ngrams) for path in files
     }
+    overrides = load_overrides(config.overrides) if config.overrides else ()
+    corpus_path = config.corpus
+    if corpus_path is not None:
+        log.info("stage: ingest (%s)", corpus_path)
+        table = _read_corpus(corpus_path, _load_registry(config.registry), config)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
-
-    corpus_path, registry_path = config.corpus, config.registry
-    reference_path = config.reference
-    target_paths = list(config.targets)
-    dataset_names: dict[Path, str] = {}
-    if config.synth_spec is not None:
-        artifacts.update(_write_synth(config.synth_spec, out_dir)[0])
-        corpus_path, registry_path = artifacts["corpus"], artifacts["registry"]
-        for population in config.synth_spec.populations:
-            pop_path = artifacts[f"population:{population.name}"]
-            dataset_names[pop_path] = population.name
-            if reference_path is None:
-                reference_path = pop_path
-            else:
-                target_paths.append(pop_path)
-
-    log.info("stage: ingest (%s)", corpus_path)
-    table = _read_corpus(corpus_path, _load_registry(registry_path), config)
+    if spec is not None:
+        written = _write_synth(spec, out_dir)
+        artifacts.update(written[0])
+        surnames.update(zip(synth_names, (names for names, _ in written[3])))
+        del written  # the generated table and truth map; the corpus is read back
+        corpus_path = artifacts["corpus"]
+        log.info("stage: ingest (%s)", corpus_path)
+        table = _read_corpus(corpus_path, _load_registry(artifacts["registry"]), config)
 
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
@@ -619,7 +610,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation; row i is core name i.
     with _surnames_from(corpus_path):
-        core_features = featurize(core.names, feature_config(config))
+        core_features = featurize(core.names, ngrams)
 
     log.info("stage: typology")
     typology, dendrogram, labeled, region_counts = stages.build_typology(
@@ -627,12 +618,13 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         core_features,
         config.min_core_names,
         config.k_regions,
-        load_overrides(config.overrides) if config.overrides else (),
+        overrides,
     )
     artifacts["typology"] = atomic_write(out_dir / "typology.tsv", typology.to_tsv())
     artifacts["dendrogram"] = atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    labeled_tsv = render_labeled_tsv(core.names, labeled)
-    artifacts["labeled"] = atomic_write(out_dir / "labeled.tsv", labeled_tsv)
+    artifacts["labeled"] = atomic_write(
+        out_dir / "labeled.tsv", render_labeled_tsv(core.names, labeled)
+    )
 
     log.info("stage: train")
     model, train_set, eval_set = stages.fit(
@@ -647,11 +639,13 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
     log.info("stage: evaluate")
     report = evaluate(model, eval_set, core_features)
+    artifacts["eval_set"] = atomic_write(
+        out_dir / "eval.tsv", render_labeled_tsv(core.names, eval_set)
+    )
+    n_core_names = len(core)
     # Released before the model is serialized, the run's peak of memory.
-    del core_features
+    del core, core_features
     artifacts["model"] = model.save(out_dir / "model.json")
-    eval_tsv = render_labeled_tsv(core.names, eval_set)
-    artifacts["eval_set"] = atomic_write(out_dir / "eval.tsv", eval_tsv)
     artifacts["eval_report"] = atomic_write(out_dir / "eval_report.json", report.to_json())
     artifacts["confusion"] = atomic_write(
         out_dir / "confusion.csv", render_confusion_csv(report.regions, report.confusion)
@@ -660,29 +654,26 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     log.info("stage: calibrate")
     reference_names = None
     priors_source = "evaluation column shares (no reference given)"
-    if reference_path is not None:
-        reference_names = _read_population(reference_path, population_texts.get(reference_path))
-        priors_source = f"reference:{Path(reference_path).name}"
-    with _surnames_from(reference_path):
-        operator, reference_tally = stages.calibrate(
-            ConfusionCounts(report.regions, report.confusion.astype(float)),
-            model,
-            reference_names,
-            {"confusion": "confusion.csv", "priors_source": priors_source},
-        )
+    if datasets:
+        reference_names = surnames[datasets[0]]
+        reference_file = config.reference or artifacts[f"population:{datasets[0]}"]
+        priors_source = f"reference:{reference_file.name}"
+    operator, reference_tally = stages.calibrate(
+        ConfusionCounts(report.regions, report.confusion.astype(float)),
+        model,
+        reference_names,
+        {"confusion": "confusion.csv", "priors_source": priors_source},
+    )
     artifacts["operator"] = atomic_write(out_dir / "operator.csv", operator.to_csv())
 
-    if reference_path is not None:
+    if datasets:
         log.info("stage: compare")
-        files = [reference_path, *target_paths]
-        names = [dataset_names.get(Path(path), Path(path).stem) for path in files]
-        datasets = [(names[0], reference_names, reference_tally)]
-        datasets += [
-            (n, _read_population(path, population_texts.get(path)), None)
-            for n, path in zip(names[1:], files[1:])
-        ]
-        with _surnames_from(dict(zip(names, files))):
-            dists, profiles = stages.compare(datasets, model, operator)
+        dists, profiles = stages.compare(
+            [(name, surnames[name], reference_tally if i == 0 else None)
+             for i, name in enumerate(datasets)],
+            model,
+            operator,
+        )
         report_paths = diversity.emit_report(
             profiles,
             dists,
@@ -704,7 +695,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         "seed": config.seed,
         "n_records": n_records,
         "n_surnames": n_surnames,
-        "n_core_names": len(core),
+        "n_core_names": n_core_names,
         "regions": {r: region_counts[r] for r in typology.regions},
         "n_train": len(train_set),
         "n_eval": len(eval_set),

@@ -12,11 +12,10 @@ class InputFormatError(OnomaError):
 class SurnameError(OnomaError, ValueError):
     """A surname cannot be split into n-grams: it is empty or holds a marker.
 
-    `dataset` names the population it came from when a stage over several
-    populations raised it.
+    The command line checks population files by the same rules as it reads
+    them; it reports one raised for a core, labeled or evaluation file as an
+    input error in that file.
     """
-
-    dataset: str | None = None
 
 
 class ConfigError(OnomaError):

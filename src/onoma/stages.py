@@ -44,7 +44,7 @@ from .typology import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["build_typology", "fit", "calibrate", "compare"]
+__all__ = ["build_typology", "fit", "calibrate", "compare", "check_dataset_names"]
 
 # A population's per-region guess counts and its prior-only count.
 Tally = tuple[np.ndarray, int]
@@ -149,6 +149,18 @@ def calibrate(
     return correction_operator(confusion, provenance), tally
 
 
+def check_dataset_names(names: Sequence[str]) -> None:
+    """Raise `ConfigError` unless the dataset names are distinct and each
+    fits in one field of the report's CSV files: no comma, no line break."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ConfigError(f"duplicate dataset name {name!r}")
+        if any(c in name for c in ",\r\n"):
+            raise ConfigError(f"dataset name {name!r} holds a comma or a line break")
+        seen.add(name)
+
+
 def compare(
     datasets: Sequence[tuple[str, Sequence[str], Tally | None]],
     model: TrainedModel,
@@ -157,18 +169,11 @@ def compare(
     """Corrected distributions of (name, surnames, tally) datasets and their ratios.
 
     The first dataset is the reference every ratio divides by. A tally of
-    None is counted here. A `SurnameError` names its dataset in `dataset`.
+    None is counted here. The names must pass `check_dataset_names`.
     """
-    seen: set[str] = set()
-    for name, _, _ in datasets:
-        if name in seen:
-            raise ConfigError(f"duplicate dataset name {name!r}")
-        seen.add(name)
-    dists = []
-    for name, surnames, tally in datasets:
-        try:
-            dists.append(distribution(surnames, model, operator, name, tally=tally))
-        except SurnameError as exc:
-            exc.dataset = name
-            raise
+    check_dataset_names([name for name, _, _ in datasets])
+    dists = [
+        distribution(surnames, model, operator, name, tally=tally)
+        for name, surnames, tally in datasets
+    ]
     return dists, [representation_ratios(d, dists[0]) for d in dists]

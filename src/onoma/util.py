@@ -129,13 +129,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             out.append("[]")
             return
         # Flat numeric/str lists stay on one line to keep files compact.
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            if not all(map(math.isfinite, obj)):
-                fmt_float(next(x for x in obj if not math.isfinite(x)))
-            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
-            return
-        if kinds == {str}:
+        if set(map(type, obj)) == {str}:
             # The same ", "-separated bytes as emitting each string.
             out.append(json.dumps(obj, ensure_ascii=False))
             return

@@ -308,6 +308,16 @@ def test_calibrate_with_explicit_priors(tmp_path):
     assert "priors_source: explicit" in text
 
 
+@pytest.mark.parametrize("priors", ["nan,1,1,1,1,1,1", "inf,1,1,1,1,1,1", "1,-inf,1,1,1,1,1"])
+def test_calibrate_rejects_priors_that_are_not_finite(tmp_path, capsys, priors):
+    out = tmp_path / "operator.csv"
+    assert run(["calibrate", "--confusion", reference_confusion_path(), "--priors", priors,
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: --priors must be finite numbers, got {priors!r}" in err
+    assert not out.exists()
+
+
 def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir):
     corpus = synth_dir / "corpus.tsv"
     registry = synth_dir / "countries.tsv"
@@ -618,13 +628,15 @@ def test_pipeline_config_takes_an_integer_as_a_number_and_null_as_no_path(tmp_pa
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({"seed": 1, "out_dir": "o", "corpus": "x.tsv", "registry": None,
-                    "alpha": 1, "header": True, "n_values": [3, 2], "targets": ["t.txt"]}),
+                    "alpha": 1, "header": True, "n_values": [3, 2], "reference": "r.txt",
+                    "targets": ["t.txt"]}),
         encoding="utf-8",
     )
     loaded = PipelineConfig.from_file(config, {})
     assert loaded.alpha == 1.0 and isinstance(loaded.alpha, float)
     assert loaded.registry is None and loaded.header is True
     assert loaded.n_values == (3, 2) and loaded.targets == (tmp_path / "t.txt",)
+    assert loaded.reference == tmp_path / "r.txt"
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
@@ -736,32 +748,75 @@ def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, syn
 
 
 @pytest.mark.parametrize(
-    "lines, target, message",
+    "lines, role, message",
     [
         (None, True, "io error: "),
         (" \n\u2028\t\n", False, "input error: {path}: no surnames"),
         ("\u0301\n", False, "input error: {path}: surname '\u0301' is empty after normalization"),
         ("ab\nÓ$Brien\n", True, "input error: {path}: surname 'o$brien' contains reserved marker '$'"),
+        (None, "registry", "io error: "),
+        ("broken\n", "corpus", "input error: {path}: line 1: expected 3 tab-separated fields, got 1"),
     ],
 )
 def test_pipeline_reads_its_population_files_before_writing(
-    tmp_path, synth_dir, capsys, lines, target, message
+    tmp_path, synth_dir, capsys, lines, role, message
 ):
-    """A missing, empty or rejected population file leaves no out dir."""
-    path = tmp_path / "population.txt"
+    """A missing or rejected population, corpus or registry file leaves no out
+    dir. `role` is True for a target, False for the reference, else the key."""
+    path = tmp_path / "input.txt"
     if lines is not None:
         path.write_text(lines, encoding="utf-8")
     heldout = synth_dir / "population_heldout.txt"
     config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv", heldout)
     doc = json.loads(config.read_text(encoding="utf-8"))
-    population = {"targets": [str(path)]} if target else {"reference": str(path)}
+    key = {True: "targets", False: "reference"}.get(role, role)
+    doc[key] = [str(path)] if key == "targets" else str(path)
     # With diacritics stripped, a lone combining accent normalizes to nothing.
-    config.write_text(
-        json.dumps({**doc, **population, "strip_diacritics": True}), encoding="utf-8"
-    )
+    config.write_text(json.dumps({**doc, "strip_diacritics": True}), encoding="utf-8")
     assert run(["pipeline", "--config", config]) == 2
     assert message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_targets_need_a_reference(tmp_path, synth_dir, capsys):
+    heldout = synth_dir / "population_heldout.txt"
+    config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv", heldout)
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    del doc["reference"]
+    doc["targets"] = [str(heldout)]
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["pipeline", "--config", config]) == 3
+    assert "config error: targets need a reference" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_names_are_checked_before_writing(tmp_path, synth_dir, capsys):
+    """Names must differ and fit in a CSV field; `pipeline` checks them before
+    it creates its out dir, `compare` before it writes its report."""
+    text = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8")
+    files = [tmp_path / "a" / "reference.txt", tmp_path / "b" / "reference.txt"]
+    files.append(tmp_path / "tar,get.txt")
+    for path in files:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv", files[0])
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    for target, message in (
+        (files[1], "duplicate dataset name 'reference'"),
+        (files[2], "dataset name 'tar,get' holds a comma or a line break"),
+    ):
+        config.write_text(json.dumps({**doc, "targets": [str(target)]}), encoding="utf-8")
+        assert run(["pipeline", "--config", config]) == 3
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["pipeline", "--config", config]) == 0
+    out = tmp_path / "out"
+    assert run(["compare", "--model", out / "model.json", "--operator", out / "operator.csv",
+                "--reference", files[0], files[2], "--out-dir", tmp_path / "cmp"]) == 3
+    err = capsys.readouterr().err
+    assert "config error: dataset name 'tar,get' holds a comma or a line break" in err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, capsys):
@@ -796,6 +851,11 @@ def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, s
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
     assert run(["calibrate", "--confusion", confusion, "--model", model,
                 "--reference", reference, "--out", operator]) == 0
+    dist = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", bad, "--out", dist]) == 2
+    assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
+    assert not dist.exists()
     assert run(["compare", "--model", model, "--operator", operator, "--reference", reference,
                 bad, "--out-dir", tmp_path / "cmp"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
