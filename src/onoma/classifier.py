@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+# Rows whose entries `train` counts, or `classify_rows` scores, together.
+_ROW_CHUNK = 1024
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -232,17 +234,21 @@ def train(
     vocabulary = tuple(build_vocabulary(train_set.rows, features, min_df))
     columns = _token_columns(features, {token: j for j, token in enumerate(vocabulary)})
 
-    token_counts = np.zeros((len(regions), len(vocabulary)))
-    name_counts = np.zeros(len(regions))
-    for i, g in enumerate(present):
-        rows = train_set.rows[train_set.region == g]
-        name_counts[i] = len(rows)
-        _, ids, counts = features.entries(rows)
-        cols = columns[ids]
-        known = cols >= 0
-        token_counts[i] = np.bincount(
-            cols[known], weights=counts[known], minlength=len(vocabulary)
+    # Row-major (region, column) cells. Token counts are whole numbers, so
+    # their float sums are exact in any grouping below 2**53.
+    slot = np.full(len(train_set.regions), -1, dtype=np.int64)
+    slot[present] = np.arange(len(regions)) * len(vocabulary)
+    token_counts = np.zeros(len(regions) * len(vocabulary))
+    for lo in range(0, len(train_set), _ROW_CHUNK):
+        owner, ids, counts = features.entries(train_set.rows[lo : lo + _ROW_CHUNK])
+        cells = columns[ids]
+        known = cells >= 0
+        cells += slot[train_set.region[lo : lo + _ROW_CHUNK]][owner]
+        token_counts += np.bincount(
+            cells[known], weights=counts[known], minlength=len(token_counts)
         )
+    token_counts = token_counts.reshape(len(regions), len(vocabulary))
+    name_counts = np.bincount(train_set.region)[present].astype(float)
 
     totals = token_counts.sum(axis=1)
     likelihood = (token_counts + alpha) / (totals[:, None] + alpha * len(vocabulary))
@@ -313,22 +319,27 @@ def classify_rows(
     Returns each name's label as an index into model.regions (exact ties go
     to the lexicographically first region), its prior-only flag, and the
     (rows x regions) score matrix; each agrees with `classify` on the name.
-    The in-vocabulary terms of every name are summed with one bincount per
-    region.
+    The rows are scored _ROW_CHUNK at a time, and the in-vocabulary terms of
+    a chunk's names are summed with one bincount per region.
     """
     if features.config != model.feature_config:
         raise ValueError("feature matrix was built with another n-gram config")
-    owner, ids, counts = features.entries(rows)
-    cols = _token_columns(features, model.vocab_index)[ids]  # type: ignore[attr-defined]
-    known = cols >= 0
-    owner, cols, weights = owner[known], cols[known], counts[known].astype(float)
-
-    n = len(rows)
-    scores = np.empty((len(model.regions), n))
-    for i in range(len(model.regions)):
-        terms = weights * model.log_likelihoods[i, cols]
-        scores[i] = model.log_priors[i] + np.bincount(owner, weights=terms, minlength=n)
-    prior_only = np.bincount(owner, minlength=n) == 0
+    rows = features.check_rows(rows)
+    columns = _token_columns(features, model.vocab_index)  # type: ignore[attr-defined]
+    scores = np.empty((len(model.regions), len(rows)))
+    prior_only = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        chunk = slice(lo, lo + _ROW_CHUNK)
+        part = rows[chunk]
+        n = len(part)
+        owner, ids, counts = features.entries(part)
+        cols = columns[ids]
+        known = cols >= 0
+        owner, cols, weights = owner[known], cols[known], counts[known].astype(float)
+        for i in range(len(model.regions)):
+            terms = weights * model.log_likelihoods[i, cols]
+            scores[i, chunk] = model.log_priors[i] + np.bincount(owner, weights=terms, minlength=n)
+        prior_only[chunk] = np.bincount(owner, minlength=n) == 0
     order = np.argsort(model.regions)
     return order[np.argmax(scores[order], axis=0)], prior_only, scores.T
 

@@ -594,13 +594,14 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
     if spec is not None:
-        written = _write_synth(spec, out_dir)
-        artifacts.update(written[0])
-        surnames.update(zip(synth_names, (names for names, _ in written[3])))
-        del written  # the generated table and truth map; the corpus is read back
+        log.info("stage: synth")
+        # The generated table goes on as it is: the corpus file just written
+        # has no header row, and the reader options are for input files.
+        paths, table, truth, populations = _write_synth(spec, out_dir)
+        del truth  # written to truth.tsv; the run never reads it
+        artifacts.update(paths)
+        surnames.update(zip(synth_names, (names for names, _ in populations)))
         corpus_path = artifacts["corpus"]
-        log.info("stage: ingest (%s)", corpus_path)
-        table = _read_corpus(corpus_path, _load_registry(artifacts["registry"]), config)
 
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)

@@ -47,6 +47,8 @@ __all__ = [
 
 # Names decomposed together by `featurize`; its transient arrays scale with it.
 _CHUNK = 1024
+# Matrix rows whose entries `build_vocabulary` counts together.
+_VOCAB_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -300,6 +302,8 @@ def build_vocabulary(
     """Sorted list of tokens occurring in at least min_df distinct surnames.
 
     The surnames are the given rows of `features` (repeats count once).
+    Document frequencies are counted _VOCAB_CHUNK matrix rows at a time, so
+    no temporary spans every entry.
     """
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
@@ -308,8 +312,15 @@ def build_vocabulary(
         raise ValueError("empty corpus")
     chosen = np.zeros(len(features.names), dtype=bool)
     chosen[rows] = True
-    ids = features.ids[np.repeat(chosen, np.diff(features.indptr))]
-    df = np.bincount(ids, minlength=len(features.tokens))
+    df = np.zeros(len(features.tokens), dtype=np.int64)
+    indptr = features.indptr
+    for lo in range(0, len(chosen), _VOCAB_CHUNK):
+        hi = min(lo + _VOCAB_CHUNK, len(chosen))
+        ids = features.ids[indptr[lo] : indptr[hi]]
+        df += np.bincount(
+            ids[np.repeat(chosen[lo:hi], np.diff(indptr[lo : hi + 1]))],
+            minlength=len(features.tokens),
+        )
     vocabulary = [features.tokens[j] for j in np.flatnonzero(df >= min_df)]
     if not vocabulary:
         raise ValueError("empty vocabulary: no token passes min_df")

@@ -175,18 +175,27 @@ def _file_mode() -> int:
 _FILE_MODE = _file_mode()
 
 
+# Characters encoded, or bytes read, at a time by the file helpers below.
+_BLOCK = 1 << 16
+
+
 def atomic_write(path: Path | str, content: str | bytes) -> Path:
     """Write via a sibling temp file and rename, so readers never see partials.
 
-    The temp file has a unique name, so concurrent writers to one path do not
-    collide (the last rename wins), and it is removed if the write fails.
+    A string is encoded as UTF-8 _BLOCK characters at a time, so no copy of
+    the whole text is made. The temp file has a unique name, so concurrent
+    writers to one path do not collide (the last rename wins), and it is
+    removed if the write fails.
     """
     path = Path(path)
-    data = content.encode("utf-8") if isinstance(content, str) else content
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            if isinstance(content, str):
+                for start in range(0, len(content), _BLOCK):
+                    handle.write(content[start : start + _BLOCK].encode("utf-8"))
+            else:
+                handle.write(content)
         os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
@@ -196,4 +205,9 @@ def atomic_write(path: Path | str, content: str | bytes) -> Path:
 
 
 def sha256_file(path: Path | str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Hex SHA-256 of a file's bytes, read _BLOCK bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()

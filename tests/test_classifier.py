@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from onoma import classifier, features
 from onoma.classifier import (
     EvalReport,
     Labeled,
@@ -21,7 +23,7 @@ from onoma.classifier import (
 )
 from onoma.correction import ConfusionCounts
 from onoma.errors import SurnameError
-from onoma.features import NGramConfig, extract, featurize
+from onoma.features import NGramConfig, build_vocabulary, extract, featurize
 from onoma.resources import reference_confusion_path
 
 CHAR1 = NGramConfig(n_values=(1,), pad_boundaries=False)
@@ -466,6 +468,85 @@ def test_empty_row_precision_guard():
     assert report.support[0] == 3
     assert report.precision[1] == pytest.approx(2 / 5)
     assert report.recall[1] == 1.0
+
+
+# ---------------------------------------------------------------- chunked passes
+
+
+@pytest.fixture(scope="module")
+def chunk_fixture():
+    """A matrix of four regions' synthetic names plus two with no known
+    n-gram, its labeled rows split in two, and rows to score with repeats."""
+    from onoma.synth import generate, standard_spec
+
+    _, truth = generate(standard_spec(4, 2, 40, 0.3, seed=13))
+    names, labeled = Labeled.from_pairs(sorted(truth.items()))
+    matrix = featurize(names + ("ÿ", "éñ ÿü"), NGramConfig())
+    train_set, eval_set = split(labeled, 0.8, seed=2)
+    rows = np.random.default_rng(4).permutation(len(matrix.names))
+    return matrix, train_set, eval_set, np.concatenate([rows, rows[:7]])
+
+
+def chunked_results(matrix, train_set, eval_set, rows):
+    model = train(train_set, matrix, 0.1, min_df=2)
+    return (
+        build_vocabulary(train_set.rows, matrix, min_df=2),
+        model.to_json(),
+        classify_rows(model, matrix, rows),
+        evaluate(model, eval_set, matrix).to_json(),
+    )
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_chunked_passes_equal_one_chunk_bit_for_bit(chunk_fixture, monkeypatch, rows_per_chunk):
+    matrix, train_set, eval_set, rows = chunk_fixture
+    assert len(set(train_set.region.tolist())) == 4
+    monkeypatch.setattr(features, "_VOCAB_CHUNK", len(matrix.names))
+    monkeypatch.setattr(classifier, "_ROW_CHUNK", len(rows))
+    vocabulary, model, (labels, prior_only, scores), report = chunked_results(*chunk_fixture)
+    assert prior_only.sum() == 2
+    monkeypatch.setattr(features, "_VOCAB_CHUNK", rows_per_chunk)
+    monkeypatch.setattr(classifier, "_ROW_CHUNK", rows_per_chunk)
+    chunked = chunked_results(*chunk_fixture)
+    assert chunked[0] == vocabulary
+    assert chunked[1] == model
+    assert np.array_equal(chunked[2][0], labels)
+    assert np.array_equal(chunked[2][1], prior_only)
+    assert chunked[2][2].tobytes() == scores.tobytes()
+    assert chunked[3] == report
+
+
+def test_chunked_passes_hold_a_bounded_share_of_the_entries():
+    # 40,000 distinct 12-letter names over six letters, in three regions:
+    # 39 training and scoring chunks and 10 vocabulary chunks.
+    rng = random.Random(5)
+    names = sorted({"".join(rng.choices("abcdef", k=12)) for _ in range(40_000)})
+    assert len(names) >= 8 * max(features._VOCAB_CHUNK, classifier._ROW_CHUNK)
+    matrix = featurize(names, NGramConfig())
+    rows = np.arange(len(names))
+    labeled = Labeled(rows, rows % 3, ("a", "b", "c"))
+    model = train(labeled, matrix, 0.1)
+    entries = matrix.ids.nbytes + matrix.counts.nbytes
+    runs = {
+        "build_vocabulary": lambda: build_vocabulary(rows, matrix),
+        "train": lambda: train(labeled, matrix, 0.1),
+        "classify_rows": lambda: classify_rows(model, matrix, rows),
+    }
+    for name, run in runs.items():
+        run()  # numpy's lazy set-up stays out of the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Design: a chunk's entries are 1/39 of the matrix, held in a few
+        # arrays of at most 8 bytes an entry; the scores and their sorted
+        # copy are 2 x 3 regions x 8 bytes a row, against 8 bytes for each
+        # of a row's 24 entries. A pass that gathers every entry at once
+        # holds at least 1.5 times the entries' bytes.
+        assert peak < 0.75 * entries, (name, peak / entries)
 
 
 # ---------------------------------------------------------------- persistence

@@ -95,11 +95,13 @@ def test_verbose_logs_stages(tmp_path, capsys):
     )
     assert run(["pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
-    assert "stage: ingest" not in err and "filter-core:" not in err
+    assert "stage: synth" not in err and "filter-core:" not in err
     assert "country-matrix:" not in err
     assert run(["-v", "pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
-    assert "stage: ingest" in err and "stage: calibrate" in err
+    # The generated table goes on to the core filter; nothing is read back.
+    assert "stage: synth" in err and "stage: calibrate" in err
+    assert "stage: ingest" not in err
     assert "surnames read" in err
     assert "country-matrix: 6 countries with core names" in err
     # The funnel counts go to the log only, never into an artifact.
@@ -107,6 +109,37 @@ def test_verbose_logs_stages(tmp_path, capsys):
         text = path.read_text(encoding="utf-8")
         assert "surnames read" not in text, path.name
         assert "countries with core names" not in text, path.name
+
+
+def test_synth_block_ignores_the_corpus_reader_options(tmp_path):
+    """`header` and the other reader options are for corpus files: a synth
+    block's generated records all reach the core filter either way."""
+    runs = {}
+    for header in (False, True):
+        out = tmp_path / f"header_{header}"
+        config = tmp_path / f"header_{header}.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "seed": 1,
+                    "out_dir": str(out),
+                    "header": header,
+                    "synth": {
+                        "standard": {"n_regions": 3, "countries_per_region": 3,
+                                     "names_per_country": 150, "overlap": 0.3},
+                    },
+                    "k_regions": 3,
+                    "min_core_names": 10,
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run(["pipeline", "--config", config]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        runs[header] = summary["n_records"], (out / "core.tsv").read_bytes()
+    corpus = (tmp_path / "header_False" / "corpus.tsv").read_text(encoding="utf-8")
+    assert runs[True] == runs[False]
+    assert runs[False][0] == len(corpus.splitlines())
 
 
 def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path, monkeypatch):

@@ -195,6 +195,21 @@ def test_atomic_write_and_hash(tmp_path):
     assert sha256_file(path) == digest
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_atomic_write_and_hash_in_blocks_equal_whole(tmp_path, monkeypatch, block):
+    import hashlib
+
+    from onoma import util
+
+    monkeypatch.setattr(util, "_BLOCK", block)
+    # One to four UTF-8 bytes a character, so blocks end inside multi-byte runs.
+    content = "aé€𝄞" * 5 + "ÿ\n"
+    path = atomic_write(tmp_path / "text.txt", content)
+    assert path.read_bytes() == content.encode("utf-8")
+    assert sha256_file(path) == hashlib.sha256(content.encode("utf-8")).hexdigest()
+    assert path.stat().st_size > 8 * block
+
+
 def test_atomic_write_concurrent_writers_do_not_collide(tmp_path, monkeypatch):
     import os
     import threading
