@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -372,6 +372,7 @@ class EvalReport:
     precision: np.ndarray
     recall: np.ndarray
     support: np.ndarray  # actual names per region (column sums)
+    guessed: np.ndarray | None = None  # from `evaluate`: each row's guess, a region index
 
     @classmethod
     def from_confusion(cls, regions: Sequence[str], confusion: np.ndarray) -> "EvalReport":
@@ -412,7 +413,8 @@ class EvalReport:
 
 
 def evaluate(model: TrainedModel, eval_set: Labeled, features: FeatureMatrix) -> EvalReport:
-    """Confusion matrix of guessed vs actual region over labeled rows of `features`."""
+    """Confusion matrix of guessed vs actual region over labeled rows of
+    `features`; the report keeps each row's guess, in `eval_set.rows` order."""
     if not len(eval_set):
         raise ValueError("empty evaluation set")
     region_index = model.region_index  # type: ignore[attr-defined]
@@ -424,7 +426,7 @@ def evaluate(model: TrainedModel, eval_set: Labeled, features: FeatureMatrix) ->
     guessed, _, _ = classify_rows(model, features, eval_set.rows)
     confusion = np.zeros((len(model.regions), len(model.regions)), dtype=np.int64)
     np.add.at(confusion, (guessed, actual), 1)
-    return EvalReport.from_confusion(model.regions, confusion)
+    return replace(EvalReport.from_confusion(model.regions, confusion), guessed=guessed)
 
 
 def render_labeled_tsv(names: Sequence[str], labeled: Labeled) -> str:

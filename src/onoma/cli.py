@@ -1,10 +1,11 @@
 """Command-line interface: argument parsing, config reading and file I/O.
 
-The method lives in the library, its chain in `onoma.stages`
-(`build_typology`, `fit`, `calibrate`, `compare`); the `cmd_*` commands and
-`run_pipeline` read files, call the library and write what it returns.
-Each setting is one `PipelineConfig` field, which gives the config file its
-JSON type and every command its option's default and range check. Each
+The method lives in the library, its chain in `onoma.stages`: the `cmd_*`
+commands call one stage each, and `run_pipeline` hands the whole chain,
+`stages.run`, a sink that writes each result as it comes. Each setting is
+one `stages.PipelineConfig` field, which gives the config file (read by
+`read_config`) its JSON type and every command its option's default and
+range check. Each
 subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. Population files
@@ -21,7 +22,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -49,7 +50,8 @@ from .corpus import (
 )
 from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
 from .features import NGramConfig, featurize, write_vocabulary
-from .typology import load_overrides
+from .stages import PipelineConfig, _check_setting, feature_config
+from .typology import Dendrogram, RegionTypology, load_overrides
 from .util import atomic_write, dumps, sha256_file
 
 log = logging.getLogger(__name__)
@@ -74,14 +76,6 @@ def _parse_n_values(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad n-gram sizes {text!r}, expected e.g. 2,3") from None
-
-
-def feature_config(options) -> NGramConfig:
-    """The n-gram settings of `options`, the parsed arguments or a `PipelineConfig`."""
-    try:
-        return NGramConfig(n_values=options.n_values, pad_boundaries=options.pad_boundaries)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _load_registry(path: str | None) -> CountryRegistry:
@@ -322,7 +316,7 @@ def cmd_compare(args) -> int:
     operator = CorrectionOperator.from_csv(args.operator)
     strip, ngrams = model.strip_diacritics, model.feature_config
     datasets = [
-        (Path(path).stem, _read_population(path, strip, ngrams), None)
+        (Path(path).stem, _read_population(path, strip, ngrams))
         for path in (args.reference, *args.targets)
     ]
     dists, profiles = stages.compare(datasets, model, operator)
@@ -388,6 +382,8 @@ def _write_synth(
 
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
+    if args.score and spec.populations:  # the scored population is compared by name
+        stages.check_dataset_names([spec.populations[0].name])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, table, truth, populations = _write_synth(spec, out_dir)
@@ -445,126 +441,91 @@ _JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path]
 }
 
 
-def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
-    """A field's default and its range: the values `ok` accepts, `rule` in words."""
-    return field(default=default, metadata={"rule": (rule, ok)})
+def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineConfig:
+    """The pipeline config in the JSON file `path`, with the `overrides` that are
+    not None; a key absent from both takes its field's default."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: config must be a JSON object")
+    known = {f.name for f in fields(PipelineConfig)} - {"synth_spec"} | {"synth"}
+    unknown = sorted(key for key in doc if key not in known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    merged = dict(doc)
+    merged.update({k: v for k, v in overrides.items() if v is not None})
+    base = Path(path).parent
 
+    values = {}
+    for f in fields(PipelineConfig):
+        if f.name not in merged:
+            if f.default is MISSING:
+                raise ConfigError(f"missing config key: {f.name!r}")
+            continue
+        kind, is_kind, to = _JSON_KINDS[f.type]
+        if not is_kind(merged[f.name]):
+            raise ConfigError(f"{path}: {f.name} must be {kind}, got {merged[f.name]!r}")
+        values[f.name] = to(merged[f.name], base)
 
-def _check_setting(f: Field, value: object, name: str | None = None) -> None:
-    """Raise `ConfigError`, naming the setting `name` or else `f.name`, unless
-    `value` lies in the range of the field `f`."""
-    rule, ok = f.metadata.get("rule", ("", None))
-    if ok is not None and not ok(value):
-        raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
+    synth_spec = None
+    synth_block = merged.get("synth")
+    if synth_block is not None:
+        if not isinstance(synth_block, dict):
+            raise ConfigError("synth block must be an object")
+        if "spec" in synth_block:
+            synth_spec = synth.SynthSpec.load(base / str(synth_block["spec"]))
+        elif "standard" in synth_block:
+            params = synth_block["standard"]
+            for key in ("n_regions", "countries_per_region", "names_per_country", "overlap"):
+                kind, is_kind, _ = _JSON_KINDS["float" if key == "overlap" else "int"]
+                value = params.get(key) if isinstance(params, dict) else None
+                if value is not None and not is_kind(value):
+                    key = f"synth.standard.{key}"
+                    raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
+            try:
+                synth_spec = synth.standard_spec(
+                    params["n_regions"],
+                    params["countries_per_region"],
+                    params["names_per_country"],
+                    float(params["overlap"]),
+                    values["seed"],
+                    populations=tuple(
+                        synth.PopulationSpec.from_dict(p)
+                        for p in synth_block.get("populations", [])
+                    ),
+                )
+            except KeyError as exc:
+                raise ConfigError(f"bad synth block: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad synth block: {exc}") from None
+        else:
+            raise ConfigError("synth block needs a 'spec' path or 'standard' parameters")
 
-
-@dataclass
-class PipelineConfig:
-    """File-based configuration for the all-in-one pipeline command; each
-    field declares a setting's default, JSON kind (its annotation) and range."""
-
-    seed: int
-    out_dir: Path
-    corpus: Path | None = None
-    synth_spec: synth.SynthSpec | None = None
-    registry: Path | None = None
-    header: bool = False
-    strict: bool = False
-    strip_diacritics: bool = False
-    hhi_min: float = _setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
-    freq_min: float = _setting(1e-6, ">= 0", lambda v: v >= 0)
-    basis: str = _setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
-    min_core_names: int = _setting(20, ">= 1", lambda v: v >= 1)
-    min_df: int = _setting(1, ">= 1", lambda v: v >= 1)
-    n_values: tuple[int, ...] = (2, 3)  # whatever NGramConfig accepts
-    pad_boundaries: bool = True
-    k_regions: int = _setting(7, ">= 1", lambda v: v >= 1)
-    overrides: Path | None = None
-    alpha: float = _setting(0.1, "> 0", lambda v: v > 0)
-    train_fraction: float = _setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
-    reference: Path | None = None
-    targets: tuple[Path, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer (stochastic stages require it)")
-        for f in fields(self):
-            _check_setting(f, getattr(self, f.name))
-        feature_config(self)
-        if self.corpus is None and self.synth_spec is None:
-            raise ConfigError("config needs either a corpus path or a synth block")
-        if self.corpus is not None and self.synth_spec is not None:
-            raise ConfigError("config cannot have both a corpus path and a synth block")
-        populations = self.synth_spec.populations if self.synth_spec is not None else ()
-        if self.targets and self.reference is None and not populations:
-            raise ConfigError("targets need a reference: a reference path or a synth population")
-
-    @classmethod
-    def from_file(cls, path: Path | str, overrides: Mapping[str, object]) -> "PipelineConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise InputFormatError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)} - {"synth_spec"} | {"synth"}
-        unknown = sorted(key for key in doc if key not in known)
-        if unknown:
-            raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-        merged = dict(doc)
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        base = Path(path).parent
-
-        # Keys absent from the file take the field's default.
-        values = {}
-        for f in fields(cls):
-            if f.name not in merged:
-                if f.default is MISSING:
-                    raise ConfigError(f"missing config key: {f.name!r}")
-                continue
-            kind, is_kind, to = _JSON_KINDS[f.type]
-            if not is_kind(merged[f.name]):
-                raise ConfigError(f"{path}: {f.name} must be {kind}, got {merged[f.name]!r}")
-            values[f.name] = to(merged[f.name], base)
-
-        synth_spec = None
-        synth_block = merged.get("synth")
-        if synth_block is not None:
-            if not isinstance(synth_block, dict):
-                raise ConfigError("synth block must be an object")
-            if "spec" in synth_block:
-                synth_spec = synth.SynthSpec.load(base / str(synth_block["spec"]))
-            elif "standard" in synth_block:
-                params = synth_block["standard"]
-                for key in ("n_regions", "countries_per_region", "names_per_country", "overlap"):
-                    kind, is_kind, _ = _JSON_KINDS["float" if key == "overlap" else "int"]
-                    value = params.get(key) if isinstance(params, dict) else None
-                    if value is not None and not is_kind(value):
-                        key = f"synth.standard.{key}"
-                        raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
-                try:
-                    synth_spec = synth.standard_spec(
-                        params["n_regions"],
-                        params["countries_per_region"],
-                        params["names_per_country"],
-                        float(params["overlap"]),
-                        values["seed"],
-                        populations=tuple(
-                            synth.PopulationSpec.from_dict(p)
-                            for p in synth_block.get("populations", [])
-                        ),
-                    )
-                except KeyError as exc:
-                    raise ConfigError(f"bad synth block: missing key {exc}") from None
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad synth block: {exc}") from None
-            else:
-                raise ConfigError("synth block needs a 'spec' path or 'standard' parameters")
-
-        return cls(synth_spec=synth_spec, **values)
+    return PipelineConfig(synth_spec=synth_spec, **values)
 
 
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
+
+
+# Each artifact `run_pipeline` writes of a result of `stages.run`, by key: the
+# result's name, the file and the file's text.
+_ARTIFACTS: dict[str, tuple[str, str, Callable[[Any], str]]] = {
+    "core": ("core", "core.tsv", render_core_names),
+    "typology": ("typology", "typology.tsv", RegionTypology.to_tsv),
+    "dendrogram": ("dendrogram", "dendrogram.tsv", Dendrogram.to_tsv),
+    "labeled": ("labeled", "labeled.tsv", lambda pair: render_labeled_tsv(*pair)),
+    "eval_set": ("eval_set", "eval.tsv", lambda pair: render_labeled_tsv(*pair)),
+    "model": ("model", "model.json", TrainedModel.to_json),
+    "eval_report": ("eval_report", "eval_report.json", EvalReport.to_json),
+    "confusion": (
+        "eval_report",
+        "confusion.csv",
+        lambda report: render_confusion_csv(report.regions, report.confusion),
+    ),
+    "operator": ("operator", "operator.csv", CorrectionOperator.to_csv),
+}
 
 
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
@@ -573,7 +534,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     The dataset names and every configured input are checked before
     `out_dir` is created. The reference dataset is `config.reference`, or
     else the synth block's first population; the targets are
-    `config.targets`, then the other synth populations.
+    `config.targets`, then the other synth populations. `stages.run` then
+    runs the chain, and each of its results is written as it comes.
     """
     out_dir, spec = config.out_dir, config.synth_spec
     synth_names = [population.name for population in spec.populations] if spec is not None else []
@@ -602,84 +564,18 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
         artifacts.update(paths)
         surnames.update(zip(synth_names, (names for names, _ in populations)))
         corpus_path = artifacts["corpus"]
-
-    log.info("stage: filter-core")
-    core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
-    artifacts["core"] = atomic_write(out_dir / "core.tsv", render_core_names(core))
-    n_records, n_surnames = len(table), table.n_surnames
-    del table  # the largest structure of the run; only its sizes are reported
-    # Every core name's n-grams, extracted once for the country matrix,
-    # training and evaluation; row i is core name i.
-    with _surnames_from(corpus_path):
-        core_features = featurize(core.names, ngrams)
-
-    log.info("stage: typology")
-    typology, dendrogram, labeled, region_counts = stages.build_typology(
-        core,
-        core_features,
-        config.min_core_names,
-        config.k_regions,
-        overrides,
-    )
-    artifacts["typology"] = atomic_write(out_dir / "typology.tsv", typology.to_tsv())
-    artifacts["dendrogram"] = atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    artifacts["labeled"] = atomic_write(
-        out_dir / "labeled.tsv", render_labeled_tsv(core.names, labeled)
-    )
-
-    log.info("stage: train")
-    model, train_set, eval_set = stages.fit(
-        labeled,
-        core_features,
-        seed=config.seed,
-        train_fraction=config.train_fraction,
-        alpha=config.alpha,
-        min_df=config.min_df,
-        strip_diacritics=config.strip_diacritics,
-    )
-
-    log.info("stage: evaluate")
-    report = evaluate(model, eval_set, core_features)
-    artifacts["eval_set"] = atomic_write(
-        out_dir / "eval.tsv", render_labeled_tsv(core.names, eval_set)
-    )
-    n_core_names = len(core)
-    # Released before the model is serialized, the run's peak of memory.
-    del core, core_features
-    artifacts["model"] = model.save(out_dir / "model.json")
-    artifacts["eval_report"] = atomic_write(out_dir / "eval_report.json", report.to_json())
-    artifacts["confusion"] = atomic_write(
-        out_dir / "confusion.csv", render_confusion_csv(report.regions, report.confusion)
-    )
-
-    log.info("stage: calibrate")
-    reference_names = None
     priors_source = "evaluation column shares (no reference given)"
     if datasets:
-        reference_names = surnames[datasets[0]]
         reference_file = config.reference or artifacts[f"population:{datasets[0]}"]
         priors_source = f"reference:{reference_file.name}"
-    operator, reference_tally = stages.calibrate(
-        ConfusionCounts(report.regions, report.confusion.astype(float)),
-        model,
-        reference_names,
-        {"confusion": "confusion.csv", "priors_source": priors_source},
-    )
-    artifacts["operator"] = atomic_write(out_dir / "operator.csv", operator.to_csv())
 
-    if datasets:
-        log.info("stage: compare")
-        dists, profiles = stages.compare(
-            [(name, surnames[name], reference_tally if i == 0 else None)
-             for i, name in enumerate(datasets)],
-            model,
-            operator,
-        )
-        report_paths = diversity.emit_report(
-            profiles,
-            dists,
-            out_dir,
-            provenance={
+    def write(name: str, result: Any) -> None:
+        for key, (source, file, render) in _ARTIFACTS.items():
+            if source == name:
+                artifacts[key] = atomic_write(out_dir / file, render(result))
+        if name == "compare":
+            dists, profiles = result
+            artifacts.update(diversity.emit_report(profiles, dists, out_dir, provenance={
                 "model_sha256": sha256_file(artifacts["model"]),
                 "operator": "operator.csv",
                 "reference": dists[0].dataset_name,
@@ -688,29 +584,26 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                     for f in fields(config)
                     if "Path" not in f.type and f.name != "synth_spec"
                 },
-            },
-        )
-        artifacts.update(report_paths)
+            }))
+        elif name == "summary":
+            result["artifacts"] = {key: artifacts[key].name for key in sorted(artifacts)}
+            artifacts["summary"] = atomic_write(out_dir / "summary.json", dumps(result))
 
-    summary = {
-        "seed": config.seed,
-        "n_records": n_records,
-        "n_surnames": n_surnames,
-        "n_core_names": n_core_names,
-        "regions": {r: region_counts[r] for r in typology.regions},
-        "n_train": len(train_set),
-        "n_eval": len(eval_set),
-        "accuracy": report.accuracy,
-        "artifacts": {key: artifacts[key].name for key in sorted(artifacts)},
-    }
-    artifacts["summary"] = atomic_write(out_dir / "summary.json", dumps(summary))
+    # Handed over, not kept here: `run` lets the table go after the core filter.
+    # Every population name was checked above, so only a corpus name can fail.
+    handed = [table]
+    del table
+    provenance = {"confusion": "confusion.csv", "priors_source": priors_source}
+    with _surnames_from(corpus_path):
+        stages.run(config, handed.pop(), [(name, surnames[name]) for name in datasets], write,
+                   overrides=overrides, provenance=provenance)
     return artifacts
 
 
 def cmd_pipeline(args) -> int:
     # The options named after fields; from_file skips those left unset (None).
     overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
-    config = PipelineConfig.from_file(args.config, overrides)
+    config = read_config(args.config, overrides)
     artifacts = run_pipeline(config)
     for key in sorted(artifacts):
         print(f"{key}: {artifacts[key]}", file=sys.stderr)

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import InputFormatError
+from .resources import countries_path
 from .util import format_each, intern, pick, tsv_lines
 
 log = logging.getLogger(__name__)
@@ -106,8 +107,6 @@ class CountryRegistry:
 
     @classmethod
     def default(cls) -> "CountryRegistry":
-        from .resources import countries_path
-
         return cls.from_tsv(countries_path())
 
 

@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import SurnameError
+from .util import atomic_write
 
 FeatureVector = dict[str, int]
 
@@ -42,7 +43,6 @@ __all__ = [
     "featurize",
     "build_vocabulary",
     "write_vocabulary",
-    "read_vocabulary",
 ]
 
 # Names decomposed together by `featurize`; its transient arrays scale with it.
@@ -329,15 +329,4 @@ def build_vocabulary(
 
 def write_vocabulary(vocabulary: Iterable[str], path: Path | str) -> Path:
     """One token per line; line order defines the feature index."""
-    from .util import atomic_write
-
     return atomic_write(path, "".join(f"{token}\n" for token in vocabulary))
-
-
-def read_vocabulary(path: Path | str) -> list[str]:
-    tokens = [
-        line for line in Path(path).read_text(encoding="utf-8").splitlines() if line
-    ]
-    if not tokens:
-        raise ValueError(f"{path}: empty vocabulary file")
-    return tokens

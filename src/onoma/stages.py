@@ -1,27 +1,32 @@
-"""The method's stages as pure functions: objects in, objects out.
+"""The method's settings and its chain, each written once.
 
-The chain is core names (`corpus.filter_core_names`), then `build_typology`
-(a Ward typology of countries and the relabeled core names), `fit` (the
-split and the n-gram naive Bayes model), `calibrate` (the correction
-operator from the evaluation confusion) and `compare` (corrected
+Each setting is one `PipelineConfig` field with its default and range. The
+chain is core names (`corpus.filter_core_names`), then `build_typology` (a
+Ward typology of countries and the relabeled core names), `fit` (the split
+and the n-gram naive Bayes model), `classifier.evaluate`, `calibrate` (the
+correction operator from the evaluation confusion) and `compare` (corrected
 distributions and representation ratios). Core and labeled names are row
-positions in a `FeatureMatrix` of the sorted core names. The stage commands,
-`cli.run_pipeline` and `synth.score_pipeline` are sequences of calls to
-these functions; none of them reads a path, parses an argument or writes a
-file. `build_typology` and `fit` raise the library's `ValueError`s, which
-come from settings such as k or the train fraction, as `ConfigError`.
+positions in a `FeatureMatrix` of the sorted core names. `run` calls the
+whole chain and hands each result to a sink: `cli.run_pipeline`'s writes
+the artifacts, `synth.score_pipeline`'s keeps what its scorecard needs. The
+stage commands call the stages one at a time. Nothing here reads a path,
+parses an argument, writes a file or imports `synth` or `cli`.
+`build_typology` and `fit` raise the library's `ValueError`s, which come
+from settings such as k or the train fraction, as `ConfigError`.
 """
 
 from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from dataclasses import Field, dataclass, field, fields
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import Labeled, TrainedModel, split, train
-from .corpus import CoreSet
+from .classifier import Labeled, TrainedModel, evaluate, split, train
+from .corpus import CoreSet, OccurrenceTable, filter_core_names
 from .correction import ConfusionCounts, CorrectionOperator, correction_operator, reweight_priors
 from .diversity import (
     OriginDistribution,
@@ -31,7 +36,7 @@ from .diversity import (
     tally_guesses,
 )
 from .errors import ConfigError, SurnameError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, NGramConfig, featurize
 from .typology import (
     Dendrogram,
     Override,
@@ -42,12 +47,79 @@ from .typology import (
     ward_cluster,
 )
 
+if TYPE_CHECKING:
+    from .synth import SynthSpec
+
 log = logging.getLogger(__name__)
 
-__all__ = ["build_typology", "fit", "calibrate", "compare", "check_dataset_names"]
+__all__ = ["PipelineConfig", "feature_config", "build_typology", "fit", "calibrate", "compare",
+           "check_dataset_names", "run"]
 
 # A population's per-region guess counts and its prior-only count.
 Tally = tuple[np.ndarray, int]
+
+
+def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
+    """A field's default and its range: the values `ok` accepts, `rule` in words."""
+    return field(default=default, metadata={"rule": (rule, ok)})
+
+
+def _check_setting(f: Field, value: object, name: str | None = None) -> None:
+    """Raise `ConfigError`, naming the setting `name` or else `f.name`, unless
+    `value` lies in the range of the field `f`."""
+    rule, ok = f.metadata.get("rule", ("", None))
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
+
+
+def feature_config(options) -> NGramConfig:
+    """The n-gram settings of `options`, the parsed arguments or a `PipelineConfig`."""
+    try:
+        return NGramConfig(n_values=options.n_values, pad_boundaries=options.pad_boundaries)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+@dataclass
+class PipelineConfig:
+    """File-based configuration for the all-in-one pipeline command; each
+    field declares a setting's default, JSON kind (its annotation) and range."""
+
+    seed: int
+    out_dir: Path
+    corpus: Path | None = None
+    synth_spec: SynthSpec | None = None
+    registry: Path | None = None
+    header: bool = False
+    strict: bool = False
+    strip_diacritics: bool = False
+    hhi_min: float = _setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
+    freq_min: float = _setting(1e-6, ">= 0", lambda v: v >= 0)
+    basis: str = _setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
+    min_core_names: int = _setting(20, ">= 1", lambda v: v >= 1)
+    min_df: int = _setting(1, ">= 1", lambda v: v >= 1)
+    n_values: tuple[int, ...] = (2, 3)  # whatever NGramConfig accepts
+    pad_boundaries: bool = True
+    k_regions: int = _setting(7, ">= 1", lambda v: v >= 1)
+    overrides: Path | None = None
+    alpha: float = _setting(0.1, "> 0", lambda v: v > 0)
+    train_fraction: float = _setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
+    reference: Path | None = None
+    targets: tuple[Path, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.seed, int):
+            raise ConfigError("seed must be an integer (stochastic stages require it)")
+        for f in fields(self):
+            _check_setting(f, getattr(self, f.name))
+        feature_config(self)
+        if self.corpus is None and self.synth_spec is None:
+            raise ConfigError("config needs either a corpus path or a synth block")
+        if self.corpus is not None and self.synth_spec is not None:
+            raise ConfigError("config cannot have both a corpus path and a synth block")
+        populations = self.synth_spec.populations if self.synth_spec is not None else ()
+        if self.targets and self.reference is None and not populations:
+            raise ConfigError("targets need a reference: a reference path or a synth population")
 
 
 @contextmanager
@@ -162,18 +234,98 @@ def check_dataset_names(names: Sequence[str]) -> None:
 
 
 def compare(
-    datasets: Sequence[tuple[str, Sequence[str], Tally | None]],
+    datasets: Sequence[tuple[str, Sequence[str]]],
     model: TrainedModel,
     operator: CorrectionOperator,
+    reference_tally: Tally | None = None,
 ) -> tuple[list[OriginDistribution], list[RepresentationProfile]]:
-    """Corrected distributions of (name, surnames, tally) datasets and their ratios.
+    """Corrected distributions of (name, surnames) datasets and their ratios.
 
-    The first dataset is the reference every ratio divides by. A tally of
-    None is counted here. The names must pass `check_dataset_names`.
+    The first dataset is the reference every ratio divides by; its tally is
+    counted here unless `reference_tally` (from `calibrate`) is given. The
+    names must pass `check_dataset_names`.
     """
-    check_dataset_names([name for name, _, _ in datasets])
+    check_dataset_names([name for name, _ in datasets])
+    tallies = [reference_tally] + [None] * (len(datasets) - 1)
     dists = [
         distribution(surnames, model, operator, name, tally=tally)
-        for name, surnames, tally in datasets
+        for (name, surnames), tally in zip(datasets, tallies)
     ]
     return dists, [representation_ratios(d, dists[0]) for d in dists]
+
+
+def run(
+    config: PipelineConfig,
+    table: OccurrenceTable,
+    datasets: Sequence[tuple[str, Sequence[str]]],
+    sink: Callable[[str, Any], None],
+    *,
+    overrides: Sequence[Override] = (),
+    provenance: Mapping[str, object] | None = None,
+) -> None:
+    """Run the chain on `table` with `config`'s settings and hand each result
+    to `sink(name, result)` as soon as it exists.
+
+    `datasets` are (name, surnames) pairs, the reference first; the operator
+    is calibrated on it, with `provenance`. With none, the evaluation column
+    shares stand and nothing is compared. In order, the results are "core",
+    "typology", "dendrogram", "labeled" and "eval_set" (pairs of the core
+    names and a `Labeled`), "model", "eval_report" (with each row's guess),
+    "operator", then with datasets "reference_tally" and "compare" (the
+    distributions and profiles), and last a "summary" dict of counts. The
+    table is dropped after the filter, and the core names and their n-grams
+    before "model", so a sink that keeps neither lets them go.
+    """
+    log.info("stage: filter-core")
+    core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
+    sink("core", core)
+    n_records, n_surnames = len(table), table.n_surnames
+    del table  # the largest structure of the run; only its sizes are reported
+    # Every core name's n-grams, extracted once for the country matrix,
+    # training and evaluation; row i is core name i.
+    core_features = featurize(core.names, feature_config(config))
+
+    log.info("stage: typology")
+    typology, dendrogram, labeled, region_counts = build_typology(
+        core, core_features, config.min_core_names, config.k_regions, overrides
+    )
+    sink("typology", typology)
+    sink("dendrogram", dendrogram)
+    sink("labeled", (core.names, labeled))
+
+    log.info("stage: train")
+    model, train_set, eval_set = fit(
+        labeled, core_features, seed=config.seed, train_fraction=config.train_fraction,
+        alpha=config.alpha, min_df=config.min_df, strip_diacritics=config.strip_diacritics,
+    )
+
+    log.info("stage: evaluate")
+    report = evaluate(model, eval_set, core_features)
+    sink("eval_set", (core.names, eval_set))
+    n_core_names = len(core)
+    # Released before the model is serialized, the run's peak of memory.
+    del core, core_features
+    sink("model", model)
+    sink("eval_report", report)
+
+    log.info("stage: calibrate")
+    confusion = ConfusionCounts(report.regions, report.confusion.astype(float))
+    reference = datasets[0][1] if datasets else None
+    operator, reference_tally = calibrate(confusion, model, reference, provenance or {})
+    sink("operator", operator)
+
+    if datasets:
+        log.info("stage: compare")
+        sink("reference_tally", reference_tally)
+        sink("compare", compare(datasets, model, operator, reference_tally))
+
+    sink("summary", {
+        "seed": config.seed,
+        "n_records": n_records,
+        "n_surnames": n_surnames,
+        "n_core_names": n_core_names,
+        "regions": {r: region_counts[r] for r in typology.regions},
+        "n_train": len(train_set),
+        "n_eval": len(eval_set),
+        "accuracy": report.accuracy,
+    })

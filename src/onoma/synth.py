@@ -14,19 +14,19 @@ from __future__ import annotations
 import json
 import string
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import EvalReport, classify_rows
-from .corpus import CountryRegistry, OccurrenceTable, filter_core_names
-from .correction import ConfusionCounts, correct_counts
+from .classifier import EvalReport
+from .corpus import CountryRegistry, OccurrenceTable
 from .errors import InputFormatError, InvariantError
-from .features import featurize
-from .stages import build_typology, calibrate, fit
-from .util import derive_seed, dumps
+from .stages import PipelineConfig, run
+from .typology import RegionTypology
+from .util import atomic_write, derive_seed, dumps
 
 __all__ = [
     "STOP",
@@ -249,8 +249,6 @@ class SynthSpec:
         return dumps(doc)
 
     def save(self, path: Path | str) -> Path:
-        from .util import atomic_write
-
         return atomic_write(path, self.to_json())
 
     @classmethod
@@ -566,16 +564,13 @@ class Scorecard:
 
 
 def _majority_region_map(
-    typology_regions: Sequence[str],
-    members: Mapping[str, Sequence[str]],
-    country_truth: Mapping[str, str],
+    typology: RegionTypology, country_truth: Mapping[str, str]
 ) -> dict[str, str]:
+    """Each region of `typology` to the true region most of its countries
+    belong to; a tie goes to the first true region by name."""
     mapping: dict[str, str] = {}
-    for label in typology_regions:
-        votes: dict[str, int] = {}
-        for country in members.get(label, []):
-            true_region = country_truth[country]
-            votes[true_region] = votes.get(true_region, 0) + 1
+    for label in typology.regions:
+        votes = Counter(country_truth[country] for country in typology.members(label))
         if votes:
             best = max(votes.values())
             mapping[label] = min(r for r, v in votes.items() if v == best)
@@ -590,34 +585,36 @@ def score_pipeline(
     corpus: tuple[OccurrenceTable, Mapping[str, str]] | None = None,
     heldout: tuple[Sequence[str], Mapping[str, int]] | None = None,
 ) -> Scorecard:
-    """Run corpus -> typology -> train -> evaluate -> correction end to end.
+    """Run the pipeline's chain, `stages.run`, on a spec and score it on the truth.
 
     The typology is cut at the true region count and compared with the true
     country partition; classification metrics are mapped back to true regions
     by majority country vote; the correction step is scored by whether the
     corrected aggregate of a shifted-mixture held-out population beats the
-    raw guessed aggregate in L1 distance to the truth.
+    raw guessed aggregate in L1 distance to the truth. That population is
+    the run's reference, calibrated on and compared.
 
     `corpus` is `generate(spec)` and `heldout` is `generate_population` of
     the scored population (the spec's first, else `default_population`),
     for a caller that already has them; each is generated here when None.
-    Every other setting, and these two when None, is `cli.PipelineConfig`'s
-    default; a value out of its range raises `ConfigError`.
+    Every other setting, and these two when None, is
+    `stages.PipelineConfig`'s default; a value out of its range raises
+    `ConfigError`.
     """
-    from .cli import PipelineConfig, feature_config  # cli imports this module
-
     given = {"min_core_names": min_core_names, "alpha": alpha}
     config = PipelineConfig(  # nothing is written to its out_dir
-        spec.seed, Path(), synth_spec=spec, **{k: v for k, v in given.items() if v is not None}
+        spec.seed, Path(), synth_spec=spec, k_regions=len(spec.generators),
+        **{k: v for k, v in given.items() if v is not None},
     )
     table, truth = generate(spec) if corpus is None else corpus
-    core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
-    core_features = featurize(core.names, feature_config(config))
-    typology, _, labeled, _ = build_typology(
-        core, core_features, config.min_core_names, len(spec.generators)
-    )
+    population = spec.populations[0] if spec.populations else default_population(spec)
+    names, truth_counts = generate_population(spec, population) if heldout is None else heldout
+    got: dict[str, Any] = {}
+    provenance = {"priors_source": f"population:{population.name}"}
+    run(config, table, [(population.name, names)], got.__setitem__, provenance=provenance)
+    typology, report, (dists, _) = got["typology"], got["eval_report"], got["compare"]
+    core_names, eval_set = got["eval_set"]
 
-    country_truth = {c.code: c.region for c in spec.countries}
     true_partition = {
         frozenset(c.code for c in spec.countries if c.region == g.region)
         for g in spec.generators
@@ -625,73 +622,39 @@ def score_pipeline(
     got_partition = {frozenset(typology.members(r)) for r in typology.regions}
     partition_exact = got_partition == true_partition
 
-    region_map = _majority_region_map(
-        typology.regions,
-        {r: typology.members(r) for r in typology.regions},
-        country_truth,
-    )
+    region_map = _majority_region_map(typology, {c.code: c.region for c in spec.countries})
 
-    model, _, eval_set = fit(
-        labeled,
-        core_features,
-        seed=spec.seed,
-        train_fraction=config.train_fraction,
-        alpha=config.alpha,
-        min_df=config.min_df,
-        strip_diacritics=config.strip_diacritics,
-    )
-
-    # One classification of the evaluation set fills both the typology-space
-    # confusion, which calibrates the correction, and the truth-space one,
-    # through region_map; a guess whose region maps to no true region is
-    # left out of the latter.
+    # The evaluation's guesses, mapped through region_map, fill the
+    # truth-space confusion; a guess whose region maps to no true region is
+    # left out of it.
     true_labels = spec.region_labels
     true_index = {r: i for i, r in enumerate(true_labels)}
-    guessed, _, _ = classify_rows(model, core_features, eval_set.rows)
-    del core_features
-    typ_index = model.region_index  # type: ignore[attr-defined]
-    actual = np.array([typ_index.get(r, -1) for r in eval_set.regions], np.int64)[eval_set.region]
-    conf_typ = np.zeros((len(model.regions), len(model.regions)))
-    np.add.at(conf_typ, (guessed, actual), 1)
-    to_true = np.array([true_index.get(region_map.get(r), -1) for r in model.regions])
-    guessed_true = to_true[guessed]
-    actual_true = np.array([true_index[truth[core.names[i]]] for i in eval_set.rows], np.int64)
+    to_true = np.array([true_index.get(region_map.get(r), -1) for r in report.regions])
+    guessed_true = to_true[report.guessed]
+    actual_true = np.array([true_index[truth[core_names[i]]] for i in eval_set.rows], np.int64)
     kept = guessed_true >= 0
     conf_true = np.zeros((len(true_labels), len(true_labels)), dtype=np.int64)
     np.add.at(conf_true, (guessed_true[kept], actual_true[kept]), 1)
     truth_report = EvalReport.from_confusion(true_labels, conf_true)
 
-    population = spec.populations[0] if spec.populations else default_population(spec)
-    names, truth_counts = generate_population(spec, population) if heldout is None else heldout
-    operator, (guessed_counts, _) = calibrate(
-        ConfusionCounts(model.regions, conf_typ),
-        model,
-        names,
-        {"priors_source": f"population:{population.name}"},
-    )
-    corrected = correct_counts(guessed_counts, operator)
-
-    def to_true_space(vector: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(true_labels))
-        for i, value in zip(to_true, vector):
-            if i >= 0:
-                out[i] += value
-        return out
-
     total = float(len(names))
-    truth_vec = np.array([truth_counts[r] for r in true_labels], dtype=float)
-    l1_raw = float(np.abs(to_true_space(guessed_counts) / total - truth_vec / total).sum())
-    l1_corrected = float(np.abs(to_true_space(corrected) / total - truth_vec / total).sum())
+    truth_shares = np.array([truth_counts[r] for r in true_labels], dtype=float) / total
+    mapped = to_true >= 0
+
+    def l1(counts: np.ndarray) -> float:
+        """L1 distance of per-region counts, summed into true regions, to the truth."""
+        merged = np.bincount(to_true[mapped], counts[mapped], len(true_labels))
+        return float(np.abs(merged / total - truth_shares).sum())
 
     return Scorecard(
         true_regions=true_labels,
         recall=dict(zip(true_labels, truth_report.recall.tolist())),
         precision=dict(zip(true_labels, truth_report.precision.tolist())),
         partition_exact=partition_exact,
-        l1_raw=l1_raw,
-        l1_corrected=l1_corrected,
-        n_core_names=len(core),
-        n_eval=len(eval_set),
+        l1_raw=l1(got["reference_tally"][0]),
+        l1_corrected=l1(dists[0].counts),
+        n_core_names=got["summary"]["n_core_names"],
+        n_eval=got["summary"]["n_eval"],
         population_name=population.name,
         region_map=region_map,
     )

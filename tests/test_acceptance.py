@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from onoma.classifier import EvalReport, Labeled, classify, train
-from onoma.cli import PipelineConfig, run_pipeline
+from onoma.cli import PipelineConfig, read_config, run_pipeline
 from onoma.corpus import OccurrenceTable, filter_core_names
 from onoma.correction import (
     ConfusionCounts,
@@ -300,7 +300,7 @@ def _pipeline_config(tmp_path, out_name: str) -> PipelineConfig:
         ),
         encoding="utf-8",
     )
-    return PipelineConfig.from_file(config_path, {})
+    return read_config(config_path, {})
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
@@ -347,7 +347,7 @@ def test_criterion_9_scale_sanity(tmp_path):
         encoding="utf-8",
     )
     start = time.perf_counter()
-    artifacts = run_pipeline(PipelineConfig.from_file(config_path, {}))
+    artifacts = run_pipeline(read_config(config_path, {}))
     elapsed = time.perf_counter() - start
     core_lines = artifacts["core"].read_text(encoding="utf-8").count("\n")
     assert core_lines > 50000  # the corpus really was large

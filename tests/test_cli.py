@@ -7,12 +7,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import onoma
 from onoma import synth
 from onoma.classifier import Labeled, train
-from onoma.cli import PipelineConfig, build_parser, main
+from onoma.cli import PipelineConfig, build_parser, main, read_config
 from onoma.features import featurize
 from onoma.resources import reference_confusion_path
 
@@ -71,6 +72,59 @@ def test_synth_score_generates_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     alone = synth.score_pipeline(spec, min_core_names=10, alpha=0.1).to_json()
     assert (out / "scorecard.json").read_text(encoding="utf-8") == alone
+
+
+def test_scorer_and_pipeline_agree_on_one_spec(tmp_path):
+    """The scorecard of a spec and `onoma pipeline` on the same spec and
+    settings keep the same core names and evaluation set, and the corrected
+    L1 is the one computed from the pipeline's report against the truth."""
+    spec = synth.standard_spec(
+        4, 5, 100, 0.2, seed=1,
+        populations=(synth.PopulationSpec("reference", 300, (1.0, 2.0, 4.0, 8.0)),),
+    )
+    card = synth.score_pipeline(spec, min_core_names=10)
+    spec.save(tmp_path / "spec.json")
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 1, "out_dir": str(tmp_path / "pipe"), "synth": {"spec": "spec.json"},
+                    "k_regions": 4, "min_core_names": 10}),
+        encoding="utf-8",
+    )
+    assert run(["pipeline", "--config", config]) == 0
+    out = tmp_path / "pipe"
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert (card.n_core_names, card.n_eval) == (summary["n_core_names"], summary["n_eval"])
+    assert sorted(card.region_map) == sorted(summary["regions"])
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    counts = report["datasets"]["reference"]["counts"]
+    truth = json.loads((out / "population_reference_truth.json").read_text(encoding="utf-8"))
+    true_index = {r: i for i, r in enumerate(card.true_regions)}
+    estimated = np.zeros(len(card.true_regions))
+    for region, count in counts.items():  # in the model's region order
+        estimated[true_index[card.region_map[region]]] += count
+    total = float(sum(truth.values()))
+    truth_vec = np.array([truth[r] for r in card.true_regions], dtype=float)
+    assert card.l1_corrected == float(np.abs(estimated / total - truth_vec / total).sum())
+
+
+def test_scoring_does_not_import_the_command_line():
+    """The modules import one way: `synth` and `stages` never load `cli`."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(onoma.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    code = (
+        "import sys\n"
+        "from onoma.synth import score_pipeline, standard_spec\n"
+        "score_pipeline(standard_spec(2, 2, 80, 0.2, seed=2), min_core_names=10)\n"
+        "print('onoma.cli' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["False"]
 
 
 def test_verbose_logs_stages(tmp_path, capsys):
@@ -145,7 +199,7 @@ def test_synth_block_ignores_the_corpus_reader_options(tmp_path):
 def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path, monkeypatch):
     """Every artifact is byte-equal to a run through the reference core filter
     and JSON writer kept in the corpus and util tests."""
-    from onoma import cli, util
+    from onoma import stages, util
     from test_corpus import as_core_set, parent_filter_core_names
     from test_util import parent_emit
 
@@ -177,8 +231,8 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
         return as_core_set(parent_filter_core_names(*args, **kwargs))
 
     monkeypatch.setattr(util, "_emit", parent_emit)
-    # Patched where run_pipeline binds it; the counter shows the reference ran.
-    monkeypatch.setattr(cli, "filter_core_names", counted_filter)
+    # Patched where stages.run binds it; the counter shows the reference ran.
+    monkeypatch.setattr(stages, "filter_core_names", counted_filter)
     assert run(["pipeline", "--config", config, "--out-dir", ref]) == 0
     assert len(calls) == 1
     names = sorted(p.name for p in now.iterdir())
@@ -467,6 +521,28 @@ def test_synth_checks_its_settings_before_writing(tmp_path, capsys, score, optio
     assert not out.exists()
 
 
+def test_synth_score_checks_the_population_name_before_writing(tmp_path, capsys):
+    spec = synth.standard_spec(2, 2, 50, 0.2, seed=1,
+                               populations=(synth.PopulationSpec("a,b", 100, (1.0, 1.0)),))
+    spec.save(tmp_path / "spec.json")
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", out, "--score"]) == 3
+    assert "config error: dataset name 'a,b' holds a comma" in capsys.readouterr().err
+    assert not out.exists()
+    # Without --score the name is never a dataset's.
+    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", out]) == 0
+
+
+def test_synth_score_warns_of_low_corrected_counts(tmp_path, capsys):
+    """The scored population goes through `compare`, which warns of a region
+    whose corrected count is below 5."""
+    out = tmp_path / "synth"
+    assert run(["synth", "--regions", 3, "--countries-per-region", 2, "--names", 120,
+                "--overlap", 0.2, "--seed", 1, "--population-size", 20,
+                "--min-core-names", 10, "--out-dir", out, "--score"]) == 0
+    assert "dataset heldout: corrected count below 5" in capsys.readouterr().err
+
+
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
     names, labeled = Labeled.from_pairs([("abc", "A"), ("abd", "A"), ("xyz", "B"), ("xyw", "B")])
     model = tmp_path / "model.json"
@@ -665,7 +741,7 @@ def test_pipeline_config_takes_an_integer_as_a_number_and_null_as_no_path(tmp_pa
                     "targets": ["t.txt"]}),
         encoding="utf-8",
     )
-    loaded = PipelineConfig.from_file(config, {})
+    loaded = read_config(config, {})
     assert loaded.alpha == 1.0 and isinstance(loaded.alpha, float)
     assert loaded.registry is None and loaded.header is True
     assert loaded.n_values == (3, 2) and loaded.targets == (tmp_path / "t.txt",)

@@ -14,11 +14,10 @@ from onoma.features import (
     build_vocabulary,
     extract,
     featurize,
-    read_vocabulary,
     write_vocabulary,
 )
 from onoma.util import intern
-from reference import feature_row
+from reference import feature_row, read_vocabulary
 
 
 def test_extract_padded_bigrams():

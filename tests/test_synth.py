@@ -366,6 +366,34 @@ def test_scorecard_serializes():
     assert card.l1_raw >= 0 and card.l1_corrected >= 0
 
 
+def test_score_pipeline_classifies_each_row_once(monkeypatch):
+    """The scorecard takes `evaluate`'s guesses: the evaluation rows and the
+    population's distinct names are each classified once."""
+    from onoma import classifier
+
+    rows = []
+
+    def counted(model, features, chosen):
+        rows.append(len(chosen))
+        return inner(model, features, chosen)
+
+    inner = classifier.classify_rows
+    monkeypatch.setattr(classifier, "classify_rows", counted)
+    spec = standard_spec(3, 2, 120, 0.3, seed=4)
+    names, counts = generate_population(spec, PopulationSpec("held", 300, (1.0, 2.0, 4.0)))
+    card = score_pipeline(spec, min_core_names=10, heldout=(names, counts))
+    assert sorted(rows) == sorted([card.n_eval, len(set(names))])
+
+
+def test_score_pipeline_compares_its_population_by_name():
+    """The scored population is the run's reference dataset, so its name must
+    fit one field of the report's CSV files, as a pipeline dataset's must."""
+    spec = standard_spec(2, 2, 80, 0.2, seed=2,
+                         populations=(PopulationSpec("a,b", 200, (1.0, 2.0)),))
+    with pytest.raises(ConfigError, match="holds a comma"):
+        score_pipeline(spec, min_core_names=10)
+
+
 def test_score_pipeline_reports_bad_settings_as_config_errors():
     spec = standard_spec(2, 2, 80, 0.2, seed=2)
     with pytest.raises(ConfigError, match="need at least 2 countries"):
