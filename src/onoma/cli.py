@@ -261,7 +261,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _normalized_priors(text: str, n: int) -> np.ndarray:
+def _parse_priors(text: str, n: int) -> np.ndarray:
+    """The n positive weights of `--priors`; `stages.calibrate` normalizes them."""
     try:
         values = np.asarray([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
@@ -272,33 +273,44 @@ def _normalized_priors(text: str, n: int) -> np.ndarray:
         raise ConfigError(f"expected {n} priors, got {len(values)}")
     if np.any(values <= 0):
         raise ConfigError("priors must be strictly positive")
-    return values / values.sum()
+    return values
 
 
 def cmd_calibrate(args) -> int:
     counts = ConfusionCounts.from_csv(args.confusion)
     provenance: dict[str, object] = {"confusion": Path(args.confusion).name}
-    model = reference = priors = None
     if args.priors:
-        priors = _normalized_priors(args.priors, len(counts.regions))
+        priors = _parse_priors(args.priors, len(counts.regions))
         provenance["priors_source"] = "explicit"
     elif args.reference and args.model:
         model = TrainedModel.load(args.model)
-        reference = _read_population(args.reference, model.strip_diacritics, model.feature_config)
+        if model.regions != counts.regions:
+            raise ConfigError("model regions do not match the confusion matrix")
+        names = _read_population(args.reference, model.strip_diacritics, model.feature_config)
+        priors = diversity.tally_guesses(model, names)[0]
         provenance["priors_source"] = f"reference:{Path(args.reference).name}"
     else:
         raise ConfigError("need either --priors or both --reference and --model")
-    operator, _ = stages.calibrate(counts, model, reference, provenance, priors=priors)
+    operator = stages.calibrate(counts, provenance, priors)
     atomic_write(args.out, operator.to_csv())
     print(f"operator over {len(operator.regions)} regions -> {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_classify_population(args) -> int:
+def _model_and_operator(args) -> tuple[TrainedModel, CorrectionOperator]:
+    """The `--model` and `--operator` files, once their region labels agree."""
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
+    if operator.regions != model.regions:
+        raise ConfigError("operator and model disagree on regions")
+    return model, operator
+
+
+def cmd_classify_population(args) -> int:
+    model, operator = _model_and_operator(args)
     names = _read_population(args.input, model.strip_diacritics, model.feature_config)
-    dist = diversity.distribution(names, model, operator, args.name or Path(args.input).stem)
+    tally = diversity.tally_guesses(model, names)
+    dist = diversity.distribution(tally, operator, args.name or Path(args.input).stem)
     doc = {
         "dataset": dist.dataset_name,
         "n_names": dist.n_names,
@@ -312,14 +324,14 @@ def cmd_classify_population(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model = TrainedModel.load(args.model)
-    operator = CorrectionOperator.from_csv(args.operator)
+    model, operator = _model_and_operator(args)
     strip, ngrams = model.strip_diacritics, model.feature_config
     datasets = [
         (Path(path).stem, _read_population(path, strip, ngrams))
         for path in (args.reference, *args.targets)
     ]
-    dists, profiles = stages.compare(datasets, model, operator)
+    tallies = [(name, diversity.tally_guesses(model, names)) for name, names in datasets]
+    dists, profiles = stages.compare(tallies, operator)
     provenance = {
         "model_sha256": sha256_file(args.model),
         "operator": Path(args.operator).name,

@@ -125,9 +125,6 @@ class ConfusionCounts:
         except ValueError as exc:
             raise InputFormatError(f"{path}: {exc}") from None
 
-    def to_csv(self) -> str:
-        return render_confusion_csv(self.regions, self.matrix)
-
 
 def reweight_priors(
     counts: ConfusionCounts, target_priors: Sequence[float]

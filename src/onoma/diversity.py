@@ -1,9 +1,10 @@
 """Origin distributions, representativeness ratios and comparison reports.
 
-A population of surnames is summarized by its corrected origin distribution;
-dividing a target's proportions by a reference's gives a representativeness
-profile (1 = parity). Profiles are grouped by Canberra distance with average
-linkage so datasets that diverge in similar ways end up adjacent in reports.
+A population of surnames is classified once into its guess tally, and the
+tally corrected into the population's origin distribution; dividing a
+target's proportions by a reference's gives a representativeness profile
+(1 = parity). Profiles are grouped by Canberra distance with average linkage
+so datasets that diverge in similar ways end up adjacent in reports.
 Everything works at the group level; no per-name output is exposed.
 """
 
@@ -36,6 +37,9 @@ __all__ = [
 
 LOW_COUNT_THRESHOLD = 5.0
 
+# A population's guesses per region and its prior-only count.
+Tally = tuple[np.ndarray, int]
+
 
 @dataclass(frozen=True, eq=False)
 class OriginDistribution:
@@ -66,9 +70,7 @@ class RepresentationProfile:
     low_confidence: tuple[str, ...] = ()
 
 
-def tally_guesses(
-    model: TrainedModel, surnames: Sequence[str]
-) -> tuple[np.ndarray, int]:
+def tally_guesses(model: TrainedModel, surnames: Sequence[str]) -> Tally:
     """Raw per-region tally of classifier labels plus the prior-only count."""
     labels, prior_only, _ = classify_batch(model, surnames)
     counts = np.bincount(labels, minlength=len(model.regions)).astype(float)
@@ -76,32 +78,26 @@ def tally_guesses(
 
 
 def distribution(
-    surnames: Sequence[str],
-    model: TrainedModel,
+    tally: Tally,
     operator: CorrectionOperator,
     dataset_name: str = "dataset",
-    *,
-    tally: tuple[np.ndarray, int] | None = None,
 ) -> OriginDistribution:
-    """Corrected origin distribution for a list of surnames.
+    """Corrected origin distribution of a dataset from its `tally_guesses`.
 
-    `tally` is the `tally_guesses` result for these surnames when the caller
-    already has it (a reference population calibrated on), so they are not
-    classified twice.
+    Every name gets one guess, so the guesses count the dataset's names.
     """
-    if not surnames:
-        raise ValueError("empty surname list")
-    if operator.regions != model.regions:
-        raise ValueError("operator and model disagree on regions")
-    guessed, prior_only = tally if tally is not None else tally_guesses(model, surnames)
+    guessed, prior_only = tally
+    n_names = int(guessed.sum())
+    if not n_names:
+        raise ValueError("empty tally: no names guessed")
     corrected = correct_counts(guessed, operator)
     total = float(corrected.sum())
     return OriginDistribution(
         dataset_name=dataset_name,
-        regions=model.regions,
+        regions=operator.regions,
         counts=corrected,
         proportions=corrected / total,
-        n_names=len(surnames),
+        n_names=n_names,
         n_prior_only=prior_only,
     )
 

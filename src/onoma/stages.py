@@ -3,16 +3,19 @@
 Each setting is one `PipelineConfig` field with its default and range. The
 chain is core names (`corpus.filter_core_names`), then `build_typology` (a
 Ward typology of countries and the relabeled core names), `fit` (the split
-and the n-gram naive Bayes model), `classifier.evaluate`, `calibrate` (the
-correction operator from the evaluation confusion) and `compare` (corrected
-distributions and representation ratios). Core and labeled names are row
-positions in a `FeatureMatrix` of the sorted core names. `run` calls the
-whole chain and hands each result to a sink: `cli.run_pipeline`'s writes
-the artifacts, `synth.score_pipeline`'s keeps what its scorecard needs. The
-stage commands call the stages one at a time. Nothing here reads a path,
-parses an argument, writes a file or imports `synth` or `cli`.
-`build_typology` and `fit` raise the library's `ValueError`s, which come
-from settings such as k or the train fraction, as `ConfigError`.
+and the n-gram naive Bayes model), `classifier.evaluate`, each dataset's
+guess tally (`diversity.tally_guesses`), `calibrate` (the correction
+operator from the evaluation confusion and the reference's tally) and
+`compare` (corrected distributions and representation ratios of the
+tallies); the correction sees a dataset only through its tally. Core and
+labeled names are row positions in a `FeatureMatrix` of the sorted core
+names. `run` calls the whole chain and hands each result to a sink:
+`cli.run_pipeline`'s writes the artifacts, `synth.score_pipeline`'s keeps
+what its scorecard needs. The stage commands call the stages one at a
+time. Nothing here reads a path, parses an argument, writes a file or
+imports `synth` or `cli`. `build_typology` and `fit` raise the library's
+`ValueError`s, which come from settings such as k or the train fraction, as
+`ConfigError`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .correction import ConfusionCounts, CorrectionOperator, correction_operator
 from .diversity import (
     OriginDistribution,
     RepresentationProfile,
+    Tally,
     distribution,
     representation_ratios,
     tally_guesses,
@@ -54,9 +58,6 @@ log = logging.getLogger(__name__)
 
 __all__ = ["PipelineConfig", "feature_config", "build_typology", "fit", "calibrate", "compare",
            "check_dataset_names", "run"]
-
-# A population's per-region guess counts and its prior-only count.
-Tally = tuple[np.ndarray, int]
 
 
 def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
@@ -188,37 +189,28 @@ def fit(
 
 def calibrate(
     confusion: ConfusionCounts,
-    model: TrainedModel | None,
-    reference_names: Sequence[str] | None,
     provenance: Mapping[str, object],
-    *,
     priors: Sequence[float] | None = None,
-) -> tuple[CorrectionOperator, Tally | None]:
-    """The correction operator, with the confusion reweighted to a population.
+) -> CorrectionOperator:
+    """The correction operator, with the confusion reweighted to `priors`.
 
-    With `reference_names`, the columns are rescaled to the model's guess
-    shares on that population, and its tally is returned as well so it need
-    not be classified again. Otherwise explicit `priors` are used, and with
-    neither the evaluation column shares stand. The priors used are added
-    to the operator's `provenance`.
+    `priors` are a reference population's guess counts or explicit positive
+    weights; the columns are rescaled to their shares, which are added to
+    the operator's `provenance`. Without them the evaluation column shares
+    stand.
     """
     provenance = dict(provenance)
-    tally = None
-    if reference_names is not None:
-        if model.regions != confusion.regions:
-            raise ConfigError("model regions do not match the confusion matrix")
-        tally = tally_guesses(model, reference_names)
-        guessed = tally[0]
-        if np.any(guessed == 0):
-            missing = [r for r, g in zip(model.regions, guessed) if g == 0]
+    if priors is not None:
+        weights = np.asarray(priors, dtype=float)
+        if np.any(weights == 0):
+            missing = [r for r, w in zip(confusion.regions, weights) if w == 0]
             raise ConfigError(
                 f"reference population yields zero guesses for: {', '.join(missing)}"
             )
-        priors = guessed / guessed.sum()
-    if priors is not None:
+        priors = weights / weights.sum()
         confusion = reweight_priors(confusion, priors)
         provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
-    return correction_operator(confusion, provenance), tally
+    return correction_operator(confusion, provenance)
 
 
 def check_dataset_names(names: Sequence[str]) -> None:
@@ -234,23 +226,16 @@ def check_dataset_names(names: Sequence[str]) -> None:
 
 
 def compare(
-    datasets: Sequence[tuple[str, Sequence[str]]],
-    model: TrainedModel,
-    operator: CorrectionOperator,
-    reference_tally: Tally | None = None,
+    datasets: Sequence[tuple[str, Tally]], operator: CorrectionOperator
 ) -> tuple[list[OriginDistribution], list[RepresentationProfile]]:
-    """Corrected distributions of (name, surnames) datasets and their ratios.
+    """Corrected distributions of (name, tally) datasets and their ratios.
 
-    The first dataset is the reference every ratio divides by; its tally is
-    counted here unless `reference_tally` (from `calibrate`) is given. The
-    names must pass `check_dataset_names`.
+    Each tally is `diversity.tally_guesses` of a dataset's names. The first
+    dataset is the reference every ratio divides by. The names must pass
+    `check_dataset_names`.
     """
     check_dataset_names([name for name, _ in datasets])
-    tallies = [reference_tally] + [None] * (len(datasets) - 1)
-    dists = [
-        distribution(surnames, model, operator, name, tally=tally)
-        for (name, surnames), tally in zip(datasets, tallies)
-    ]
+    dists = [distribution(tally, operator, name) for name, tally in datasets]
     return dists, [representation_ratios(d, dists[0]) for d in dists]
 
 
@@ -266,12 +251,14 @@ def run(
     """Run the chain on `table` with `config`'s settings and hand each result
     to `sink(name, result)` as soon as it exists.
 
-    `datasets` are (name, surnames) pairs, the reference first; the operator
-    is calibrated on it, with `provenance`. With none, the evaluation column
-    shares stand and nothing is compared. In order, the results are "core",
-    "typology", "dendrogram", "labeled" and "eval_set" (pairs of the core
-    names and a `Labeled`), "model", "eval_report" (with each row's guess),
-    "operator", then with datasets "reference_tally" and "compare" (the
+    `datasets` are (name, surnames) pairs, the reference first. Each is
+    classified once, into its guess tally; the operator is calibrated on the
+    reference's, with `provenance`, and every tally is corrected by it. With
+    no datasets, the evaluation column shares stand and nothing is compared.
+    In order, the results are "core", "typology", "dendrogram", "labeled" and
+    "eval_set" (pairs of the core names and a `Labeled`), "model",
+    "eval_report" (with each row's guess), "operator", then with datasets
+    "tallies" ((name, tally) pairs, the reference first) and "compare" (the
     distributions and profiles), and last a "summary" dict of counts. The
     table is dropped after the filter, and the core names and their n-grams
     before "model", so a sink that keeps neither lets them go.
@@ -309,15 +296,17 @@ def run(
     sink("eval_report", report)
 
     log.info("stage: calibrate")
+    # Each dataset is classified once; from here on only its tally is used.
+    tallies = [(name, tally_guesses(model, surnames)) for name, surnames in datasets]
     confusion = ConfusionCounts(report.regions, report.confusion.astype(float))
-    reference = datasets[0][1] if datasets else None
-    operator, reference_tally = calibrate(confusion, model, reference, provenance or {})
+    priors = tallies[0][1][0] if tallies else None
+    operator = calibrate(confusion, provenance or {}, priors)
     sink("operator", operator)
 
-    if datasets:
+    if tallies:
         log.info("stage: compare")
-        sink("reference_tally", reference_tally)
-        sink("compare", compare(datasets, model, operator, reference_tally))
+        sink("tallies", tallies)
+        sink("compare", compare(tallies, operator))
 
     sink("summary", {
         "seed": config.seed,

@@ -614,6 +614,7 @@ def score_pipeline(
     run(config, table, [(population.name, names)], got.__setitem__, provenance=provenance)
     typology, report, (dists, _) = got["typology"], got["eval_report"], got["compare"]
     core_names, eval_set = got["eval_set"]
+    _, (guessed, _) = got["tallies"][0]  # the scored population's guess counts
 
     true_partition = {
         frozenset(c.code for c in spec.countries if c.region == g.region)
@@ -651,7 +652,7 @@ def score_pipeline(
         recall=dict(zip(true_labels, truth_report.recall.tolist())),
         precision=dict(zip(true_labels, truth_report.precision.tolist())),
         partition_exact=partition_exact,
-        l1_raw=l1(got["reference_tally"][0]),
+        l1_raw=l1(guessed),
         l1_corrected=l1(dists[0].counts),
         n_core_names=got["summary"]["n_core_names"],
         n_eval=got["summary"]["n_eval"],

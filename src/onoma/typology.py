@@ -138,45 +138,6 @@ class Dendrogram:
         ]
         return "".join(lines)
 
-    @classmethod
-    def from_tsv(cls, text: str) -> "Dendrogram":
-        leaves: list[str] = []
-        merges: list[Merge] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line[1:].split(None, 1)[:1] != ["leaf"]:
-                    continue
-                fields = line[1:].strip().split("\t")
-                if (
-                    len(fields) != 3
-                    or fields[0] != "leaf"
-                    or not fields[1].isdecimal()
-                    or not fields[2]
-                ):
-                    raise InputFormatError(f"line {lineno}: expected # leaf<TAB>id<TAB>label")
-                leaf = int(fields[1])
-                if leaf < len(leaves):
-                    raise InputFormatError(f"line {lineno}: leaf {leaf} listed twice")
-                if leaf > len(leaves):
-                    raise InputFormatError(f"line {lineno}: leaf {leaf} before leaf {len(leaves)}")
-                leaves.append(fields[2])
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise InputFormatError(f"line {lineno}: expected 4 fields")
-            try:
-                merges.append(
-                    Merge(int(fields[0]), int(fields[1]), float(fields[2]), int(fields[3]))
-                )
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: malformed merge row") from None
-        try:
-            return cls(tuple(leaves), tuple(merges))
-        except (ValueError, InvariantError) as exc:
-            raise InputFormatError(f"malformed dendrogram: {exc}") from None
-
 
 def agglomerate(labels: Sequence[str], dist: np.ndarray, method: str = "ward") -> Dendrogram:
     """Sequential agglomerative clustering from a full distance matrix.
@@ -486,42 +447,6 @@ class RegionTypology:
             region = self.assignment[country]
             lines.append(f"{country}\t{region if region is not None else DELETED_LABEL}\n")
         return "".join(lines)
-
-    @classmethod
-    def from_tsv(cls, text: str) -> "RegionTypology":
-        assignment: dict[str, str | None] = {}
-        first_line: dict[str, int] = {}
-        overrides: list[Override] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if line[1:].split(None, 1)[:1] != ["override"]:
-                    continue
-                fields = line[1:].strip().split("\t")
-                if fields[:2] == ["override", "REASSIGN"] and len(fields) == 4:
-                    overrides.append(Override("REASSIGN", fields[2], fields[3]))
-                elif fields[:2] == ["override", "DELETE"] and len(fields) == 3:
-                    overrides.append(Override("DELETE", fields[2]))
-                else:
-                    raise InputFormatError(
-                        f"line {lineno}: expected # override<TAB>REASSIGN<TAB>country"
-                        "<TAB>region or # override<TAB>DELETE<TAB>country"
-                    )
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise InputFormatError(f"line {lineno}: expected country<TAB>region")
-            country, region = fields[0].strip().upper(), fields[1].strip()
-            if country in first_line:
-                raise InputFormatError(
-                    f"line {lineno}: country {country} already listed on line"
-                    f" {first_line[country]}"
-                )
-            first_line[country] = lineno
-            assignment[country] = None if region == DELETED_LABEL else region
-        regions = tuple(sorted({r for r in assignment.values() if r is not None}))
-        return cls(regions, assignment, tuple(overrides))
 
 
 def cut_dendrogram(

@@ -1051,3 +1051,95 @@ def test_evaluate_reports_an_empty_surname_as_an_input_error(tmp_path, synth_dir
     capsys.readouterr()
     assert run(["evaluate", "--model", model, "--eval", bad, "--out", tmp_path / "r.json"]) == 2
     assert f"input error: {bad}: empty surname" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def piped(tmp_path, synth_dir):
+    """A pipeline run on `synth_dir`'s corpus with its held-out reference."""
+    config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv",
+                              synth_dir / "population_heldout.txt")
+    assert run(["pipeline", "--config", config]) == 0
+    return tmp_path / "out"
+
+
+def test_population_commands_reject_an_operator_of_other_regions(tmp_path, synth_dir, piped,
+                                                                  capsys):
+    """An operator whose region labels are not the model's is a config error,
+    and nothing is written."""
+    operator = tmp_path / "paper_operator.csv"
+    assert run(["calibrate", "--confusion", reference_confusion_path(),
+                "--priors", "1,1,1,1,1,1,1", "--out", operator]) == 0
+    reference = synth_dir / "population_heldout.txt"
+    capsys.readouterr()
+    dist = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", piped / "model.json", "--operator", operator,
+                "--input", reference, "--out", dist]) == 3
+    assert "config error: operator and model disagree on regions" in capsys.readouterr().err
+    assert not dist.exists()
+    target = tmp_path / "target.txt"
+    target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["compare", "--model", piped / "model.json", "--operator", operator,
+                "--reference", reference, target, "--out-dir", tmp_path / "cmp"]) == 3
+    assert "config error: operator and model disagree on regions" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_calibrate_rejects_a_confusion_of_other_regions(tmp_path, synth_dir, piped, capsys):
+    operator = tmp_path / "operator.csv"
+    assert run(["calibrate", "--confusion", reference_confusion_path(),
+                "--model", piped / "model.json",
+                "--reference", synth_dir / "population_heldout.txt", "--out", operator]) == 3
+    err = capsys.readouterr().err
+    assert "config error: model regions do not match the confusion matrix" in err
+    assert not operator.exists()
+
+
+def test_a_reference_of_one_name_yields_zero_guesses(tmp_path, synth_dir, piped, capsys):
+    """One name gets one guess, so every other region has none: `calibrate`
+    and `pipeline` both name those regions."""
+    one = tmp_path / "one.txt"
+    heldout = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8")
+    one.write_text(heldout.splitlines()[0] + "\n", encoding="utf-8")
+    regions = json.loads((piped / "eval_report.json").read_text(encoding="utf-8"))["regions"]
+    operator = tmp_path / "operator.csv"
+    capsys.readouterr()
+    assert run(["calibrate", "--confusion", piped / "confusion.csv",
+                "--model", piped / "model.json", "--reference", one, "--out", operator]) == 3
+    assert not operator.exists()
+    (tmp_path / "again").mkdir()
+    config = _pipeline_config(tmp_path / "again", synth_dir, synth_dir / "corpus.tsv", one)
+    assert run(["pipeline", "--config", config]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 2
+    for err in errors:
+        prefix = "config error: reference population yields zero guesses for: "
+        assert err.startswith(prefix), err
+        missing = err[len(prefix):].split(", ")
+        assert len(missing) == len(regions) - 1
+        assert missing == [r for r in regions if r in missing]
+
+
+def test_pipeline_classifies_each_dataset_once(tmp_path, synth_dir, monkeypatch):
+    """With a reference and two targets, each dataset's names are classified
+    in one call: the reference's tally calibrates and is compared too."""
+    from onoma import diversity
+
+    heldout = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8").splitlines()
+    files = {"first": heldout[:150], "last": heldout[-200:]}
+    for name, names in files.items():
+        (tmp_path / f"{name}.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv",
+                              synth_dir / "population_heldout.txt")
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    doc["targets"] = [str(tmp_path / f"{name}.txt") for name in files]
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+
+    def counted(model, surnames):
+        calls.append(list(surnames))
+        return inner(model, surnames)
+
+    inner = diversity.classify_batch
+    monkeypatch.setattr(diversity, "classify_batch", counted)
+    assert run(["pipeline", "--config", config]) == 0
+    assert calls == [heldout, files["first"], files["last"]]

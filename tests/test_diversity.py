@@ -17,6 +17,7 @@ from onoma.diversity import (
     emit_report,
     order_profiles,
     representation_ratios,
+    tally_guesses,
 )
 from onoma.features import NGramConfig, featurize
 
@@ -120,7 +121,8 @@ def test_canberra_validation():
 
 def test_distribution_separable_single_region():
     model = separable_model()
-    dist = distribution(["aab", "aba", "baa"], model, identity_operator(model.regions), "only-a")
+    tally = tally_guesses(model, ["aab", "aba", "baa"])
+    dist = distribution(tally, identity_operator(model.regions), "only-a")
     i = dist.regions.index("A")
     assert dist.proportions[i] == 1.0
     assert dist.n_names == 3
@@ -129,23 +131,21 @@ def test_distribution_separable_single_region():
 def test_distribution_identity_operator_keeps_guessed_shares():
     model = separable_model()
     names = ["aaa", "aab", "bbb", "bba", "abb"]
-    dist = distribution(names, model, identity_operator(model.regions))
+    dist = distribution(tally_guesses(model, names), identity_operator(model.regions))
     assert dist.counts.sum() == pytest.approx(len(names), rel=1e-9)
     assert dist.proportions.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_distribution_counts_prior_only():
     model = separable_model()
-    dist = distribution(["aaa", "zzz"], model, identity_operator(model.regions))
+    dist = distribution(tally_guesses(model, ["aaa", "zzz"]), identity_operator(model.regions))
     assert dist.n_prior_only == 1
 
 
 def test_distribution_validation():
     model = separable_model()
     with pytest.raises(ValueError, match="empty"):
-        distribution([], model, identity_operator(model.regions))
-    with pytest.raises(ValueError, match="regions"):
-        distribution(["aaa"], model, identity_operator(("X", "Y")))
+        distribution((np.zeros(len(model.regions)), 0), identity_operator(model.regions))
 
 
 # ---------------------------------------------------------------- ratios
