@@ -277,6 +277,8 @@ def _parse_priors(text: str, n: int) -> np.ndarray:
 
 
 def cmd_calibrate(args) -> int:
+    if args.priors and (args.reference or args.model):
+        raise ConfigError("--priors cannot be combined with --reference or --model")
     counts = ConfusionCounts.from_csv(args.confusion)
     provenance: dict[str, object] = {"confusion": Path(args.confusion).name}
     if args.priors:
@@ -711,7 +713,10 @@ def build_parser() -> _Parser:
     p.add_argument("--confusion", required=True, help="confusion CSV")
     p.add_argument("--model", help="model JSON (with --reference)")
     p.add_argument("--reference", help="reference population, one surname per line")
-    p.add_argument("--priors", help="explicit comma-separated priors (normalized)")
+    p.add_argument(
+        "--priors",
+        help="explicit comma-separated priors (normalized); not with --reference or --model",
+    )
     p.add_argument("--out", required=True, help="operator CSV path")
     p.set_defaults(func=cmd_calibrate)
 

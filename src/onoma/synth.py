@@ -12,6 +12,7 @@ scheduling.
 from __future__ import annotations
 
 import json
+import math
 import string
 from bisect import bisect_right
 from collections import Counter
@@ -69,20 +70,41 @@ def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) ->
 
 
 class _RowSampler:
-    """Cumulative tables for one distribution, with and without the stop state."""
+    """Cumulative tables for one distribution, with and without the stop state.
 
-    __slots__ = ("symbols", "cum_full", "nonstop_symbols", "cum_nonstop")
+    `full` and `nonstop` pair each symbol list with its cumulative sums, the
+    last sum replaced by `+inf`: the first sum above a double in [0, 1) then
+    always exists, and it is the one `bisect_right` on the true sums finds,
+    clamped to the last symbol when the last sum rounds below the double.
+    `cum_full` and `cum_nonstop` rebuild the true sums on each read, so a
+    spec, which lives through a whole scored run, holds one list of sums
+    per row.
+    """
+
+    __slots__ = ("symbols", "nonstop_symbols", "full", "nonstop", "_last_full", "_last_nonstop")
 
     def __init__(self, dist: Mapping[str, float]):
         items = sorted(dist.items())
         self.symbols = [s for s, _ in items]
         # Python lists: bisect on a list costs far less per draw than
         # np.searchsorted on an array.
-        self.cum_full = np.cumsum([p for _, p in items]).tolist()
+        cum_full = np.cumsum([p for _, p in items]).tolist()
         nonstop = [(s, p) for s, p in items if s != STOP]
         self.nonstop_symbols = [s for s, _ in nonstop]
         weights = np.array([p for _, p in nonstop])
-        self.cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
+        cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
+        self._last_full, self._last_nonstop = cum_full[-1], cum_nonstop[-1]
+        cum_full[-1] = cum_nonstop[-1] = math.inf
+        self.full = (self.symbols, cum_full)
+        self.nonstop = (self.nonstop_symbols, cum_nonstop)
+
+    @property
+    def cum_full(self) -> list[float]:
+        return self.full[1][:-1] + [self._last_full]
+
+    @property
+    def cum_nonstop(self) -> list[float]:
+        return self.nonstop[1][:-1] + [self._last_nonstop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +123,16 @@ class MarkovChain:
         for context, row in self.transitions.items():
             _validate_dist(row, allow_stop=True, what=f"context {context!r}")
             samplers[context] = _RowSampler(row)
-        object.__setattr__(self, "_start_sampler", _RowSampler(self.start))
+        start = _RowSampler(self.start)
+        object.__setattr__(self, "_start_sampler", start)
         object.__setattr__(self, "_samplers", samplers)
+        # What `_draw_name` reads: each context's row, with or without the
+        # stop state. The empty context, where every name begins, maps to
+        # the start distribution (never the stop state).
+        for attr, row in (("_full_rows", "full"), ("_nonstop_rows", "nonstop")):
+            rows = {ctx: getattr(sampler, row) for ctx, sampler in samplers.items()}
+            rows[""] = start.nonstop
+            object.__setattr__(self, attr, rows)
 
     def to_dict(self) -> dict:
         return {
@@ -409,9 +439,11 @@ def _draw_name(
     `order` characters; an order-2 chain falls back to the row of the last
     character, and any chain to its start distribution (never the stop
     state) when it has no row. The first cumulative sum above the double
-    wins, so a double on a boundary takes the next symbol, and the last
-    symbol covers a last sum that rounds below 1. The stop state can end a
-    name once it has `min_len` characters.
+    wins, so a double on a boundary takes the next symbol; each row's last
+    sum is `+inf`, so the last symbol covers a true last sum that rounds
+    below 1. The stop state can end a name once it has `min_len` characters.
+    Each character costs one row lookup (more only on a fallback) and one
+    `bisect_right`.
     """
     own = generator.chain
     min_len = generator.min_len
@@ -419,20 +451,13 @@ def _draw_name(
     name = ""
     while len(name) < max_len:
         chain = global_chain if u[pos] < overlap else own
-        x = u[pos + 1]
-        pos += 2
-        sampler = None
-        if name:
-            samplers = chain._samplers  # type: ignore[attr-defined]
-            sampler = samplers.get(name[-chain.order :]) or samplers.get(name[-1:])
-        if sampler is None:
-            sampler = chain._start_sampler  # type: ignore[attr-defined]
-            symbols, cum = sampler.nonstop_symbols, sampler.cum_nonstop
-        elif len(name) >= min_len:
-            symbols, cum = sampler.symbols, sampler.cum_full
+        if len(name) >= min_len:
+            rows = chain._full_rows  # type: ignore[attr-defined]
         else:
-            symbols, cum = sampler.nonstop_symbols, sampler.cum_nonstop
-        symbol = symbols[min(bisect_right(cum, x), len(symbols) - 1)]
+            rows = chain._nonstop_rows  # type: ignore[attr-defined]
+        symbols, cum = rows.get(name[-chain.order :]) or rows.get(name[-1:]) or rows[""]
+        symbol = symbols[bisect_right(cum, u[pos + 1])]
+        pos += 2
         if symbol == STOP:
             break
         name += symbol
@@ -446,42 +471,55 @@ def generate(spec: SynthSpec) -> tuple[OccurrenceTable, dict[str, str]]:
     (up to 100 attempts) so the truth map stays a function; duplicates within
     a region are kept and merge into the occurrence counts.
 
-    Each name reads a block of doubles that covers its longest attempt, and
-    a retry reads on from the same block. The generator then steps back over
-    the doubles the name left unused, so the count's Poisson draw reads the
-    stream that one double per call would leave it.
+    A country's names read their doubles from a buffer that always holds
+    one longest attempt past the read position, so a retry reads on from
+    it. The only other draw is the name's count, `1 + poisson(volume - 1)`.
+    With a mean above 0 it reads the stream, so the generator first steps
+    back over the buffered doubles the name left unused, and the Poisson
+    draw reads what one double per call would leave it; the buffer then
+    starts again, one longest attempt at a time. A mean of 0 reads nothing
+    (numpy returns 0 without touching the state), so the count is 1 and
+    such a country reads its names from buffered runs of 4,096 doubles, as
+    `generate_population` does.
     """
     truth: dict[str, str] = {}
     pairs: list[tuple[str, str, int]] = []
+    global_chain, overlap = spec.global_chain, spec.overlap
     for country in sorted(spec.countries, key=lambda c: c.code):
-        generator = spec.generator_for(country.region)
+        code, region = country.code, country.region
+        generator = spec.generator_for(region)
         span = 2 * generator.max_len
-        seed = derive_seed(spec.seed, f"corpus:{country.code}")
+        mean = country.volume - 1.0
+        block = span if mean > 0 else max(span, 4096)
+        seed = derive_seed(spec.seed, f"corpus:{code}")
         # what default_rng(seed) returns; numpy.random loads on this first
         # use, so `onoma pipeline`, which never draws from it, stays smaller
         rng = np.random.Generator(np.random.PCG64(seed))
+        random, advance, poisson = rng.random, rng.bit_generator.advance, rng.poisson
+        u: list[float] = []
+        pos = 0
         for _ in range(country.n_names):
-            u = rng.random(span).tolist()
-            pos = 0
             for _attempt in range(100):
-                name, pos = _draw_name(generator, spec.global_chain, spec.overlap, u, pos)
+                if len(u) - pos < span:
+                    u = u[pos:] + random(block).tolist()
+                    pos = 0
+                name, pos = _draw_name(generator, global_chain, overlap, u, pos)
                 owner = truth.get(name)
-                if owner is None or owner == country.region:
+                if owner is None or owner == region:
                     break
-                # top up to one longest attempt past `pos`
-                u += rng.random(span - len(u) + pos).tolist()
             else:
-                raise InvariantError(
-                    f"no collision-free name for {country.code} after 100 attempts"
-                )
-            # PCG64's state has period 2**128, so this steps back, and the
-            # delta stays in the documented range 0 < delta < 2**128.
-            unused = len(u) - pos
-            if unused:
-                rng.bit_generator.advance(2**128 - unused)
-            truth[name] = country.region
-            count = 1 + int(rng.poisson(country.volume - 1.0))
-            pairs.append((name, country.code, count))
+                raise InvariantError(f"no collision-free name for {code} after 100 attempts")
+            truth[name] = region
+            count = 1
+            if mean > 0:
+                # PCG64's state has period 2**128, so this steps back, and
+                # the delta stays in the documented range 0 < delta < 2**128.
+                unused = len(u) - pos
+                if unused:
+                    advance(2**128 - unused)
+                u, pos = [], 0
+                count += int(poisson(mean))
+            pairs.append((name, code, count))
     return OccurrenceTable(pairs), truth
 
 

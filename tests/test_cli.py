@@ -405,6 +405,18 @@ def test_calibrate_rejects_priors_that_are_not_finite(tmp_path, capsys, priors):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", [["--reference"], ["--model"], ["--reference", "--model"]])
+def test_calibrate_rejects_priors_with_a_reference_or_model(tmp_path, capsys, given):
+    # Two sources of priors fail before any file is read, so these need not exist.
+    out = tmp_path / "operator.csv"
+    sources = [arg for option in given for arg in (option, tmp_path / f"{option[2:]}.txt")]
+    assert run(["calibrate", "--confusion", reference_confusion_path(),
+                "--priors", "1,1,1,1,1,1,1", *sources, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "config error: --priors cannot be combined with --reference or --model" in err
+    assert not out.exists()
+
+
 def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir):
     corpus = synth_dir / "corpus.tsv"
     registry = synth_dir / "countries.tsv"

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import math
 import random
+from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.random import PCG64, Generator
 
+from onoma import synth
 from onoma.classifier import Labeled, evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
@@ -55,6 +59,7 @@ def order2_spec(
     *,
     min_len: int = 3,
     max_len: int = 12,
+    volumes: tuple[float, ...] = (1.0, 10.0, 100.0),
 ) -> SynthSpec:
     """`standard_spec(3, 2, ...)` with order-2 region chains, built through JSON.
 
@@ -73,7 +78,7 @@ def order2_spec(
             row[STOP] = 1.0 - sum(row.values())
         return row
 
-    doc = json.loads(standard_spec(3, 2, n_names, overlap, seed).to_json())
+    doc = json.loads(standard_spec(3, 2, n_names, overlap, seed, volumes=volumes).to_json())
     for i, region in enumerate(doc["regions"]):
         letters = "abcdefghijkl"[4 * i : 4 * i + 4]
         transitions = {ch: dist(letters, 0.2) for ch in letters[:3]}
@@ -86,7 +91,9 @@ def order2_spec(
     return SynthSpec.from_json(json.dumps(doc))
 
 
-def collision_spec() -> SynthSpec:
+def collision_spec(
+    volumes: tuple[float, float] = (10.0, 100.0), n_names: tuple[int, int] = (12, 8)
+) -> SynthSpec:
     """Two regions writing the same short names, so names collide.
 
     Names of one to three letters stop at different draws, so a retry
@@ -104,8 +111,8 @@ def collision_spec() -> SynthSpec:
             RegionGenerator("R1", chain, min_len=1, max_len=3),
         ),
         countries=(
-            CountrySpec("AA", "R0", n_names=12, volume=10.0),
-            CountrySpec("BA", "R1", n_names=8, volume=100.0),
+            CountrySpec("AA", "R0", n_names=n_names[0], volume=volumes[0]),
+            CountrySpec("BA", "R1", n_names=n_names[1], volume=volumes[1]),
         ),
         global_chain=chain,
     )
@@ -163,6 +170,32 @@ def test_sampler_matches_searchsorted():
             assert pick(dist, u, allow_stop) == expected
 
 
+@pytest.mark.parametrize(
+    "make_spec", [lambda: standard_spec(12, 15, 100, 0.3, 1), order2_spec], ids=["order1", "order2"]
+)
+def test_rows_ending_in_inf_pick_as_the_clamped_true_sums(make_spec):
+    # The rows `_draw_name` reads end in +inf in place of the last true sum;
+    # at and around every true sum they pick the symbol that `bisect_right`
+    # on the true sums picks, clamped to the last symbol.
+    spec = make_spec()
+    for chain in (spec.global_chain, *(g.chain for g in spec.generators)):
+        start = chain._start_sampler
+        rows = [(chain._full_rows[""], start.nonstop_symbols, start.cum_nonstop),
+                (chain._nonstop_rows[""], start.nonstop_symbols, start.cum_nonstop)]
+        for ctx, sampler in chain._samplers.items():
+            rows.append((chain._full_rows[ctx], sampler.symbols, sampler.cum_full))
+            rows.append((chain._nonstop_rows[ctx], sampler.nonstop_symbols, sampler.cum_nonstop))
+        for (row_symbols, row_cum), symbols, cum in rows:
+            assert row_symbols == symbols
+            assert row_cum[:-1] == cum[:-1] and row_cum[-1] == math.inf
+            doubles = [0.0, float(np.nextafter(1.0, 0.0))]
+            for c in cum:
+                doubles += [float(np.nextafter(c, 0.0)), c, float(np.nextafter(c, 2.0))]
+            for x in doubles:
+                clamped = symbols[min(bisect_right(cum, x), len(symbols) - 1)]
+                assert row_symbols[bisect_right(row_cum, x)] == clamped
+
+
 def test_block_of_doubles_equals_scalar_draws():
     block, scalar = Generator(PCG64(7)), Generator(PCG64(7))
     assert block.random(1000).tolist() == [scalar.random() for _ in range(1000)]
@@ -180,6 +213,14 @@ def test_advance_by_period_minus_k_steps_back_k_draws(unused):
     for lam in (0.0, 9.0, 99.0):
         assert rewound.poisson(lam) == short.poisson(lam)
     assert rewound.random(5).tolist() == short.random(5).tolist()
+
+
+def test_poisson_of_mean_zero_reads_nothing():
+    # generate() draws no count for a volume-1 country: numpy returns 0 for
+    # a mean of 0 and leaves the stream where it was.
+    drawn, untouched = Generator(PCG64(7)), Generator(PCG64(7))
+    assert drawn.poisson(0.0) == 0
+    assert drawn.bit_generator.state == untouched.bit_generator.state
 
 
 def test_generation_stream_golden():
@@ -216,12 +257,22 @@ DIFFERENTIAL_SPECS = {
     "order2-min-eq-max": lambda: order2_spec(10, 0.3, 60, min_len=4, max_len=4),
     "collisions": collision_spec,
 }
+# Volume-1 countries draw no counts, so their names read on through buffered
+# runs of 4,096 doubles: these refill them mid-country, and in the first a
+# collision retry reads across a refill.
+BUFFERED_SPECS = {
+    "collisions-volume1": lambda: collision_spec((1.0, 1.0), (12, 1000)),
+    "order1-volume1": lambda: standard_spec(3, 2, 2000, 0.3, 8, volumes=(1.0,)),
+    "order2-volume1": lambda: order2_spec(9, 0.3, 1000, volumes=(1.0,)),
+}
+DIFFERENTIAL_SPECS.update(BUFFERED_SPECS)
 
 
 @pytest.mark.parametrize("make_spec", DIFFERENTIAL_SPECS.values(), ids=DIFFERENTIAL_SPECS)
 def test_block_draws_match_scalar_reference(make_spec):
-    # Countries cycle through volumes 1, 10 and 100: Poisson means 0, 9 and
-    # 99 run numpy's two Poisson algorithms on the stream after a rewind.
+    # Countries cycle through volumes 1, 10 and 100 (only 1 in the buffered
+    # specs): Poisson means 9 and 99 run numpy's two Poisson algorithms on
+    # the stream after a rewind.
     spec = make_spec()
     table, truth = generate(spec)
     want_table, want_truth = reference.generate(spec)
@@ -242,6 +293,46 @@ def test_collision_spec_retries(monkeypatch):
     spec = collision_spec()
     reference.generate(spec)
     assert len(calls) > sum(c.n_names for c in spec.countries)
+
+
+def _retries_and_fresh_buffers(monkeypatch, spec: SynthSpec) -> Counter:
+    """How many names `generate(spec)` retries, starts at position 0 of a
+    freshly filled buffer, or both."""
+    seen: Counter = Counter()
+    owners: dict[str, str] = {}
+    retry = False
+    draw = synth._draw_name
+
+    def spy(generator, global_chain, overlap, u, pos):
+        nonlocal retry
+        seen["retries"] += retry
+        seen["fresh"] += pos == 0
+        seen["fresh retries"] += retry and pos == 0
+        name, end = draw(generator, global_chain, overlap, u, pos)
+        retry = owners.setdefault(name, generator.region) != generator.region
+        return name, end
+
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_draw_name", spy)
+        generate(spec)
+    return seen
+
+
+def test_volume1_buffers_refill_mid_country_and_under_a_retry(monkeypatch):
+    fresh_retries = 0
+    for make_spec in BUFFERED_SPECS.values():
+        spec = make_spec()
+        calls = []
+        sample = reference._sample_name
+        with monkeypatch.context() as m:
+            m.setattr(reference, "_sample_name", lambda *a: calls.append(1) or sample(*a))
+            reference.generate(spec)
+        seen = _retries_and_fresh_buffers(monkeypatch, spec)
+        assert seen["retries"] == len(calls) - sum(c.n_names for c in spec.countries) > 0
+        # each country fills its buffer once at its start; the rest are refills
+        assert seen["fresh"] > len(spec.countries)
+        fresh_retries += seen["fresh retries"]
+    assert fresh_retries > 0
 
 
 def test_generate_deterministic():
