@@ -401,17 +401,22 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _, table, truth, populations = _write_synth(spec, out_dir)
+    sizes = f"corpus: {len(table)} records, {len(truth)} distinct names"
+    # Handed over, not kept here: the scorer's `run` lets the table go after
+    # the core filter.
+    handed = [(table, truth)]
+    del table
     if args.score:
         card = synth.score_pipeline(
             spec,
             min_core_names=args.min_core_names,
             alpha=args.alpha,
-            corpus=(table, truth),
+            corpus=handed.pop(),
             heldout=populations[0] if populations else None,  # the population it scores
         )
         atomic_write(out_dir / "scorecard.json", card.to_json())
         print(card.to_json(), end="", file=sys.stderr)
-    print(f"corpus: {len(table)} records, {len(truth)} distinct names", file=sys.stderr)
+    print(sizes, file=sys.stderr)
     return 0
 
 

@@ -635,7 +635,8 @@ def score_pipeline(
     `corpus` is `generate(spec)` and `heldout` is `generate_population` of
     the scored population (the spec's first, else `default_population`),
     for a caller that already has them; each is generated here when None.
-    Every other setting, and these two when None, is
+    A caller that keeps no reference to `corpus` lets its table go after
+    the core filter. Every other setting, and these two when None, is
     `stages.PipelineConfig`'s default; a value out of its range raises
     `ConfigError`.
     """
@@ -645,11 +646,13 @@ def score_pipeline(
         **{k: v for k, v in given.items() if v is not None},
     )
     table, truth = generate(spec) if corpus is None else corpus
+    handed = [table]
+    del corpus, table  # `run` lets the table go after the core filter
     population = spec.populations[0] if spec.populations else default_population(spec)
     names, truth_counts = generate_population(spec, population) if heldout is None else heldout
     got: dict[str, Any] = {}
     provenance = {"priors_source": f"population:{population.name}"}
-    run(config, table, [(population.name, names)], got.__setitem__, provenance=provenance)
+    run(config, handed.pop(), [(population.name, names)], got.__setitem__, provenance=provenance)
     typology, report, (dists, _) = got["typology"], got["eval_report"], got["compare"]
     core_names, eval_set = got["eval_set"]
     _, (guessed, _) = got["tallies"][0]  # the scored population's guess counts

@@ -10,6 +10,9 @@ labels used to relabel the training data.
 from __future__ import annotations
 
 import logging
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -210,6 +213,14 @@ WARD_BLOCK_ROWS = 4
 # (medians of 15 x 50 calls).
 WARD_PATCH_RATIO = 10
 
+# Pairs x n-grams from which ward_cluster shares its distances with a forked
+# child. Whole `onoma synth --score` runs on 2 vCPUs, median wall of alternating
+# pairs, split against one process: 2.7 ms slower at 8.4M cells (40 leaves, 20
+# pairs), 0.7 ms slower at 22.5M (60 leaves, 40 pairs), 1.5 ms faster at 28.6M
+# (66 leaves) and 3.4 ms faster at 35.1M (72 leaves). The split costs 5-7 ms
+# more CPU at every size: the fork, and the copy-on-write faults after it.
+WARD_FORK_CELLS = 25_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class CountryFeatureMatrix:
@@ -334,14 +345,81 @@ def ward_cluster(matrix: CountryFeatureMatrix) -> Dendrogram:
 
     Pairwise distances are computed WARD_BLOCK_ROWS rows at a time, so the
     work space is two block x vocabulary buffers and one vocabulary-long
-    row, not a dense copy of the matrix.
+    row, not a dense copy of the matrix. From WARD_FORK_CELLS pairs x
+    n-grams on, a single-threaded Linux process with two or more usable
+    CPUs forks one child that computes the later blocks, half the pairs,
+    into a shared map. Both sides run `_distance_blocks`, so every distance
+    takes the same float operations and the dendrogram does not depend on
+    the route. A failed child raises InvariantError.
     """
     n = len(matrix.countries)
     if n < 2:
         raise ValueError("need at least 2 rows to cluster")
+    starts = range(1, n, WARD_BLOCK_ROWS)
+    if n * (n - 1) // 2 * len(matrix.vocabulary) < WARD_FORK_CELLS or not _can_fork():
+        dist = np.zeros((n, n))
+        _distance_blocks(matrix, dist, starts)
+    else:
+        dist = _forked_distances(matrix, starts)
+    return agglomerate(matrix.countries, dist, method="ward")
+
+
+def _can_fork() -> bool:
+    """Whether a second CPU is usable and a fork is safe: Linux's affinity
+    call exists, it grants two CPUs or more, and no other thread runs."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _forked_distances(matrix: CountryFeatureMatrix, starts: range) -> np.ndarray:
+    """`_distance_blocks` over `starts`, the blocks split by pair count
+    between this process and one forked child, which writes its half into
+    an anonymous shared map."""
+    n = len(matrix.countries)
+    # Rows before a block's stop hi hold hi * (hi - 1) / 2 pairs. This process
+    # takes the blocks through the first stop at half the pairs or more.
+    stops = [min(lo + WARD_BLOCK_ROWS, n) for lo in starts]
+    half = next(k for k, hi in enumerate(stops, 1) if hi * (hi - 1) >= n * (n - 1) // 2)
+    shared_map = mmap.mmap(-1, n * n * 8)  # MAP_SHARED, zero-filled
+    shared = np.frombuffer(shared_map).reshape(n, n)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _distance_blocks(matrix, shared, starts[half:])
+            status = 0
+        finally:
+            os._exit(status)  # no exit handlers, no flushing of inherited buffers
+    try:
+        _distance_blocks(matrix, shared, starts[:half])
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status != 0:
+        raise InvariantError(
+            f"Ward distance child exited with code {os.waitstatus_to_exitcode(status)}"
+        )
+    # Closed here on success; after a raise the traceback holds views of the
+    # map, and the map is freed with it.
+    dist = shared.copy()
+    del shared
+    shared_map.close()
+    return dist
+
+
+def _distance_blocks(matrix: CountryFeatureMatrix, dist: np.ndarray, block_starts: range) -> None:
+    """Distances from the rows of each block, WARD_BLOCK_ROWS rows from a
+    start in `block_starts`, to every earlier row, written into `dist`'s
+    two triangles."""
+    n = len(matrix.countries)
     width = len(matrix.vocabulary)
     indptr, columns, values = matrix.indptr, matrix.columns, matrix.values
-    dist = np.zeros((n, n))
     block = np.empty((WARD_BLOCK_ROWS, width))
     squares = np.empty((WARD_BLOCK_ROWS, width))
     row = np.zeros(width)
@@ -355,7 +433,7 @@ def ward_cluster(matrix: CountryFeatureMatrix) -> Dendrogram:
     # A denser row is subtracted from the block into `squares`, which is
     # squared again before the next patch. Either way the differences fill a
     # C-contiguous slice: the row sums, and so the heights, depend on the layout.
-    for lo in range(1, n, WARD_BLOCK_ROWS):
+    for lo in block_starts:
         hi = min(lo + WARD_BLOCK_ROWS, n)
         matrix.dense_rows(lo, hi, block[: hi - lo])
         squared = False
@@ -385,7 +463,6 @@ def ward_cluster(matrix: CountryFeatureMatrix) -> Dendrogram:
                 squared = False
             dist[i, j:hi] = d
             dist[j:hi, i] = d
-    return agglomerate(matrix.countries, dist, method="ward")
 
 
 @dataclass(frozen=True)

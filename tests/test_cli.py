@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -595,7 +596,7 @@ def test_corpus_format_errors_name_the_file(tmp_path, capsys):
 def _fresh_onoma(env: dict[str, str]) -> list[str]:
     """The `Threads:` count and OPENBLAS_NUM_THREADS after `import onoma` in a
     new interpreter, with OPENBLAS_NUM_THREADS taken from `env` alone (this
-    process imported numpy before onoma, so it cannot show the pool)."""
+    process's pool depends on what the test session imported first)."""
     env = {
         **{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
         **env,
@@ -1155,3 +1156,36 @@ def test_pipeline_classifies_each_dataset_once(tmp_path, synth_dir, monkeypatch)
     monkeypatch.setattr(diversity, "classify_batch", counted)
     assert run(["pipeline", "--config", config]) == 0
     assert calls == [heldout, files["first"], files["last"]]
+
+
+# Before 3.11 a call's arguments stay on the caller's stack until it returns.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the caller keeps the table alive")
+@pytest.mark.parametrize("command", ["pipeline", "synth --score"])
+def test_the_corpus_table_is_gone_before_the_typology(tmp_path, synth_dir, monkeypatch, command):
+    """Both consumers of `stages.run` hand the table over without keeping
+    it, so it is freed after the core filter, before Ward may fork."""
+    from onoma import stages
+
+    tables, alive = [], []
+    filter_core_names, build_typology = stages.filter_core_names, stages.build_typology
+
+    def recording_filter(table, *args, **kwargs):
+        tables.append(weakref.ref(table))
+        return filter_core_names(table, *args, **kwargs)
+
+    def checking_build(*args, **kwargs):
+        alive.append(tables[-1]() is not None)
+        return build_typology(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "filter_core_names", recording_filter)
+    monkeypatch.setattr(stages, "build_typology", checking_build)
+    if command == "pipeline":
+        config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv",
+                                  synth_dir / "population_heldout.txt")
+        argv = ["pipeline", "--config", config]
+    else:
+        argv = ["synth", "--regions", 3, "--countries-per-region", 2, "--names", 150,
+                "--overlap", 0.2, "--seed", 5, "--population-size", 400,
+                "--min-core-names", 5, "--out-dir", tmp_path / "scored", "--score"]
+    assert run(argv) == 0
+    assert alive == [False]

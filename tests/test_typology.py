@@ -2,7 +2,11 @@
 
 import logging
 import math
+import os
 import random
+import signal
+import threading
+import time
 import tracemalloc
 from collections import namedtuple
 
@@ -466,12 +470,17 @@ def test_ward_cluster_matches_one_buffer_reference(monkeypatch):
         assert seen.pop().tobytes() == dist.tobytes()
 
 
-def test_ward_cluster_matches_reference_on_generated_typology():
+def generated_matrix():
+    """The country matrix of a generated 25-country typology."""
     from onoma.corpus import filter_core_names
     from onoma.synth import generate, standard_spec
 
     table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
-    matrix = country_matrix(filter_core_names(table), NGramConfig(), 5)
+    return country_matrix(filter_core_names(table), NGramConfig(), 5)
+
+
+def test_ward_cluster_matches_reference_on_generated_typology():
+    matrix = generated_matrix()
     assert len(matrix.countries) == 25
     expected, _ = parent_ward_cluster(matrix.countries, dense(matrix))
     assert ward_cluster(matrix).merges == expected.merges
@@ -543,6 +552,160 @@ def test_ward_cluster_matches_reference_on_sparse_generated_typology(ward_distan
     assert ward_cluster(matrix).merges == expected.merges
     assert ward_distances.pop().tobytes() == dist.tobytes()
 
+
+# ward_cluster forks only on Linux, counting threads in /proc/self/task.
+FORK_ROUTE = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
+    reason="needs os.fork and /proc/self/task",
+)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked in a test, with two CPUs usable and
+    ward_cluster splitting at any size."""
+    from onoma import typology
+
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(typology, "WARD_FORK_CELLS", 0)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORK_ROUTE
+def test_ward_cluster_split_matches_one_process_and_reference(
+    monkeypatch, ward_distances, forks
+):
+    from onoma import typology
+
+    cases = [(sparse_matrix(rows), rows) for rows in ward_rows()]
+    matrix = generated_matrix()
+    cases.append((matrix, dense(matrix)))
+    for matrix, rows in cases:
+        expected, dist = parent_ward_cluster(matrix.countries, rows)
+        split = ward_cluster(matrix)
+        monkeypatch.setattr(typology, "WARD_FORK_CELLS", math.inf)
+        serial = ward_cluster(matrix)
+        monkeypatch.setattr(typology, "WARD_FORK_CELLS", 0)
+        assert split.merges == serial.merges == expected.merges
+        serial_dist, split_dist = ward_distances.pop(), ward_distances.pop()
+        assert split_dist.tobytes() == serial_dist.tobytes() == dist.tobytes()
+    assert len(forks) == len(cases)
+    assert_no_child_left()
+
+
+@FORK_ROUTE
+@pytest.mark.parametrize(
+    "case", ["control", "below-the-size", "one-cpu", "second-thread", "no-affinity-call"]
+)
+def test_ward_cluster_stays_in_one_process(monkeypatch, forks, case):
+    from onoma import typology
+
+    matrix = generated_matrix()
+    n = len(matrix.countries)
+    # At the constant itself the control splits; each case changes one thing.
+    monkeypatch.setattr(typology, "WARD_FORK_CELLS", n * (n - 1) // 2 * len(matrix.vocabulary))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "below-the-size":
+        monkeypatch.setattr(typology, "WARD_FORK_CELLS", typology.WARD_FORK_CELLS + 1)
+    elif case == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "second-thread":
+        thread.start()
+    elif case == "no-affinity-call":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    try:
+        dendrogram = ward_cluster(matrix)
+    finally:
+        stop.set()
+        if case == "second-thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == (case == "control")
+    expected, _ = parent_ward_cluster(matrix.countries, dense(matrix))
+    assert dendrogram.merges == expected.merges
+    assert_no_child_left()
+
+
+def fail_in(monkeypatch, side):
+    """Make `side` ("child" or "parent") of the split raise in its blocks.
+    The other side computes its own; with side "parent" the child first
+    sleeps 60 s, so it is still running when the parent fails."""
+    from onoma import typology
+
+    parent, blocks = os.getpid(), typology._distance_blocks
+
+    def failing(matrix, dist, block_starts):
+        in_child = os.getpid() != parent
+        if in_child == (side == "child"):
+            raise RuntimeError(f"{side} half")
+        if in_child:
+            time.sleep(60)
+        blocks(matrix, dist, block_starts)
+
+    monkeypatch.setattr(typology, "_distance_blocks", failing)
+
+
+@FORK_ROUTE
+def test_a_failed_child_raises_invariant_error(monkeypatch, forks):
+    fail_in(monkeypatch, "child")
+    with pytest.raises(InvariantError, match="Ward distance child exited with code 1"):
+        ward_cluster(generated_matrix())
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@FORK_ROUTE
+def test_a_failure_in_this_process_kills_and_reaps_the_child(monkeypatch, forks):
+    kills = []
+    kill = os.kill
+
+    def recording_kill(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recording_kill)
+    fail_in(monkeypatch, "parent")
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent half"):
+        ward_cluster(generated_matrix())
+    assert time.monotonic() - start < 30  # the child's 60 s sleep was cut short
+    assert kills == [(forks[0], signal.SIGKILL)]
+    assert_no_child_left()
+
+
+@FORK_ROUTE
+def test_onoma_typology_exits_4_when_the_child_fails(tmp_path, monkeypatch, forks, capsys):
+    from onoma.cli import main
+    from onoma.corpus import filter_core_names, render_core_names
+    from onoma.synth import generate, standard_spec
+
+    table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
+    core = tmp_path / "core.tsv"
+    core.write_text(render_core_names(filter_core_names(table)), encoding="utf-8")
+    fail_in(monkeypatch, "child")
+    out = tmp_path / "typ"
+    argv = ["typology", "--core", str(core), "--min-core-names", "5", "--out-dir", str(out)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "internal error: Ward distance child exited with code 1\n"
+    assert len(forks) == 1
+    assert not out.exists()
+    assert_no_child_left()
 
 def random_sparse_matrix(n, width, per_row, seed):
     """n x width shares with per_row nonzero cells a row; every column used."""
