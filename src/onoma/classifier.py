@@ -37,7 +37,6 @@ __all__ = [
     "classify_batch",
     "EvalReport",
     "evaluate",
-    "read_labeled_tsv",
     "render_labeled_tsv",
 ]
 
@@ -432,15 +431,3 @@ def evaluate(model: TrainedModel, eval_set: Labeled, features: FeatureMatrix) ->
 def render_labeled_tsv(names: Sequence[str], labeled: Labeled) -> str:
     """One surname<TAB>region line per labeled row of a matrix of `names`."""
     return tsv_lines(pick(names, labeled.rows), pick(labeled.regions, labeled.region))
-
-
-def read_labeled_tsv(path: Path | str) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise InputFormatError(f"{path}: line {lineno}: expected surname<TAB>region")
-        out.append((fields[0], fields[1]))
-    return out

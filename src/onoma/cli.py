@@ -1,18 +1,20 @@
 """Command-line interface: argument parsing, config reading and file I/O.
 
-The method lives in the library, its chain in `onoma.stages`: the `cmd_*`
-commands call one stage each, and `run_pipeline` hands the whole chain,
-`stages.run`, a sink that writes each result as it comes. Each setting is
-one `stages.PipelineConfig` field, which gives the config file (read by
-`read_config`) its JSON type and every command its option's default and
-range check. Each
-subcommand reads and validates its inputs completely before any output
-file is created, writes outputs atomically, and keeps every byte of output
-deterministic for a given (inputs, config, seed) triple. Population files
-are read by `_read_population`, which rejects every name classifying would
-reject; a surname in another file that the n-gram pass rejects is reported
-as an input error in that file. Exit codes: 1 usage, 2 input format,
-3 config validation, 4 internal invariant violation.
+The method lives in the library, its chain in `onoma.stages`. The commands
+follow the paper's two steps: `pipeline` builds the typology and the
+classifier, handing the whole chain, `stages.run`, a sink that writes each
+result as it comes; `calibrate`, `classify-population` and `compare` apply a
+saved model to population files. `synth` writes a synthetic corpus with its
+truth. Each setting is one `stages.PipelineConfig` field, which gives the
+config file (read by `read_config`) its JSON type and every option its
+default and range check. Each subcommand reads and
+validates its inputs completely before any output file is created, writes
+outputs atomically, and keeps every byte of output deterministic for a given
+(inputs, config, seed) triple. Population files are read by
+`_read_population`, which rejects every name classifying would reject; a
+surname in another file that the n-gram pass rejects is reported as an input
+error in that file. Exit codes: 1 usage, 2 input format, 3 config
+validation, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -29,27 +31,18 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import diversity, stages, synth
-from .classifier import (
-    EvalReport,
-    Labeled,
-    TrainedModel,
-    evaluate,
-    read_labeled_tsv,
-    render_labeled_tsv,
-)
+from .classifier import EvalReport, TrainedModel, render_labeled_tsv
 from .correction import ConfusionCounts, CorrectionOperator, render_confusion_csv
 from .corpus import (
     CountryRegistry,
     OccurrenceTable,
-    filter_core_names,
     normalize_surname,
-    read_core_names,
     read_corpus_tsv,
     render_core_names,
     render_corpus_tsv,
 )
 from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
-from .features import NGramConfig, featurize, write_vocabulary
+from .features import NGramConfig
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
 from .util import atomic_write, dumps, sha256_file
@@ -69,31 +62,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage problems, not argparse's 2
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _parse_n_values(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"bad n-gram sizes {text!r}, expected e.g. 2,3") from None
-
-
-def _load_registry(path: str | None) -> CountryRegistry:
-    if path is None:
-        return CountryRegistry.default()
-    return CountryRegistry.from_tsv(path)
-
-
-def _read_corpus(path: Path | str, registry: CountryRegistry, options) -> OccurrenceTable:
-    """The corpus file, read with the `header`, `strict` and `strip_diacritics`
-    of `options` (the parsed arguments or a `PipelineConfig`)."""
-    return read_corpus_tsv(
-        path,
-        registry,
-        header=options.header,
-        strict=options.strict,
-        strip_diacritics=options.strip_diacritics,
-    )
 
 
 @contextmanager
@@ -137,128 +105,16 @@ class _Setting(argparse.Action):
 
 def _add_setting(parser: argparse.ArgumentParser, name: str, flag: str = "", **kwargs) -> None:
     """The option `flag` (else `--<name>`) with the type, default and range of
-    the `PipelineConfig` field `name`; a switch flips the default."""
+    the `PipelineConfig` field `name`, an `int` or a `float`."""
     f = _FIELDS[name]
     kwargs.setdefault("default", f.default)
     if "rule" in f.metadata:
         kwargs["help"] = f"{kwargs.get('help', '')} ({f.metadata['rule'][0]})".lstrip()
-    if f.type == "bool":
-        kwargs["action"] = "store_false" if f.default else "store_true"
-    else:
-        kwargs["type"] = _parse_n_values if f.type == "tuple[int, ...]" else type(f.default)
-        kwargs["action"] = _Setting
-    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, **kwargs)
-
-
-def _add_corpus_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--registry", help="country registry TSV (default: bundled list)")
-    _add_setting(parser, "header", help="skip the first input row")
-    _add_setting(parser, "strict", help="fail on unknown country codes instead of skipping")
-    _add_setting(parser, "strip_diacritics", help="fold accented letters in normalization")
-
-
-def _add_feature_opts(parser: argparse.ArgumentParser) -> None:
-    _add_setting(parser, "n_values", help="comma-separated n-gram sizes")
-    _add_setting(parser, "pad_boundaries", "--no-pad", help="disable word-boundary padding markers")
+    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, type=type(f.default),
+                        action=_Setting, **kwargs)
 
 
 # ---------------------------------------------------------------- commands
-
-
-def cmd_ingest(args) -> int:
-    table = _read_corpus(args.corpus, _load_registry(args.registry), args)
-    content = render_corpus_tsv(table)
-    if args.out:
-        atomic_write(args.out, content)
-    else:
-        sys.stdout.write(content)
-    print(
-        f"ingested {len(table)} records, {len(table.countries())} countries",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_filter_core(args) -> int:
-    table = _read_corpus(args.corpus, _load_registry(args.registry), args)
-    core = filter_core_names(table, args.hhi_min, args.freq_min, basis=args.basis)
-    content = render_core_names(core)
-    if args.out:
-        atomic_write(args.out, content)
-    else:
-        sys.stdout.write(content)
-    print(f"kept {len(core)} of {table.n_surnames} surnames", file=sys.stderr)
-    return 0
-
-
-def cmd_typology(args) -> int:
-    config = feature_config(args)
-    core = read_core_names(args.core)
-    overrides = load_overrides(args.overrides) if args.overrides else ()
-    with _surnames_from(args.core):
-        features = featurize(core.names, config)
-        typology, dendrogram, labeled, counts = stages.build_typology(
-            core, features, args.min_core_names, args.k_regions, overrides
-        )
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(out_dir / "typology.tsv", typology.to_tsv())
-    atomic_write(out_dir / "dendrogram.tsv", dendrogram.to_tsv())
-    atomic_write(out_dir / "labeled.tsv", render_labeled_tsv(core.names, labeled))
-    for region in typology.regions:
-        print(f"{region}\t{counts[region]}", file=sys.stderr)
-    return 0
-
-
-def cmd_train(args) -> int:
-    config = feature_config(args)
-    names, labeled = Labeled.from_pairs(read_labeled_tsv(args.labeled))
-    with _surnames_from(args.labeled):
-        features = featurize(names, config)
-        model, train_set, eval_set = stages.fit(
-            labeled,
-            features,
-            seed=args.seed,
-            train_fraction=args.train_fraction,
-            alpha=args.alpha,
-            min_df=args.min_df,
-            strip_diacritics=args.strip_diacritics,
-        )
-    model.save(args.out)
-    if args.eval_out:
-        atomic_write(args.eval_out, render_labeled_tsv(names, eval_set))
-    if args.train_out:
-        atomic_write(args.train_out, render_labeled_tsv(names, train_set))
-    if args.vocab_out:
-        write_vocabulary(model.vocabulary, args.vocab_out)
-    print(
-        f"trained on {len(train_set)} names, {len(model.vocabulary)} features,"
-        f" {len(model.regions)} regions ({len(eval_set)} held out)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    if args.confusion:
-        counts = ConfusionCounts.from_csv(args.confusion)
-        report = EvalReport.from_confusion(counts.regions, counts.matrix)
-    else:
-        if not args.model:
-            raise ConfigError("--eval requires --model")
-        model = TrainedModel.load(args.model)
-        strip = model.strip_diacritics
-        pairs = [(normalize_surname(s, strip), r) for s, r in read_labeled_tsv(args.eval)]
-        names, eval_set = Labeled.from_pairs(pairs)
-        with _surnames_from(args.eval):
-            report = evaluate(model, eval_set, featurize(names, model.feature_config))
-    atomic_write(args.out, report.to_json())
-    if args.confusion_out:
-        atomic_write(args.confusion_out, render_confusion_csv(report.regions, report.confusion))
-    for region, p, r in zip(report.regions, report.precision, report.recall):
-        print(f"{region}\tprecision={p:.4f}\trecall={r:.4f}", file=sys.stderr)
-    return 0
 
 
 def _parse_priors(text: str, n: int) -> np.ndarray:
@@ -571,7 +427,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     corpus_path = config.corpus
     if corpus_path is not None:
         log.info("stage: ingest (%s)", corpus_path)
-        table = _read_corpus(corpus_path, _load_registry(config.registry), config)
+        registry = (CountryRegistry.default() if config.registry is None
+                    else CountryRegistry.from_tsv(config.registry))
+        table = read_corpus_tsv(corpus_path, registry, header=config.header,
+                                strict=config.strict, strip_diacritics=config.strip_diacritics)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
     if spec is not None:
@@ -635,16 +494,17 @@ def cmd_pipeline(args) -> int:
 FORMATS_HELP = """\
 file formats:
   corpus TSV       surname<TAB>country<TAB>count, UTF-8, LF endings, no header
-                   by default (--header skips the first row)
+                   by default (config key "header" skips the first row)
   registry TSV     country_code<TAB>name (bundled 176-entry list by default)
-  core-name TSV    surname<TAB>country<TAB>hhi<TAB>max_frequency (6 sig. digits)
-  labeled TSV      surname<TAB>region (train/eval sets)
   overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country
-  typology TSV     country<TAB>region (DELETED marks dropped countries)
-  dendrogram TSV   node_a<TAB>node_b<TAB>height<TAB>new_node, leaf ids in
-                   leading '# leaf' comment lines
-  vocabulary       one n-gram token per line, order defines feature index
   population       one surname per line
+  core-name TSV    surname<TAB>country<TAB>hhi<TAB>max_frequency (6 sig. digits);
+                   pipeline output
+  labeled TSV      surname<TAB>region (labeled and eval sets); pipeline output
+  typology TSV     country<TAB>region (DELETED marks dropped countries);
+                   pipeline output
+  dendrogram TSV   node_a<TAB>node_b<TAB>height<TAB>new_node, leaf ids in
+                   leading '# leaf' comment lines; pipeline output
   confusion CSV    header row/column of region labels, counts per cell
   operator CSV     row-stochastic matrix with '# key: value' provenance header
   model JSON       versioned document with regions, vocabulary, log priors and
@@ -664,53 +524,6 @@ def build_parser() -> _Parser:
         help="log each stage and its counts (skipped rows, frequency ties) to stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="validate and merge a raw occurrence TSV")
-    p.add_argument("corpus", help="surname<TAB>country<TAB>count TSV")
-    p.add_argument("--out", help="write merged TSV here (default: stdout)")
-    _add_corpus_opts(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("filter-core", help="extract concentration-filtered core names")
-    p.add_argument("corpus")
-    p.add_argument("--out", help="core-name TSV (default: stdout)")
-    _add_setting(p, "hhi_min", help="minimum share concentration")
-    _add_setting(p, "freq_min", help="minimum maximal frequency")
-    _add_setting(p, "basis", help="share basis for the concentration index")
-    _add_corpus_opts(p)
-    p.set_defaults(func=cmd_filter_core)
-
-    p = sub.add_parser("typology", help="cluster countries and relabel core names")
-    p.add_argument("--core", required=True, help="core-name TSV")
-    _add_setting(p, "k_regions", "--k", help="number of regions")
-    p.add_argument("--overrides", help="REASSIGN/DELETE override TSV")
-    _add_setting(p, "min_core_names", help="fewest core names a clustered country has")
-    p.add_argument("--out-dir", required=True)
-    _add_feature_opts(p)
-    p.set_defaults(func=cmd_typology)
-
-    p = sub.add_parser("train", help="split the labeled set and fit the classifier")
-    p.add_argument("--labeled", required=True, help="surname<TAB>region TSV")
-    p.add_argument("--out", required=True, help="model JSON path")
-    _add_setting(p, "alpha", help="additive smoothing")
-    _add_setting(p, "train_fraction", help="share of each region's names trained on")
-    p.add_argument("--seed", type=int, required=True)
-    _add_setting(p, "min_df", help="fewest training names an n-gram must occur in")
-    p.add_argument("--eval-out", help="write the held-out evaluation set here")
-    p.add_argument("--train-out", help="write the training set here")
-    p.add_argument("--vocab-out", help="write the vocabulary (one token per line)")
-    _add_setting(p, "strip_diacritics")
-    _add_feature_opts(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="confusion matrix and per-region metrics")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--eval", help="labeled evaluation TSV (needs --model)")
-    src.add_argument("--confusion", help="precomputed confusion CSV")
-    p.add_argument("--model", help="model JSON (with --eval)")
-    p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--confusion-out", help="also write the confusion CSV here")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
         "calibrate", help="reweight confusion priors and emit the correction operator"

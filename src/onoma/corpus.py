@@ -40,7 +40,6 @@ __all__ = [
     "filter_core_names",
     "read_corpus_tsv",
     "render_corpus_tsv",
-    "read_core_names",
     "render_core_names",
 ]
 
@@ -368,26 +367,3 @@ def render_core_names(core: CoreSet) -> str:
         format_each("%.6g", core.hhi),
         format_each("%.6g", core.max_frequency),
     )
-
-
-def read_core_names(path: Path | str) -> CoreSet:
-    """A core-name TSV in any row order; a surname listed twice is an input error."""
-    rows: list[tuple[str, str, float, float, int]] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise InputFormatError(f"{path}: line {lineno}: expected 4 fields")
-        try:
-            rows.append((fields[0], fields[1], float(fields[2]), float(fields[3]), lineno))
-        except ValueError:
-            raise InputFormatError(f"{path}: line {lineno}: malformed numeric field") from None
-    rows.sort()
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            first, again = sorted((a[4], b[4]))
-            raise InputFormatError(f"{path}: line {again}: surname {a[0]!r} repeats line {first}")
-    names, codes, hhi, max_freq, _ = zip(*rows) if rows else ((),) * 5
-    countries, country = intern(codes)
-    return CoreSet(names, countries, country, np.array(hhi, float), np.array(max_freq, float))

@@ -25,13 +25,11 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, count, pairwise
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SurnameError
-from .util import atomic_write
 
 FeatureVector = dict[str, int]
 
@@ -42,7 +40,6 @@ __all__ = [
     "FeatureMatrix",
     "featurize",
     "build_vocabulary",
-    "write_vocabulary",
 ]
 
 # Names decomposed together by `featurize`; its transient arrays scale with it.
@@ -325,8 +322,3 @@ def build_vocabulary(
     if not vocabulary:
         raise ValueError("empty vocabulary: no token passes min_df")
     return vocabulary
-
-
-def write_vocabulary(vocabulary: Iterable[str], path: Path | str) -> Path:
-    """One token per line; line order defines the feature index."""
-    return atomic_write(path, "".join(f"{token}\n" for token in vocabulary))

@@ -11,11 +11,11 @@ tallies); the correction sees a dataset only through its tally. Core and
 labeled names are row positions in a `FeatureMatrix` of the sorted core
 names. `run` calls the whole chain and hands each result to a sink:
 `cli.run_pipeline`'s writes the artifacts, `synth.score_pipeline`'s keeps
-what its scorecard needs. The stage commands call the stages one at a
-time. Nothing here reads a path, parses an argument, writes a file or
-imports `synth` or `cli`. `build_typology` and `fit` raise the library's
-`ValueError`s, which come from settings such as k or the train fraction, as
-`ConfigError`.
+what its scorecard needs. The `calibrate` and `compare` commands call
+those two stages on a saved model. Nothing here reads a path, parses an
+argument, writes a file or imports `synth` or `cli`. `build_typology` and
+`fit` raise the library's `ValueError`s, which come from settings such as k
+or the train fraction, as `ConfigError`.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def _check_setting(f: Field, value: object, name: str | None = None) -> None:
         raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
 
 
-def feature_config(options) -> NGramConfig:
-    """The n-gram settings of `options`, the parsed arguments or a `PipelineConfig`."""
+def feature_config(config: PipelineConfig) -> NGramConfig:
+    """The n-gram settings of `config`."""
     try:
-        return NGramConfig(n_values=options.n_values, pad_boundaries=options.pad_boundaries)
+        return NGramConfig(n_values=config.n_values, pad_boundaries=config.pad_boundaries)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

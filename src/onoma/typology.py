@@ -351,6 +351,10 @@ def ward_cluster(matrix: CountryFeatureMatrix) -> Dendrogram:
     into a shared map. Both sides run `_distance_blocks`, so every distance
     takes the same float operations and the dendrogram does not depend on
     the route. A failed child raises InvariantError.
+
+    A process that imported numpy before `onoma` started OpenBLAS with a
+    thread per CPU, so it never has a single thread and never splits: the
+    `onoma` command and callers that import `onoma` first get the split.
     """
     n = len(matrix.countries)
     if n < 2:

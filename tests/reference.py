@@ -4,8 +4,6 @@ The library works on columns and sparse rows and no longer calls these; they
 moved here verbatim from it (`feature_row` and `dense` were the methods
 `FeatureMatrix.row` and `CountryFeatureMatrix.rows`; `draw` and `next_symbol`
 were the methods `_RowSampler.draw` and `MarkovChain.next_symbol`).
-`read_vocabulary` reads back what `train --vocab-out` writes; no command
-reads a vocabulary file.
 
 `generate` and `generate_population` are the library's generators as they
 were when every character took its doubles from `rng.random()` one at a
@@ -15,7 +13,6 @@ time; the library now reads them from blocks and must give the same bytes.
 import operator
 from bisect import bisect_right
 from functools import reduce
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -165,12 +162,3 @@ def generate_population(
         names.append(_sample_name(generator, spec.global_chain, spec.overlap, rng))
         truth_counts[generator.region] += 1
     return names, truth_counts
-
-
-def read_vocabulary(path: Path | str) -> list[str]:
-    tokens = [
-        line for line in Path(path).read_text(encoding="utf-8").splitlines() if line
-    ]
-    if not tokens:
-        raise ValueError(f"{path}: empty vocabulary file")
-    return tokens

@@ -1,5 +1,6 @@
-"""Command surface: formats, exit codes, end-to-end stage chaining."""
+"""Command surface: formats, exit codes, the build and read paths end to end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -21,6 +22,14 @@ from onoma.resources import reference_confusion_path
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def _config(tmp_path, **doc):
+    """A pipeline config file in `tmp_path` with seed 1, out dir `out` and the keys of `doc`."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "out_dir": str(tmp_path / "out"), **doc}),
+                      encoding="utf-8")
+    return config
 
 
 @pytest.fixture()
@@ -247,46 +256,18 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
     assert summary["n_surnames"] == len({line.split("\t")[0] for line in corpus})
 
 
-def test_stage_chain(tmp_path, synth_dir):
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    core = tmp_path / "core.tsv"
-    assert run(["filter-core", corpus, "--registry", registry, "--out", core]) == 0
-    assert core.exists()
-
-    typ_dir = tmp_path / "typ"
-    assert run(
-        ["typology", "--core", core, "--k", 3, "--min-core-names", 5, "--out-dir", typ_dir]
-    ) == 0
-    assert (typ_dir / "labeled.tsv").exists()
-    assert (typ_dir / "typology.tsv").exists()
-    assert (typ_dir / "dendrogram.tsv").exists()
-
-    model = tmp_path / "model.json"
-    eval_tsv = tmp_path / "eval.tsv"
-    assert run(
-        [
-            "train",
-            "--labeled", typ_dir / "labeled.tsv",
-            "--out", model,
-            "--seed", 1,
-            "--eval-out", eval_tsv,
-        ]
-    ) == 0
-
-    report = tmp_path / "report.json"
-    confusion = tmp_path / "confusion.csv"
-    assert run(
-        ["evaluate", "--model", model, "--eval", eval_tsv, "--out", report,
-         "--confusion-out", confusion]
-    ) == 0
-    doc = json.loads(report.read_text(encoding="utf-8"))
+def test_stage_chain(tmp_path, synth_dir, piped):
+    """The pipeline's build artifacts, then the read path on its saved model."""
+    for name in ("core.tsv", "labeled.tsv", "typology.tsv", "dendrogram.tsv"):
+        assert (piped / name).exists(), name
+    doc = json.loads((piped / "eval_report.json").read_text(encoding="utf-8"))
     assert doc["n_eval"] > 0
 
+    model = piped / "model.json"
     operator = tmp_path / "operator.csv"
     reference = synth_dir / "population_heldout.txt"
     assert run(
-        ["calibrate", "--confusion", confusion, "--model", model,
+        ["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
          "--reference", reference, "--out", operator]
     ) == 0
 
@@ -308,7 +289,8 @@ def test_stage_chain(tmp_path, synth_dir):
 
 
 def test_stage_commands_equal_pipeline(tmp_path):
-    """The stage commands chained by hand write the same bytes as `pipeline`."""
+    """On the pipeline's confusion matrix and model, `calibrate` and `compare`
+    write the pipeline's operator and reports."""
     spec = synth.standard_spec(
         3, 3, 150, 0.3, seed=5,
         populations=(synth.PopulationSpec("reference", 400, (1.0, 2.0, 4.0)),
@@ -320,20 +302,6 @@ def test_stage_commands_equal_pipeline(tmp_path):
     corpus, registry = data / "corpus.tsv", data / "countries.tsv"
     reference, target = data / "population_reference.txt", data / "population_target.txt"
 
-    st = tmp_path / "stages"
-    st.mkdir()
-    assert run(["filter-core", corpus, "--registry", registry, "--out", st / "core.tsv"]) == 0
-    assert run(["typology", "--core", st / "core.tsv", "--k", 3, "--min-core-names", 5,
-                "--out-dir", st]) == 0
-    assert run(["train", "--labeled", st / "labeled.tsv", "--out", st / "model.json",
-                "--seed", 5, "--eval-out", st / "eval.tsv"]) == 0
-    assert run(["evaluate", "--model", st / "model.json", "--eval", st / "eval.tsv",
-                "--out", st / "eval_report.json", "--confusion-out", st / "confusion.csv"]) == 0
-    assert run(["calibrate", "--confusion", st / "confusion.csv", "--model", st / "model.json",
-                "--reference", reference, "--out", st / "operator.csv"]) == 0
-    assert run(["compare", "--model", st / "model.json", "--operator", st / "operator.csv",
-                "--reference", reference, target, "--out-dir", st]) == 0
-
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({"seed": 5, "out_dir": str(tmp_path / "pipe"), "corpus": str(corpus),
@@ -344,12 +312,15 @@ def test_stage_commands_equal_pipeline(tmp_path):
     assert run(["pipeline", "--config", config]) == 0
     pipe = tmp_path / "pipe"
 
+    st = tmp_path / "stages"
+    st.mkdir()
+    assert run(["calibrate", "--confusion", pipe / "confusion.csv", "--model", pipe / "model.json",
+                "--reference", reference, "--out", st / "operator.csv"]) == 0
+    assert run(["compare", "--model", pipe / "model.json", "--operator", st / "operator.csv",
+                "--reference", reference, target, "--out-dir", st]) == 0
+
     shared = sorted({p.name for p in st.iterdir()} & {p.name for p in pipe.iterdir()})
-    assert shared == sorted([
-        "confusion.csv", "core.tsv", "dendrogram.tsv", "distributions.csv", "eval.tsv",
-        "eval_report.json", "labeled.tsv", "model.json", "operator.csv", "ratios.csv",
-        "report.json", "typology.tsv",
-    ])
+    assert shared == ["distributions.csv", "operator.csv", "ratios.csv", "report.json"]
     for name in shared:
         if name != "report.json":
             assert (st / name).read_bytes() == (pipe / name).read_bytes(), name
@@ -361,27 +332,17 @@ def test_stage_commands_equal_pipeline(tmp_path):
 
 
 def test_typology_names_regions_as_synth_score_does(tmp_path):
-    """At k other than 7, `typology` and `synth --score` give a cluster one name."""
+    """At k other than 7, `pipeline` and `synth --score` give a cluster one name."""
     data = tmp_path / "synth"
     assert run(["synth", "--regions", 4, "--countries-per-region", 5, "--names", 100,
                 "--overlap", 0.2, "--seed", 1, "--population-size", 300,
                 "--min-core-names", 10, "--out-dir", data, "--score"]) == 0
-    core = tmp_path / "core.tsv"
-    assert run(["filter-core", data / "corpus.tsv", "--registry", data / "countries.tsv",
-                "--out", core]) == 0
-    assert run(["typology", "--core", core, "--k", 4, "--min-core-names", 10,
-                "--out-dir", tmp_path / "typ"]) == 0
-    lines = (tmp_path / "typ" / "typology.tsv").read_text(encoding="utf-8").splitlines()
+    config = _config(tmp_path, corpus=str(data / "corpus.tsv"),
+                     registry=str(data / "countries.tsv"), k_regions=4, min_core_names=10)
+    assert run(["pipeline", "--config", config]) == 0
+    lines = (tmp_path / "out" / "typology.tsv").read_text(encoding="utf-8").splitlines()
     card = json.loads((data / "scorecard.json").read_text(encoding="utf-8"))
     assert {line.split("\t")[1] for line in lines} == set(card["region_map"])
-
-
-def test_evaluate_confusion_fixture(tmp_path):
-    out = tmp_path / "report.json"
-    assert run(["evaluate", "--confusion", reference_confusion_path(), "--out", out]) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert round(doc["precision"]["Asian"], 2) == 0.61
-    assert round(doc["recall"]["Slavic"], 2) == 0.84
 
 
 def test_calibrate_with_explicit_priors(tmp_path):
@@ -418,103 +379,52 @@ def test_calibrate_rejects_priors_with_a_reference_or_model(tmp_path, capsys, gi
     assert not out.exists()
 
 
-def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir):
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    core = tmp_path / "core.tsv"
-    run(["filter-core", corpus, "--registry", registry, "--out", core])
-    typ_dir = tmp_path / "typ"
-    run(["typology", "--core", core, "--k", 3, "--min-core-names", 5, "--out-dir", typ_dir])
-    model = tmp_path / "model.json"
-    eval_tsv = tmp_path / "eval.tsv"
-    run(["train", "--labeled", typ_dir / "labeled.tsv", "--out", model, "--seed", 1,
-         "--eval-out", eval_tsv])
-    confusion = tmp_path / "confusion.csv"
-    run(["evaluate", "--model", model, "--eval", eval_tsv, "--out", tmp_path / "r.json",
-         "--confusion-out", confusion])
-    operator = tmp_path / "operator.csv"
+def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir, piped):
     reference = synth_dir / "population_heldout.txt"
-    run(["calibrate", "--confusion", confusion, "--model", model, "--reference", reference,
-         "--out", operator])
-
     target = tmp_path / "copy.txt"
     target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
     compare_dir = tmp_path / "cmp"
     assert run(
-        ["compare", "--model", model, "--operator", operator, "--reference", reference,
-         target, "--out-dir", compare_dir]
+        ["compare", "--model", piped / "model.json", "--operator", piped / "operator.csv",
+         "--reference", reference, target, "--out-dir", compare_dir]
     ) == 0
     doc = json.loads((compare_dir / "report.json").read_text(encoding="utf-8"))
     for region, value in doc["datasets"]["copy"]["ratios"].items():
         assert value == 1.0, region
 
 
-def test_filter_core_writes_to_stdout(tmp_path, synth_dir, capsys):
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    assert run(
-        ["filter-core", "--hhi-min", 0.8, "--freq-min", 1e-6,
-         "--registry", registry, corpus]
-    ) == 0
-    out = capsys.readouterr().out
-    first = out.splitlines()[0].split("\t")
-    assert len(first) == 4  # surname, country, hhi, max_frequency
-
-
-def test_train_vocab_out(tmp_path, synth_dir):
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    core = tmp_path / "core.tsv"
-    run(["filter-core", corpus, "--registry", registry, "--out", core])
-    typ_dir = tmp_path / "typ"
-    run(["typology", "--core", core, "--k", 3, "--min-core-names", 5, "--out-dir", typ_dir])
-    vocab = tmp_path / "vocab.txt"
-    assert run(
-        ["train", "--labeled", typ_dir / "labeled.tsv", "--out", tmp_path / "m.json",
-         "--seed", 2, "--vocab-out", vocab]
-    ) == 0
-    tokens = vocab.read_text(encoding="utf-8").splitlines()
-    assert tokens == sorted(tokens) and tokens
-
-
 def test_exit_code_usage():
-    assert run(["typology"]) == 1  # missing required options
+    assert run(["compare"]) == 1  # missing required options
     assert run(["no-such-command"]) == 1
+
+
+def test_the_commands_are_the_build_and_the_read_path():
+    """`pipeline` builds (`synth` makes its data), and `calibrate`,
+    `classify-population` and `compare` apply a saved model."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"synth", "pipeline", "calibrate", "classify-population",
+                                "compare"}
+    for command in ("ingest", "filter-core", "typology", "train", "evaluate"):
+        assert run([command]) == 1, command
 
 
 def test_exit_code_input_format(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("not a valid row\n", encoding="utf-8")
-    assert run(["ingest", bad]) == 2
+    assert run(["pipeline", "--config", _config(tmp_path, corpus=str(bad))]) == 2
 
 
 def test_exit_code_config(tmp_path, synth_dir):
-    corpus = synth_dir / "corpus.tsv"
-    registry = synth_dir / "countries.tsv"
-    assert run(
-        ["filter-core", corpus, "--registry", registry, "--hhi-min", 7.0]
-    ) == 3
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"),
+                     registry=str(synth_dir / "countries.tsv"), hhi_min=7.0)
+    assert run(["pipeline", "--config", config]) == 3
 
 
 @pytest.mark.parametrize(
-    "argv, name",
-    [
-        pytest.param(argv, name, id=f"{argv[0]}:{name}")
-        for argv, names in [
-            (["filter-core", "c.tsv"],
-             ("hhi_min", "freq_min", "basis", "header", "strict", "strip_diacritics")),
-            (["typology", "--core", "c.tsv", "--out-dir", "o"],
-             ("k_regions", "min_core_names", "n_values", "pad_boundaries")),
-            (["train", "--labeled", "l.tsv", "--out", "m.json", "--seed", "1"],
-             ("alpha", "train_fraction", "min_df", "strip_diacritics", "n_values",
-              "pad_boundaries")),
-            (["synth", "--out-dir", "o"], ("min_core_names", "alpha")),
-        ]
-        for name in names
-    ],
+    "name", [pytest.param(name, id=f"synth:{name}") for name in ("min_core_names", "alpha")]
 )
-def test_stage_option_defaults_are_the_config_field_defaults(argv, name):
-    args = build_parser().parse_args(argv)
+def test_stage_option_defaults_are_the_config_field_defaults(name):
+    args = build_parser().parse_args(["synth", "--out-dir", "o"])
     field = next(f for f in fields(PipelineConfig) if f.name == name)
     assert getattr(args, name) == field.default
 
@@ -570,27 +480,30 @@ def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsy
     assert f"input error: {operator}: operator rows must sum to 1" in capsys.readouterr().err
     confusion = tmp_path / "confusion.csv"
     confusion.write_text("guessed,A,B\nA,3,0\nB,1,0\n", encoding="utf-8")
-    assert run(["evaluate", "--confusion", confusion, "--out", out]) == 2
+    out = tmp_path / "operator_out.csv"
+    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"input error: {confusion}: regions with zero actual names: B" in err
     assert not out.exists()
 
 
 def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):
-    core = tmp_path / "core.tsv"
-    core.write_text("".join(f"name{c}\tAA\t1\t0.01\n" for c in "abcdef"), encoding="utf-8")
-    out = tmp_path / "typ"
-    assert run(["typology", "--core", core, "--min-core-names", 1, "--out-dir", out]) == 3
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"name{c}\tUS\t1\n" for c in "abcdef"), encoding="utf-8")
+    config = _config(tmp_path, corpus=str(corpus), min_core_names=1)
+    assert run(["pipeline", "--config", config]) == 3
     assert "config error: need at least 2 countries" in capsys.readouterr().err
-    assert not out.exists()
+    # The core filter's file is written; nothing of the typology or after it.
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["core.tsv"]
 
 
 def test_corpus_format_errors_name_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tUS\t3\nbroken row\n", encoding="utf-8")
-    assert run(["filter-core", bad]) == 2
+    assert run(["pipeline", "--config", _config(tmp_path, corpus=str(bad))]) == 2
     err = capsys.readouterr().err
     assert f"input error: {bad}: line 2: expected 3 tab-separated fields, got 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _fresh_onoma(env: dict[str, str]) -> list[str]:
@@ -622,14 +535,6 @@ def test_importing_onoma_keeps_openblas_to_one_thread():
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_importing_onoma_keeps_the_callers_openblas_setting():
     assert _fresh_onoma({"OPENBLAS_NUM_THREADS": "2"})[1] == "2"
-
-
-def test_no_partial_artifacts_on_format_error(tmp_path):
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("a\tUS\t3\nbroken\n", encoding="utf-8")
-    out = tmp_path / "merged.tsv"
-    assert run(["ingest", bad, "--out", out]) == 2
-    assert not out.exists()
 
 
 def test_pipeline_from_config(tmp_path):
@@ -698,12 +603,6 @@ def test_pipeline_from_existing_corpus(tmp_path, synth_dir):
     assert (out / "model.json").exists()
     assert (out / "operator.csv").exists()
     assert (out / "report.json").exists()
-
-
-def test_evaluate_eval_requires_model(tmp_path):
-    eval_tsv = tmp_path / "eval.tsv"
-    eval_tsv.write_text("aaa\tA\n", encoding="utf-8")
-    assert run(["evaluate", "--eval", eval_tsv, "--out", tmp_path / "r.json"]) == 3
 
 
 def test_pipeline_bad_config_value(tmp_path):
@@ -798,29 +697,14 @@ def test_pipeline_malformed_synth_block_is_a_config_error(tmp_path, capsys, bloc
 
 
 def _pipeline_config(tmp_path, synth_dir, corpus, reference):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "seed": 11,
-                "out_dir": str(tmp_path / "out"),
-                "corpus": str(corpus),
-                "registry": str(synth_dir / "countries.tsv"),
-                "reference": str(reference),
-                "k_regions": 3,
-                "min_core_names": 5,
-            }
-        ),
-        encoding="utf-8",
-    )
-    return config
+    return _config(tmp_path, seed=11, corpus=str(corpus),
+                   registry=str(synth_dir / "countries.tsv"), reference=str(reference),
+                   k_regions=3, min_core_names=5)
 
 
 def test_empty_corpus_file_is_an_input_error(tmp_path, synth_dir, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("", encoding="utf-8")
-    assert run(["filter-core", corpus]) == 2
-    assert f"input error: {corpus}: no records" in capsys.readouterr().err
     reference = synth_dir / "population_heldout.txt"
     assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
     assert f"input error: {corpus}: no records" in capsys.readouterr().err
@@ -829,14 +713,11 @@ def test_empty_corpus_file_is_an_input_error(tmp_path, synth_dir, capsys):
 def test_corpus_of_only_unknown_countries_is_an_input_error(tmp_path, synth_dir, capsys):
     corpus = tmp_path / "corpus.tsv"
     corpus.write_text("smith\tZZ\t3\njones\tQQ\t1\n", encoding="utf-8")
-    registry = synth_dir / "countries.tsv"
-    assert run(["filter-core", corpus, "--registry", registry]) == 2
+    reference = synth_dir / "population_heldout.txt"
+    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
     err = capsys.readouterr().err
     assert "unknown country code 'ZZ', row skipped" in err
     assert f"input error: {corpus}: no records" in err
-    reference = synth_dir / "population_heldout.txt"
-    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
-    assert f"input error: {corpus}: no records" in capsys.readouterr().err
 
 
 def test_pipeline_corpus_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):
@@ -941,37 +822,19 @@ def test_dataset_names_are_checked_before_writing(tmp_path, synth_dir, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
-def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, capsys):
-    core = tmp_path / "core.tsv"
-    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
-         "--out", core])
-    bad_core = tmp_path / "bad_core.tsv"
-    line = core.read_text(encoding="utf-8").splitlines()[0].split("\t")
-    bad_core.write_text(
-        core.read_text(encoding="utf-8") + "\t".join(["o^brien", *line[1:]]) + "\n",
-        encoding="utf-8",
-    )
-    assert run(["typology", "--core", bad_core, "--k", 3, "--min-core-names", 5,
-                "--out-dir", tmp_path / "bad_typ"]) == 2
-    assert f"input error: {bad_core}: surname 'o^brien'" in capsys.readouterr().err
-
-    typ_dir = tmp_path / "typ"
-    run(["typology", "--core", core, "--k", 3, "--min-core-names", 5, "--out-dir", typ_dir])
-    model, eval_tsv = tmp_path / "model.json", tmp_path / "eval.tsv"
-    run(["train", "--labeled", typ_dir / "labeled.tsv", "--out", model, "--seed", 1,
-         "--eval-out", eval_tsv])
-    confusion = tmp_path / "confusion.csv"
-    run(["evaluate", "--model", model, "--eval", eval_tsv, "--out", tmp_path / "r.json",
-         "--confusion-out", confusion])
+def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, piped,
+                                                                     capsys):
+    """The read path names the population file that holds a reserved marker."""
+    model = piped / "model.json"
     reference = synth_dir / "population_heldout.txt"
     bad = tmp_path / "bad.txt"
     bad.write_text(reference.read_text(encoding="utf-8") + "o$brien\n", encoding="utf-8")
     capsys.readouterr()
     operator = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", confusion, "--model", model, "--reference", bad,
-                "--out", operator]) == 2
+    assert run(["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
+                "--reference", bad, "--out", operator]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
-    assert run(["calibrate", "--confusion", confusion, "--model", model,
+    assert run(["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
                 "--reference", reference, "--out", operator]) == 0
     dist = tmp_path / "dist.json"
     assert run(["classify-population", "--model", model, "--operator", operator,
@@ -1002,68 +865,6 @@ def test_pipeline_synth_standard_values_must_have_their_json_type(
     err = capsys.readouterr().err
     assert f"config error: {config}: synth.standard.{key} must be {kind}, got {value!r}" in err
     assert not (tmp_path / "o").exists()
-
-
-def test_typology_rejects_a_surname_listed_twice(tmp_path, synth_dir, capsys):
-    core = tmp_path / "core.tsv"
-    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
-         "--out", core])
-    lines = core.read_text(encoding="utf-8").splitlines()
-    core.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
-    assert run(["typology", "--core", core, "--k", 3, "--min-core-names", 5,
-                "--out-dir", tmp_path / "typ"]) == 2
-    name = lines[1].split("\t")[0]
-    repeated = f"line {len(lines) + 1}: surname {name!r} repeats line 2"
-    assert f"input error: {core}: {repeated}" in capsys.readouterr().err
-    assert not (tmp_path / "typ").exists()
-
-
-def test_stage_commands_read_their_files_in_any_order(tmp_path, synth_dir):
-    """The labeled, evaluation and core files give the same outputs shuffled."""
-    import random
-
-    def shuffled(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        random.Random(3).shuffle(lines)
-        out = path.with_name("shuffled_" + path.name)
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return out
-
-    core = tmp_path / "core.tsv"
-    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
-         "--out", core])
-    for name, core_file in (("a", core), ("b", shuffled(core))):
-        assert run(["typology", "--core", core_file, "--k", 3, "--min-core-names", 5,
-                    "--out-dir", tmp_path / name]) == 0
-    labeled = tmp_path / "a" / "labeled.tsv"
-    assert labeled.read_bytes() == (tmp_path / "b" / "labeled.tsv").read_bytes()
-    for name, labeled_file in (("a", labeled), ("b", shuffled(labeled))):
-        d = tmp_path / name
-        assert run(["train", "--labeled", labeled_file, "--out", d / "m.json", "--seed", 2,
-                    "--eval-out", d / "e.tsv", "--train-out", d / "t.tsv"]) == 0
-    for file in ("m.json", "e.tsv", "t.tsv"):
-        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
-    model, eval_tsv = tmp_path / "a" / "m.json", tmp_path / "a" / "e.tsv"
-    for name, eval_file in (("a", eval_tsv), ("b", shuffled(eval_tsv))):
-        assert run(["evaluate", "--model", model, "--eval", eval_file,
-                    "--out", tmp_path / name / "r.json"]) == 0
-    assert (tmp_path / "a" / "r.json").read_bytes() == (tmp_path / "b" / "r.json").read_bytes()
-
-
-def test_evaluate_reports_an_empty_surname_as_an_input_error(tmp_path, synth_dir, capsys):
-    typ_dir, model, eval_tsv = tmp_path / "typ", tmp_path / "m.json", tmp_path / "e.tsv"
-    run(["filter-core", synth_dir / "corpus.tsv", "--registry", synth_dir / "countries.tsv",
-         "--out", tmp_path / "core.tsv"])
-    run(["typology", "--core", tmp_path / "core.tsv", "--k", 3, "--min-core-names", 5,
-         "--out-dir", typ_dir])
-    run(["train", "--labeled", typ_dir / "labeled.tsv", "--out", model, "--seed", 1,
-         "--eval-out", eval_tsv])
-    region = eval_tsv.read_text(encoding="utf-8").split("\t")[1].split("\n")[0]
-    bad = tmp_path / "bad.tsv"
-    bad.write_text(eval_tsv.read_text(encoding="utf-8") + f" \t{region}\n", encoding="utf-8")
-    capsys.readouterr()
-    assert run(["evaluate", "--model", model, "--eval", bad, "--out", tmp_path / "r.json"]) == 2
-    assert f"input error: {bad}: empty surname" in capsys.readouterr().err
 
 
 @pytest.fixture()

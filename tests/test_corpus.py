@@ -16,7 +16,6 @@ from onoma.corpus import (
     filter_core_names,
     ingest,
     normalize_surname,
-    read_core_names,
     read_corpus_tsv,
     render_core_names,
     render_corpus_tsv,
@@ -549,25 +548,12 @@ def test_corpus_tsv_round_trip(tmp_path):
     assert triples(again) == triples(table)
 
 
-def test_core_names_tsv_round_trip(tmp_path):
+def test_core_names_tsv_round_trip():
     table = ingest(["solo\tJP\t1\n", "x\tJP\t999998\n", "dual\tUS\t1\n", "dual\tFR\t1\n"])
     core = filter_core_names(table)
-    path = tmp_path / "core.tsv"
-    path.write_text(render_core_names(core), encoding="utf-8")
-    again = read_core_names(path)
-    assert [(n.surname, n.assigned_country) for n in core_rows(again)] == [
-        (n.surname, n.assigned_country) for n in core_rows(core)
-    ]
     # 6 significant digits in the rendering
     line = render_core_names(core).splitlines()[0]
     assert line.split("\t")[2] == "1"
-
-
-def test_read_core_names_rejects_bad_rows(tmp_path):
-    path = tmp_path / "core.tsv"
-    path.write_text("a\tUS\tnot-a-number\t0.5\n", encoding="utf-8")
-    with pytest.raises(InputFormatError):
-        read_core_names(path)
 
 
 def test_core_names_render_as_the_per_name_format():
@@ -581,21 +567,6 @@ def test_core_names_render_as_the_per_name_format():
         for n in core_rows(core)
     )
     assert render_core_names(core) == expected
-
-
-def test_read_core_names_sorts_and_rejects_a_repeated_surname(tmp_path):
-    path = tmp_path / "core.tsv"
-    path.write_text("b\tUS\t1\t0.5\n\na\tFR\t0.9\t0.25\nc\tUS\t1\t0.125\n", encoding="utf-8")
-    core = read_core_names(path)
-    assert (core.names, core.countries) == (("a", "b", "c"), ("FR", "US"))
-    assert core_rows(core) == [
-        ("a", "FR", 0.9, 0.25), ("b", "US", 1.0, 0.5), ("c", "US", 1.0, 0.125)
-    ]
-    path.write_text("a\tUS\t1\t0.5\nb\tUS\t1\t0.5\n\na\tFR\t1\t0.5\n", encoding="utf-8")
-    with pytest.raises(InputFormatError, match="line 4: surname 'a' repeats line 1"):
-        read_core_names(path)
-    path.write_text("", encoding="utf-8")
-    assert len(read_core_names(path)) == 0
 
 
 def normalize_slow_path(raw, strip_diacritics):

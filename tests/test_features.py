@@ -14,10 +14,9 @@ from onoma.features import (
     build_vocabulary,
     extract,
     featurize,
-    write_vocabulary,
 )
 from onoma.util import intern
-from reference import feature_row, read_vocabulary
+from reference import feature_row
 
 
 def test_extract_padded_bigrams():
@@ -130,17 +129,6 @@ def test_vocabulary_counts_distinct_surnames():
 def test_vocabulary_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
         vocabulary_of([], NGramConfig())
-
-
-def test_vocabulary_file_round_trip(tmp_path):
-    vocab = vocabulary_of(["garcia", "tanaka"], NGramConfig())
-    path = tmp_path / "vocab.txt"
-    write_vocabulary(vocab, path)
-    assert read_vocabulary(path) == vocab
-    empty = tmp_path / "vocab2.txt"
-    empty.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        read_vocabulary(empty)
 
 
 # ---------------------------------------------------------------- featurize

@@ -691,21 +691,31 @@ def test_a_failure_in_this_process_kills_and_reaps_the_child(monkeypatch, forks)
 
 @FORK_ROUTE
 def test_onoma_typology_exits_4_when_the_child_fails(tmp_path, monkeypatch, forks, capsys):
-    from onoma.cli import main
-    from onoma.corpus import filter_core_names, render_core_names
-    from onoma.synth import generate, standard_spec
+    """`onoma pipeline` reports a failed Ward child as an internal error and
+    writes no result of the typology stage or after it."""
+    import json
 
-    table, _ = generate(standard_spec(5, 5, 60, 0.3, 4))
-    core = tmp_path / "core.tsv"
-    core.write_text(render_core_names(filter_core_names(table)), encoding="utf-8")
+    from onoma.cli import main
+    from onoma.corpus import render_corpus_tsv
+    from onoma.synth import generate, registry_for, standard_spec
+
+    spec = standard_spec(5, 5, 60, 0.3, 4)
+    table, _ = generate(spec)
+    (tmp_path / "corpus.tsv").write_text(render_corpus_tsv(table), encoding="utf-8")
+    (tmp_path / "countries.tsv").write_text(registry_for(spec).to_tsv(), encoding="utf-8")
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "out_dir": str(out), "corpus": "corpus.tsv",
+                                  "registry": "countries.tsv", "min_core_names": 5}),
+                      encoding="utf-8")
     fail_in(monkeypatch, "child")
-    out = tmp_path / "typ"
-    argv = ["typology", "--core", str(core), "--min-core-names", "5", "--out-dir", str(out)]
-    assert main(argv) == 4
+    assert main(["pipeline", "--config", str(config)]) == 4
     assert capsys.readouterr().err == "internal error: Ward distance child exited with code 1\n"
     assert len(forks) == 1
-    assert not out.exists()
     assert_no_child_left()
+    for name in ("typology.tsv", "dendrogram.tsv", "model.json"):
+        assert not (out / name).exists(), name
+
 
 def random_sparse_matrix(n, width, per_row, seed):
     """n x width shares with per_row nonzero cells a row; every column used."""
