@@ -6,8 +6,9 @@ log space throughout so long names cannot underflow, and every stochastic
 step draws from a seed derived per region, making splits independent of
 iteration order. A labeled set (`Labeled`) holds rows of a shared
 `FeatureMatrix` and region ids, not names; splitting, training and
-evaluation read n-gram counts from those rows. `classify` scores one name on
-its own and is the reference the batch scorer agrees with.
+evaluation read n-gram counts from those rows. `classify_rows` is the one
+scorer: `classify_batch` featurizes names for it, and `classify` is
+`classify_batch` of one name.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
-from .features import FeatureMatrix, NGramConfig, build_vocabulary, extract, featurize
+from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
 from .util import atomic_write, derive_seed, dumps, intern, pick, tsv_lines
 
 __all__ = [
@@ -275,38 +276,22 @@ class Classification:
 
 
 def classify(model: TrainedModel, surname: str) -> Classification:
-    """Score a surname against every region.
+    """Score a surname against every region: `classify_batch` of one name.
 
     score(r) = log prior(r) + sum over in-vocabulary tokens of
     count * log likelihood(r, token). Out-of-vocabulary tokens are ignored
     (the model's event space is its training vocabulary); a name with no
     known token at all falls back to the priors and is flagged.
     """
-    normalized = normalize_surname(surname, model.strip_diacritics)
-    if not normalized:
-        raise ValueError(f"surname {surname!r} is empty after normalization")
-    tokens = extract(normalized, model.feature_config)
-    indices: list[int] = []
-    counts: list[float] = []
-    vocab_index = model.vocab_index  # type: ignore[attr-defined]
-    for token, c in tokens.items():
-        j = vocab_index.get(token)
-        if j is not None:
-            indices.append(j)
-            counts.append(float(c))
-    scores = model.log_priors.copy()
-    if indices:
-        scores = scores + model.log_likelihoods[:, indices] @ np.array(counts)
+    labels, prior_only, scores = classify_batch(model, [surname])
+    scores = scores[0]
     shifted = np.exp(scores - scores.max())
-    posterior = shifted / shifted.sum()
-    best = float(scores.max())
-    label = min(model.regions[i] for i in range(len(scores)) if scores[i] == best)
     return Classification(
-        label=label,
+        label=model.regions[labels[0]],
         regions=model.regions,
         scores=scores,
-        posterior=posterior,
-        prior_only=not indices,
+        posterior=shifted / shifted.sum(),
+        prior_only=bool(prior_only[0]),
     )
 
 
@@ -317,9 +302,9 @@ def classify_rows(
 
     Returns each name's label as an index into model.regions (exact ties go
     to the lexicographically first region), its prior-only flag, and the
-    (rows x regions) score matrix; each agrees with `classify` on the name.
-    The rows are scored _ROW_CHUNK at a time, and the in-vocabulary terms of
-    a chunk's names are summed with one bincount per region.
+    (rows x regions) score matrix. The rows are scored _ROW_CHUNK at a time,
+    and the in-vocabulary terms of a chunk's names are summed with one
+    bincount per region.
     """
     if features.config != model.feature_config:
         raise ValueError("feature matrix was built with another n-gram config")

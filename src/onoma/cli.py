@@ -42,7 +42,7 @@ from .corpus import (
     render_corpus_tsv,
 )
 from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
-from .features import NGramConfig
+from .features import NGramConfig, check_surnames
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
 from .util import atomic_write, dumps, sha256_file
@@ -83,15 +83,12 @@ def _read_population(path: Path | str, strip_diacritics: bool, ngrams: NGramConf
     names = [name for line in lines if (name := line.strip())]
     if not names:
         raise InputFormatError(f"{path}: no surnames")
-    markers = (ngrams.start_marker, ngrams.end_marker)
-    for name in names:
-        normalized = normalize_surname(name, strip_diacritics)
-        if not normalized:
-            raise InputFormatError(f"{path}: surname {name!r} is empty after normalization")
-        for marker in markers:
-            if marker in normalized:
-                message = f"surname {normalized!r} contains reserved marker {marker!r}"
-                raise InputFormatError(f"{path}: {message}")
+    normalized = [normalize_surname(name, strip_diacritics) for name in names]
+    if "" in normalized:
+        empty = names[normalized.index("")]
+        raise InputFormatError(f"{path}: surname {empty!r} is empty after normalization")
+    with _surnames_from(path):
+        check_surnames(normalized, ngrams)
     return names
 
 
@@ -406,11 +403,13 @@ _ARTIFACTS: dict[str, tuple[str, str, Callable[[Any], str]]] = {
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Run every stage from one config; returns the artifact paths.
 
-    The dataset names and every configured input are checked before
-    `out_dir` is created. The reference dataset is `config.reference`, or
-    else the synth block's first population; the targets are
-    `config.targets`, then the other synth populations. `stages.run` then
-    runs the chain, and each of its results is written as it comes.
+    The dataset names and every configured input, the corpus surnames
+    included, are checked before `out_dir` is created; a `summary.json` an
+    earlier run left there is removed at once. The reference dataset is
+    `config.reference`, or else the synth block's first population; the
+    targets are `config.targets`, then the other synth populations.
+    `stages.run` then runs the chain, and each of its results is written as
+    it comes.
     """
     out_dir, spec = config.out_dir, config.synth_spec
     synth_names = [population.name for population in spec.populations] if spec is not None else []
@@ -431,7 +430,11 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                     else CountryRegistry.from_tsv(config.registry))
         table = read_corpus_tsv(corpus_path, registry, header=config.header,
                                 strict=config.strict, strip_diacritics=config.strip_diacritics)
+        with _surnames_from(corpus_path):
+            check_surnames(table.surnames(), ngrams)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written last, so it exists only for a run that finished.
+    (out_dir / "summary.json").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}
     if spec is not None:
         log.info("stage: synth")
@@ -468,7 +471,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
             artifacts["summary"] = atomic_write(out_dir / "summary.json", dumps(result))
 
     # Handed over, not kept here: `run` lets the table go after the core filter.
-    # Every population name was checked above, so only a corpus name can fail.
+    # Every name read from a file was checked above, so only a name of the
+    # synth block's corpus can fail.
     handed = [table]
     del table
     provenance = {"confusion": "confusion.csv", "priors_source": priors_source}

@@ -236,27 +236,33 @@ def emit_report(
 
     ordered, dataset_tree = order_profiles(profiles)
     region_order, region_tree = _region_order(profiles)
-    region_pos = {r: i for i, r in enumerate(regions)}
+    columns = [regions.index(r) for r in region_order]
 
     ratio_lines = ["dataset," + ",".join(region_order)]
-    for p in ordered:
-        cells = []
-        for r in region_order:
-            v = p.ratios[region_pos[r]]
-            cells.append("nan" if not np.isfinite(v) else fmt_float(v))
-        ratio_lines.append(p.dataset_name + "," + ",".join(cells))
-
     dist_lines = [
         "dataset,n_names,n_prior_only,"
         + ",".join(f"count:{r}" for r in region_order)
         + ","
         + ",".join(f"share:{r}" for r in region_order)
     ]
+    records = {}
     for p in ordered:
         d = by_name[p.dataset_name]
-        counts = ",".join(fmt_float(d.counts[region_pos[r]]) for r in region_order)
-        shares = ",".join(fmt_float(d.proportions[region_pos[r]]) for r in region_order)
+        ratios = [float(v) if np.isfinite(v) else None for v in p.ratios]
+        cells = ["nan" if ratios[i] is None else fmt_float(ratios[i]) for i in columns]
+        ratio_lines.append(p.dataset_name + "," + ",".join(cells))
+        counts = ",".join(fmt_float(d.counts[i]) for i in columns)
+        shares = ",".join(fmt_float(d.proportions[i]) for i in columns)
         dist_lines.append(f"{d.dataset_name},{d.n_names},{d.n_prior_only},{counts},{shares}")
+        records[p.dataset_name] = {
+            "n_names": d.n_names,
+            "n_prior_only": d.n_prior_only,
+            "counts": dict(zip(regions, map(float, d.counts))),
+            "proportions": dict(zip(regions, map(float, d.proportions))),
+            "ratios": dict(zip(regions, ratios)),
+            "undefined": list(p.undefined),
+            "low_confidence": list(p.low_confidence),
+        }
 
     doc = {
         "distance": "canberra",
@@ -265,26 +271,7 @@ def emit_report(
         "region_order": region_order,
         "dataset_tree": _merge_list(dataset_tree),
         "region_tree": _merge_list(region_tree),
-        "datasets": {
-            p.dataset_name: {
-                "n_names": by_name[p.dataset_name].n_names,
-                "n_prior_only": by_name[p.dataset_name].n_prior_only,
-                "counts": {
-                    r: float(by_name[p.dataset_name].counts[region_pos[r]]) for r in regions
-                },
-                "proportions": {
-                    r: float(by_name[p.dataset_name].proportions[region_pos[r]])
-                    for r in regions
-                },
-                "ratios": {
-                    r: (None if not np.isfinite(p.ratios[region_pos[r]]) else float(p.ratios[region_pos[r]]))
-                    for r in regions
-                },
-                "undefined": list(p.undefined),
-                "low_confidence": list(p.low_confidence),
-            }
-            for p in ordered
-        },
+        "datasets": records,
         "provenance": dict(provenance or {}),
     }
 

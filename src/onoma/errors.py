@@ -12,9 +12,9 @@ class InputFormatError(OnomaError):
 class SurnameError(OnomaError, ValueError):
     """A surname cannot be split into n-grams: it is empty or holds a marker.
 
-    The command line checks population files by the same rules as it reads
-    them; it reports one raised for a core, labeled or evaluation file as an
-    input error in that file.
+    The command line checks population and corpus files by these rules
+    before it writes anything, and reports one raised for a name of a
+    file as an input error in that file.
     """
 
 

@@ -14,9 +14,10 @@ carries its `NGramConfig`, so those stages take the matrix alone.
 their padded words end to end as code points, and gives every window of n
 code points inside one word an integer key. One sort per n groups the equal
 (name, n-gram) pairs; each pair becomes an entry placed at its first window
-in `extract`'s order (word, then n, then start), so every row equals the
-one-name `extract` result, order included. Token ids follow the tokens'
-sorted order. `extract` stays the one-name reference that `classify` uses.
+(word, then n, then start), so every row lists its tokens in the order a
+scan of the padded words first meets them. Token ids follow the tokens'
+sorted order. `extract` is `featurize` of one name, as a dict, and
+`check_surnames` is the input check `featurize` runs on each chunk.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "FeatureVector",
     "extract",
     "FeatureMatrix",
+    "check_surnames",
     "featurize",
     "build_vocabulary",
 ]
@@ -94,25 +96,12 @@ def extract(surname: str, config: NGramConfig = NGramConfig()) -> FeatureVector:
 
     For each word of the (already normalized) surname, the padded string
     contributes every contiguous substring of length n with multiplicity;
-    words shorter than n contribute nothing for that n. Pure function.
+    words shorter than n contribute nothing for that n. The dict is
+    `featurize`'s row of the one name, in its order. Pure function.
     """
-    if not surname:
-        raise ValueError("empty surname")
-    for marker in (config.start_marker, config.end_marker):
-        if marker in surname:
-            raise ValueError(f"surname contains reserved marker {marker!r}")
-    counts: FeatureVector = {}
-    for word in surname.split(" "):
-        if not word:
-            continue
-        padded = (
-            config.start_marker + word + config.end_marker if config.pad_boundaries else word
-        )
-        for n in config.n_values:
-            for i in range(len(padded) - n + 1):
-                token = padded[i : i + n]
-                counts[token] = counts.get(token, 0) + 1
-    return counts
+    matrix = featurize([surname], config)
+    tokens = [matrix.tokens[j] for j in matrix.ids.tolist()]
+    return dict(zip(tokens, matrix.counts.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +146,13 @@ class FeatureMatrix:
 
 
 def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> FeatureMatrix:
-    """Distinct names into a shared sparse matrix whose rows equal `extract`'s.
+    """Distinct names into a shared sparse matrix of their n-gram counts.
 
     The names are decomposed with numpy, _CHUNK names at a time, so the
     transient arrays are bounded by one chunk and the result. Each row lists
-    its tokens in the order `extract` first meets them, and token ids index
-    the sorted `tokens`. A name that is empty or holds a boundary marker
-    raises `SurnameError` naming it.
+    its tokens in the order a scan of the padded words (word, then n, then
+    start) first meets them, and token ids index the sorted `tokens`. A
+    name that `check_surnames` rejects raises its `SurnameError`.
     """
     names = tuple(names)
     # A token seen for the first time gets the next id.
@@ -199,12 +188,17 @@ def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> Feat
     )
 
 
-def _check_names(chunk: Sequence[str], text: str, config: NGramConfig) -> None:
-    """`extract`'s input checks over a chunk and its space-joined `text`."""
+def check_surnames(
+    names: Sequence[str], config: NGramConfig, text: str | None = None
+) -> None:
+    """`SurnameError` naming the first of `names` that is empty or holds a
+    boundary marker of `config`; `text` is the names joined by spaces, if
+    the caller has it."""
     markers = (config.start_marker, config.end_marker)
-    if all(chunk) and not any(marker in text for marker in markers):
+    text = " ".join(names) if text is None else text
+    if all(names) and not any(marker in text for marker in markers):
         return
-    for name in chunk:
+    for name in names:
         if not name:
             raise SurnameError("empty surname")
         for marker in markers:
@@ -225,12 +219,12 @@ def _chunk_entries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row (within the chunk), token id and count of each of the chunk's entries.
 
-    Entries come row by row, each row in `extract`'s first-seen order. Token
+    Entries come row by row, each row in first-seen scan order. Token
     ids are looked up in `token_ids` by the token's UTF-32-BE bytes; it hands
     out the next id to a token it has not seen.
     """
     text = " ".join(chunk)
-    _check_names(chunk, text, config)
+    check_surnames(chunk, config, text)
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     # Words are the runs of non-space code points; the joining spaces end
     # each name's last word, and a word's row follows from the name lengths.
@@ -252,11 +246,11 @@ def _chunk_entries(
     word_of = np.repeat(np.arange(len(width)), width)
     room = np.repeat(offset + width, width) - np.arange(len(padded))  # code points left in the word
 
-    # `extract` meets the windows word by word, then by n, then by start:
+    # The scan meets the windows word by word, then by n, then by start:
     # window t of size n_values[j] in word w comes at base[w, j] + t.
     windows = np.maximum(width[:, None] - np.asarray(config.n_values) + 1, 0)
     base = (np.cumsum(windows) - windows.ravel()).reshape(windows.shape) - offset[:, None]
-    row = np.repeat(word_row, windows.sum(axis=1))  # by position in `extract`'s order
+    row = np.repeat(word_row, windows.sum(axis=1))  # by position in scan order
     token = np.empty(len(row), dtype=np.int64)  # numbered within the chunk
     tally = np.zeros(len(row), dtype=np.int32)  # set at each entry's first occurrence
     found: list[bytes] = []  # each chunk token's UTF-32-BE bytes

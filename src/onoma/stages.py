@@ -39,7 +39,7 @@ from .diversity import (
     representation_ratios,
     tally_guesses,
 )
-from .errors import ConfigError, SurnameError
+from .errors import ConfigError
 from .features import FeatureMatrix, NGramConfig, featurize
 from .typology import (
     Dendrogram,
@@ -125,11 +125,9 @@ class PipelineConfig:
 
 @contextmanager
 def _config_errors() -> Iterator[None]:
-    """A `ValueError` from the block as a `ConfigError`; a bad surname stays one."""
+    """A `ValueError` from the block as a `ConfigError`."""
     try:
         yield
-    except SurnameError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -69,42 +69,23 @@ def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) ->
         raise ValueError(f"{what}: needs some non-stop mass")
 
 
-class _RowSampler:
-    """Cumulative tables for one distribution, with and without the stop state.
+def _rows(dist: Mapping[str, float]) -> tuple[tuple[list, list], tuple[list, list]]:
+    """A distribution's rows with and without the stop state, as `_draw_name`
+    reads them: the sorted symbols and their cumulative sums.
 
-    `full` and `nonstop` pair each symbol list with its cumulative sums, the
-    last sum replaced by `+inf`: the first sum above a double in [0, 1) then
-    always exists, and it is the one `bisect_right` on the true sums finds,
-    clamped to the last symbol when the last sum rounds below the double.
-    `cum_full` and `cum_nonstop` rebuild the true sums on each read, so a
-    spec, which lives through a whole scored run, holds one list of sums
-    per row.
+    Each row's last sum is replaced by `+inf`: the first sum above a double
+    in [0, 1) then always exists, and it is the one `bisect_right` on the
+    true sums finds, clamped to the last symbol when the last sum rounds
+    below the double. The rows are Python lists: bisect on a list costs far
+    less per draw than np.searchsorted on an array.
     """
-
-    __slots__ = ("symbols", "nonstop_symbols", "full", "nonstop", "_last_full", "_last_nonstop")
-
-    def __init__(self, dist: Mapping[str, float]):
-        items = sorted(dist.items())
-        self.symbols = [s for s, _ in items]
-        # Python lists: bisect on a list costs far less per draw than
-        # np.searchsorted on an array.
-        cum_full = np.cumsum([p for _, p in items]).tolist()
-        nonstop = [(s, p) for s, p in items if s != STOP]
-        self.nonstop_symbols = [s for s, _ in nonstop]
-        weights = np.array([p for _, p in nonstop])
-        cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
-        self._last_full, self._last_nonstop = cum_full[-1], cum_nonstop[-1]
-        cum_full[-1] = cum_nonstop[-1] = math.inf
-        self.full = (self.symbols, cum_full)
-        self.nonstop = (self.nonstop_symbols, cum_nonstop)
-
-    @property
-    def cum_full(self) -> list[float]:
-        return self.full[1][:-1] + [self._last_full]
-
-    @property
-    def cum_nonstop(self) -> list[float]:
-        return self.nonstop[1][:-1] + [self._last_nonstop]
+    items = sorted(dist.items())
+    cum_full = np.cumsum([p for _, p in items]).tolist()
+    nonstop = [(s, p) for s, p in items if s != STOP]
+    weights = np.array([p for _, p in nonstop])
+    cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
+    cum_full[-1] = cum_nonstop[-1] = math.inf
+    return ([s for s, _ in items], cum_full), ([s for s, _ in nonstop], cum_nonstop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +100,16 @@ class MarkovChain:
         if self.order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {self.order}")
         _validate_dist(self.start, allow_stop=False, what="start")
-        samplers: dict[str, _RowSampler] = {}
-        for context, row in self.transitions.items():
-            _validate_dist(row, allow_stop=True, what=f"context {context!r}")
-            samplers[context] = _RowSampler(row)
-        start = _RowSampler(self.start)
-        object.__setattr__(self, "_start_sampler", start)
-        object.__setattr__(self, "_samplers", samplers)
         # What `_draw_name` reads: each context's row, with or without the
         # stop state. The empty context, where every name begins, maps to
         # the start distribution (never the stop state).
-        for attr, row in (("_full_rows", "full"), ("_nonstop_rows", "nonstop")):
-            rows = {ctx: getattr(sampler, row) for ctx, sampler in samplers.items()}
-            rows[""] = start.nonstop
-            object.__setattr__(self, attr, rows)
+        full_rows, nonstop_rows = {}, {}
+        for context, row in self.transitions.items():
+            _validate_dist(row, allow_stop=True, what=f"context {context!r}")
+            full_rows[context], nonstop_rows[context] = _rows(row)
+        full_rows[""] = nonstop_rows[""] = _rows(self.start)[1]
+        object.__setattr__(self, "_full_rows", full_rows)
+        object.__setattr__(self, "_nonstop_rows", nonstop_rows)
 
     def to_dict(self) -> dict:
         return {

@@ -4,6 +4,12 @@ The library works on columns and sparse rows and no longer calls these; they
 moved here verbatim from it (`feature_row` and `dense` were the methods
 `FeatureMatrix.row` and `CountryFeatureMatrix.rows`; `draw` and `next_symbol`
 were the methods `_RowSampler.draw` and `MarkovChain.next_symbol`).
+`extract` and `classify` are the per-name n-gram loop and scorer that the
+library's `extract` and `classify` were before they became one-name calls
+into `featurize` and `classify_batch`. `RowSums` holds the true cumulative
+sums of a chain's distribution, by the formula the library's rows use before
+their last sum becomes `+inf`; `next_symbol` computes them from the chain's
+`start` and `transitions`, not from the rows the library draws from.
 
 `generate` and `generate_population` are the library's generators as they
 were when every character took its doubles from `rng.random()` one at a
@@ -12,15 +18,16 @@ time; the library now reads them from blocks and must give the same bytes.
 
 import operator
 from bisect import bisect_right
-from functools import reduce
-from typing import Iterable
+from functools import lru_cache, reduce
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from onoma.corpus import OccurrenceTable
+from onoma.classifier import Classification, TrainedModel
+from onoma.corpus import OccurrenceTable, normalize_surname
 from onoma.errors import InvariantError
-from onoma.features import FeatureMatrix, FeatureVector
-from onoma.synth import STOP, MarkovChain, PopulationSpec, RegionGenerator, SynthSpec, _RowSampler
+from onoma.features import FeatureMatrix, FeatureVector, NGramConfig
+from onoma.synth import STOP, MarkovChain, PopulationSpec, RegionGenerator, SynthSpec
 from onoma.typology import CountryFeatureMatrix
 from onoma.util import derive_seed
 
@@ -81,7 +88,88 @@ def dense(matrix: CountryFeatureMatrix) -> np.ndarray:
     return matrix.dense_rows(0, n, np.empty((n, len(matrix.vocabulary))))
 
 
-def draw(sampler: _RowSampler, rng: np.random.Generator, allow_stop: bool) -> str:
+def extract(surname: str, config: NGramConfig = NGramConfig()) -> FeatureVector:
+    """Token -> occurrence count for every configured n-gram size.
+
+    For each word of the (already normalized) surname, the padded string
+    contributes every contiguous substring of length n with multiplicity;
+    words shorter than n contribute nothing for that n. Pure function.
+    """
+    if not surname:
+        raise ValueError("empty surname")
+    for marker in (config.start_marker, config.end_marker):
+        if marker in surname:
+            raise ValueError(f"surname contains reserved marker {marker!r}")
+    counts: FeatureVector = {}
+    for word in surname.split(" "):
+        if not word:
+            continue
+        padded = (
+            config.start_marker + word + config.end_marker if config.pad_boundaries else word
+        )
+        for n in config.n_values:
+            for i in range(len(padded) - n + 1):
+                token = padded[i : i + n]
+                counts[token] = counts.get(token, 0) + 1
+    return counts
+
+
+def classify(model: TrainedModel, surname: str) -> Classification:
+    """Score a surname against every region.
+
+    score(r) = log prior(r) + sum over in-vocabulary tokens of
+    count * log likelihood(r, token). Out-of-vocabulary tokens are ignored
+    (the model's event space is its training vocabulary); a name with no
+    known token at all falls back to the priors and is flagged.
+    """
+    normalized = normalize_surname(surname, model.strip_diacritics)
+    if not normalized:
+        raise ValueError(f"surname {surname!r} is empty after normalization")
+    tokens = extract(normalized, model.feature_config)
+    indices: list[int] = []
+    counts: list[float] = []
+    vocab_index = model.vocab_index  # type: ignore[attr-defined]
+    for token, c in tokens.items():
+        j = vocab_index.get(token)
+        if j is not None:
+            indices.append(j)
+            counts.append(float(c))
+    scores = model.log_priors.copy()
+    if indices:
+        scores = scores + model.log_likelihoods[:, indices] @ np.array(counts)
+    shifted = np.exp(scores - scores.max())
+    posterior = shifted / shifted.sum()
+    best = float(scores.max())
+    label = min(model.regions[i] for i in range(len(scores)) if scores[i] == best)
+    return Classification(
+        label=label,
+        regions=model.regions,
+        scores=scores,
+        posterior=posterior,
+        prior_only=not indices,
+    )
+
+
+class RowSums:
+    """True cumulative sums of one distribution, with and without the stop state."""
+
+    def __init__(self, dist: Mapping[str, float]):
+        items = sorted(dist.items())
+        self.symbols = [s for s, _ in items]
+        self.cum_full = np.cumsum([p for _, p in items]).tolist()
+        nonstop = [(s, p) for s, p in items if s != STOP]
+        self.nonstop_symbols = [s for s, _ in nonstop]
+        weights = np.array([p for _, p in nonstop])
+        self.cum_nonstop = np.cumsum(weights / weights.sum()).tolist()
+
+
+@lru_cache(maxsize=256)
+def chain_sums(chain: MarkovChain) -> tuple[RowSums, dict[str, RowSums]]:
+    """`RowSums` of a chain's start distribution and of each context's row."""
+    return RowSums(chain.start), {ctx: RowSums(row) for ctx, row in chain.transitions.items()}
+
+
+def draw(sampler: RowSums, rng: np.random.Generator, allow_stop: bool) -> str:
     # The first sum above u wins, so a u on a boundary takes the next
     # symbol; the clamp covers a last sum that rounds below 1.
     u = rng.random()
@@ -97,14 +185,15 @@ def next_symbol(
 ) -> str:
     # Unknown contexts (possible after a cross-chain character) fall back
     # to the start distribution.
+    start, samplers = chain_sums(chain)
     if generated:
-        sampler = chain._samplers.get(generated[-chain.order :])  # type: ignore[attr-defined]
+        sampler = samplers.get(generated[-chain.order :])
         if sampler is None and chain.order == 2:
-            sampler = chain._samplers.get(generated[-1:])  # type: ignore[attr-defined]
+            sampler = samplers.get(generated[-1:])
     else:
         sampler = None
     if sampler is None:
-        sampler = chain._start_sampler  # type: ignore[attr-defined]
+        sampler = start
         allow_stop = False
     return draw(sampler, rng, allow_stop)
 

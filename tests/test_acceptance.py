@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from onoma.classifier import EvalReport, Labeled, classify, train
+from onoma.classifier import EvalReport, Labeled, classify_batch, train
 from onoma.cli import PipelineConfig, read_config, run_pipeline
 from onoma.corpus import OccurrenceTable, filter_core_names
 from onoma.correction import (
@@ -23,10 +23,11 @@ from onoma.correction import (
     reweight_priors,
 )
 from onoma.diversity import OriginDistribution, canberra, representation_ratios
-from onoma.features import NGramConfig, extract, featurize
+from onoma.features import NGramConfig, featurize
 from onoma.resources import reference_confusion_path
 from onoma.synth import score_pipeline, standard_spec
 from onoma.typology import agglomerate
+import reference
 
 TABLE_PRECISION = (0.43, 0.52, 0.61, 0.81, 0.63, 0.78, 0.64)
 TABLE_RECALL = (0.61, 0.72, 0.77, 0.71, 0.72, 0.62, 0.84)
@@ -62,12 +63,12 @@ def test_criterion_1_table_fixture_consistency():
 def _nb_oracle(train_set, alpha, config, surname):
     """Direct multinomial NB formula with plain dicts and math.log."""
     regions = sorted({r for _, r in train_set})
-    vocab = sorted({t for s, _ in train_set for t in extract(s, config)})
+    vocab = sorted({t for s, _ in train_set for t in reference.extract(s, config)})
     token_counts = {r: dict.fromkeys(vocab, 0) for r in regions}
     name_counts = dict.fromkeys(regions, 0)
     for s, r in train_set:
         name_counts[r] += 1
-        for token, c in extract(s, config).items():
+        for token, c in reference.extract(s, config).items():
             token_counts[r][token] += c
     total = sum(name_counts.values())
     scores = {}
@@ -75,7 +76,7 @@ def _nb_oracle(train_set, alpha, config, surname):
         region_total = sum(token_counts[r].values())
         denom = region_total + alpha * len(vocab)
         score = math.log(name_counts[r] / total)
-        for token, c in extract(surname, config).items():
+        for token, c in reference.extract(surname, config).items():
             if token in token_counts[r]:
                 score += c * math.log((token_counts[r][token] + alpha) / denom)
         scores[r] = score
@@ -101,11 +102,11 @@ def test_criterion_2_nb_oracle_equivalence():
         distinct, labeled = Labeled.from_pairs(names)
         model = train(labeled, featurize(distinct, config), alpha)
         assert len(model.vocabulary) <= 20
-        for _ in range(5):
-            surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 7)))
+        surnames = ["".join(rng.choice("abcd") for _ in range(rng.randint(2, 7))) for _ in range(5)]
+        _, _, scores = classify_batch(model, surnames)
+        for surname, row in zip(surnames, scores):
             expected = _nb_oracle(names, alpha, config, surname)
-            result = classify(model, surname)
-            for region, score in zip(result.regions, result.scores):
+            for region, score in zip(model.regions, row):
                 assert abs(score - expected[region]) <= 1e-9
     passed("criterion 2 (naive Bayes oracle, 100 instances)", time.perf_counter() - start, 10.0)
 

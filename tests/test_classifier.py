@@ -22,8 +22,9 @@ from onoma.classifier import (
 )
 from onoma.correction import ConfusionCounts
 from onoma.errors import SurnameError
-from onoma.features import NGramConfig, build_vocabulary, extract, featurize
+from onoma.features import NGramConfig, build_vocabulary, featurize
 from onoma.resources import reference_confusion_path
+import reference
 
 CHAR1 = NGramConfig(n_values=(1,), pad_boundaries=False)
 BIGRAM = NGramConfig(n_values=(2,), pad_boundaries=False)
@@ -66,19 +67,19 @@ def nb_oracle_scores(train_set, alpha, config, surname):
     counts, smoothing and log scores from scratch.
     """
     regions = sorted({r for _, r in train_set})
-    vocab = sorted({t for s, _ in train_set for t in extract(s, config)})
+    vocab = sorted({t for s, _ in train_set for t in reference.extract(s, config)})
     counts = {r: {t: 0 for t in vocab} for r in regions}
     names = {r: 0 for r in regions}
     for s, r in train_set:
         names[r] += 1
-        for t, c in extract(s, config).items():
+        for t, c in reference.extract(s, config).items():
             counts[r][t] += c
     total_names = sum(names.values())
     scores = {}
     for r in regions:
         region_total = sum(counts[r].values())
         score = math.log(names[r] / total_names)
-        for t, c in extract(surname, config).items():
+        for t, c in reference.extract(surname, config).items():
             if t in counts[r]:
                 score += c * math.log(
                     (counts[r][t] + alpha) / (region_total + alpha * len(vocab))
@@ -327,18 +328,22 @@ def test_classify_matches_brute_force_oracle():
         train_set = random_nb_instance(rng)
         alpha = rng.choice([0.1, 0.5, 1.0])
         model = train_on(train_set, alpha, BIGRAM)
-        for _ in range(10):
-            surname = "".join(rng.choice("abcd") for _ in range(rng.randint(2, 7)))
+        names = ["".join(rng.choice("abcd") for _ in range(rng.randint(2, 7))) for _ in range(10)]
+        # Each model's names in one batch; `classify` on the first of them.
+        labels, _, batch_scores = classify_batch(model, names)
+        one = classify(model, names[0])
+        results = [(model.regions[i], row) for i, row in zip(labels, batch_scores)]
+        results.append((one.label, one.scores))
+        for surname, (label, scores) in zip([*names, names[0]], results):
             expected = nb_oracle_scores(train_set, alpha, BIGRAM, surname)
-            result = classify(model, surname)
-            for region, score in zip(result.regions, result.scores):
+            for region, score in zip(model.regions, scores):
                 assert score == pytest.approx(expected[region], abs=1e-9)
             # Labels must agree whenever the top two scores are clearly apart;
             # on effective ties either winner satisfies the contract.
             ranked = sorted(expected.values(), reverse=True)
             if len(ranked) < 2 or ranked[0] - ranked[1] > 1e-6:
                 best = max(expected.values())
-                assert result.label == min(r for r, s in expected.items() if s == best)
+                assert label == min(r for r, s in expected.items() if s == best)
 
 
 @pytest.fixture(scope="module")
@@ -353,14 +358,14 @@ def spec_model():
 
 def assert_batch_matches_classify(model, names, features=None):
     """`classify_batch`, or `classify_rows` over the first rows of `features`,
-    agrees with `classify` on every name."""
+    agrees with the per-name reference `classify` on every name."""
     if features is None:
         labels, prior_only, scores = classify_batch(model, names)
     else:
         labels, prior_only, scores = classify_rows(model, features, range(len(names)))
     assert len(labels) == len(prior_only) == len(scores) == len(names)
     for i, name in enumerate(names):
-        expected = classify(model, name)
+        expected = reference.classify(model, name)
         assert model.regions[labels[i]] == expected.label, name
         assert prior_only[i] == expected.prior_only, name
         assert np.allclose(scores[i], expected.scores, rtol=0, atol=1e-9), name

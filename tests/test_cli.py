@@ -723,12 +723,32 @@ def test_corpus_of_only_unknown_countries_is_an_input_error(tmp_path, synth_dir,
 def test_pipeline_corpus_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):
     corpus = tmp_path / "corpus.tsv"
     text = (synth_dir / "corpus.tsv").read_text(encoding="utf-8")
-    country = text.splitlines()[0].split("\t")[1]
-    corpus.write_text(text + f"o^brien\t{country}\t500\n", encoding="utf-8")
+    countries = sorted({line.split("\t")[1] for line in text.splitlines()})
     reference = synth_dir / "population_heldout.txt"
-    assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
+    # In one country the name is a core name; spread evenly over two, it is not.
+    for spread in (countries[:1], countries[:2]):
+        lines = "".join(f"o^brien\t{country}\t500\n" for country in spread)
+        corpus.write_text(text + lines, encoding="utf-8")
+        config = _pipeline_config(tmp_path, synth_dir, corpus, reference)
+        assert run(["pipeline", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {corpus}: surname 'o^brien' contains reserved marker '^'" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_failed_pipeline_rerun_leaves_no_summary(tmp_path, synth_dir, capsys):
+    corpus, reference = synth_dir / "corpus.tsv", synth_dir / "population_heldout.txt"
+    config = _pipeline_config(tmp_path, synth_dir, corpus, reference)
+    assert run(["pipeline", "--config", config]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+    # The rerun fails after the core filter has written core.tsv.
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**doc, "min_core_names": 100000}), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pipeline", "--config", config]) == 3
     err = capsys.readouterr().err
-    assert f"input error: {corpus}: surname 'o^brien' contains reserved marker '^'" in err
+    assert "config error: need at least 2 countries with >= 100000 core names, got 0" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_pipeline_population_surname_with_marker_is_an_input_error(tmp_path, synth_dir, capsys):

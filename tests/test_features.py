@@ -16,6 +16,7 @@ from onoma.features import (
     featurize,
 )
 from onoma.util import intern
+import reference
 from reference import feature_row
 
 
@@ -148,9 +149,9 @@ def test_featurize_rows_round_trip_to_extract():
         assert list(matrix.tokens) == sorted(set(matrix.tokens))
         assert matrix.ids.dtype.name == "int32" and matrix.counts.dtype.name == "int32"
         for i, name in enumerate(names):
-            assert feature_row(matrix, i) == extract(name, config), name
+            assert feature_row(matrix, i) == reference.extract(name, config), name
         _, ids, counts = matrix.entries([3, 0, 3])
-        row_0, row_3 = extract(names[0], config), extract(names[3], config)
+        row_0, row_3 = reference.extract(names[0], config), reference.extract(names[3], config)
         assert sum(counts) == sum(row_0.values()) + 2 * sum(row_3.values())
         assert {matrix.tokens[j] for j in ids} == set(row_0) | set(row_3)
 
@@ -188,7 +189,7 @@ def reference_featurize(names, config):
     first_ids: dict[str, int] = {}
     ids, counts, indptr = [], [], [0]
     for name in names:
-        for token, count in extract(name, config).items():
+        for token, count in reference.extract(name, config).items():
             ids.append(first_ids.setdefault(token, len(first_ids)))
             counts.append(count)
         indptr.append(len(ids))

@@ -25,7 +25,6 @@ from onoma.synth import (
     STOP,
     SynthSpec,
     _draw_name,
-    _RowSampler,
     generate,
     generate_population,
     registry_for,
@@ -145,7 +144,7 @@ def test_sampler_boundary_picks_next_symbol():
 
 def test_sampler_clamps_above_last_sum():
     dist = {ch: 0.1 for ch in "abcdefghij"}
-    sampler = _RowSampler(dist)
+    sampler = reference.RowSums(dist)
     assert sampler.cum_full[-1] < 1.0  # ten 0.1 steps round below 1
     for u in (sampler.cum_full[-1], float(np.nextafter(1.0, 0.0))):
         assert pick(dist, u, allow_stop=True) == "j"
@@ -158,7 +157,7 @@ def test_sampler_matches_searchsorted():
     total = sum(weights)
     dist = {STOP: weights[0] / total}
     dist.update({ch: w / total for ch, w in zip("abcdefgh", weights[1:])})
-    sampler = _RowSampler(dist)
+    sampler = reference.RowSums(dist)
     draws = [rng.random() for _ in range(2000)] + sampler.cum_full + sampler.cum_nonstop
     for u in draws:
         for allow_stop, cum, symbols in (
@@ -179,10 +178,10 @@ def test_rows_ending_in_inf_pick_as_the_clamped_true_sums(make_spec):
     # on the true sums picks, clamped to the last symbol.
     spec = make_spec()
     for chain in (spec.global_chain, *(g.chain for g in spec.generators)):
-        start = chain._start_sampler
+        start, samplers = reference.chain_sums(chain)
         rows = [(chain._full_rows[""], start.nonstop_symbols, start.cum_nonstop),
                 (chain._nonstop_rows[""], start.nonstop_symbols, start.cum_nonstop)]
-        for ctx, sampler in chain._samplers.items():
+        for ctx, sampler in samplers.items():
             rows.append((chain._full_rows[ctx], sampler.symbols, sampler.cum_full))
             rows.append((chain._nonstop_rows[ctx], sampler.nonstop_symbols, sampler.cum_nonstop))
         for (row_symbols, row_cum), symbols, cum in rows:

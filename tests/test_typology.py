@@ -15,7 +15,7 @@ import pytest
 
 from onoma.corpus import CoreSet
 from onoma.errors import InvariantError
-from onoma.features import FeatureMatrix, NGramConfig, extract, featurize
+from onoma.features import FeatureMatrix, NGramConfig, featurize
 from onoma.typology import (
     DEFAULT_REGION_LABELS,
     WARD_BLOCK_ROWS,
@@ -32,6 +32,7 @@ from onoma.typology import (
     relabel,
     ward_cluster,
 )
+import reference
 from reference import dense
 
 UNPADDED2 = NGramConfig(n_values=(2,), pad_boundaries=False)
@@ -168,7 +169,7 @@ def reference_country_matrix(core, config, min_core_names):
             continue
         counts = {}
         for surname in names:
-            for token, c in extract(surname, config).items():
+            for token, c in reference.extract(surname, config).items():
                 counts[token] = counts.get(token, 0) + c
         counters[country] = counts
     countries = sorted(counters)
