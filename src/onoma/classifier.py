@@ -13,7 +13,6 @@ scorer: `classify_batch` featurizes names for it, and `classify` is
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -25,7 +24,7 @@ import numpy as np
 from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
-from .util import atomic_write, derive_seed, dumps, intern, pick, tsv_lines
+from .util import atomic_write, derive_seed, dumps, intern, parse_json, pick, tsv_lines
 
 __all__ = [
     "Labeled",
@@ -188,10 +187,7 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "TrainedModel":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
+        doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
         if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
             raise InputFormatError(f"{path}: unsupported model file version")
         try:

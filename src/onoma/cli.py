@@ -6,21 +6,21 @@ classifier, handing the whole chain, `stages.run`, a sink that writes each
 result as it comes; `calibrate`, `classify-population` and `compare` apply a
 saved model to population files. `synth` writes a synthetic corpus with its
 truth. Each setting is one `stages.PipelineConfig` field, which gives the
-config file (read by `read_config`) its JSON type and every option its
-default and range check. Each subcommand reads and
-validates its inputs completely before any output file is created, writes
-outputs atomically, and keeps every byte of output deterministic for a given
-(inputs, config, seed) triple. Population files are read by
+config file (read by `read_config`, `pipeline`'s only source of settings)
+its JSON type and `synth`'s setting options their default and range check.
+Each subcommand reads and validates its inputs completely before any output
+file is created, writes outputs atomically, and keeps every byte of output
+deterministic for a given (inputs, config, seed) triple. A non-finite
+number in an input file is an input error. Population files are read by
 `_read_population`, which rejects every name classifying would reject; a
 surname in another file that the n-gram pass rejects is reported as an input
-error in that file. Exit codes: 1 usage, 2 input format, 3 config
-validation, 4 internal invariant violation.
+error in that file. Exit codes: 1 usage, 2 input format or io, 3 config
+validation (a `ConfigError`), 4 internal error (any other `ValueError` too).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from contextlib import contextmanager
@@ -45,7 +45,7 @@ from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
 from .features import NGramConfig, check_surnames
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
-from .util import atomic_write, dumps, sha256_file
+from .util import atomic_write, dumps, parse_json, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -100,15 +100,13 @@ class _Setting(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
-def _add_setting(parser: argparse.ArgumentParser, name: str, flag: str = "", **kwargs) -> None:
-    """The option `flag` (else `--<name>`) with the type, default and range of
-    the `PipelineConfig` field `name`, an `int` or a `float`."""
+def _add_setting(parser: argparse.ArgumentParser, name: str, help: str) -> None:
+    """The option `--<name>` with the type, default and range of the
+    `PipelineConfig` field `name`, an `int` or a `float` with a range."""
     f = _FIELDS[name]
-    kwargs.setdefault("default", f.default)
-    if "rule" in f.metadata:
-        kwargs["help"] = f"{kwargs.get('help', '')} ({f.metadata['rule'][0]})".lstrip()
-    parser.add_argument(flag or "--" + name.replace("_", "-"), dest=name, type=type(f.default),
-                        action=_Setting, **kwargs)
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, type=type(f.default),
+                        default=f.default, action=_Setting,
+                        help=f"{help} ({f.metadata['rule'][0]})")
 
 
 # ---------------------------------------------------------------- commands
@@ -260,13 +258,15 @@ def cmd_synth(args) -> int:
     handed = [(table, truth)]
     del table
     if args.score:
-        card = synth.score_pipeline(
-            spec,
-            min_core_names=args.min_core_names,
-            alpha=args.alpha,
-            corpus=handed.pop(),
-            heldout=populations[0] if populations else None,  # the population it scores
-        )
+        # Only a name the spec's chains generated can fail, as in `pipeline`.
+        with _surnames_from(out_dir / "corpus.tsv"):
+            card = synth.score_pipeline(
+                spec,
+                min_core_names=args.min_core_names,
+                alpha=args.alpha,
+                corpus=handed.pop(),
+                heldout=populations[0] if populations else None,  # the population it scores
+            )
         atomic_write(out_dir / "scorecard.json", card.to_json())
         print(card.to_json(), end="", file=sys.stderr)
     print(sizes, file=sys.stderr)
@@ -316,10 +316,7 @@ _JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path]
 def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineConfig:
     """The pipeline config in the JSON file `path`, with the `overrides` that are
     not None; a key absent from both takes its field's default."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
     known = {f.name for f in fields(PipelineConfig)} - {"synth_spec"} | {"synth"}
@@ -483,9 +480,7 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
 
 
 def cmd_pipeline(args) -> int:
-    # The options named after fields; from_file skips those left unset (None).
-    overrides = {key: value for key, value in vars(args).items() if key in _FIELDS}
-    config = read_config(args.config, overrides)
+    config = read_config(args.config, {"out_dir": args.out_dir})
     artifacts = run_pipeline(config)
     for key in sorted(artifacts):
         print(f"{key}: {artifacts[key]}", file=sys.stderr)
@@ -575,9 +570,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pipeline", help="run every stage from one JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", help="override the config's output directory")
-    p.add_argument("--seed", type=int, help="override the config's seed")
-    _add_setting(p, "k_regions", "--k", default=None, help="override the region count")
-    _add_setting(p, "alpha", default=None, help="override the smoothing parameter")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -606,10 +598,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantError as exc:
+    except (InvariantError, ValueError) as exc:  # a ValueError here is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     finally:

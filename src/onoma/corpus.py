@@ -6,7 +6,7 @@ dominate, and surnames concentrated in a single country ("core names") are
 kept as labeled learning examples. Concentration is measured with the
 Herfindahl-Hirschman index over per-country shares. The table is stored as
 sorted integer columns and the filter runs on them with numpy; its sums add
-left to right, so its floats equal the one-surname functions' bit for bit.
+left to right, so its floats equal a per-surname loop's bit for bit.
 The core names come out as columns too (`CoreSet`), sorted by surname, so
 row i of `featurize(core.names)` is core name i and the later stages pass
 row positions, not names.
@@ -18,7 +18,6 @@ import logging
 import re
 import unicodedata
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -131,9 +130,10 @@ class OccurrenceTable:
     Columns: the sorted surnames and country codes (tuples), and int64 arrays
     of surname id, country id and count, one row per distinct pair, sorted by
     (surname, country). Duplicate observations merge additively; afterwards
-    the table is read-only and safe for concurrent use. A country total of
-    2**53 or more raises `ValueError`: below it an int64 converts to a double
-    exactly, so a frequency divides as Python's int / int does.
+    the table is read-only and safe for concurrent use; the core filter and
+    the corpus writer read the columns. A country total of 2**53 or more
+    raises `ValueError`: below it an int64 converts to a double exactly, so a
+    frequency divides as Python's int / int does.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, str, int]]):
@@ -168,36 +168,14 @@ class OccurrenceTable:
         self._sid, self._cid = sid[order[first]], cid[order[first]]
         self._count = np.add.reduceat(counts[order], first)
         self._totals = totals.astype(np.int64)
-        self.country_totals = dict(zip(codes, self._totals.tolist()))
         self.n_surnames = len(names)
 
     def __len__(self) -> int:
         """Number of distinct (surname, country) pairs."""
         return len(self._count)
 
-    def count(self, surname: str, country: str) -> int:
-        return self.countries_of(surname).get(country, 0)
-
-    def frequency(self, surname: str, country: str) -> float:
-        """count(surname, country) / total occurrences of the country."""
-        total = self.country_totals.get(country, 0)
-        if total <= 0:
-            raise ValueError(f"country {country!r} has no recorded occurrences")
-        return self.count(surname, country) / total
-
     def surnames(self) -> list[str]:
         return list(self._surnames)
-
-    def countries(self) -> list[str]:
-        return list(self._countries)
-
-    def countries_of(self, surname: str) -> dict[str, int]:
-        i = bisect_left(self._surnames, surname)
-        if i == self.n_surnames or self._surnames[i] != surname:
-            return {}
-        lo, hi = np.searchsorted(self._sid, (i, i + 1))
-        cids, counts = self._cid[lo:hi].tolist(), self._count[lo:hi].tolist()
-        return {self._countries[c]: n for c, n in zip(cids, counts)}
 
 
 def ingest(

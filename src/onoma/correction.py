@@ -50,7 +50,7 @@ def render_confusion_csv(regions: Sequence[str], matrix: np.ndarray) -> str:
 
 
 def parse_confusion_csv(text: str, source: str = "<confusion>") -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a square count grid with matching row/column region labels."""
+    """Read a square grid of finite numbers with matching row/column region labels."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
     rows = [row for row in rows if not row[0].lstrip().startswith("#")]
     if not rows:
@@ -74,6 +74,8 @@ def parse_confusion_csv(text: str, source: str = "<confusion>") -> tuple[tuple[s
             matrix[i] = [float(cell) for cell in row[1:]]
         except ValueError:
             raise InputFormatError(f"{source}: row {i + 2}: non-numeric cell") from None
+        if not np.isfinite(matrix[i]).all():
+            raise InputFormatError(f"{source}: row {i + 2}: non-finite cell")
     if np.any(matrix < 0):
         raise InputFormatError(f"{source}: negative counts")
     return regions, matrix
@@ -111,9 +113,6 @@ class ConfusionCounts:
     @property
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
-
-    def column_shares(self) -> np.ndarray:
-        return self.column_sums / self.total
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ConfusionCounts":

@@ -13,9 +13,9 @@ names. `run` calls the whole chain and hands each result to a sink:
 `cli.run_pipeline`'s writes the artifacts, `synth.score_pipeline`'s keeps
 what its scorecard needs. The `calibrate` and `compare` commands call
 those two stages on a saved model. Nothing here reads a path, parses an
-argument, writes a file or imports `synth` or `cli`. `build_typology` and
-`fit` raise the library's `ValueError`s, which come from settings such as k
-or the train fraction, as `ConfigError`.
+argument, writes a file or imports `synth` or `cli`. `build_typology`,
+`fit`, `calibrate` and `run`'s evaluation raise the library's `ValueError`s
+(settings and data the method cannot use) as `ConfigError`.
 """
 
 from __future__ import annotations
@@ -208,7 +208,8 @@ def calibrate(
         priors = weights / weights.sum()
         confusion = reweight_priors(confusion, priors)
         provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
-    return correction_operator(confusion, provenance)
+    with _config_errors():  # a guessed region with no names
+        return correction_operator(confusion, provenance)
 
 
 def check_dataset_names(names: Sequence[str]) -> None:
@@ -265,7 +266,9 @@ def run(
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
     sink("core", core)
     n_records, n_surnames = len(table), table.n_surnames
-    del table  # the largest structure of the run; only its sizes are reported
+    # The run's largest structure; `featurize` reuses its heap. At 1M names
+    # `onoma pipeline` peaks at 327 MiB, or 392 MiB if its caller keeps the table.
+    del table
     # Every core name's n-grams, extracted once for the country matrix,
     # training and evaluation; row i is core name i.
     core_features = featurize(core.names, feature_config(config))
@@ -285,7 +288,9 @@ def run(
     )
 
     log.info("stage: evaluate")
-    report = evaluate(model, eval_set, core_features)
+    with _config_errors():  # too few names for the settings
+        report = evaluate(model, eval_set, core_features)
+        confusion = ConfusionCounts(report.regions, report.confusion.astype(float))
     sink("eval_set", (core.names, eval_set))
     n_core_names = len(core)
     # Released before the model is serialized, the run's peak of memory.
@@ -296,7 +301,6 @@ def run(
     log.info("stage: calibrate")
     # Each dataset is classified once; from here on only its tally is used.
     tallies = [(name, tally_guesses(model, surnames)) for name, surnames in datasets]
-    confusion = ConfusionCounts(report.regions, report.confusion.astype(float))
     priors = tallies[0][1][0] if tallies else None
     operator = calibrate(confusion, provenance or {}, priors)
     sink("operator", operator)

@@ -11,7 +11,6 @@ scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from bisect import bisect_right
@@ -27,7 +26,7 @@ from .corpus import CountryRegistry, OccurrenceTable
 from .errors import InputFormatError, InvariantError
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
-from .util import atomic_write, derive_seed, dumps
+from .util import atomic_write, derive_seed, dumps, parse_json
 
 __all__ = [
     "STOP",
@@ -260,10 +259,7 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str, source: str = "<spec>") -> "SynthSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{source}: not valid JSON: {exc}") from None
+        doc = parse_json(text, source)
         try:
             return cls(
                 seed=int(doc["seed"]),

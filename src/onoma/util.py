@@ -1,4 +1,4 @@
-"""Shared helpers: seed derivation, deterministic serialization, atomic writes.
+"""Shared helpers: seeds, JSON reading, deterministic serialization, atomic writes.
 
 Output files must be byte-identical across runs with the same inputs, so all
 floats are rendered with an explicit 17-significant-digit format (enough to
@@ -19,6 +19,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .errors import InputFormatError
+
 __all__ = [
     "derive_seed",
     "fmt_float",
@@ -26,6 +28,7 @@ __all__ = [
     "pick",
     "format_each",
     "tsv_lines",
+    "parse_json",
     "dumps",
     "atomic_write",
     "sha256_file",
@@ -89,6 +92,23 @@ def tsv_lines(*columns: Sequence[str]) -> str:
         "\n".join(map("\t".join, islice(rows, _TSV_BLOCK_ROWS))) + "\n"
         for _ in range(0, len(columns[0]), _TSV_BLOCK_ROWS)
     )
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def parse_json(text: str, source: Path | str) -> Any:
+    """The JSON document `text`, read from `source`. Not valid JSON, or a
+    non-finite number (`NaN`, `Infinity` and `-Infinity`, which `json.loads`
+    accepts, or one too large for a double), is an `InputFormatError`."""
+    try:
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except ValueError as exc:
+        raise InputFormatError(f"{source}: not valid JSON: {exc}") from None
 
 
 # `json.dumps(text, ensure_ascii=False)` without building an encoder per call.

@@ -10,6 +10,9 @@ into `featurize` and `classify_batch`. `RowSums` holds the true cumulative
 sums of a chain's distribution, by the formula the library's rows use before
 their last sum becomes `+inf`; `next_symbol` computes them from the chain's
 `start` and `transitions`, not from the rows the library draws from.
+`core_shares` and `shares` take a surname's counts and the country totals
+from `occurrences`, which sums them from the rows of the table's corpus TSV
+(`triples`), so they trust no total the table computed.
 
 `generate` and `generate_population` are the library's generators as they
 were when every character took its doubles from `rng.random()` one at a
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from onoma.classifier import Classification, TrainedModel
-from onoma.corpus import OccurrenceTable, normalize_surname
+from onoma.corpus import OccurrenceTable, normalize_surname, render_corpus_tsv
 from onoma.errors import InvariantError
 from onoma.features import FeatureMatrix, FeatureVector, NGramConfig
 from onoma.synth import STOP, MarkovChain, PopulationSpec, RegionGenerator, SynthSpec
@@ -53,23 +56,49 @@ def hhi(shares: Iterable[float]) -> float:
     return _sum_left(s * s for s in values)
 
 
+def triples(table: OccurrenceTable) -> list[tuple[str, str, int]]:
+    """Every (surname, country, count) of a table, as its corpus TSV lists them."""
+    lines = render_corpus_tsv(table).split("\n")[:-1]
+    return [(s, c, int(n)) for s, c, n in (line.split("\t") for line in lines)]
+
+
+def occurrences(table: OccurrenceTable) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    """Each surname's counts by country and each country's total, summed
+    here from the table's rows (`triples`), not read from the table."""
+    by_surname: dict[str, dict[str, int]] = {}
+    totals: dict[str, int] = {}
+    for s, c, n in triples(table):
+        by_surname.setdefault(s, {})[c] = n
+        totals[c] = totals.get(c, 0) + n
+    return by_surname, totals
+
+
 def core_shares(
     table: OccurrenceTable, surname: str, *, basis: str = "frequency"
 ) -> dict[str, float]:
-    """Per-country share vector for one surname, keyed by sorted country code.
-
-    Shares are computed over per-country normalized frequencies by default,
-    so heavily sampled countries do not dominate the concentration measure.
-    `basis="count"` switches to raw counts. Weights add left to right.
-    """
-    per_country = table.countries_of(surname)
-    if not per_country:
+    """Per-country share vector for one surname of `table`: `shares` of its
+    `occurrences`."""
+    by_surname, totals = occurrences(table)
+    if surname not in by_surname:
         raise ValueError(f"surname {surname!r} has no occurrences")
+    return shares(by_surname[surname], totals, basis=basis)
+
+
+def shares(
+    per_country: Mapping[str, int], totals: Mapping[str, int], *, basis: str = "frequency"
+) -> dict[str, float]:
+    """Per-country share vector for one surname's counts, keyed by sorted country code.
+
+    Shares are computed over per-country normalized frequencies (count /
+    country total, Python's int / int) by default, so heavily sampled
+    countries do not dominate the concentration measure. `basis="count"`
+    switches to raw counts. Weights add left to right.
+    """
     if basis not in ("frequency", "count"):
         raise ValueError(f"unknown share basis {basis!r}")
     countries = sorted(per_country)
     if basis == "frequency":
-        weights = [table.frequency(surname, c) for c in countries]
+        weights = [per_country[c] / totals[c] for c in countries]
     else:
         weights = [float(per_country[c]) for c in countries]
     total = _sum_left(weights)

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -466,12 +468,18 @@ def test_synth_score_warns_of_low_corrected_counts(tmp_path, capsys):
     assert "dataset heldout: corrected count below 5" in capsys.readouterr().err
 
 
-def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
+def _two_region_model(tmp_path):
+    """A model of regions A and B saved to `model.json`, and a population file."""
     names, labeled = Labeled.from_pairs([("abc", "A"), ("abd", "A"), ("xyz", "B"), ("xyw", "B")])
     model = tmp_path / "model.json"
     train(labeled, featurize(names), 0.1).save(model)
     population = tmp_path / "population.txt"
     population.write_text("abc\nxyz\n", encoding="utf-8")
+    return model, population
+
+
+def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
+    model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
     operator.write_text("guessed,A,B\nA,0.5,1\nB,0,1\n", encoding="utf-8")
     out = tmp_path / "dist.json"
@@ -485,6 +493,152 @@ def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsy
     err = capsys.readouterr().err
     assert f"input error: {confusion}: regions with zero actual names: B" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [("log_likelihoods", math.nan, "NaN"), ("alpha", math.nan, "NaN"),
+     ("alpha", math.inf, "Infinity"), ("log_priors", -math.inf, "-Infinity")],
+)
+def test_a_model_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsys, key, value,
+                                                                   shown):
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    if key == "alpha":
+        doc[key] = value
+    else:
+        first = doc[key][0] if key == "log_likelihoods" else doc[key]
+        first[0] = value
+    model.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN, Infinity
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {model}: not valid JSON: non-finite number {shown}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_operator_and_confusion_files_with_a_non_finite_cell_are_input_errors(tmp_path, capsys,
+                                                                               cell):
+    model, population = _two_region_model(tmp_path)
+    operator = tmp_path / "operator.csv"
+    operator.write_text(f"guessed,A,B\nA,1,0\nB,{cell},1\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    assert f"input error: {operator}: row 3: non-finite cell" in capsys.readouterr().err
+    assert not out.exists()
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text(f"guessed,A,B\nA,3,1\nB,{cell},2\n", encoding="utf-8")
+    out = tmp_path / "operator_out.csv"
+    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
+    assert f"input error: {confusion}: row 3: non-finite cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["start", "transition", "volume", "population weight"])
+def test_a_spec_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsys, where):
+    spec = synth.standard_spec(2, 2, 50, 0.2, seed=1,
+                               populations=(synth.PopulationSpec("p", 100, (1.0, 1.0)),))
+    doc = json.loads(spec.to_json())
+    chain = doc["regions"][0]["chain"]
+    if where == "start":
+        chain["start"]["b"] = math.nan
+    elif where == "transition":
+        chain["transitions"]["a"]["b"] = math.nan
+    elif where == "volume":
+        doc["countries"][0]["volume"] = math.nan
+    else:
+        doc["populations"][0]["region_weights"][0] = math.nan
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out, "--score"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: not valid JSON: non-finite number NaN" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("hhi_min", math.nan), ("alpha", math.inf)])
+def test_a_config_file_with_a_non_finite_number_is_an_input_error(tmp_path, synth_dir, capsys,
+                                                                  key, value):
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"), **{key: value})
+    assert run(["pipeline", "--config", config]) == 2
+    assert f"input error: {config}: not valid JSON: non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["--seed", "--k", "--alpha"])
+def test_pipeline_takes_its_settings_from_the_config_file_alone(tmp_path, capsys, option):
+    config = _config(tmp_path, corpus="corpus.tsv")
+    assert run(["pipeline", "--config", config, option, 3]) == 1
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _single_country_corpus(tmp_path, sizes):
+    """A corpus of `sizes[country]` names seen in that country alone, and a
+    config for it with k 3 and `min_core_names` 1."""
+    rng = random.Random(7)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(
+        f"{country.lower()}{''.join(rng.choices('abcdefghij', k=5))}\t{country}\t3\n"
+        for country, n in sizes.items() for _ in range(n)
+    ), encoding="utf-8")
+    return _config(tmp_path, corpus=str(corpus), k_regions=3, min_core_names=1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [({"US": 5, "FR": 5, "JP": 5}, "empty evaluation set"),
+     ({"US": 3, "FR": 40, "JP": 40}, "regions with zero actual names: US")],
+    ids=["no_evaluation_names", "region_without_evaluation_names"],
+)
+def test_too_few_core_names_to_evaluate_is_a_config_error(tmp_path, capsys, sizes, message):
+    config = _single_country_corpus(tmp_path, sizes)
+    assert run(["pipeline", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_a_confusion_row_with_no_guesses_is_a_config_error(tmp_path, capsys):
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("guessed,A,B\nA,0,0\nB,1,1\n", encoding="utf-8")
+    out = tmp_path / "operator.csv"
+    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 3
+    assert "config error: zero row sum for guessed region(s): A" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_score_reports_a_generated_marker_as_an_input_error(tmp_path, capsys):
+    """A spec whose chains emit the start marker: the scorer's n-gram pass
+    rejects a generated name, reported in the corpus file just written."""
+    spec = synth.standard_spec(2, 2, 50, 0.2, seed=1).to_json().replace('"a":', '"^":')
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out, "--min-core-names", 5,
+                "--score"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {out / 'corpus.tsv'}: surname " in err
+    assert "contains reserved marker '^'" in err
+    assert not (out / "scorecard.json").exists()
+
+
+def test_a_value_error_the_command_does_not_expect_is_an_internal_error(monkeypatch, capsys,
+                                                                         tmp_path):
+    def broken(spec):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(synth, "generate", broken)
+    assert run(["synth", "--regions", 2, "--countries-per-region", 2, "--names", 50,
+                "--overlap", 0.2, "--seed", 1, "--out-dir", tmp_path / "synth"]) == 4
+    assert "internal error: a bug" in capsys.readouterr().err
 
 
 def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):
@@ -507,8 +661,8 @@ def test_corpus_format_errors_name_the_file(tmp_path, capsys):
 
 
 def _fresh_onoma(env: dict[str, str]) -> list[str]:
-    """The `Threads:` count and OPENBLAS_NUM_THREADS after `import onoma` in a
-    new interpreter, with OPENBLAS_NUM_THREADS taken from `env` alone (this
+    """The `Threads:` count and OPENBLAS_NUM_THREADS after `import onoma`, then
+    numpy, in a new interpreter, with OPENBLAS_NUM_THREADS taken from `env` alone (this
     process's pool depends on what the test session imported first)."""
     env = {
         **{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
@@ -518,7 +672,7 @@ def _fresh_onoma(env: dict[str, str]) -> list[str]:
         ),
     }
     code = (
-        "import os, onoma\n"
+        "import os, onoma, numpy\n"
         "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')]\n"
         "print(threads[0], os.environ['OPENBLAS_NUM_THREADS'])\n"
     )

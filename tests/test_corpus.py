@@ -21,7 +21,7 @@ from onoma.corpus import (
     render_corpus_tsv,
 )
 from onoma.errors import InputFormatError
-from reference import core_shares, hhi
+from reference import core_shares, hhi, occurrences, shares, triples
 
 # One core name, as the reference loops below build them.
 CoreRow = namedtuple("CoreRow", "surname assigned_country hhi max_frequency")
@@ -43,12 +43,6 @@ def as_core_set(rows):
         np.array([n.hhi for n in rows], dtype=float),
         np.array([n.max_frequency for n in rows], dtype=float),
     )
-
-
-def triples(table):
-    """Every (surname, country, count) of a table, as its corpus TSV lists them."""
-    lines = render_corpus_tsv(table).split("\n")[:-1]
-    return [(s, c, int(n)) for s, c, n in (line.split("\t") for line in lines)]
 
 
 def brute_force_core(rows, hhi_min=0.8, freq_min=1e-6):
@@ -78,17 +72,19 @@ def brute_force_core(rows, hhi_min=0.8, freq_min=1e-6):
 
 
 def parent_filter_core_names(table, hhi_min=0.8, freq_min=1e-6, *, basis="frequency"):
-    """The per-surname loop over `core_shares`, `hhi` and `frequency` that
-    `filter_core_names` replaced, kept verbatim as its reference."""
+    """The per-surname loop over `shares` and `hhi` that `filter_core_names`
+    replaced, kept as its reference. Counts, country totals and frequencies
+    come from the table's rows (`occurrences`), as Python ints and int / int."""
     log = logging.getLogger("onoma.corpus")
     if len(table) == 0:
         raise ValueError("empty occurrence table")
+    by_surname, totals = occurrences(table)
     out: list[CoreRow] = []
-    for surname in table.surnames():
-        shares = core_shares(table, surname, basis=basis)
-        concentration = hhi(shares.values())
-        countries = sorted(shares)
-        freqs = {c: table.frequency(surname, c) for c in countries}
+    for surname in sorted(by_surname):
+        weights = shares(by_surname[surname], totals, basis=basis)
+        concentration = hhi(weights.values())
+        countries = sorted(weights)
+        freqs = {c: by_surname[surname][c] / totals[c] for c in countries}
         max_freq = max(freqs.values())
         if concentration < hhi_min or max_freq < freq_min:
             continue
@@ -102,10 +98,14 @@ def parent_filter_core_names(table, hhi_min=0.8, freq_min=1e-6, *, basis="freque
 # ---------------------------------------------------------------- ingest
 
 
+def country_totals(table):
+    return occurrences(table)[1]
+
+
 def test_ingest_single_record():
     table = ingest(["toriyama\tJP\t5\n"])
-    assert table.country_totals == {"JP": 5}
-    assert table.count("toriyama", "JP") == 5
+    assert country_totals(table) == {"JP": 5}
+    assert triples(table) == [("toriyama", "JP", 5)]
 
 
 def test_ingest_merges_duplicates():
@@ -117,7 +117,7 @@ def test_ingest_merges_duplicates():
 
 def test_ingest_country_totals():
     table = ingest(["li\tCN\t3\n", "li\tUS\t1\n", "smith\tUS\t9\n"])
-    assert table.country_totals == {"CN": 3, "US": 10}
+    assert country_totals(table) == {"CN": 3, "US": 10}
 
 
 def test_ingest_order_irrelevant():
@@ -125,7 +125,7 @@ def test_ingest_order_irrelevant():
     a = ingest(rows)
     b = ingest(list(reversed(rows)))
     assert triples(a) == triples(b)
-    assert a.country_totals == b.country_totals
+    assert country_totals(a) == country_totals(b)
 
 
 def test_ingest_malformed_row_carries_line_number():
@@ -141,19 +141,19 @@ def test_ingest_malformed_row_carries_line_number():
 
 def test_ingest_header_skip():
     table = ingest(["surname\tcountry\tcount\n", "li\tCN\t3\n"], header=True)
-    assert table.country_totals == {"CN": 3}
+    assert country_totals(table) == {"CN": 3}
 
 
 def test_ingest_unknown_country_modes():
     registry = CountryRegistry({"US": "United States"})
     lenient = ingest(["a\tUS\t1\n", "b\tZZ\t1\n"], registry)
-    assert lenient.country_totals == {"US": 1}
+    assert country_totals(lenient) == {"US": 1}
     with pytest.raises(InputFormatError, match="unknown country"):
         ingest(["a\tUS\t1\n", "b\tZZ\t1\n"], registry, strict=True)
 
 
 def test_table_reads_match_pair_reference():
-    """Every accessor against a dict-of-dicts built from the same rows."""
+    """The table's sizes, surnames and rows against dicts built from the same rows."""
     rng = random.Random(21)
     countries = ["US", "FR", "JP", "CN", "Ωx", "DE"]
     names = [f"n{i}" for i in range(30)] + ["a", "a b", "zoë", "ß", "\x00", "n1\x00"]
@@ -173,35 +173,29 @@ def test_table_reads_match_pair_reference():
         assert len(table) == len(pairs), trial
         assert table.n_surnames == len(by_surname)
         assert table.surnames() == sorted(by_surname)
-        assert table.countries() == sorted(totals)
-        assert table.country_totals == totals
         assert triples(table) == [
             (s, c, pairs[(s, c)]) for s, c in sorted(pairs)
         ]
-        for s in names + ["absent", "zzz"]:
-            assert table.countries_of(s) == by_surname.get(s, {})
-            for c in countries + ["ZZ"]:
-                assert table.count(s, c) == pairs.get((s, c), 0)
-                if c in totals:
-                    assert table.frequency(s, c) == pairs.get((s, c), 0) / totals[c]
-    view = table.countries_of(rows[0][0])
-    view["ZZ"] = 1  # a copy: the table does not change
-    assert table.count(rows[0][0], "ZZ") == 0
-    assert "ZZ" not in table.countries_of(rows[0][0])
+        assert occurrences(table) == (by_surname, totals)
+        surnames = table.surnames()
+        surnames.append("zzz")  # a copy: the table does not change
+        assert table.surnames() == sorted(by_surname)
 
 
 def test_empty_table_reads():
     table = OccurrenceTable([])
-    assert (len(table), table.n_surnames, table.surnames(), table.countries()) == (0, 0, [], [])
-    assert table.country_totals == {} and triples(table) == []
-    assert table.countries_of("a") == {} and table.count("a", "US") == 0
+    assert (len(table), table.n_surnames, table.surnames()) == (0, 0, [])
+    assert triples(table) == []
     assert len(ingest(["\n"])) == 0
+    with pytest.raises(ValueError, match="empty occurrence table"):
+        filter_core_names(table)
 
 
 def test_country_total_must_stay_below_2_pow_53():
     # Below the limit every frequency is Python's exact int / int.
     table = ingest([f"a\tUS\t{2**53 - 2}\n", "b\tUS\t1\n"])
-    assert table.frequency("b", "US") == 1 / (2**53 - 1)
+    core = filter_core_names(table, 0.0, 0.0)
+    assert core.max_frequency[core.names.index("b")] == 1 / (2**53 - 1)
     with pytest.raises(InputFormatError, match=r"line 2: country 'US' total reaches 2\*\*53"):
         ingest(["a\tFR\t1\n", f"b\tUS\t{2**53}\n"])
     with pytest.raises(InputFormatError, match=r"line 1: country 'US' total reaches 2\*\*53"):
@@ -257,15 +251,11 @@ def test_normalize_is_idempotent_on_every_bmp_letter():
 
 def test_frequency_cases():
     table = ingest(["sole\tJP\t5\n", "li\tCN\t3\n", "wang\tCN\t7\n"])
-    assert table.frequency("sole", "JP") == 1.0
-    assert table.frequency("absent", "CN") == 0.0
-    assert table.frequency("li", "CN") == pytest.approx(0.3)
-
-
-def test_frequency_zero_total_country_rejected():
-    table = ingest(["a\tUS\t1\n"])
-    with pytest.raises(ValueError, match="no recorded occurrences"):
-        table.frequency("a", "FR")
+    core = filter_core_names(table, 0.0, 0.0)
+    frequency = dict(zip(core.names, core.max_frequency.tolist()))
+    assert frequency["sole"] == 1.0
+    assert "absent" not in frequency
+    assert frequency["li"] == pytest.approx(0.3)
 
 
 def test_hhi_examples():
@@ -360,10 +350,12 @@ def test_filter_assigned_is_argmax_frequency():
         for c in rng.sample(["US", "FR", "JP", "CN", "DE"], rng.randint(1, 3)):
             rows.append((f"name{i}", c, rng.randint(1, 40)))
     table = OccurrenceTable(rows)
+    by_surname, totals = occurrences(table)
     for name in core_rows(filter_core_names(table, hhi_min=0.0, freq_min=0.0)):
-        best = table.frequency(name.surname, name.assigned_country)
-        for c in table.countries():
-            assert best >= table.frequency(name.surname, c)
+        counts = by_surname[name.surname]
+        best = counts[name.assigned_country] / totals[name.assigned_country]
+        for c in totals:
+            assert best >= counts.get(c, 0) / totals[c]
 
 
 def test_filter_matches_brute_force_oracle():
@@ -458,7 +450,7 @@ def test_filter_matches_reference_bitwise_over_many_countries():
             rows.append((f"s{i}", c, rng.randint(1, 10**rng.randint(1, 6))))
     rng.shuffle(rows)
     table = OccurrenceTable(rows)
-    assert sum(len(table.countries_of(s)) >= 9 for s in table.surnames()) > 100
+    assert sum(len(counts) >= 9 for counts in occurrences(table)[0].values()) > 100
     for basis in ("frequency", "count"):
         expected = parent_filter_core_names(table, 0.0, 0.0, basis=basis)
         assert len(expected) == 300
