@@ -153,12 +153,13 @@ class TrainedModel:
             raise ValueError("log_priors shape mismatch")
         if log_likelihoods.shape != (n_regions, n_tokens):
             raise ValueError("log_likelihoods shape mismatch")
-        if self.alpha <= 0:
+        # Written as what is accepted, so a NaN fails each check.
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if abs(_logsumexp(log_priors)) > 1e-9:
+        if not abs(_logsumexp(log_priors)) <= 1e-9:
             raise ValueError("priors do not sum to 1")
         for i in range(n_regions):
-            if abs(_logsumexp(log_likelihoods[i])) > 1e-9:
+            if not abs(_logsumexp(log_likelihoods[i])) <= 1e-9:
                 raise ValueError(f"likelihoods for {self.regions[i]} do not sum to 1")
         object.__setattr__(
             self, "vocab_index", {token: j for j, token in enumerate(self.vocabulary)}

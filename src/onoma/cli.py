@@ -5,9 +5,11 @@ follow the paper's two steps: `pipeline` builds the typology and the
 classifier, handing the whole chain, `stages.run`, a sink that writes each
 result as it comes; `calibrate`, `classify-population` and `compare` apply a
 saved model to population files. `synth` writes a synthetic corpus with its
-truth. Each setting is one `stages.PipelineConfig` field, which gives the
-config file (read by `read_config`, `pipeline`'s only source of settings)
-its JSON type and `synth`'s setting options their default and range check.
+truth, registry and populations, files `pipeline` reads like any others;
+that is the only way synthetic data reaches it. Each setting is one
+`stages.PipelineConfig` field, which gives the config file (read by
+`read_config`, `pipeline`'s only source of settings) its JSON type and
+`synth`'s setting options their default and range check.
 Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. A non-finite
@@ -197,52 +199,54 @@ def cmd_compare(args) -> int:
 
 
 def _spec_from_args(args) -> synth.SynthSpec:
+    """The `--spec` file, or else the standard spec the other options describe."""
+    options = {
+        "--regions": args.regions,
+        "--countries-per-region": args.countries_per_region,
+        "--names": args.names,
+        "--overlap": args.overlap,
+        "--seed": args.seed,
+        "--population-size": args.population_size,
+    }
     if args.spec:
+        given = [option for option, value in options.items() if value is not None]
+        if given:  # the spec file sets each of them
+            raise _UsageError(f"onoma synth: --spec cannot be combined with {', '.join(given)}")
         return synth.SynthSpec.load(args.spec)
-    for option, value in (
-        ("--regions", args.regions),
-        ("--countries-per-region", args.countries_per_region),
-        ("--names", args.names),
-        ("--overlap", args.overlap),
-        ("--seed", args.seed),
-    ):
+    size = options.pop("--population-size")
+    for option, value in options.items():
         if value is None:
             raise ConfigError(f"{option} is required when --spec is not given")
     try:
         spec = synth.standard_spec(
             args.regions, args.countries_per_region, args.names, args.overlap, args.seed
         )
-        return replace(spec, populations=(synth.default_population(spec, args.population_size),))
+        size = 2000 if size is None else size
+        return replace(spec, populations=(synth.default_population(spec, size),))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _write_synth(
     spec: synth.SynthSpec, out_dir: Path
-) -> tuple[dict[str, Path], OccurrenceTable, dict[str, str], list[tuple[list[str], dict]]]:
+) -> tuple[OccurrenceTable, dict[str, str], list[tuple[list[str], dict]]]:
     """Write the spec, its generated corpus, truth map and registry, and each
-    population's names and truth counts under `out_dir`. Returns the paths
-    by artifact name, the table, the truth map and the populations' names
-    and truth counts in the spec's order."""
+    population's names and truth counts under `out_dir`. Returns the table,
+    the truth map and the populations' names and truth counts in the spec's
+    order."""
     table, truth = synth.generate(spec)
-    paths = {
-        "spec": spec.save(out_dir / "spec.json"),
-        "corpus": atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table)),
-        "truth": atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth)),
-        "registry": atomic_write(out_dir / "countries.tsv", synth.registry_for(spec).to_tsv()),
-    }
+    spec.save(out_dir / "spec.json")
+    atomic_write(out_dir / "corpus.tsv", render_corpus_tsv(table))
+    atomic_write(out_dir / "truth.tsv", synth.render_truth_tsv(truth))
+    atomic_write(out_dir / "countries.tsv", synth.registry_for(spec).to_tsv())
     populations = []
     for population in spec.populations:
         names, counts = synth.generate_population(spec, population)
         populations.append((names, counts))
         stem = f"population_{population.name}"
-        paths[f"population:{population.name}"] = atomic_write(
-            out_dir / f"{stem}.txt", "\n".join(names) + "\n"
-        )
-        paths[f"population_truth:{population.name}"] = atomic_write(
-            out_dir / f"{stem}_truth.json", dumps({r: counts[r] for r in sorted(counts)})
-        )
-    return paths, table, truth, populations
+        atomic_write(out_dir / f"{stem}.txt", "\n".join(names) + "\n")
+        atomic_write(out_dir / f"{stem}_truth.json", dumps({r: counts[r] for r in sorted(counts)}))
+    return table, truth, populations
 
 
 def cmd_synth(args) -> int:
@@ -251,14 +255,14 @@ def cmd_synth(args) -> int:
         stages.check_dataset_names([spec.populations[0].name])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, table, truth, populations = _write_synth(spec, out_dir)
+    table, truth, populations = _write_synth(spec, out_dir)
     sizes = f"corpus: {len(table)} records, {len(truth)} distinct names"
     # Handed over, not kept here: the scorer's `run` lets the table go after
     # the core filter.
     handed = [(table, truth)]
     del table
     if args.score:
-        # Only a name the spec's chains generated can fail, as in `pipeline`.
+        # Only a name the spec's chains generated can fail.
         with _surnames_from(out_dir / "corpus.tsv"):
             card = synth.score_pipeline(
                 spec,
@@ -315,18 +319,20 @@ _JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path]
 
 def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineConfig:
     """The pipeline config in the JSON file `path`, with the `overrides` that are
-    not None; a key absent from both takes its field's default."""
+    not None; a key absent from both takes its field's default, but `seed`,
+    `out_dir` and `corpus` must be given."""
     doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(PipelineConfig)} - {"synth_spec"} | {"synth"}
-    unknown = sorted(key for key in doc if key not in known)
+    unknown = sorted(key for key in doc if key not in _FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
     merged = dict(doc)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     base = Path(path).parent
 
+    if merged.get("corpus") is None:  # optional in the library only, whose chain reads no file
+        raise ConfigError("missing config key: 'corpus'")
     values = {}
     for f in fields(PipelineConfig):
         if f.name not in merged:
@@ -337,42 +343,7 @@ def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineCo
         if not is_kind(merged[f.name]):
             raise ConfigError(f"{path}: {f.name} must be {kind}, got {merged[f.name]!r}")
         values[f.name] = to(merged[f.name], base)
-
-    synth_spec = None
-    synth_block = merged.get("synth")
-    if synth_block is not None:
-        if not isinstance(synth_block, dict):
-            raise ConfigError("synth block must be an object")
-        if "spec" in synth_block:
-            synth_spec = synth.SynthSpec.load(base / str(synth_block["spec"]))
-        elif "standard" in synth_block:
-            params = synth_block["standard"]
-            for key in ("n_regions", "countries_per_region", "names_per_country", "overlap"):
-                kind, is_kind, _ = _JSON_KINDS["float" if key == "overlap" else "int"]
-                value = params.get(key) if isinstance(params, dict) else None
-                if value is not None and not is_kind(value):
-                    key = f"synth.standard.{key}"
-                    raise ConfigError(f"{path}: {key} must be {kind}, got {value!r}")
-            try:
-                synth_spec = synth.standard_spec(
-                    params["n_regions"],
-                    params["countries_per_region"],
-                    params["names_per_country"],
-                    float(params["overlap"]),
-                    values["seed"],
-                    populations=tuple(
-                        synth.PopulationSpec.from_dict(p)
-                        for p in synth_block.get("populations", [])
-                    ),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"bad synth block: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad synth block: {exc}") from None
-        else:
-            raise ConfigError("synth block needs a 'spec' path or 'standard' parameters")
-
-    return PipelineConfig(synth_spec=synth_spec, **values)
+    return PipelineConfig(**values)
 
 
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
@@ -403,49 +374,31 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     The dataset names and every configured input, the corpus surnames
     included, are checked before `out_dir` is created; a `summary.json` an
     earlier run left there is removed at once. The reference dataset is
-    `config.reference`, or else the synth block's first population; the
-    targets are `config.targets`, then the other synth populations.
-    `stages.run` then runs the chain, and each of its results is written as
-    it comes.
+    `config.reference` and the targets are `config.targets`, each named
+    after its file's stem. `stages.run` then runs the chain, and each of its
+    results is written as it comes.
     """
-    out_dir, spec = config.out_dir, config.synth_spec
-    synth_names = [population.name for population in spec.populations] if spec is not None else []
+    out_dir = config.out_dir
     files = [path for path in (config.reference, *config.targets) if path is not None]
-    # Without a reference file, the first synth population is the reference.
-    lead = 0 if config.reference is not None else 1
-    datasets = synth_names[:lead] + [path.stem for path in files] + synth_names[lead:]
+    datasets = [path.stem for path in files]
     stages.check_dataset_names(datasets)
     ngrams = feature_config(config)
-    surnames = {
-        path.stem: _read_population(path, config.strip_diacritics, ngrams) for path in files
-    }
+    surnames = [_read_population(path, config.strip_diacritics, ngrams) for path in files]
     overrides = load_overrides(config.overrides) if config.overrides else ()
-    corpus_path = config.corpus
-    if corpus_path is not None:
-        log.info("stage: ingest (%s)", corpus_path)
-        registry = (CountryRegistry.default() if config.registry is None
-                    else CountryRegistry.from_tsv(config.registry))
-        table = read_corpus_tsv(corpus_path, registry, header=config.header,
-                                strict=config.strict, strip_diacritics=config.strip_diacritics)
-        with _surnames_from(corpus_path):
-            check_surnames(table.surnames(), ngrams)
+    log.info("stage: ingest (%s)", config.corpus)
+    registry = (CountryRegistry.default() if config.registry is None
+                else CountryRegistry.from_tsv(config.registry))
+    table = read_corpus_tsv(config.corpus, registry, header=config.header,
+                            strict=config.strict, strip_diacritics=config.strip_diacritics)
+    with _surnames_from(config.corpus):
+        check_surnames(table.surnames(), ngrams)
     out_dir.mkdir(parents=True, exist_ok=True)
     # Written last, so it exists only for a run that finished.
     (out_dir / "summary.json").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}
-    if spec is not None:
-        log.info("stage: synth")
-        # The generated table goes on as it is: the corpus file just written
-        # has no header row, and the reader options are for input files.
-        paths, table, truth, populations = _write_synth(spec, out_dir)
-        del truth  # written to truth.tsv; the run never reads it
-        artifacts.update(paths)
-        surnames.update(zip(synth_names, (names for names, _ in populations)))
-        corpus_path = artifacts["corpus"]
     priors_source = "evaluation column shares (no reference given)"
-    if datasets:
-        reference_file = config.reference or artifacts[f"population:{datasets[0]}"]
-        priors_source = f"reference:{reference_file.name}"
+    if config.reference is not None:
+        priors_source = f"reference:{config.reference.name}"
 
     def write(name: str, result: Any) -> None:
         for key, (source, file, render) in _ARTIFACTS.items():
@@ -457,10 +410,10 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                 "model_sha256": sha256_file(artifacts["model"]),
                 "operator": "operator.csv",
                 "reference": dists[0].dataset_name,
-                "config": {  # every setting but the paths and the synth block
+                "config": {  # every setting but the paths
                     f.name: getattr(config, f.name)
                     for f in fields(config)
-                    if "Path" not in f.type and f.name != "synth_spec"
+                    if "Path" not in f.type
                 },
             }))
         elif name == "summary":
@@ -468,14 +421,11 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
             artifacts["summary"] = atomic_write(out_dir / "summary.json", dumps(result))
 
     # Handed over, not kept here: `run` lets the table go after the core filter.
-    # Every name read from a file was checked above, so only a name of the
-    # synth block's corpus can fail.
     handed = [table]
     del table
     provenance = {"confusion": "confusion.csv", "priors_source": priors_source}
-    with _surnames_from(corpus_path):
-        stages.run(config, handed.pop(), [(name, surnames[name]) for name in datasets], write,
-                   overrides=overrides, provenance=provenance)
+    stages.run(config, handed.pop(), list(zip(datasets, surnames)), write,
+               overrides=overrides, provenance=provenance)
     return artifacts
 
 
@@ -560,7 +510,8 @@ def build_parser() -> _Parser:
     p.add_argument("--names", type=int, help="names per country")
     p.add_argument("--overlap", type=float, help="0 separable .. 1 indistinguishable")
     p.add_argument("--seed", type=int)
-    p.add_argument("--population-size", type=int, default=2000)
+    p.add_argument("--population-size", type=int,
+                   help="held-out population size (default 2000; without --spec)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--score", action="store_true", help="also run the scored pipeline")
     _add_setting(p, "min_core_names", help="fewest core names a clustered country has")

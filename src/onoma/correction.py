@@ -159,9 +159,10 @@ class CorrectionOperator:
         n = len(self.regions)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix shape {matrix.shape}, expected {(n, n)}")
-        if np.any(matrix < -1e-12) or np.any(matrix > 1 + 1e-12):
+        # Written as what is accepted, so a NaN fails each check.
+        if not (np.all(matrix >= -1e-12) and np.all(matrix <= 1 + 1e-12)):
             raise ValueError("operator entries must lie in [0, 1]")
-        if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
+        if not np.all(np.abs(matrix.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("operator rows must sum to 1")
 
     def to_csv(self) -> str:

@@ -21,10 +21,11 @@ argument, writes a file or imports `synth` or `cli`. `build_typology`,
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,9 +51,6 @@ from .typology import (
     relabel,
     ward_cluster,
 )
-
-if TYPE_CHECKING:
-    from .synth import SynthSpec
 
 log = logging.getLogger(__name__)
 
@@ -84,18 +82,19 @@ def feature_config(config: PipelineConfig) -> NGramConfig:
 @dataclass
 class PipelineConfig:
     """File-based configuration for the all-in-one pipeline command; each
-    field declares a setting's default, JSON kind (its annotation) and range."""
+    field declares a setting's default, JSON kind (its annotation) and range.
+    `run` reads no path: `corpus` may stay None for a caller that hands `run`
+    its table, as `synth.score_pipeline` does, but `cli.read_config` needs it."""
 
     seed: int
     out_dir: Path
     corpus: Path | None = None
-    synth_spec: SynthSpec | None = None
     registry: Path | None = None
     header: bool = False
     strict: bool = False
     strip_diacritics: bool = False
     hhi_min: float = _setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
-    freq_min: float = _setting(1e-6, ">= 0", lambda v: v >= 0)
+    freq_min: float = _setting(1e-6, ">= 0 and finite", lambda v: 0 <= v < math.inf)
     basis: str = _setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
     min_core_names: int = _setting(20, ">= 1", lambda v: v >= 1)
     min_df: int = _setting(1, ">= 1", lambda v: v >= 1)
@@ -103,7 +102,7 @@ class PipelineConfig:
     pad_boundaries: bool = True
     k_regions: int = _setting(7, ">= 1", lambda v: v >= 1)
     overrides: Path | None = None
-    alpha: float = _setting(0.1, "> 0", lambda v: v > 0)
+    alpha: float = _setting(0.1, "> 0 and finite", lambda v: 0 < v < math.inf)
     train_fraction: float = _setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
     reference: Path | None = None
     targets: tuple[Path, ...] = ()
@@ -114,13 +113,8 @@ class PipelineConfig:
         for f in fields(self):
             _check_setting(f, getattr(self, f.name))
         feature_config(self)
-        if self.corpus is None and self.synth_spec is None:
-            raise ConfigError("config needs either a corpus path or a synth block")
-        if self.corpus is not None and self.synth_spec is not None:
-            raise ConfigError("config cannot have both a corpus path and a synth block")
-        populations = self.synth_spec.populations if self.synth_spec is not None else ()
-        if self.targets and self.reference is None and not populations:
-            raise ConfigError("targets need a reference: a reference path or a synth population")
+        if self.targets and self.reference is None:
+            raise ConfigError("targets need a reference path")
 
 
 @contextmanager

@@ -614,8 +614,8 @@ def score_pipeline(
     `ConfigError`.
     """
     given = {"min_core_names": min_core_names, "alpha": alpha}
-    config = PipelineConfig(  # nothing is written to its out_dir
-        spec.seed, Path(), synth_spec=spec, k_regions=len(spec.generators),
+    config = PipelineConfig(  # no path is read or written: `run` gets the table
+        spec.seed, Path(), k_regions=len(spec.generators),
         **{k: v for k, v in given.items() if v is not None},
     )
     table, truth = generate(spec) if corpus is None else corpus

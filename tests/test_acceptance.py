@@ -25,9 +25,10 @@ from onoma.correction import (
 from onoma.diversity import OriginDistribution, canberra, representation_ratios
 from onoma.features import NGramConfig, featurize
 from onoma.resources import reference_confusion_path
-from onoma.synth import score_pipeline, standard_spec
+from onoma.synth import PopulationSpec, score_pipeline, standard_spec
 from onoma.typology import agglomerate
 import reference
+from test_cli import synth_files_config
 
 TABLE_PRECISION = (0.43, 0.52, 0.61, 0.81, 0.63, 0.78, 0.64)
 TABLE_RECALL = (0.61, 0.72, 0.77, 0.71, 0.72, 0.62, 0.84)
@@ -273,35 +274,14 @@ def test_criterion_7_diversity_identities():
 
 
 def _pipeline_config(tmp_path, out_name: str) -> PipelineConfig:
-    import json as _json
-
-    config_path = tmp_path / f"{out_name}.json"
-    config_path.write_text(
-        _json.dumps(
-            {
-                "seed": 808,
-                "out_dir": str(tmp_path / out_name),
-                "synth": {
-                    "standard": {
-                        "n_regions": 5,
-                        "countries_per_region": 3,
-                        "names_per_country": 200,
-                        "overlap": 0.3,
-                    },
-                    "populations": [
-                        {"name": "reference", "n_names": 800,
-                         "region_weights": [1, 2, 4, 8, 2]},
-                        {"name": "target", "n_names": 500,
-                         "region_weights": [8, 4, 2, 1, 2]},
-                    ],
-                },
-                "k_regions": 5,
-                "min_core_names": 10,
-            }
-        ),
-        encoding="utf-8",
+    d = tmp_path / out_name
+    d.mkdir()
+    spec = standard_spec(
+        5, 3, 200, 0.3, seed=808,
+        populations=(PopulationSpec("reference", 800, (1.0, 2.0, 4.0, 8.0, 2.0)),
+                     PopulationSpec("target", 500, (8.0, 4.0, 2.0, 1.0, 2.0))),
     )
-    return read_config(config_path, {})
+    return read_config(synth_files_config(d, spec, k_regions=5, min_core_names=10), {})
 
 
 def test_criterion_8_pipeline_determinism(tmp_path):
@@ -321,34 +301,13 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
 
 def test_criterion_9_scale_sanity(tmp_path):
-    import json as _json
-
-    config_path = tmp_path / "scale.json"
-    config_path.write_text(
-        _json.dumps(
-            {
-                "seed": 909,
-                "out_dir": str(tmp_path / "scale_out"),
-                "synth": {
-                    # 7 x 5 x 2858 = 100,030 generated names
-                    "standard": {
-                        "n_regions": 7,
-                        "countries_per_region": 5,
-                        "names_per_country": 2858,
-                        "overlap": 0.3,
-                    },
-                    "populations": [
-                        {"name": "reference", "n_names": 2000,
-                         "region_weights": [1, 2, 4, 8, 1, 2, 4]},
-                    ],
-                },
-                "k_regions": 7,
-            }
-        ),
-        encoding="utf-8",
-    )
     start = time.perf_counter()
-    artifacts = run_pipeline(read_config(config_path, {}))
+    # 7 x 5 x 2858 = 100,030 generated names
+    spec = standard_spec(
+        7, 5, 2858, 0.3, seed=909,
+        populations=(PopulationSpec("reference", 2000, (1.0, 2.0, 4.0, 8.0, 1.0, 2.0, 4.0)),),
+    )
+    artifacts = run_pipeline(read_config(synth_files_config(tmp_path, spec, k_regions=7), {}))
     elapsed = time.perf_counter() - start
     core_lines = artifacts["core"].read_text(encoding="utf-8").count("\n")
     assert core_lines > 50000  # the corpus really was large

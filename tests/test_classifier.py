@@ -1,5 +1,6 @@
 """Split, training, classification and evaluation."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -272,6 +273,16 @@ def test_model_invariants_hold():
     assert math.exp(np.logaddexp.reduce(model.log_priors)) == pytest.approx(1.0, abs=1e-9)
     for row in model.log_likelihoods:
         assert np.exp(row).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("field", ["alpha", "log_priors", "log_likelihoods"])
+def test_model_rejects_a_nan(field):
+    model = train_on(separable_training_set(), 0.1, BIGRAM)
+    value = math.nan if field == "alpha" else getattr(model, field).copy()
+    if field != "alpha":
+        value.flat[0] = math.nan
+    with pytest.raises(ValueError):
+        dataclasses.replace(model, **{field: value})
 
 
 # ---------------------------------------------------------------- classify

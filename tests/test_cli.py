@@ -34,6 +34,20 @@ def _config(tmp_path, **doc):
     return config
 
 
+def synth_files_config(tmp_path, spec, **settings):
+    """A pipeline config over the files `onoma synth --spec` writes for `spec`
+    to `tmp_path / "data"`: its corpus, its registry, its first population as
+    the reference and the others as targets. The config's seed is the
+    spec's, its out dir `tmp_path / "out"`; `settings` are further keys."""
+    spec.save(tmp_path / "spec.json")
+    data = tmp_path / "data"
+    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", data]) == 0
+    reference, *targets = (str(data / f"population_{p.name}.txt") for p in spec.populations)
+    return _config(tmp_path, seed=spec.seed, corpus=str(data / "corpus.tsv"),
+                   registry=str(data / "countries.tsv"), reference=reference, targets=targets,
+                   **settings)
+
+
 @pytest.fixture()
 def synth_dir(tmp_path):
     out = tmp_path / "synth"
@@ -95,22 +109,17 @@ def test_scorer_and_pipeline_agree_on_one_spec(tmp_path):
         populations=(synth.PopulationSpec("reference", 300, (1.0, 2.0, 4.0, 8.0)),),
     )
     card = synth.score_pipeline(spec, min_core_names=10)
-    spec.save(tmp_path / "spec.json")
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"seed": 1, "out_dir": str(tmp_path / "pipe"), "synth": {"spec": "spec.json"},
-                    "k_regions": 4, "min_core_names": 10}),
-        encoding="utf-8",
-    )
+    config = synth_files_config(tmp_path, spec, k_regions=4, min_core_names=10)
     assert run(["pipeline", "--config", config]) == 0
-    out = tmp_path / "pipe"
+    out = tmp_path / "out"
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert (card.n_core_names, card.n_eval) == (summary["n_core_names"], summary["n_eval"])
     assert sorted(card.region_map) == sorted(summary["regions"])
 
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    counts = report["datasets"]["reference"]["counts"]
-    truth = json.loads((out / "population_reference_truth.json").read_text(encoding="utf-8"))
+    counts = report["datasets"]["population_reference"]["counts"]
+    truth_file = tmp_path / "data" / "population_reference_truth.json"
+    truth = json.loads(truth_file.read_text(encoding="utf-8"))
     true_index = {r: i for i, r in enumerate(card.true_regions)}
     estimated = np.zeros(len(card.true_regions))
     for region, count in counts.items():  # in the model's region order
@@ -140,34 +149,19 @@ def test_scoring_does_not_import_the_command_line():
 
 
 def test_verbose_logs_stages(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "seed": 3,
-                "out_dir": str(tmp_path / "out"),
-                "synth": {
-                    "standard": {"n_regions": 3, "countries_per_region": 2,
-                                 "names_per_country": 100, "overlap": 0.25},
-                    "populations": [
-                        {"name": "reference", "n_names": 200, "region_weights": [1, 2, 4]},
-                    ],
-                },
-                "k_regions": 3,
-                "min_core_names": 5,
-            }
-        ),
-        encoding="utf-8",
+    spec = synth.standard_spec(
+        3, 2, 100, 0.25, seed=3,
+        populations=(synth.PopulationSpec("reference", 200, (1.0, 2.0, 4.0)),),
     )
+    config = synth_files_config(tmp_path, spec, k_regions=3, min_core_names=5)
+    capsys.readouterr()
     assert run(["pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
-    assert "stage: synth" not in err and "filter-core:" not in err
+    assert "stage: ingest" not in err and "filter-core:" not in err
     assert "country-matrix:" not in err
     assert run(["-v", "pipeline", "--config", config]) == 0
     err = capsys.readouterr().err
-    # The generated table goes on to the core filter; nothing is read back.
-    assert "stage: synth" in err and "stage: calibrate" in err
-    assert "stage: ingest" not in err
+    assert "stage: ingest" in err and "stage: calibrate" in err
     assert "surnames read" in err
     assert "country-matrix: 6 countries with core names" in err
     # The funnel counts go to the log only, never into an artifact.
@@ -177,37 +171,6 @@ def test_verbose_logs_stages(tmp_path, capsys):
         assert "countries with core names" not in text, path.name
 
 
-def test_synth_block_ignores_the_corpus_reader_options(tmp_path):
-    """`header` and the other reader options are for corpus files: a synth
-    block's generated records all reach the core filter either way."""
-    runs = {}
-    for header in (False, True):
-        out = tmp_path / f"header_{header}"
-        config = tmp_path / f"header_{header}.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "seed": 1,
-                    "out_dir": str(out),
-                    "header": header,
-                    "synth": {
-                        "standard": {"n_regions": 3, "countries_per_region": 3,
-                                     "names_per_country": 150, "overlap": 0.3},
-                    },
-                    "k_regions": 3,
-                    "min_core_names": 10,
-                }
-            ),
-            encoding="utf-8",
-        )
-        assert run(["pipeline", "--config", config]) == 0
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        runs[header] = summary["n_records"], (out / "core.tsv").read_bytes()
-    corpus = (tmp_path / "header_False" / "corpus.tsv").read_text(encoding="utf-8")
-    assert runs[True] == runs[False]
-    assert runs[False][0] == len(corpus.splitlines())
-
-
 def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path, monkeypatch):
     """Every artifact is byte-equal to a run through the reference core filter
     and JSON writer kept in the corpus and util tests."""
@@ -215,25 +178,12 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
     from test_corpus import as_core_set, parent_filter_core_names
     from test_util import parent_emit
 
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "seed": 11,
-                "synth": {
-                    "standard": {"n_regions": 3, "countries_per_region": 3,
-                                 "names_per_country": 120, "overlap": 0.4},
-                    "populations": [
-                        {"name": "reference", "n_names": 300, "region_weights": [1, 2, 4]},
-                        {"name": "target", "n_names": 200, "region_weights": [4, 2, 1]},
-                    ],
-                },
-                "k_regions": 3,
-                "min_core_names": 5,
-            }
-        ),
-        encoding="utf-8",
+    spec = synth.standard_spec(
+        3, 3, 120, 0.4, seed=11,
+        populations=(synth.PopulationSpec("reference", 300, (1.0, 2.0, 4.0)),
+                     synth.PopulationSpec("target", 200, (4.0, 2.0, 1.0))),
     )
+    config = synth_files_config(tmp_path, spec, k_regions=3, min_core_names=5)
     now, ref = tmp_path / "now", tmp_path / "ref"
     assert run(["pipeline", "--config", config, "--out-dir", now]) == 0
     calls = []
@@ -252,7 +202,7 @@ def test_pipeline_artifacts_equal_per_surname_and_per_element_reference(tmp_path
     assert names == sorted(p.name for p in ref.iterdir())
     for name in names:
         assert (now / name).read_bytes() == (ref / name).read_bytes(), name
-    corpus = (now / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+    corpus = (tmp_path / "data" / "corpus.tsv").read_text(encoding="utf-8").splitlines()
     summary = json.loads((now / "summary.json").read_text(encoding="utf-8"))
     assert summary["n_records"] == len(corpus)
     assert summary["n_surnames"] == len({line.split("\t")[0] for line in corpus})
@@ -298,21 +248,10 @@ def test_stage_commands_equal_pipeline(tmp_path):
         populations=(synth.PopulationSpec("reference", 400, (1.0, 2.0, 4.0)),
                      synth.PopulationSpec("target", 300, (4.0, 2.0, 1.0))),
     )
-    spec.save(tmp_path / "spec.json")
-    data = tmp_path / "data"
-    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", data]) == 0
-    corpus, registry = data / "corpus.tsv", data / "countries.tsv"
-    reference, target = data / "population_reference.txt", data / "population_target.txt"
-
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"seed": 5, "out_dir": str(tmp_path / "pipe"), "corpus": str(corpus),
-                    "registry": str(registry), "reference": str(reference),
-                    "targets": [str(target)], "k_regions": 3, "min_core_names": 5}),
-        encoding="utf-8",
-    )
+    config = synth_files_config(tmp_path, spec, k_regions=3, min_core_names=5)
     assert run(["pipeline", "--config", config]) == 0
-    pipe = tmp_path / "pipe"
+    data, pipe = tmp_path / "data", tmp_path / "out"
+    reference, target = data / "population_reference.txt", data / "population_target.txt"
 
     st = tmp_path / "stages"
     st.mkdir()
@@ -434,9 +373,10 @@ def test_stage_option_defaults_are_the_config_field_defaults(name):
 @pytest.mark.parametrize("score", [[], ["--score"]], ids=["plain", "score"])
 @pytest.mark.parametrize(
     "option, value, message",
-    [("--alpha", -1, "--alpha must be > 0, got -1.0"),
+    [("--alpha", -1, "--alpha must be > 0 and finite, got -1.0"),
+     ("--alpha", "inf", "--alpha must be > 0 and finite, got inf"),
      ("--min-core-names", 0, "--min-core-names must be >= 1, got 0")],
-    ids=["alpha", "min_core_names"],
+    ids=["alpha", "alpha-inf", "min_core_names"],
 )
 def test_synth_checks_its_settings_before_writing(tmp_path, capsys, score, option, value, message):
     out = tmp_path / "synth"
@@ -456,6 +396,20 @@ def test_synth_score_checks_the_population_name_before_writing(tmp_path, capsys)
     assert not out.exists()
     # Without --score the name is never a dataset's.
     assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--regions", 2), ("--countries-per-region", 2), ("--names", 50), ("--overlap", 0.2),
+     ("--seed", 1), ("--population-size", 100)],
+)
+def test_synth_spec_takes_no_option_the_spec_sets(tmp_path, capsys, option, value):
+    """A spec file sets what these options set; given with it, one is a usage error."""
+    synth.standard_spec(2, 2, 50, 0.2, seed=1).save(tmp_path / "spec.json")
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", tmp_path / "spec.json", option, value, "--out-dir", out]) == 1
+    assert f"onoma synth: --spec cannot be combined with {option}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_score_warns_of_low_corrected_counts(tmp_path, capsys):
@@ -692,48 +646,41 @@ def test_importing_onoma_keeps_the_callers_openblas_setting():
 
 
 def test_pipeline_from_config(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "seed": 42,
-                "out_dir": str(tmp_path / "out"),
-                "synth": {
-                    "standard": {
-                        "n_regions": 3,
-                        "countries_per_region": 2,
-                        "names_per_country": 150,
-                        "overlap": 0.25,
-                    },
-                    "populations": [
-                        {"name": "reference", "n_names": 500, "region_weights": [1, 2, 4]},
-                        {"name": "elite", "n_names": 300, "region_weights": [4, 2, 1]},
-                    ],
-                },
-                "k_regions": 3,
-                "min_core_names": 5,
-            }
-        ),
-        encoding="utf-8",
+    spec = synth.standard_spec(
+        3, 2, 150, 0.25, seed=42,
+        populations=(synth.PopulationSpec("reference", 500, (1.0, 2.0, 4.0)),
+                     synth.PopulationSpec("elite", 300, (4.0, 2.0, 1.0))),
     )
+    config = synth_files_config(tmp_path, spec, k_regions=3, min_core_names=5)
     assert run(["pipeline", "--config", config]) == 0
-    out = tmp_path / "out"
+    data, out = tmp_path / "data", tmp_path / "out"
     for name in (
-        "corpus.tsv", "core.tsv", "typology.tsv", "dendrogram.tsv", "labeled.tsv",
+        "core.tsv", "typology.tsv", "dendrogram.tsv", "labeled.tsv",
         "model.json", "eval.tsv", "eval_report.json", "confusion.csv", "operator.csv",
         "ratios.csv", "distributions.csv", "report.json", "summary.json",
     ):
         assert (out / name).exists(), name
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["seed"] == 42
-    # The synth block writes what `onoma synth` writes, truth counts included.
     for name in ("reference", "elite"):
-        truth = json.loads((out / f"population_{name}_truth.json").read_text(encoding="utf-8"))
+        truth = json.loads((data / f"population_{name}_truth.json").read_text(encoding="utf-8"))
         assert sum(truth.values()) == {"reference": 500, "elite": 300}[name]
-        assert summary["artifacts"][f"population_truth:{name}"] == f"population_{name}_truth.json"
     ratios = (out / "ratios.csv").read_text(encoding="utf-8").splitlines()
-    reference_row = next(line for line in ratios[1:] if line.startswith("reference,"))
+    reference_row = next(line for line in ratios[1:] if line.startswith("population_reference,"))
     assert set(reference_row.split(",")[1:]) == {"1"}
+
+    # The chain given the generated table and populations themselves, as a
+    # config's `synth` block once did, writes the same bytes as from files.
+    from onoma import stages
+    from onoma.cli import _ARTIFACTS
+
+    got = {}
+    populations = [(p.name, synth.generate_population(spec, p)[0]) for p in spec.populations]
+    stages.run(read_config(config, {}), synth.generate(spec)[0], populations, got.__setitem__,
+               provenance={"confusion": "confusion.csv",
+                           "priors_source": "reference:population_reference.txt"})
+    for source, file, render in _ARTIFACTS.values():
+        assert render(got[source]) == (out / file).read_text(encoding="utf-8"), file
 
 
 def test_pipeline_from_existing_corpus(tmp_path, synth_dir):
@@ -826,28 +773,20 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(
-    "block",
-    [
-        {"standard": 5},
-        {"standard": {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
-                      "overlap": 0.2},
-         "populations": [{"name": "reference", "region_weights": [1, 1, 1]}]},
-        {"standard": {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
-                      "overlap": 0.2},
-         "populations": ["reference"]},
-    ],
-    ids=["standard-not-an-object", "population-without-n_names", "population-not-an-object"],
-)
-def test_pipeline_malformed_synth_block_is_a_config_error(tmp_path, capsys, block):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"seed": 1, "out_dir": str(tmp_path / "o"), "synth": block}),
-        encoding="utf-8",
-    )
+def test_pipeline_config_has_no_synth_key(tmp_path, synth_dir, capsys):
+    """Synthetic inputs reach `pipeline` as the files `onoma synth` writes."""
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"),
+                     synth={"spec": str(synth_dir / "spec.json")})
     assert run(["pipeline", "--config", config]) == 3
-    assert "config error: bad synth block: " in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert "unknown config keys: synth" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corpus", [{}, {"corpus": None}], ids=["absent", "null"])
+def test_pipeline_config_needs_a_corpus(tmp_path, capsys, corpus):
+    assert run(["pipeline", "--config", _config(tmp_path, **corpus)]) == 3
+    assert "config error: missing config key: 'corpus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _pipeline_config(tmp_path, synth_dir, corpus, reference):
@@ -1018,27 +957,6 @@ def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, s
     assert run(["compare", "--model", model, "--operator", operator, "--reference", reference,
                 bad, "--out-dir", tmp_path / "cmp"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "key, value, kind",
-    [("n_regions", 3.7, "an integer"), ("overlap", True, "a number"),
-     ("names_per_country", "50", "an integer"), ("countries_per_region", False, "an integer")],
-)
-def test_pipeline_synth_standard_values_must_have_their_json_type(
-    tmp_path, capsys, key, value, kind
-):
-    standard = {"n_regions": 3, "countries_per_region": 2, "names_per_country": 50,
-                "overlap": 0.2, key: value}
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"seed": 1, "out_dir": str(tmp_path / "o"), "synth": {"standard": standard}}),
-        encoding="utf-8",
-    )
-    assert run(["pipeline", "--config", config]) == 3
-    err = capsys.readouterr().err
-    assert f"config error: {config}: synth.standard.{key} must be {kind}, got {value!r}" in err
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture()

@@ -183,6 +183,15 @@ def test_correct_counts_linear_and_mass_preserving():
         assert correct_counts(a, operator).sum() == pytest.approx(a.sum(), rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[np.nan, 1.0], [0.0, 1.0]], [[1.0, 0.0], [np.nan, np.nan]]],
+    ids=["entry", "row"],
+)
+def test_operator_rejects_a_nan(matrix):
+    with pytest.raises(ValueError, match="operator entries must lie in"):
+        CorrectionOperator(("A", "B"), matrix)
+
+
 def test_correct_counts_validation():
     operator = CorrectionOperator(("A", "B"), np.eye(2))
     with pytest.raises(ValueError, match="length"):
