@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
-from .util import atomic_write, derive_seed, dumps, intern, parse_json, pick, tsv_lines
+from .util import atomic_write, derive_seed, dumps, intern, parse_json, pick, read_text, tsv_lines
 
 __all__ = [
     "Labeled",
@@ -188,7 +188,7 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "TrainedModel":
-        doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
+        doc = parse_json(read_text(path), path)
         if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
             raise InputFormatError(f"{path}: unsupported model file version")
         try:

@@ -3,21 +3,25 @@
 The method lives in the library, its chain in `onoma.stages`. The commands
 follow the paper's two steps: `pipeline` builds the typology and the
 classifier, handing the whole chain, `stages.run`, a sink that writes each
-result as it comes; `calibrate`, `classify-population` and `compare` apply a
-saved model to population files. `synth` writes a synthetic corpus with its
-truth, registry and populations, files `pipeline` reads like any others;
-that is the only way synthetic data reaches it. Each setting is one
+result as it comes. `compare` applies a saved model and confusion to
+population files: it calls the chain's calibrate and compare stages on the
+reference's tally and writes the pipeline's operator and reports.
+`classify-population` applies a saved operator to one file; `calibrate` makes
+one from a confusion and explicit priors. `synth` writes a synthetic corpus
+with its truth, registry and populations, files `pipeline` reads like any
+others; that is the only way synthetic data reaches it. Each setting is one
 `stages.PipelineConfig` field, which gives the config file (read by
 `read_config`, `pipeline`'s only source of settings) its JSON type and
 `synth`'s setting options their default and range check.
 Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
-deterministic for a given (inputs, config, seed) triple. A non-finite
-number in an input file is an input error. Population files are read by
-`_read_population`, which rejects every name classifying would reject; a
-surname in another file that the n-gram pass rejects is reported as an input
-error in that file. Exit codes: 1 usage, 2 input format or io, 3 config
-validation (a `ConfigError`), 4 internal error (any other `ValueError` too).
+deterministic for a given (inputs, config, seed) triple. An input file that
+is not UTF-8, or holds a non-finite number, is an input error. Population
+files are read by `_read_population`, which rejects every name classifying
+would reject; a surname in another file that the n-gram pass rejects is
+reported as an input error in that file. Exit codes: 1 usage, 2 input
+format or io, 3 config validation (a `ConfigError`), 4 internal error (any
+other `ValueError` too).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
 from .features import NGramConfig, check_surnames
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
-from .util import atomic_write, dumps, parse_json, sha256_file
+from .util import atomic_write, dumps, parse_json, read_text, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +85,7 @@ def _read_population(path: Path | str, strip_diacritics: bool, ngrams: NGramConf
     The file must hold a surname, and no name may be empty after
     `normalize_surname` or hold one of the boundary markers of `ngrams`.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     names = [name for line in lines if (name := line.strip())]
     if not names:
         raise InputFormatError(f"{path}: no surnames")
@@ -130,39 +134,20 @@ def _parse_priors(text: str, n: int) -> np.ndarray:
 
 
 def cmd_calibrate(args) -> int:
-    if args.priors and (args.reference or args.model):
-        raise ConfigError("--priors cannot be combined with --reference or --model")
     counts = ConfusionCounts.from_csv(args.confusion)
-    provenance: dict[str, object] = {"confusion": Path(args.confusion).name}
-    if args.priors:
-        priors = _parse_priors(args.priors, len(counts.regions))
-        provenance["priors_source"] = "explicit"
-    elif args.reference and args.model:
-        model = TrainedModel.load(args.model)
-        if model.regions != counts.regions:
-            raise ConfigError("model regions do not match the confusion matrix")
-        names = _read_population(args.reference, model.strip_diacritics, model.feature_config)
-        priors = diversity.tally_guesses(model, names)[0]
-        provenance["priors_source"] = f"reference:{Path(args.reference).name}"
-    else:
-        raise ConfigError("need either --priors or both --reference and --model")
+    priors = _parse_priors(args.priors, len(counts.regions))
+    provenance = {"confusion": Path(args.confusion).name, "priors_source": "explicit"}
     operator = stages.calibrate(counts, provenance, priors)
     atomic_write(args.out, operator.to_csv())
     print(f"operator over {len(operator.regions)} regions -> {args.out}", file=sys.stderr)
     return 0
 
 
-def _model_and_operator(args) -> tuple[TrainedModel, CorrectionOperator]:
-    """The `--model` and `--operator` files, once their region labels agree."""
+def cmd_classify_population(args) -> int:
     model = TrainedModel.load(args.model)
     operator = CorrectionOperator.from_csv(args.operator)
     if operator.regions != model.regions:
         raise ConfigError("operator and model disagree on regions")
-    return model, operator
-
-
-def cmd_classify_population(args) -> int:
-    model, operator = _model_and_operator(args)
     names = _read_population(args.input, model.strip_diacritics, model.feature_config)
     tally = diversity.tally_guesses(model, names)
     dist = diversity.distribution(tally, operator, args.name or Path(args.input).stem)
@@ -179,20 +164,25 @@ def cmd_classify_population(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    model, operator = _model_and_operator(args)
+    files = [Path(path) for path in (args.reference, *args.targets)]
+    stages.check_dataset_names([path.stem for path in files])
+    model = TrainedModel.load(args.model)
+    counts = ConfusionCounts.from_csv(args.confusion)
+    if counts.regions != model.regions:
+        raise ConfigError("model regions do not match the confusion matrix")
     strip, ngrams = model.strip_diacritics, model.feature_config
-    datasets = [
-        (Path(path).stem, _read_population(path, strip, ngrams))
-        for path in (args.reference, *args.targets)
-    ]
+    datasets = [(path.stem, _read_population(path, strip, ngrams)) for path in files]
     tallies = [(name, diversity.tally_guesses(model, names)) for name, names in datasets]
+    provenance = {"confusion": Path(args.confusion).name,
+                  "priors_source": f"reference:{files[0].name}"}
+    operator = stages.calibrate(counts, provenance, tallies[0][1][0])
     dists, profiles = stages.compare(tallies, operator)
-    provenance = {
+    paths = diversity.emit_report(profiles, dists, args.out_dir, provenance={
         "model_sha256": sha256_file(args.model),
-        "operator": Path(args.operator).name,
+        "operator": "operator.csv",
         "reference": dists[0].dataset_name,
-    }
-    paths = diversity.emit_report(profiles, dists, args.out_dir, provenance)
+    })
+    paths["operator"] = atomic_write(Path(args.out_dir) / "operator.csv", operator.to_csv())
     for key in sorted(paths):
         print(f"{key}: {paths[key]}", file=sys.stderr)
     return 0
@@ -251,8 +241,6 @@ def _write_synth(
 
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
-    if args.score and spec.populations:  # the scored population is compared by name
-        stages.check_dataset_names([spec.populations[0].name])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table, truth, populations = _write_synth(spec, out_dir)
@@ -321,7 +309,7 @@ def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineCo
     """The pipeline config in the JSON file `path`, with the `overrides` that are
     not None; a key absent from both takes its field's default, but `seed`,
     `out_dir` and `corpus` must be given."""
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
+    doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
     unknown = sorted(key for key in doc if key not in _FIELDS)
@@ -478,12 +466,8 @@ def build_parser() -> _Parser:
         "calibrate", help="reweight confusion priors and emit the correction operator"
     )
     p.add_argument("--confusion", required=True, help="confusion CSV")
-    p.add_argument("--model", help="model JSON (with --reference)")
-    p.add_argument("--reference", help="reference population, one surname per line")
-    p.add_argument(
-        "--priors",
-        help="explicit comma-separated priors (normalized); not with --reference or --model",
-    )
+    p.add_argument("--priors", required=True,
+                   help="explicit comma-separated priors, one per region (normalized)")
     p.add_argument("--out", required=True, help="operator CSV path")
     p.set_defaults(func=cmd_calibrate)
 
@@ -499,7 +483,8 @@ def build_parser() -> _Parser:
     p.add_argument("targets", nargs="+", help="target population files")
     p.add_argument("--reference", required=True, help="reference population file")
     p.add_argument("--model", required=True)
-    p.add_argument("--operator", required=True)
+    p.add_argument("--confusion", required=True,
+                   help="the pipeline's confusion CSV, reweighted to the reference's guesses")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compare)
 

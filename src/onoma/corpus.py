@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .resources import countries_path
-from .util import format_each, intern, pick, tsv_lines
+from .util import format_each, intern, pick, read_text, tsv_lines
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,7 @@ class CountryRegistry:
     @classmethod
     def from_tsv(cls, path: Path | str) -> "CountryRegistry":
         names: dict[str, str] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -324,6 +324,8 @@ def read_corpus_tsv(
             )
         except InputFormatError as exc:
             raise InputFormatError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:  # its position is within a buffered block, not the file
+            raise InputFormatError(f"{path}: not valid UTF-8") from None
     if len(table) == 0:
         raise InputFormatError(f"{path}: no records")
     return table

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InputFormatError
-from .util import fmt_float
+from .util import fmt_float, read_text
 
 __all__ = [
     "ConfusionCounts",
@@ -116,9 +116,7 @@ class ConfusionCounts:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ConfusionCounts":
-        regions, matrix = parse_confusion_csv(
-            Path(path).read_text(encoding="utf-8"), source=str(path)
-        )
+        regions, matrix = parse_confusion_csv(read_text(path), source=str(path))
         try:
             return cls(regions, matrix)
         except ValueError as exc:
@@ -176,7 +174,7 @@ class CorrectionOperator:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "CorrectionOperator":
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         provenance: dict[str, object] = {}
         for line in text.splitlines():
             if line.startswith("#") and ":" in line:

@@ -26,7 +26,7 @@ from .corpus import CountryRegistry, OccurrenceTable
 from .errors import InputFormatError, InvariantError
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
-from .util import atomic_write, derive_seed, dumps, parse_json
+from .util import atomic_write, derive_seed, dumps, parse_json, read_text
 
 __all__ = [
     "STOP",
@@ -206,9 +206,14 @@ class SynthSpec:
         for c in self.countries:
             if c.region not in known:
                 raise ValueError(f"country {c.code} references unknown region {c.region!r}")
+        if len({p.name for p in self.populations}) != len(self.populations):
+            raise ValueError("population names must be unique")
         for p in self.populations:
             if len(p.region_weights) != len(self.generators):
                 raise ValueError(f"population {p.name}: weight count mismatch")
+            # Each name is a file name's part and a dataset name in the report's CSV files.
+            if any(c in p.name for c in "/,\r\n"):
+                raise ValueError(f"population name {p.name!r} holds '/', a comma or a line break")
 
     @property
     def region_labels(self) -> tuple[str, ...]:
@@ -292,7 +297,7 @@ class SynthSpec:
 
     @classmethod
     def load(cls, path: Path | str) -> "SynthSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"), source=str(path))
+        return cls.from_json(read_text(path), source=str(path))
 
 
 def _letter_blocks(n_regions: int, alphabet: str) -> list[str]:

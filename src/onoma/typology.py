@@ -23,7 +23,7 @@ from .classifier import Labeled
 from .corpus import CoreSet
 from .errors import InputFormatError, InvariantError
 from .features import FeatureMatrix
-from .util import fmt_float
+from .util import fmt_float, read_text
 
 log = logging.getLogger(__name__)
 
@@ -481,7 +481,7 @@ class Override:
 def load_overrides(path: Path | str) -> tuple[Override, ...]:
     """Parse REASSIGN<TAB>country<TAB>region / DELETE<TAB>country rows."""
     out: list[Override] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.rstrip("\r\n").split("\t")

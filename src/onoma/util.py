@@ -28,6 +28,7 @@ __all__ = [
     "pick",
     "format_each",
     "tsv_lines",
+    "read_text",
     "parse_json",
     "dumps",
     "atomic_write",
@@ -99,6 +100,14 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
     return value
+
+
+def read_text(path: Path | str) -> str:
+    """The text of the UTF-8 file `path`; other bytes are an `InputFormatError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def parse_json(text: str, source: Path | str) -> Any:

@@ -215,13 +215,17 @@ def test_stage_chain(tmp_path, synth_dir, piped):
     doc = json.loads((piped / "eval_report.json").read_text(encoding="utf-8"))
     assert doc["n_eval"] > 0
 
-    model = piped / "model.json"
-    operator = tmp_path / "operator.csv"
+    model, confusion = piped / "model.json", piped / "confusion.csv"
     reference = synth_dir / "population_heldout.txt"
+    target = tmp_path / "target.txt"
+    target.write_text("\n".join(reference.read_text(encoding="utf-8").splitlines()[:200]) + "\n",
+                      encoding="utf-8")
+    compare_dir = tmp_path / "cmp"
     assert run(
-        ["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
-         "--reference", reference, "--out", operator]
+        ["compare", "--model", model, "--confusion", confusion,
+         "--reference", reference, target, "--out-dir", compare_dir]
     ) == 0
+    operator = compare_dir / "operator.csv"
 
     dist = tmp_path / "dist.json"
     assert run(
@@ -233,16 +237,16 @@ def test_stage_chain(tmp_path, synth_dir, piped):
     assert sum(dist_doc["proportions"].values()) == pytest.approx(1.0, abs=1e-9)
 
     # Passing the reference file as a target too collides on dataset names.
-    compare_dir = tmp_path / "cmp"
     assert run(
-        ["compare", "--model", model, "--operator", operator,
-         "--reference", reference, str(reference), "--out-dir", compare_dir]
+        ["compare", "--model", model, "--confusion", confusion,
+         "--reference", reference, str(reference), "--out-dir", tmp_path / "again"]
     ) == 3
+    assert not (tmp_path / "again").exists()
 
 
 def test_stage_commands_equal_pipeline(tmp_path):
-    """On the pipeline's confusion matrix and model, `calibrate` and `compare`
-    write the pipeline's operator and reports."""
+    """On the pipeline's confusion matrix and model, `compare` writes the
+    pipeline's operator and reports."""
     spec = synth.standard_spec(
         3, 3, 150, 0.3, seed=5,
         populations=(synth.PopulationSpec("reference", 400, (1.0, 2.0, 4.0)),
@@ -254,10 +258,7 @@ def test_stage_commands_equal_pipeline(tmp_path):
     reference, target = data / "population_reference.txt", data / "population_target.txt"
 
     st = tmp_path / "stages"
-    st.mkdir()
-    assert run(["calibrate", "--confusion", pipe / "confusion.csv", "--model", pipe / "model.json",
-                "--reference", reference, "--out", st / "operator.csv"]) == 0
-    assert run(["compare", "--model", pipe / "model.json", "--operator", st / "operator.csv",
+    assert run(["compare", "--model", pipe / "model.json", "--confusion", pipe / "confusion.csv",
                 "--reference", reference, target, "--out-dir", st]) == 0
 
     shared = sorted({p.name for p in st.iterdir()} & {p.name for p in pipe.iterdir()})
@@ -308,16 +309,23 @@ def test_calibrate_rejects_priors_that_are_not_finite(tmp_path, capsys, priors):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("given", [["--reference"], ["--model"], ["--reference", "--model"]])
-def test_calibrate_rejects_priors_with_a_reference_or_model(tmp_path, capsys, given):
-    # Two sources of priors fail before any file is read, so these need not exist.
+def test_calibrate_takes_no_reference_and_compare_no_operator(tmp_path, synth_dir, piped,
+                                                              capsys):
+    """`compare` calibrates on its own reference, so neither route of the
+    two-step read path remains: each is a usage error that writes nothing."""
+    reference = synth_dir / "population_heldout.txt"
     out = tmp_path / "operator.csv"
-    sources = [arg for option in given for arg in (option, tmp_path / f"{option[2:]}.txt")]
-    assert run(["calibrate", "--confusion", reference_confusion_path(),
-                "--priors", "1,1,1,1,1,1,1", *sources, "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert "config error: --priors cannot be combined with --reference or --model" in err
-    assert not out.exists()
+    for priors, message in (([], "required: --priors"),
+                            (["--priors", "1,1,1"], "unrecognized arguments: --reference")):
+        assert run(["calibrate", "--confusion", piped / "confusion.csv", *priors,
+                    "--reference", reference, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["compare", "--model", piped / "model.json", "--operator", piped / "operator.csv",
+                "--reference", reference, tmp_path / "target.txt",
+                "--out-dir", tmp_path / "cmp"]) == 1
+    assert "--confusion" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir, piped):
@@ -326,7 +334,7 @@ def test_compare_identical_files_gives_flat_profile(tmp_path, synth_dir, piped):
     target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
     compare_dir = tmp_path / "cmp"
     assert run(
-        ["compare", "--model", piped / "model.json", "--operator", piped / "operator.csv",
+        ["compare", "--model", piped / "model.json", "--confusion", piped / "confusion.csv",
          "--reference", reference, target, "--out-dir", compare_dir]
     ) == 0
     doc = json.loads((compare_dir / "report.json").read_text(encoding="utf-8"))
@@ -386,16 +394,44 @@ def test_synth_checks_its_settings_before_writing(tmp_path, capsys, score, optio
     assert not out.exists()
 
 
-def test_synth_score_checks_the_population_name_before_writing(tmp_path, capsys):
+def _spec_file(tmp_path, *names):
+    """A 2x2x50 spec file with a population of 50 names for each of `names`,
+    which the spec's own checks do not see."""
     spec = synth.standard_spec(2, 2, 50, 0.2, seed=1,
-                               populations=(synth.PopulationSpec("a,b", 100, (1.0, 1.0)),))
-    spec.save(tmp_path / "spec.json")
+                               populations=(synth.PopulationSpec("p", 50, (1.0, 1.0)),))
+    doc = json.loads(spec.to_json())
+    doc["populations"] = [{**doc["populations"][0], "name": name} for name in names]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_synth_score_checks_the_population_name_before_writing(tmp_path, capsys):
+    """A population name is a dataset name, so it must fit one field of the
+    report's CSV files; the spec is malformed otherwise, with --score or not."""
+    spec = _spec_file(tmp_path, "a,b")
     out = tmp_path / "synth"
-    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", out, "--score"]) == 3
-    assert "config error: dataset name 'a,b' holds a comma" in capsys.readouterr().err
+    for score in (["--score"], []):
+        assert run(["synth", "--spec", spec, "--out-dir", out, *score]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {spec}: malformed spec: population name 'a,b' holds" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(("x", "x"), "population names must be unique"),
+     (("x", "a/b"), "population name 'a/b' holds '/', a comma or a line break")],
+    ids=["repeated", "slash"],
+)
+def test_synth_spec_rejects_a_population_name_it_cannot_write(tmp_path, capsys, names, message):
+    """Each population is written to `population_<name>.txt`: a second one of
+    the same name would overwrite the first, and a '/' names another directory."""
+    spec = _spec_file(tmp_path, *names)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", spec, "--out-dir", out]) == 2
+    assert f"input error: {spec}: malformed spec: {message}" in capsys.readouterr().err
     assert not out.exists()
-    # Without --score the name is never a dataset's.
-    assert run(["synth", "--spec", tmp_path / "spec.json", "--out-dir", out]) == 0
 
 
 @pytest.mark.parametrize(
@@ -471,6 +507,42 @@ def test_a_model_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsy
                 "--input", population, "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"input error: {model}: not valid JSON: non-finite number {shown}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["model", "population", "operator", "confusion", "spec", "config", "corpus", "registry",
+     "overrides"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, synth_dir, capsys, reader):
+    """Every file reader reports bytes that are not UTF-8 as an input error in
+    that file, and nothing is written."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"abc\n\xff\n")
+    model, population = _two_region_model(tmp_path)
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
+    files = {"model": model, "population": population, "operator": operator, reader: bad}
+    out = tmp_path / "out"
+    if reader in ("model", "population", "operator"):
+        argv = ["classify-population", "--model", files["model"], "--operator",
+                files["operator"], "--input", files["population"], "--out", out]
+    elif reader == "confusion":
+        argv = ["calibrate", "--confusion", bad, "--priors", "1,1", "--out", out]
+    elif reader == "spec":
+        argv = ["synth", "--spec", bad, "--out-dir", out]
+    else:  # the pipeline's config writes to `out`
+        config = _pipeline_config(tmp_path, synth_dir, synth_dir / "corpus.tsv",
+                                  synth_dir / "population_heldout.txt")
+        if reader != "config":
+            doc = json.loads(config.read_text(encoding="utf-8"))
+            config.write_text(json.dumps({**doc, reader: str(bad)}), encoding="utf-8")
+        argv = ["pipeline", "--config", bad if reader == "config" else config]
+    assert run(argv) == 2
+    # The corpus is read a block at a time; every other file at once.
+    where = "" if reader == "corpus" else " at byte 4"
+    assert f"input error: {bad}: not valid UTF-8{where}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -908,7 +980,7 @@ def test_pipeline_targets_need_a_reference(tmp_path, synth_dir, capsys):
 
 def test_dataset_names_are_checked_before_writing(tmp_path, synth_dir, capsys):
     """Names must differ and fit in a CSV field; `pipeline` checks them before
-    it creates its out dir, `compare` before it writes its report."""
+    it creates its out dir, `compare` before it reads a file."""
     text = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8")
     files = [tmp_path / "a" / "reference.txt", tmp_path / "b" / "reference.txt"]
     files.append(tmp_path / "tar,get.txt")
@@ -928,10 +1000,15 @@ def test_dataset_names_are_checked_before_writing(tmp_path, synth_dir, capsys):
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["pipeline", "--config", config]) == 0
     out = tmp_path / "out"
-    assert run(["compare", "--model", out / "model.json", "--operator", out / "operator.csv",
+    assert run(["compare", "--model", out / "model.json", "--confusion", out / "confusion.csv",
                 "--reference", files[0], files[2], "--out-dir", tmp_path / "cmp"]) == 3
     err = capsys.readouterr().err
     assert "config error: dataset name 'tar,get' holds a comma or a line break" in err
+    assert not (tmp_path / "cmp").exists()
+    missing = tmp_path / "missing"
+    assert run(["compare", "--model", missing, "--confusion", missing,
+                "--reference", files[0], files[1], "--out-dir", tmp_path / "cmp"]) == 3
+    assert "config error: duplicate dataset name 'reference'" in capsys.readouterr().err
     assert not (tmp_path / "cmp").exists()
 
 
@@ -943,20 +1020,25 @@ def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, s
     bad = tmp_path / "bad.txt"
     bad.write_text(reference.read_text(encoding="utf-8") + "o$brien\n", encoding="utf-8")
     capsys.readouterr()
-    operator = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
-                "--reference", bad, "--out", operator]) == 2
+    confusion = piped / "confusion.csv"
+    target = tmp_path / "target.txt"
+    target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["compare", "--model", model, "--confusion", confusion, "--reference", bad,
+                target, "--out-dir", tmp_path / "cmp"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
-    assert run(["calibrate", "--confusion", piped / "confusion.csv", "--model", model,
-                "--reference", reference, "--out", operator]) == 0
+    assert not (tmp_path / "cmp").exists()
+    assert run(["compare", "--model", model, "--confusion", confusion, "--reference", reference,
+                target, "--out-dir", tmp_path / "cmp"]) == 0
+    operator = tmp_path / "cmp" / "operator.csv"
     dist = tmp_path / "dist.json"
     assert run(["classify-population", "--model", model, "--operator", operator,
                 "--input", bad, "--out", dist]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
     assert not dist.exists()
-    assert run(["compare", "--model", model, "--operator", operator, "--reference", reference,
-                bad, "--out-dir", tmp_path / "cmp"]) == 2
+    assert run(["compare", "--model", model, "--confusion", confusion, "--reference", reference,
+                bad, "--out-dir", tmp_path / "cmp2"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
+    assert not (tmp_path / "cmp2").exists()
 
 
 @pytest.fixture()
@@ -970,8 +1052,8 @@ def piped(tmp_path, synth_dir):
 
 def test_population_commands_reject_an_operator_of_other_regions(tmp_path, synth_dir, piped,
                                                                   capsys):
-    """An operator whose region labels are not the model's is a config error,
-    and nothing is written."""
+    """An operator, or for `compare` a confusion, whose region labels are not
+    the model's is a config error, and nothing is written."""
     operator = tmp_path / "paper_operator.csv"
     assert run(["calibrate", "--confusion", reference_confusion_path(),
                 "--priors", "1,1,1,1,1,1,1", "--out", operator]) == 0
@@ -984,34 +1066,45 @@ def test_population_commands_reject_an_operator_of_other_regions(tmp_path, synth
     assert not dist.exists()
     target = tmp_path / "target.txt"
     target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
-    assert run(["compare", "--model", piped / "model.json", "--operator", operator,
+    assert run(["compare", "--model", piped / "model.json",
+                "--confusion", reference_confusion_path(),
                 "--reference", reference, target, "--out-dir", tmp_path / "cmp"]) == 3
-    assert "config error: operator and model disagree on regions" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: model regions do not match the confusion matrix" in err
     assert not (tmp_path / "cmp").exists()
 
 
 def test_calibrate_rejects_a_confusion_of_other_regions(tmp_path, synth_dir, piped, capsys):
-    operator = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", reference_confusion_path(),
-                "--model", piped / "model.json",
-                "--reference", synth_dir / "population_heldout.txt", "--out", operator]) == 3
+    """`compare` calibrates only on a confusion of the model's region labels,
+    in its order: here the pipeline's, with its first label renamed."""
+    rows = [line.split(",") for line in
+            (piped / "confusion.csv").read_text(encoding="utf-8").splitlines()]
+    first = rows[0][1]
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("".join(",".join("other" if cell == first else cell for cell in row)
+                                 + "\n" for row in rows), encoding="utf-8")
+    heldout = synth_dir / "population_heldout.txt"
+    target = tmp_path / "target.txt"
+    target.write_text(heldout.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["compare", "--confusion", confusion, "--model", piped / "model.json",
+                "--reference", heldout, target, "--out-dir", tmp_path / "cmp"]) == 3
     err = capsys.readouterr().err
     assert "config error: model regions do not match the confusion matrix" in err
-    assert not operator.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_a_reference_of_one_name_yields_zero_guesses(tmp_path, synth_dir, piped, capsys):
-    """One name gets one guess, so every other region has none: `calibrate`
+    """One name gets one guess, so every other region has none: `compare`
     and `pipeline` both name those regions."""
     one = tmp_path / "one.txt"
     heldout = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8")
     one.write_text(heldout.splitlines()[0] + "\n", encoding="utf-8")
     regions = json.loads((piped / "eval_report.json").read_text(encoding="utf-8"))["regions"]
-    operator = tmp_path / "operator.csv"
     capsys.readouterr()
-    assert run(["calibrate", "--confusion", piped / "confusion.csv",
-                "--model", piped / "model.json", "--reference", one, "--out", operator]) == 3
-    assert not operator.exists()
+    assert run(["compare", "--confusion", piped / "confusion.csv", "--model", piped / "model.json",
+                "--reference", one, synth_dir / "population_heldout.txt",
+                "--out-dir", tmp_path / "cmp"]) == 3
+    assert not (tmp_path / "cmp").exists()
     (tmp_path / "again").mkdir()
     config = _pipeline_config(tmp_path / "again", synth_dir, synth_dir / "corpus.tsv", one)
     assert run(["pipeline", "--config", config]) == 3
@@ -1048,6 +1141,29 @@ def test_pipeline_classifies_each_dataset_once(tmp_path, synth_dir, monkeypatch)
     inner = diversity.classify_batch
     monkeypatch.setattr(diversity, "classify_batch", counted)
     assert run(["pipeline", "--config", config]) == 0
+    assert calls == [heldout, files["first"], files["last"]]
+
+
+def test_compare_classifies_each_dataset_once(tmp_path, synth_dir, piped, monkeypatch):
+    """With a reference and two targets, `compare` classifies each dataset's
+    names in one call: the reference's tally calibrates and is compared too."""
+    from onoma import diversity
+
+    heldout = (synth_dir / "population_heldout.txt").read_text(encoding="utf-8").splitlines()
+    files = {"first": heldout[:150], "last": heldout[-200:]}
+    for name, names in files.items():
+        (tmp_path / f"{name}.txt").write_text("\n".join(names) + "\n", encoding="utf-8")
+    calls = []
+
+    def counted(model, surnames):
+        calls.append(list(surnames))
+        return inner(model, surnames)
+
+    inner = diversity.classify_batch
+    monkeypatch.setattr(diversity, "classify_batch", counted)
+    assert run(["compare", "--model", piped / "model.json", "--confusion", piped / "confusion.csv",
+                "--reference", synth_dir / "population_heldout.txt", tmp_path / "first.txt",
+                tmp_path / "last.txt", "--out-dir", tmp_path / "cmp"]) == 0
     assert calls == [heldout, files["first"], files["last"]]
 
 
