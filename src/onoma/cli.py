@@ -4,8 +4,8 @@ The method lives in the library, its chain in `onoma.stages`. The commands
 follow the paper's two steps: `pipeline` builds the typology and the
 classifier, handing the whole chain, `stages.run`, a sink that writes each
 result as it comes. `compare` applies a saved model and confusion to
-population files: it calls the chain's calibrate and compare stages on the
-reference's tally and writes the pipeline's operator and reports.
+population files with the chain's apply step, `stages.apply`, and the same
+sink, so it writes the pipeline's operator and reports.
 `classify-population` applies a saved operator to one file; `calibrate` makes
 one from a confusion and explicit priors. `synth` writes a synthetic corpus
 with its truth, registry and populations, files `pipeline` reads like any
@@ -16,12 +16,13 @@ others; that is the only way synthetic data reaches it. Each setting is one
 Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. An input file that
-is not UTF-8, or holds a non-finite number, is an input error. Population
+is not UTF-8, or holds a non-finite number, is an input error; a leading
+byte-order mark is skipped. Population
 files are read by `_read_population`, which rejects every name classifying
 would reject; a surname in another file that the n-gram pass rejects is
 reported as an input error in that file. Exit codes: 1 usage, 2 input
 format or io, 3 config validation (a `ConfigError`), 4 internal error (any
-other `ValueError` too).
+other exception).
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ from .corpus import (
     render_core_names,
     render_corpus_tsv,
 )
-from .errors import ConfigError, InputFormatError, InvariantError, SurnameError
+from .errors import ConfigError, InputFormatError, SurnameError
 from .features import NGramConfig, check_surnames
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
-from .util import atomic_write, dumps, parse_json, read_text, sha256_file
+from .util import atomic_write, dumps, is_int, is_number, parse_json, read_text, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -172,19 +173,13 @@ def cmd_compare(args) -> int:
         raise ConfigError("model regions do not match the confusion matrix")
     strip, ngrams = model.strip_diacritics, model.feature_config
     datasets = [(path.stem, _read_population(path, strip, ngrams)) for path in files]
-    tallies = [(name, diversity.tally_guesses(model, names)) for name, names in datasets]
+    artifacts = {"model": Path(args.model)}  # the model file the report's digest names
     provenance = {"confusion": Path(args.confusion).name,
                   "priors_source": f"reference:{files[0].name}"}
-    operator = stages.calibrate(counts, provenance, tallies[0][1][0])
-    dists, profiles = stages.compare(tallies, operator)
-    paths = diversity.emit_report(profiles, dists, args.out_dir, provenance={
-        "model_sha256": sha256_file(args.model),
-        "operator": "operator.csv",
-        "reference": dists[0].dataset_name,
-    })
-    paths["operator"] = atomic_write(Path(args.out_dir) / "operator.csv", operator.to_csv())
-    for key in sorted(paths):
-        print(f"{key}: {paths[key]}", file=sys.stderr)
+    stages.apply(model, counts, datasets, _writer(Path(args.out_dir), artifacts, {}), provenance)
+    del artifacts["model"]
+    for key in sorted(artifacts):
+        print(f"{key}: {artifacts[key]}", file=sys.stderr)
     return 0
 
 
@@ -268,10 +263,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _resolve(value: str, base: Path) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base / path
@@ -283,8 +274,8 @@ def _resolve(value: str, base: Path) -> Path:
 # `out_dir`, the one `Path`, is relative to the working directory.
 _JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path], object]]] = {
     "bool": ("true or false", lambda v: isinstance(v, bool), lambda v, _: v),
-    "int": ("an integer", _is_int, lambda v, _: v),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float), lambda v, _: float(v)),
+    "int": ("an integer", is_int, lambda v, _: v),
+    "float": ("a number", is_number, lambda v, _: float(v)),
     "str": ("a string", lambda v: isinstance(v, str), lambda v, _: v),
     "Path": ("a string", lambda v: isinstance(v, str), lambda v, _: Path(v)),
     "Path | None": (
@@ -294,7 +285,7 @@ _JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path]
     ),
     "tuple[int, ...]": (
         "a list of integers",
-        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        lambda v: isinstance(v, list) and all(map(is_int, v)),
         lambda v, _: tuple(v),
     ),
     "tuple[Path, ...]": (
@@ -337,8 +328,8 @@ def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineCo
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
-# Each artifact `run_pipeline` writes of a result of `stages.run`, by key: the
-# result's name, the file and the file's text.
+# Each artifact `_writer` writes of a result of `stages.run` or `stages.apply`,
+# by key: the result's name, the file and the file's text.
 _ARTIFACTS: dict[str, tuple[str, str, Callable[[Any], str]]] = {
     "core": ("core", "core.tsv", render_core_names),
     "typology": ("typology", "typology.tsv", RegionTypology.to_tsv),
@@ -356,6 +347,36 @@ _ARTIFACTS: dict[str, tuple[str, str, Callable[[Any], str]]] = {
 }
 
 
+def _writer(
+    out_dir: Path, artifacts: dict[str, Path], provenance: Mapping[str, object]
+) -> Callable[[str, Any], None]:
+    """The sink of `stages.run` and `stages.apply`: it writes each result's
+    files under `out_dir`, made at the first write, and records their paths
+    in `artifacts`. report.json's provenance is the digest of
+    `artifacts["model"]`, the operator and the reference, then `provenance`.
+    """
+
+    def write(name: str, result: Any) -> None:
+        files = {key: (file, render(result))
+                 for key, (source, file, render) in _ARTIFACTS.items() if source == name}
+        if name == "compare":
+            dists, profiles = result
+            files.update(diversity.emit_report(profiles, dists, provenance={
+                "model_sha256": sha256_file(artifacts["model"]),
+                "operator": "operator.csv",
+                "reference": dists[0].dataset_name,
+                **provenance,
+            }))
+        elif name == "summary":
+            result["artifacts"] = {key: artifacts[key].name for key in sorted(artifacts)}
+            files["summary"] = ("summary.json", dumps(result))
+        for key, (file, text) in files.items():
+            out_dir.mkdir(parents=True, exist_ok=True)
+            artifacts[key] = atomic_write(out_dir / file, text)
+
+    return write
+
+
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Run every stage from one config; returns the artifact paths.
 
@@ -363,8 +384,8 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     included, are checked before `out_dir` is created; a `summary.json` an
     earlier run left there is removed at once. The reference dataset is
     `config.reference` and the targets are `config.targets`, each named
-    after its file's stem. `stages.run` then runs the chain, and each of its
-    results is written as it comes.
+    after its file's stem. `stages.run` then runs the chain, and `_writer`
+    writes each of its results as it comes.
     """
     out_dir = config.out_dir
     files = [path for path in (config.reference, *config.targets) if path is not None]
@@ -380,7 +401,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
                             strict=config.strict, strip_diacritics=config.strip_diacritics)
     with _surnames_from(config.corpus):
         check_surnames(table.surnames(), ngrams)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Written last, so it exists only for a run that finished.
     (out_dir / "summary.json").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}
@@ -388,29 +408,12 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     if config.reference is not None:
         priors_source = f"reference:{config.reference.name}"
 
-    def write(name: str, result: Any) -> None:
-        for key, (source, file, render) in _ARTIFACTS.items():
-            if source == name:
-                artifacts[key] = atomic_write(out_dir / file, render(result))
-        if name == "compare":
-            dists, profiles = result
-            artifacts.update(diversity.emit_report(profiles, dists, out_dir, provenance={
-                "model_sha256": sha256_file(artifacts["model"]),
-                "operator": "operator.csv",
-                "reference": dists[0].dataset_name,
-                "config": {  # every setting but the paths
-                    f.name: getattr(config, f.name)
-                    for f in fields(config)
-                    if "Path" not in f.type
-                },
-            }))
-        elif name == "summary":
-            result["artifacts"] = {key: artifacts[key].name for key in sorted(artifacts)}
-            artifacts["summary"] = atomic_write(out_dir / "summary.json", dumps(result))
-
     # Handed over, not kept here: `run` lets the table go after the core filter.
     handed = [table]
     del table
+    # report.json echoes every setting but the paths.
+    settings = {f.name: getattr(config, f.name) for f in fields(config) if "Path" not in f.type}
+    write = _writer(out_dir, artifacts, {"config": settings})
     provenance = {"confusion": "confusion.csv", "priors_source": priors_source}
     stages.run(config, handed.pop(), list(zip(datasets, surnames)), write,
                overrides=overrides, provenance=provenance)
@@ -537,7 +540,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantError, ValueError) as exc:  # a ValueError here is a bug
+    except Exception as exc:  # any other exception is a bug
+        log.info("internal error", exc_info=True)  # its traceback, with -v
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     finally:

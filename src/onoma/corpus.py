@@ -317,7 +317,7 @@ def read_corpus_tsv(
     strict: bool = False,
     strip_diacritics: bool = False,
 ) -> OccurrenceTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         try:
             table = ingest(
                 fh, registry, header=header, strict=strict, strip_diacritics=strip_diacritics

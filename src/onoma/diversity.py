@@ -6,13 +6,13 @@ target's proportions by a reference's gives a representativeness profile
 (1 = parity). Profiles are grouped by Canberra distance with average linkage
 so datasets that diverge in similar ways end up adjacent in reports.
 Everything works at the group level; no per-name output is exposed.
+`emit_report` renders the report's three files; nothing here writes one.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .classifier import TrainedModel, classify_batch
 from .correction import CorrectionOperator, correct_counts
 from .typology import Dendrogram, agglomerate
-from .util import atomic_write, dumps, fmt_float
+from .util import dumps, fmt_float
 
 log = logging.getLogger(__name__)
 
@@ -212,14 +212,13 @@ def _merge_list(tree: Dendrogram | None) -> list[dict]:
 def emit_report(
     profiles: Sequence[RepresentationProfile],
     distributions: Sequence[OriginDistribution],
-    out_dir: Path | str,
     provenance: Mapping[str, object] | None = None,
-) -> dict[str, Path]:
-    """Write ratios.csv, distributions.csv and report.json under out_dir.
+) -> dict[str, tuple[str, str]]:
+    """The texts of ratios.csv, distributions.csv and report.json.
 
     Ratio rows (datasets) and columns (regions) both follow clustered order;
     ratios are stored raw, any log-scale display is the plot consumer's
-    concern. Returns the written paths keyed by artifact name.
+    concern. Returns each file's name and text keyed by artifact name.
     """
     if not profiles or not distributions:
         raise ValueError("nothing to report")
@@ -227,8 +226,6 @@ def emit_report(
     for item in (*profiles, *distributions):
         if item.regions != regions:
             raise ValueError("profiles and distributions disagree on regions")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     by_name = {d.dataset_name: d for d in distributions}
     missing = [p.dataset_name for p in profiles if p.dataset_name not in by_name]
     if missing:
@@ -275,9 +272,8 @@ def emit_report(
         "provenance": dict(provenance or {}),
     }
 
-    paths = {
-        "ratios": atomic_write(out_dir / "ratios.csv", "\n".join(ratio_lines) + "\n"),
-        "distributions": atomic_write(out_dir / "distributions.csv", "\n".join(dist_lines) + "\n"),
-        "report": atomic_write(out_dir / "report.json", dumps(doc)),
+    return {
+        "ratios": ("ratios.csv", "\n".join(ratio_lines) + "\n"),
+        "distributions": ("distributions.csv", "\n".join(dist_lines) + "\n"),
+        "report": ("report.json", dumps(doc)),
     }
-    return paths

@@ -1,21 +1,22 @@
 """The method's settings and its chain, each written once.
 
 Each setting is one `PipelineConfig` field with its default and range. The
-chain is core names (`corpus.filter_core_names`), then `build_typology` (a
-Ward typology of countries and the relabeled core names), `fit` (the split
-and the n-gram naive Bayes model), `classifier.evaluate`, each dataset's
-guess tally (`diversity.tally_guesses`), `calibrate` (the correction
-operator from the evaluation confusion and the reference's tally) and
-`compare` (corrected distributions and representation ratios of the
-tallies); the correction sees a dataset only through its tally. Core and
+chain follows the paper's two steps. Building is core names
+(`corpus.filter_core_names`), then `build_typology` (a Ward typology of
+countries and the relabeled core names), `fit` (the split and the n-gram
+naive Bayes model) and `classifier.evaluate`. Applying, `apply`, is each
+dataset's guess tally (`diversity.tally_guesses`), `calibrate` (the
+correction operator from the evaluation confusion and the reference's
+tally), then the corrected distributions and representation ratios of the
+tallies; the correction sees a dataset only through its tally. Core and
 labeled names are row positions in a `FeatureMatrix` of the sorted core
-names. `run` calls the whole chain and hands each result to a sink:
-`cli.run_pipeline`'s writes the artifacts, `synth.score_pipeline`'s keeps
-what its scorecard needs. The `calibrate` and `compare` commands call
-those two stages on a saved model. Nothing here reads a path, parses an
-argument, writes a file or imports `synth` or `cli`. `build_typology`,
-`fit`, `calibrate` and `run`'s evaluation raise the library's `ValueError`s
-(settings and data the method cannot use) as `ConfigError`.
+names. `run` calls the whole chain and `apply` the second step; each hands
+every result to a sink: `cli`'s writes the files of `pipeline` and
+`compare`, `synth.score_pipeline`'s keeps what its scorecard needs. Nothing
+here reads a path, parses an argument, writes a file or imports `synth` or
+`cli`. `build_typology`, `fit`, `calibrate` and `run`'s evaluation raise the
+library's `ValueError`s (settings and data the method cannot use) as
+`ConfigError`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ import numpy as np
 from .classifier import Labeled, TrainedModel, evaluate, split, train
 from .corpus import CoreSet, OccurrenceTable, filter_core_names
 from .correction import ConfusionCounts, CorrectionOperator, correction_operator, reweight_priors
-from .diversity import (
-    OriginDistribution,
-    RepresentationProfile,
-    Tally,
-    distribution,
-    representation_ratios,
-    tally_guesses,
-)
+from .diversity import distribution, representation_ratios, tally_guesses
 from .errors import ConfigError
 from .features import FeatureMatrix, NGramConfig, featurize
 from .typology import (
@@ -54,8 +48,8 @@ from .typology import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["PipelineConfig", "feature_config", "build_typology", "fit", "calibrate", "compare",
-           "check_dataset_names", "run"]
+__all__ = ["PipelineConfig", "feature_config", "build_typology", "fit", "calibrate",
+           "check_dataset_names", "apply", "run"]
 
 
 def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
@@ -218,18 +212,33 @@ def check_dataset_names(names: Sequence[str]) -> None:
         seen.add(name)
 
 
-def compare(
-    datasets: Sequence[tuple[str, Tally]], operator: CorrectionOperator
-) -> tuple[list[OriginDistribution], list[RepresentationProfile]]:
-    """Corrected distributions of (name, tally) datasets and their ratios.
+def apply(
+    model: TrainedModel,
+    confusion: ConfusionCounts,
+    datasets: Sequence[tuple[str, Sequence[str]]],
+    sink: Callable[[str, Any], None],
+    provenance: Mapping[str, object] | None = None,
+) -> None:
+    """Apply `model` to (name, surnames) datasets, the reference first, whose
+    names must pass `check_dataset_names`, and hand each result to `sink`.
 
-    Each tally is `diversity.tally_guesses` of a dataset's names. The first
-    dataset is the reference every ratio divides by. The names must pass
-    `check_dataset_names`.
+    Each dataset is classified once, into its tally; the operator is
+    calibrated from `confusion` on the reference's, with `provenance`, and
+    corrects every tally. The results are "operator", then with datasets
+    "tallies" ((name, tally) pairs) and "compare" (the distributions and
+    their ratio profiles); with none, the evaluation column shares stand.
     """
     check_dataset_names([name for name, _ in datasets])
-    dists = [distribution(tally, operator, name) for name, tally in datasets]
-    return dists, [representation_ratios(d, dists[0]) for d in dists]
+    log.info("stage: calibrate")
+    # Each dataset is classified once; from here on only its tally is used.
+    tallies = [(name, tally_guesses(model, surnames)) for name, surnames in datasets]
+    operator = calibrate(confusion, provenance or {}, tallies[0][1][0] if tallies else None)
+    sink("operator", operator)
+    if tallies:
+        log.info("stage: compare")
+        sink("tallies", tallies)
+        dists = [distribution(tally, operator, name) for name, tally in tallies]
+        sink("compare", (dists, [representation_ratios(d, dists[0]) for d in dists]))
 
 
 def run(
@@ -244,17 +253,15 @@ def run(
     """Run the chain on `table` with `config`'s settings and hand each result
     to `sink(name, result)` as soon as it exists.
 
-    `datasets` are (name, surnames) pairs, the reference first. Each is
-    classified once, into its guess tally; the operator is calibrated on the
-    reference's, with `provenance`, and every tally is corrected by it. With
-    no datasets, the evaluation column shares stand and nothing is compared.
-    In order, the results are "core", "typology", "dendrogram", "labeled" and
-    "eval_set" (pairs of the core names and a `Labeled`), "model",
-    "eval_report" (with each row's guess), "operator", then with datasets
-    "tallies" ((name, tally) pairs, the reference first) and "compare" (the
-    distributions and profiles), and last a "summary" dict of counts. The
-    table is dropped after the filter, and the core names and their n-grams
-    before "model", so a sink that keeps neither lets them go.
+    `datasets` are (name, surnames) pairs, the reference first, that `apply`
+    classifies with the trained model and compares, calibrating on the
+    evaluation confusion with `provenance`. In order, the results are
+    "core", "typology", "dendrogram", "labeled" and "eval_set" (pairs of the
+    core names and a `Labeled`), "model", "eval_report" (with each row's
+    guess), `apply`'s "operator", "tallies" and "compare", and last a
+    "summary" dict of counts. The table is dropped after the filter, and the
+    core names and their n-grams before "model", so a sink that keeps
+    neither lets them go.
     """
     log.info("stage: filter-core")
     core = filter_core_names(table, config.hhi_min, config.freq_min, basis=config.basis)
@@ -292,17 +299,7 @@ def run(
     sink("model", model)
     sink("eval_report", report)
 
-    log.info("stage: calibrate")
-    # Each dataset is classified once; from here on only its tally is used.
-    tallies = [(name, tally_guesses(model, surnames)) for name, surnames in datasets]
-    priors = tallies[0][1][0] if tallies else None
-    operator = calibrate(confusion, provenance or {}, priors)
-    sink("operator", operator)
-
-    if tallies:
-        log.info("stage: compare")
-        sink("tallies", tallies)
-        sink("compare", compare(tallies, operator))
+    apply(model, confusion, datasets, sink, provenance)
 
     sink("summary", {
         "seed": config.seed,

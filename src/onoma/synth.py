@@ -26,7 +26,7 @@ from .corpus import CountryRegistry, OccurrenceTable
 from .errors import InputFormatError, InvariantError
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
-from .util import atomic_write, derive_seed, dumps, parse_json, read_text
+from .util import atomic_write, derive_seed, dumps, is_int, is_number, parse_json, read_text
 
 __all__ = [
     "STOP",
@@ -45,11 +45,13 @@ __all__ = [
 
 # The stop state is the empty-string symbol.
 STOP = ""
+# The longest name a region generates; each country's buffer holds 2 * max_len doubles.
+MAX_LEN = 1000
 
 
 def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) -> None:
-    if not dist:
-        raise ValueError(f"{what}: empty distribution")
+    if not isinstance(dist, Mapping) or not dist:
+        raise ValueError(f"{what}: not a distribution, got {dist!r}")
     total = 0.0
     nonstop = 0.0
     for symbol, prob in dist.items():
@@ -57,8 +59,8 @@ def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) ->
             raise ValueError(f"{what}: stop state not allowed here")
         if symbol != STOP and len(symbol) != 1:
             raise ValueError(f"{what}: symbols must be single characters, got {symbol!r}")
-        if prob < 0:
-            raise ValueError(f"{what}: negative probability for {symbol!r}")
+        if not is_number(prob) or prob < 0:
+            raise ValueError(f"{what}: probability of {symbol!r} must be a number >= 0")
         total += prob
         if symbol != STOP:
             nonstop += prob
@@ -96,9 +98,11 @@ class MarkovChain:
     transitions: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
+        if not is_int(self.order) or self.order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
         _validate_dist(self.start, allow_stop=False, what="start")
+        if not isinstance(self.transitions, Mapping):
+            raise ValueError(f"transitions must be a JSON object, got {self.transitions!r}")
         # What `_draw_name` reads: each context's row, with or without the
         # stop state. The empty context, where every name begins, maps to
         # the start distribution (never the stop state).
@@ -122,11 +126,7 @@ class MarkovChain:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MarkovChain":
-        return cls(
-            order=int(data["order"]),
-            start=dict(data["start"]),
-            transitions={ctx: dict(row) for ctx, row in data["transitions"].items()},
-        )
+        return cls(order=data["order"], start=data["start"], transitions=data["transitions"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +139,10 @@ class RegionGenerator:
     max_len: int = 12
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_len <= self.max_len:
-            raise ValueError(f"bad length bounds [{self.min_len}, {self.max_len}]")
+        lengths = (self.min_len, self.max_len)
+        if not all(map(is_int, lengths)) or not 1 <= self.min_len <= self.max_len <= MAX_LEN:
+            raise ValueError(f"length bounds {list(lengths)} must be integers with"
+                             f" 1 <= min_len <= max_len <= {MAX_LEN}")
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,10 @@ class CountrySpec:
     volume: float = 1.0  # mean occurrence count per name, emulating uneven sampling
 
     def __post_init__(self) -> None:
-        if self.n_names < 1:
-            raise ValueError("n_names must be >= 1")
-        if self.volume < 1:
-            raise ValueError("volume must be >= 1")
+        if not is_int(self.n_names) or self.n_names < 1:
+            raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
+        if not is_number(self.volume) or self.volume < 1:
+            raise ValueError(f"volume must be a number >= 1, got {self.volume!r}")
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,11 @@ class PopulationSpec:
     region_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n_names < 1:
-            raise ValueError("n_names must be >= 1")
-        weights = tuple(float(w) for w in self.region_weights)
+        if not is_int(self.n_names) or self.n_names < 1:
+            raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
+        if not all(map(is_number, self.region_weights)):
+            raise ValueError(f"region_weights must be numbers, got {self.region_weights!r}")
+        weights = tuple(map(float, self.region_weights))
         if not weights or min(weights) < 0 or sum(weights) <= 0:
             raise ValueError("region_weights must be nonnegative with positive sum")
         object.__setattr__(self, "region_weights", weights)
@@ -177,8 +181,8 @@ class PopulationSpec:
     def from_dict(cls, data: Mapping) -> "PopulationSpec":
         return cls(
             name=str(data["name"]),
-            n_names=int(data["n_names"]),
-            region_weights=tuple(float(w) for w in data["region_weights"]),
+            n_names=data["n_names"],
+            region_weights=tuple(data["region_weights"]),
         )
 
 
@@ -194,8 +198,10 @@ class SynthSpec:
     populations: tuple[PopulationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not is_number(self.overlap) or not 0.0 <= self.overlap <= 1.0:
+            raise ValueError(f"overlap must be a number in [0, 1], got {self.overlap!r}")
         labels = [g.region for g in self.generators]
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("region labels must be unique and non-empty")
@@ -267,15 +273,15 @@ class SynthSpec:
         doc = parse_json(text, source)
         try:
             return cls(
-                seed=int(doc["seed"]),
-                overlap=float(doc["overlap"]),
+                seed=doc["seed"],
+                overlap=doc["overlap"],
                 global_chain=MarkovChain.from_dict(doc["global_chain"]),
                 generators=tuple(
                     RegionGenerator(
                         region=str(r["label"]),
                         chain=MarkovChain.from_dict(r["chain"]),
-                        min_len=int(r.get("min_len", 3)),
-                        max_len=int(r.get("max_len", 12)),
+                        min_len=r.get("min_len", 3),
+                        max_len=r.get("max_len", 12),
                     )
                     for r in doc["regions"]
                 ),
@@ -283,8 +289,8 @@ class SynthSpec:
                     CountrySpec(
                         code=str(c["code"]).upper(),
                         region=str(c["region"]),
-                        n_names=int(c["n_names"]),
-                        volume=float(c.get("volume", 1.0)),
+                        n_names=c["n_names"],
+                        volume=c.get("volume", 1.0),
                     )
                     for c in doc["countries"]
                 ),

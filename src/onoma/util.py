@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from itertools import islice
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -25,6 +24,8 @@ __all__ = [
     "derive_seed",
     "fmt_float",
     "intern",
+    "is_int",
+    "is_number",
     "pick",
     "format_each",
     "tsv_lines",
@@ -52,6 +53,16 @@ def fmt_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value in output: {value!r}")
     return format(value, ".17g")
+
+
+def is_int(value: object) -> bool:
+    """Whether a JSON value is an integer; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """Whether a JSON value is a number; a bool or a string is not."""
+    return is_int(value) or isinstance(value, float)
 
 
 def intern(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -103,9 +114,10 @@ def _finite(text: str) -> float:
 
 
 def read_text(path: Path | str) -> str:
-    """The text of the UTF-8 file `path`; other bytes are an `InputFormatError`."""
+    """The text of the UTF-8 file `path`, without a leading byte-order mark;
+    other bytes are an `InputFormatError` at their offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
@@ -192,18 +204,6 @@ def dumps(obj: Any, indent: int = 2) -> str:
     return "".join(out)
 
 
-def _file_mode() -> int:
-    """Permissions a plain open() gives a new file under the current umask."""
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return 0o666 & ~mask
-
-
-# Read once: os.umask can only be read by setting it, which is not safe
-# while other threads create files.
-_FILE_MODE = _file_mode()
-
-
 # Characters encoded, or bytes read, at a time by the file helpers below.
 _BLOCK = 1 << 16
 
@@ -212,12 +212,14 @@ def atomic_write(path: Path | str, content: str | bytes) -> Path:
     """Write via a sibling temp file and rename, so readers never see partials.
 
     A string is encoded as UTF-8 _BLOCK characters at a time, so no copy of
-    the whole text is made. The temp file has a unique name, so concurrent
-    writers to one path do not collide (the last rename wins), and it is
-    removed if the write fails.
+    the whole text is made. The temp file has a random name, so concurrent
+    writers to one path do not collide (the last rename wins); it gets the
+    mode open() gives a new file under the umask, and it is removed if the
+    write fails.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             if isinstance(content, str):
@@ -225,7 +227,6 @@ def atomic_write(path: Path | str, content: str | bytes) -> Path:
                     handle.write(content[start : start + _BLOCK].encode("utf-8"))
             else:
                 handle.write(content)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -468,6 +468,26 @@ def _two_region_model(tmp_path):
     return model, population
 
 
+def test_apply_hands_the_operator_then_the_tallies_and_the_comparison(tmp_path):
+    from onoma import stages
+    from onoma.classifier import TrainedModel
+    from onoma.correction import ConfusionCounts
+
+    model = TrainedModel.load(_two_region_model(tmp_path)[0])
+    confusion = ConfusionCounts(("A", "B"), np.array([[3.0, 1.0], [1.0, 3.0]]))
+    for datasets, names in (
+        ([], ["operator"]),
+        ([("ref", ["abc", "xyz"]), ("t", ["abc"])], ["operator", "tallies", "compare"]),
+    ):
+        got = []
+        stages.apply(model, confusion, datasets, lambda name, result: got.append((name, result)))
+        assert [name for name, _ in got] == names
+    tallies = dict(got[1][1])
+    assert [tallies["ref"][0].tolist(), tallies["t"][0].tolist()] == [[1.0, 1.0], [1.0, 0.0]]
+    dists, profiles = got[2][1]
+    assert [d.dataset_name for d in dists] == [p.dataset_name for p in profiles] == ["ref", "t"]
+
+
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
     model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
@@ -546,6 +566,35 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, synth_dir, capsys, 
     assert not out.exists()
 
 
+def test_every_reader_skips_a_byte_order_mark(tmp_path, synth_dir, piped):
+    """A file saved with a UTF-8 byte-order mark reads as the file without it."""
+    from onoma.classifier import TrainedModel
+    from onoma.cli import _read_population
+    from onoma.correction import ConfusionCounts, CorrectionOperator
+    from onoma.corpus import CountryRegistry, read_corpus_tsv, render_corpus_tsv
+    from onoma.features import NGramConfig
+    from onoma.typology import load_overrides
+
+    registry = CountryRegistry.from_tsv(synth_dir / "countries.tsv")
+    overrides = tmp_path / "overrides.tsv"
+    overrides.write_text("DELETE\tAA\n", encoding="utf-8")
+    readers = {
+        synth_dir / "corpus.tsv": lambda p: render_corpus_tsv(read_corpus_tsv(p, registry)),
+        synth_dir / "countries.tsv": lambda p: CountryRegistry.from_tsv(p).to_tsv(),
+        synth_dir / "population_heldout.txt": lambda p: _read_population(p, False, NGramConfig()),
+        synth_dir / "spec.json": lambda p: synth.SynthSpec.load(p).to_json(),
+        tmp_path / "config.json": lambda p: read_config(p, {}),
+        overrides: load_overrides,
+        piped / "model.json": lambda p: TrainedModel.load(p).to_json(),
+        piped / "confusion.csv": lambda p: ConfusionCounts.from_csv(p).matrix.tolist(),
+        piped / "operator.csv": lambda p: CorrectionOperator.from_csv(p).to_csv(),
+    }
+    for path, read in readers.items():
+        marked = path.with_name("bom_" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read(marked) == read(path), path.name
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_operator_and_confusion_files_with_a_non_finite_cell_are_input_errors(tmp_path, capsys,
                                                                                cell):
@@ -585,6 +634,62 @@ def test_a_spec_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsys
     assert run(["synth", "--spec", path, "--out-dir", out, "--score"]) == 2
     err = capsys.readouterr().err
     assert f"input error: {path}: not valid JSON: non-finite number NaN" in err
+    assert not out.exists()
+
+
+def _edited_spec(tmp_path, edit):
+    """A 2x2x30 spec file with a population, its JSON document changed by `edit`."""
+    spec = synth.standard_spec(2, 2, 30, 0.3, seed=1,
+                               populations=(synth.PopulationSpec("p", 30, (1.0, 1.0)),))
+    doc = json.loads(spec.to_json())
+    edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("chain", ["global", "region"])
+@pytest.mark.parametrize("transitions", [[], "x", 7, None, True, 0.5])
+def test_a_spec_chain_whose_transitions_are_no_object_is_malformed(tmp_path, capsys, chain,
+                                                                    transitions):
+    def edit(doc):
+        where = doc["global_chain"] if chain == "global" else doc["regions"][0]["chain"]
+        where["transitions"] = transitions
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: malformed spec: transitions must be a JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_names", 30.7), ("min_len", 2.9), ("seed", 1.5), ("n_names", "30"), ("overlap", "0.3"),
+     ("volume", True), ("order", True), ("start", [["a", 1.0]]), ("weight", False),
+     ("probability", True), ("max_len", 1e308), ("max_len", 1_000_000_000)],
+)
+def test_a_spec_number_of_the_wrong_kind_or_out_of_bounds_is_malformed(tmp_path, capsys, key,
+                                                                        value):
+    """The spec reader takes a number only of its field's kind, as the config
+    reader does, and a name at most 1,000 characters long."""
+    def edit(doc):
+        region, country = doc["regions"][0], doc["countries"][0]
+        chain = region["chain"]
+        where = {"n_names": country, "volume": country, "min_len": region, "max_len": region,
+                 "seed": doc, "overlap": doc, "order": chain, "start": chain}
+        if key == "weight":
+            doc["populations"][0]["region_weights"][0] = value
+        elif key == "probability":
+            chain["start"] = {"a": value}
+        else:
+            where[key][key] = value
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    assert f"input error: {path}: malformed spec: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -665,6 +770,20 @@ def test_a_value_error_the_command_does_not_expect_is_an_internal_error(monkeypa
     assert run(["synth", "--regions", 2, "--countries-per-region", 2, "--names", 50,
                 "--overlap", 0.2, "--seed", 1, "--out-dir", tmp_path / "synth"]) == 4
     assert "internal error: a bug" in capsys.readouterr().err
+
+
+def test_any_other_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    def broken(spec):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(synth, "generate", broken)
+    argv = ["synth", "--regions", 2, "--countries-per-region", 2, "--names", 50,
+            "--overlap", 0.2, "--seed", 1, "--out-dir", tmp_path / "synth"]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "internal error: 'a bug'" in err and "Traceback" not in err
+    assert run(["-v", *argv]) == 4  # -v also logs the traceback
+    assert "Traceback (most recent call last)" in capsys.readouterr().err
 
 
 def test_typology_of_one_country_is_a_config_error(tmp_path, capsys):

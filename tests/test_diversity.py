@@ -247,7 +247,7 @@ def test_order_profiles_matches_average_linkage_oracle():
 # ---------------------------------------------------------------- report
 
 
-def test_emit_report_files_and_ordering(tmp_path):
+def test_emit_report_files_and_ordering():
     regions = ("A", "B", "C")
     reference = make_distribution("ref", regions, [20.0, 30.0, 50.0])
     targets = [
@@ -257,10 +257,12 @@ def test_emit_report_files_and_ordering(tmp_path):
     ]
     dists = [reference, *targets]
     profiles = [representation_ratios(d, reference) for d in dists]
-    paths = emit_report(profiles, dists, tmp_path / "report", {"note": "test"})
-    assert set(paths) == {"ratios", "distributions", "report"}
+    files = emit_report(profiles, dists, {"note": "test"})
+    assert {key: name for key, (name, _) in files.items()} == {
+        "ratios": "ratios.csv", "distributions": "distributions.csv", "report": "report.json"
+    }
 
-    ratio_lines = paths["ratios"].read_text(encoding="utf-8").splitlines()
+    ratio_lines = files["ratios"][1].splitlines()
     header = ratio_lines[0].split(",")
     assert header[0] == "dataset"
     assert sorted(header[1:]) == list(regions)
@@ -269,20 +271,20 @@ def test_emit_report_files_and_ordering(tmp_path):
     # the similar pair sits adjacent after clustering
     assert abs(datasets.index("t1") - datasets.index("t2")) == 1
 
-    doc = json.loads(paths["report"].read_text(encoding="utf-8"))
+    doc = json.loads(files["report"][1])
     assert doc["distance"] == "canberra"
     assert doc["linkage"] == "average"
     assert doc["provenance"] == {"note": "test"}
     assert doc["datasets"]["ref"]["ratios"] == {"A": 1.0, "B": 1.0, "C": 1.0}
 
 
-def test_emit_report_deterministic_bytes(tmp_path):
+def test_emit_report_deterministic_bytes():
     regions = ("A", "B")
     reference = make_distribution("ref", regions, [40.0, 60.0])
     target = make_distribution("t", regions, [70.0, 30.0])
     dists = [reference, target]
     profiles = [representation_ratios(d, reference) for d in dists]
-    first = emit_report(profiles, dists, tmp_path / "one")
-    second = emit_report(profiles, dists, tmp_path / "two")
+    first = emit_report(profiles, dists)
+    second = emit_report(profiles, dists)
     for key in first:
-        assert first[key].read_bytes() == second[key].read_bytes()
+        assert first[key][1].encode("utf-8") == second[key][1].encode("utf-8")

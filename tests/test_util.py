@@ -245,6 +245,19 @@ def test_atomic_write_concurrent_writers_do_not_collide(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]
 
 
+def test_atomic_write_gives_the_mode_open_gives_under_the_umask(tmp_path):
+    import os
+
+    old = os.umask(0o027)
+    try:
+        path = atomic_write(tmp_path / "artifact.txt", "data")
+        (tmp_path / "plain.txt").write_text("data")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "plain.txt").stat().st_mode & 0o777 == 0o640
+
+
 def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
     import os
 
