@@ -24,7 +24,9 @@ import numpy as np
 from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
-from .util import atomic_write, derive_seed, dumps, intern, parse_json, pick, read_text, tsv_lines
+from .util import (
+    atomic_write, derive_seed, dumps, intern, is_number, parse_json, pick, read_text, tsv_lines,
+)
 
 __all__ = [
     "Labeled",
@@ -140,6 +142,14 @@ class TrainedModel:
     strip_diacritics: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("regions", "vocabulary"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(t, str) for t in value):
+                raise ValueError(f"{name} must be a list of strings")
+            object.__setattr__(self, name, tuple(value))
+        strip = self.strip_diacritics
+        if not isinstance(strip, bool):
+            raise ValueError(f"strip_diacritics must be true or false, got {strip!r}")
         log_priors = np.asarray(self.log_priors, dtype=float)
         log_likelihoods = np.asarray(self.log_likelihoods, dtype=float)
         object.__setattr__(self, "log_priors", log_priors)
@@ -154,8 +164,8 @@ class TrainedModel:
         if log_likelihoods.shape != (n_regions, n_tokens):
             raise ValueError("log_likelihoods shape mismatch")
         # Written as what is accepted, so a NaN fails each check.
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (is_number(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a number > 0, got {self.alpha!r}")
         if not abs(_logsumexp(log_priors)) <= 1e-9:
             raise ValueError("priors do not sum to 1")
         for i in range(n_regions):
@@ -193,13 +203,13 @@ class TrainedModel:
             raise InputFormatError(f"{path}: unsupported model file version")
         try:
             fc = dict(doc["feature_config"])
-            strip = bool(fc.pop("strip_diacritics", False))
+            strip = fc.pop("strip_diacritics", False)
             return cls(
-                regions=tuple(doc["regions"]),
-                vocabulary=tuple(doc["vocabulary"]),
+                regions=doc["regions"],
+                vocabulary=doc["vocabulary"],
                 log_priors=np.array(doc["log_priors"], dtype=float),
                 log_likelihoods=np.array(doc["log_likelihoods"], dtype=float),
-                alpha=float(doc["alpha"]),
+                alpha=doc["alpha"],
                 feature_config=NGramConfig.from_dict(fc),
                 strip_diacritics=strip,
             )

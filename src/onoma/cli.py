@@ -52,7 +52,7 @@ from .errors import ConfigError, InputFormatError, SurnameError
 from .features import NGramConfig, check_surnames
 from .stages import PipelineConfig, _check_setting, feature_config
 from .typology import Dendrogram, RegionTypology, load_overrides
-from .util import atomic_write, dumps, is_int, is_number, parse_json, read_text, sha256_file
+from .util import atomic_write, dumps, parse_json, read_text, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -263,39 +263,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
-def _resolve(value: str, base: Path) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
-# Per field annotation: its JSON kind in words, whether a JSON value is of
-# that kind (a bool is no number), and the field's value from one, given the
-# config file's directory. Input paths are relative to the config file, but
-# `out_dir`, the one `Path`, is relative to the working directory.
-_JSON_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable[[Any, Path], object]]] = {
-    "bool": ("true or false", lambda v: isinstance(v, bool), lambda v, _: v),
-    "int": ("an integer", is_int, lambda v, _: v),
-    "float": ("a number", is_number, lambda v, _: float(v)),
-    "str": ("a string", lambda v: isinstance(v, str), lambda v, _: v),
-    "Path": ("a string", lambda v: isinstance(v, str), lambda v, _: Path(v)),
-    "Path | None": (
-        "a string or null",
-        lambda v: v is None or isinstance(v, str),
-        lambda v, base: None if v is None else _resolve(v, base),
-    ),
-    "tuple[int, ...]": (
-        "a list of integers",
-        lambda v: isinstance(v, list) and all(map(is_int, v)),
-        lambda v, _: tuple(v),
-    ),
-    "tuple[Path, ...]": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
-        lambda v, base: tuple(_resolve(t, base) for t in v),
-    ),
-}
-
-
 def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineConfig:
     """The pipeline config in the JSON file `path`, with the `overrides` that are
     not None; a key absent from both takes its field's default, but `seed`,
@@ -318,10 +285,15 @@ def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineCo
             if f.default is MISSING:
                 raise ConfigError(f"missing config key: {f.name!r}")
             continue
-        kind, is_kind, to = _JSON_KINDS[f.type]
-        if not is_kind(merged[f.name]):
-            raise ConfigError(f"{path}: {f.name} must be {kind}, got {merged[f.name]!r}")
-        values[f.name] = to(merged[f.name], base)
+        value = merged[f.name]
+        _check_setting(f, value, f"{path}: {f.name}")
+        # Input paths are relative to the config file (joined to an absolute
+        # path, `base` drops out), but `out_dir` to the working directory.
+        if f.type == "Path | None" and value is not None:
+            value = base / value
+        elif f.type == "tuple[Path, ...]":
+            value = [base / t for t in value]
+        values[f.name] = value
     return PipelineConfig(**values)
 
 
@@ -436,12 +408,14 @@ file formats:
   corpus TSV       surname<TAB>country<TAB>count, UTF-8, LF endings, no header
                    by default (config key "header" skips the first row)
   registry TSV     country_code<TAB>name (bundled 176-entry list by default)
-  overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country
+  overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country; a
+                   region is named after its country with the most core names
   population       one surname per line
   core-name TSV    surname<TAB>country<TAB>hhi<TAB>max_frequency (6 sig. digits);
                    pipeline output
   labeled TSV      surname<TAB>region (labeled and eval sets); pipeline output
-  typology TSV     country<TAB>region (DELETED marks dropped countries);
+  typology TSV     country<TAB>region (DELETED marks dropped countries), each
+                   region named after its country with the most core names;
                    pipeline output
   dendrogram TSV   node_a<TAB>node_b<TAB>height<TAB>new_node, leaf ids in
                    leading '# leaf' comment lines; pipeline output

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate, count, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SurnameError
+from .util import is_int
 
 FeatureVector = dict[str, int]
 
@@ -60,7 +61,11 @@ class NGramConfig:
     end_marker: str = "$"
 
     def __post_init__(self) -> None:
-        values = tuple(sorted({int(n) for n in self.n_values}))
+        if not isinstance(self.n_values, (list, tuple)) or not all(map(is_int, self.n_values)):
+            raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
+        if not isinstance(self.pad_boundaries, bool):
+            raise ValueError(f"pad_boundaries must be true or false, got {self.pad_boundaries!r}")
+        values = tuple(sorted(set(self.n_values)))
         if not values:
             raise ValueError("n_values must be non-empty")
         if values[0] < 1 or values[-1] > 8:
@@ -83,12 +88,7 @@ class NGramConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NGramConfig":
-        return cls(
-            n_values=tuple(data["n_values"]),
-            pad_boundaries=bool(data["pad_boundaries"]),
-            start_marker=str(data["start_marker"]),
-            end_marker=str(data["end_marker"]),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def extract(surname: str, config: NGramConfig = NGramConfig()) -> FeatureVector:

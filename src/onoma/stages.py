@@ -45,6 +45,7 @@ from .typology import (
     relabel,
     ward_cluster,
 )
+from .util import is_int, is_number
 
 log = logging.getLogger(__name__)
 
@@ -57,9 +58,36 @@ def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
     return field(default=default, metadata={"rule": (rule, ok)})
 
 
+def _is_path(value: object) -> bool:
+    return isinstance(value, (str, Path))
+
+
+def _list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+# Per field annotation: its kind in words, whether a value is of that kind (a
+# bool is no number; a path is a string or a `Path`, a list a list or a
+# tuple), and the field's value from one that is.
+_KINDS: dict[str, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "int": ("an integer", is_int, int),
+    "float": ("a number", is_number, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "Path": ("a string", _is_path, Path),
+    "Path | None": ("a string or null", lambda v: v is None or _is_path(v),
+                    lambda v: None if v is None else Path(v)),
+    "tuple[int, ...]": ("a list of integers", _list_of(is_int), tuple),
+    "tuple[Path, ...]": ("a list of strings", _list_of(_is_path), lambda v: tuple(map(Path, v))),
+}
+
+
 def _check_setting(f: Field, value: object, name: str | None = None) -> None:
     """Raise `ConfigError`, naming the setting `name` or else `f.name`, unless
-    `value` lies in the range of the field `f`."""
+    `value` is of the kind of the field `f` and lies in its range."""
+    kind, is_kind, _ = _KINDS[f.type]
+    if not is_kind(value):
+        raise ConfigError(f"{name or f.name} must be {kind}, got {value!r}")
     rule, ok = f.metadata.get("rule", ("", None))
     if ok is not None and not ok(value):
         raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
@@ -76,7 +104,8 @@ def feature_config(config: PipelineConfig) -> NGramConfig:
 @dataclass
 class PipelineConfig:
     """File-based configuration for the all-in-one pipeline command; each
-    field declares a setting's default, JSON kind (its annotation) and range.
+    field declares a setting's default, JSON kind (its annotation) and range,
+    and a value of another kind or out of range raises `ConfigError`.
     `run` reads no path: `corpus` may stay None for a caller that hands `run`
     its table, as `synth.score_pipeline` does, but `cli.read_config` needs it."""
 
@@ -102,10 +131,10 @@ class PipelineConfig:
     targets: tuple[Path, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer (stochastic stages require it)")
         for f in fields(self):
-            _check_setting(f, getattr(self, f.name))
+            value = getattr(self, f.name)
+            _check_setting(f, value)
+            setattr(self, f.name, _KINDS[f.type][2](value))
         feature_config(self)
         if self.targets and self.reference is None:
             raise ConfigError("targets need a reference path")
@@ -131,9 +160,9 @@ def build_typology(
 
     Row i of `features` holds core name i. Returns the typology cut at k
     regions (at most one per clustered country), each region named after
-    its country with the most core names unless k is 7, the dendrogram, the
-    labeled core rows and the names per region. Core names of countries
-    left out of the matrix are dropped with a warning.
+    its country with the most core names (a tie to the smallest code), the
+    dendrogram, the labeled core rows and the names per region. Core names
+    of countries left out of the matrix are dropped with a warning.
     """
     with _config_errors():
         matrix = build_country_matrix(core, features, min_core_names)

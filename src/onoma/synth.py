@@ -89,6 +89,12 @@ def _rows(dist: Mapping[str, float]) -> tuple[tuple[list, list], tuple[list, lis
     return ([s for s, _ in items], cum_full), ([s for s, _ in nonstop], cum_nonstop)
 
 
+def _check_str(**fields: object) -> None:
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Character chain: start distribution plus per-context transition rows."""
@@ -139,6 +145,7 @@ class RegionGenerator:
     max_len: int = 12
 
     def __post_init__(self) -> None:
+        _check_str(label=self.region)
         lengths = (self.min_len, self.max_len)
         if not all(map(is_int, lengths)) or not 1 <= self.min_len <= self.max_len <= MAX_LEN:
             raise ValueError(f"length bounds {list(lengths)} must be integers with"
@@ -153,6 +160,8 @@ class CountrySpec:
     volume: float = 1.0  # mean occurrence count per name, emulating uneven sampling
 
     def __post_init__(self) -> None:
+        _check_str(code=self.code, region=self.region)
+        object.__setattr__(self, "code", self.code.upper())
         if not is_int(self.n_names) or self.n_names < 1:
             raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
         if not is_number(self.volume) or self.volume < 1:
@@ -168,6 +177,7 @@ class PopulationSpec:
     region_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_str(name=self.name)
         if not is_int(self.n_names) or self.n_names < 1:
             raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
         if not all(map(is_number, self.region_weights)):
@@ -176,14 +186,6 @@ class PopulationSpec:
         if not weights or min(weights) < 0 or sum(weights) <= 0:
             raise ValueError("region_weights must be nonnegative with positive sum")
         object.__setattr__(self, "region_weights", weights)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PopulationSpec":
-        return cls(
-            name=str(data["name"]),
-            n_names=data["n_names"],
-            region_weights=tuple(data["region_weights"]),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +280,7 @@ class SynthSpec:
                 global_chain=MarkovChain.from_dict(doc["global_chain"]),
                 generators=tuple(
                     RegionGenerator(
-                        region=str(r["label"]),
+                        region=r["label"],
                         chain=MarkovChain.from_dict(r["chain"]),
                         min_len=r.get("min_len", 3),
                         max_len=r.get("max_len", 12),
@@ -287,15 +289,16 @@ class SynthSpec:
                 ),
                 countries=tuple(
                     CountrySpec(
-                        code=str(c["code"]).upper(),
-                        region=str(c["region"]),
+                        code=c["code"],
+                        region=c["region"],
                         n_names=c["n_names"],
                         volume=c.get("volume", 1.0),
                     )
                     for c in doc["countries"]
                 ),
                 populations=tuple(
-                    PopulationSpec.from_dict(p) for p in doc.get("populations", [])
+                    PopulationSpec(p["name"], p["n_names"], tuple(p["region_weights"]))
+                    for p in doc.get("populations", [])
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -3,8 +3,10 @@
 Countries are described by the frequency profile of n-grams over their core
 names, clustered agglomeratively (Ward linkage on Euclidean distances via
 the Lance-Williams recurrence), and a dendrogram cut plus an explicit,
-auditable override list turns the tree into a small set of world-region
-labels used to relabel the training data.
+auditable override list turns the tree into a small set of world regions
+used to relabel the training data. Each region is named after its member
+country with the most core names: the names come from the data, not
+from a fixed list.
 """
 
 from __future__ import annotations
@@ -37,21 +39,9 @@ __all__ = [
     "Override",
     "load_overrides",
     "RegionTypology",
-    "DEFAULT_REGION_LABELS",
     "cut_dendrogram",
     "relabel",
 ]
-
-# Default labels for a 7-way cut; ties to the bundled confusion fixture.
-DEFAULT_REGION_LABELS = (
-    "African",
-    "Arabian",
-    "Asian",
-    "CS-European",
-    "Indian",
-    "N-European",
-    "Slavic",
-)
 
 DELETED_LABEL = "DELETED"
 
@@ -538,26 +528,15 @@ def cut_dendrogram(
 ) -> RegionTypology:
     """Region typology from the k-cluster cut plus manual overrides.
 
-    The baseline removes the k-1 highest merges. With k=7 the clusters get
-    the default seven region labels (clusters ordered by smallest member
-    code, labels in alphabetical order); otherwise each cluster is named
-    after its largest member country by leaf weight, falling back to the
-    lexicographically first member. Overrides then apply in file order and
-    are recorded for provenance.
+    The baseline removes the k-1 highest merges. Each cluster, at every k,
+    is named after its member country of the largest leaf weight (the most
+    core names), a tie going to the smallest country code; a country
+    absent from `leaf_weights` weighs 0. Overrides then apply in file
+    order and are recorded for provenance.
     """
     clusters = dendrogram.clusters_at(k)
-    if len(clusters) == len(DEFAULT_REGION_LABELS):
-        labels = list(DEFAULT_REGION_LABELS)
-    else:
-        labels = []
-        for cluster in clusters:
-            if leaf_weights:
-                label = max(sorted(cluster), key=lambda c: leaf_weights.get(c, 0.0))
-            else:
-                label = min(cluster)
-            labels.append(label)
-        if len(set(labels)) != len(labels):
-            raise InvariantError(f"duplicate auto-generated region labels: {labels}")
+    weights = leaf_weights or {}
+    labels = [max(sorted(cluster), key=lambda c: weights.get(c, 0.0)) for cluster in clusters]
 
     assignment: dict[str, str | None] = {}
     for label, cluster in zip(labels, clusters):

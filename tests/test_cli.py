@@ -18,6 +18,7 @@ import onoma
 from onoma import synth
 from onoma.classifier import Labeled, train
 from onoma.cli import PipelineConfig, build_parser, main, read_config
+from onoma.errors import ConfigError
 from onoma.features import featurize
 from onoma.resources import reference_confusion_path
 
@@ -488,6 +489,34 @@ def test_apply_hands_the_operator_then_the_tallies_and_the_comparison(tmp_path):
     assert [d.dataset_name for d in dists] == [p.dataset_name for p in profiles] == ["ref", "t"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("strip_diacritics", "no"), ("strip_diacritics", 0), ("pad_boundaries", 1),
+     ("start_marker", 5), ("n_values", ["2", "3"]), ("n_values", [2.0]), ("alpha", True),
+     ("alpha", "0.1"), ("regions", "AB"), ("regions", {"A": 1, "B": 2}),
+     ("vocabulary", 1)],
+)
+def test_a_model_value_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, value):
+    """The model reader takes each value only of its JSON kind: none is
+    turned into a bool, a number, a string or a list (the vocabulary's first
+    token is made a number)."""
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    if key == "vocabulary":
+        doc[key][0] = value
+    else:
+        where = doc if key in ("alpha", "regions") else doc["feature_config"]
+        where[key] = value
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    assert f"input error: {model}: malformed model file: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
     model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
@@ -690,6 +719,27 @@ def test_a_spec_number_of_the_wrong_kind_or_out_of_bounds_is_malformed(tmp_path,
     out = tmp_path / "synth"
     assert run(["synth", "--spec", path, "--out-dir", out]) == 2
     assert f"input error: {path}: malformed spec: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("label", 12), ("label", None), ("code", 7), ("code", None), ("region", None),
+     ("region", ["R0"]), ("name", 12), ("name", True)],
+)
+def test_a_spec_string_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, value):
+    """The spec reader takes a region label, a country code or region, and a
+    population name only as a string: none is turned into one."""
+    def edit(doc):
+        where = {"label": doc["regions"][0], "code": doc["countries"][0],
+                 "region": doc["countries"][0], "name": doc["populations"][0]}
+        where[key][key] = value
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: malformed spec: {key} must be a string, got {value!r}" in err
     assert not out.exists()
 
 
@@ -950,6 +1000,20 @@ def test_pipeline_config_takes_an_integer_as_a_number_and_null_as_no_path(tmp_pa
     assert loaded.registry is None and loaded.header is True
     assert loaded.n_values == (3, 2) and loaded.targets == (tmp_path / "t.txt",)
     assert loaded.reference == tmp_path / "r.txt"
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("seed", True, "an integer"), ("k_regions", True, "an integer"),
+     ("hhi_min", "0.5", "a number"), ("alpha", None, "a number"),
+     ("header", 1, "true or false"), ("n_values", (2, True), "a list of integers"),
+     ("corpus", 5, "a string or null")],
+)
+def test_the_config_dataclass_checks_each_value_kind(key, value, kind):
+    """The library's `PipelineConfig` holds the kind rules `read_config` applies."""
+    settings = {"seed": 1, "out_dir": Path("o"), key: value}
+    with pytest.raises(ConfigError, match=f"^{key} must be {kind}, got "):
+        PipelineConfig(**settings)
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):

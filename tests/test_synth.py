@@ -6,6 +6,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from onoma.classifier import Labeled, evaluate, split, train
 from onoma.corpus import filter_core_names, render_corpus_tsv
 from onoma.errors import ConfigError, InvariantError
 from onoma.features import NGramConfig, featurize
-from onoma.stages import fit
+from onoma.stages import PipelineConfig, fit, run
 from onoma.synth import (
     CountrySpec,
     MarkovChain,
@@ -446,6 +447,29 @@ def test_typology_recovery_at_low_overlap():
         card = score_pipeline(spec, min_core_names=10)
         exact += card.partition_exact
     assert exact >= 8
+
+
+def test_seven_regions_are_named_after_their_own_countries():
+    """At k = 7 each region is named after its country with the most core
+    names, one of its own, whose true region is the region's majority one."""
+    spec = standard_spec(7, 3, 150, 0.2, seed=1)
+    table, truth = generate(spec)
+    got = {}
+    run(PipelineConfig(1, Path(), k_regions=7, min_core_names=10), table, [], got.__setitem__)
+    typology, core = got["typology"], got["core"]
+    country_truth = {c.code: c.region for c in spec.countries}
+    true_partition = {frozenset(c.code for c in spec.countries if c.region == g.region)
+                      for g in spec.generators}
+    assert {frozenset(typology.members(r)) for r in typology.regions} == true_partition
+    core_names = Counter(core.countries[i] for i in core.country)
+    for label in typology.regions:
+        members = typology.members(label)
+        assert label in members
+        assert label == max(members, key=core_names.__getitem__)
+        votes = Counter(country_truth[c] for c in members)
+        assert country_truth[label] == votes.most_common(1)[0][0]
+    # Not just the smallest code: the data pick some other member.
+    assert any(label != min(typology.members(label)) for label in typology.regions)
 
 
 def test_scorecard_serializes():

@@ -17,7 +17,6 @@ from onoma.corpus import CoreSet
 from onoma.errors import InvariantError
 from onoma.features import FeatureMatrix, NGramConfig, featurize
 from onoma.typology import (
-    DEFAULT_REGION_LABELS,
     WARD_BLOCK_ROWS,
     WARD_PATCH_RATIO,
     CountryFeatureMatrix,
@@ -884,7 +883,7 @@ def test_cut_produces_k_nonempty_groups():
         assert sorted(c for group in clusters for c in group) == sorted(labels)
 
 
-def test_cut_seven_uses_default_labels_and_overrides():
+def test_cut_seven_uses_data_labels_and_overrides():
     groups = [
         ["ET", "NG"],
         ["DZ", "EG"],
@@ -895,35 +894,45 @@ def test_cut_seven_uses_default_labels_and_overrides():
         ["PL", "RU", "PG", "MG", "JM", "TD", "AM"],
     ]
     dendrogram = cluster_line_dendrogram(groups)
+    weights = {"NG": 5.0, "ET": 3.0, "EG": 4.0, "CN": 9.0, "JP": 2.0, "FR": 2.0, "IT": 2.0,
+               "PK": 6.0, "SE": 7.0, "RU": 8.0, "PL": 1.0}
     overrides = (
-        Override("REASSIGN", "PH", "Asian"),
-        Override("REASSIGN", "JP", "Asian"),
-        Override("REASSIGN", "ID", "Asian"),
-        Override("REASSIGN", "ET", "African"),
+        Override("REASSIGN", "PH", "CN"),
+        Override("REASSIGN", "JP", "CN"),
+        Override("REASSIGN", "ID", "CN"),
+        Override("REASSIGN", "ET", "NG"),
         Override("DELETE", "PG"),
         Override("DELETE", "MG"),
         Override("DELETE", "JM"),
         Override("DELETE", "TD"),
         Override("DELETE", "AM"),
     )
-    typology = cut_dendrogram(dendrogram, 7, overrides)
-    assert typology.regions == DEFAULT_REGION_LABELS
-    # Baseline labels: clusters ordered by smallest member (AM.., CN.., DE..,
-    # DZ.., ET.., FR.., IN..) get the seven labels alphabetically.
-    assert typology.assignment["RU"] == "African"
-    assert typology.assignment["CN"] == "Arabian"
-    assert typology.assignment["SE"] == "Asian"
-    assert typology.assignment["EG"] == "CS-European"
-    assert typology.assignment["NG"] == "Indian"
-    assert typology.assignment["IT"] == "N-European"
-    assert typology.assignment["PK"] == "Slavic"
+    typology = cut_dendrogram(dendrogram, 7, overrides, weights)
+    # Each cluster is named after its heaviest country, FR and IT tying on
+    # weight; clusters stay ordered by their smallest member (AM.., CN..,
+    # DE.., DZ.., ET.., FR.., IN..).
+    assert typology.regions == ("RU", "CN", "SE", "EG", "NG", "FR", "PK")
+    for country, region in (("PL", "RU"), ("CN", "CN"), ("DE", "SE"), ("DZ", "EG"),
+                            ("NG", "NG"), ("IT", "FR"), ("IN", "PK")):
+        assert typology.assignment[country] == region
     # Explicit reassignments land on the named regions.
     for country in ("PH", "JP", "ID"):
-        assert typology.assignment[country] == "Asian"
-    assert typology.assignment["ET"] == "African"
+        assert typology.assignment[country] == "CN"
+    assert typology.assignment["ET"] == "NG"
     for deleted in ("PG", "MG", "JM", "TD", "AM"):
         assert typology.assignment[deleted] is None
     assert typology.overrides == overrides
+
+
+def test_cut_label_tie_goes_to_the_smallest_code():
+    """Two member countries with as many core names: the smaller code names
+    the cluster, whatever order the weights come in."""
+    dendrogram = cluster_line_dendrogram([["AA", "AC", "AB"], ["BB", "BA"]])
+    for weights in ({"AC": 5.0, "AB": 5.0, "AA": 1.0, "BB": 2.0, "BA": 2.0},
+                    {"BA": 2.0, "BB": 2.0, "AA": 1.0, "AB": 5.0, "AC": 5.0}):
+        typology = cut_dendrogram(dendrogram, 2, leaf_weights=weights)
+        assert typology.regions == ("AB", "BA")
+        assert typology.members("AB") == ["AA", "AB", "AC"]
 
 
 def test_cut_override_validation():
