@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -204,11 +205,15 @@ class TrainedModel:
         try:
             fc = dict(doc["feature_config"])
             strip = fc.pop("strip_diacritics", False)
+            # One pass over every cell: a JSON number is an int or a float, not a bool.
+            cells = chain(doc["log_priors"], *doc["log_likelihoods"])
+            if not set(map(type, cells)) <= {int, float}:
+                raise ValueError("log_priors and log_likelihoods must hold JSON numbers")
             return cls(
                 regions=doc["regions"],
                 vocabulary=doc["vocabulary"],
-                log_priors=np.array(doc["log_priors"], dtype=float),
-                log_likelihoods=np.array(doc["log_likelihoods"], dtype=float),
+                log_priors=doc["log_priors"],  # made float arrays by __post_init__
+                log_likelihoods=doc["log_likelihoods"],
                 alpha=doc["alpha"],
                 feature_config=NGramConfig.from_dict(fc),
                 strip_diacritics=strip,

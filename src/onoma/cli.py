@@ -17,12 +17,12 @@ Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. An input file that
 is not UTF-8, or holds a non-finite number, is an input error; a leading
-byte-order mark is skipped. Population
-files are read by `_read_population`, which rejects every name classifying
-would reject; a surname in another file that the n-gram pass rejects is
-reported as an input error in that file. Exit codes: 1 usage, 2 input
-format or io, 3 config validation (a `ConfigError`), 4 internal error (any
-other exception).
+byte-order mark is skipped. Each reader checks
+the names it reads: `_read_population` rejects every name classifying would
+reject, `corpus.read_corpus_tsv` every name `features.check_surnames`
+rejects, and `synth`'s spec reader every chain symbol a corpus file could
+not carry back. Exit codes: 1 usage, 2 input format or io, 3 config
+validation (a `ConfigError`), 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from .corpus import (
     render_corpus_tsv,
 )
 from .errors import ConfigError, InputFormatError, SurnameError
-from .features import NGramConfig, check_surnames
-from .stages import PipelineConfig, _check_setting, feature_config
+from .features import check_surnames
+from .stages import PipelineConfig, _check_setting
 from .typology import Dendrogram, RegionTypology, load_overrides
 from .util import atomic_write, dumps, parse_json, read_text, sha256_file
 
@@ -71,20 +70,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-@contextmanager
-def _surnames_from(path: Path | str) -> Iterator[None]:
-    """Report a surname the n-gram pass rejects as an input error in `path`."""
-    try:
-        yield
-    except SurnameError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
-def _read_population(path: Path | str, strip_diacritics: bool, ngrams: NGramConfig) -> list[str]:
+def _read_population(path: Path | str, strip_diacritics: bool) -> list[str]:
     """The surnames of a population file, one per line, each one classifying accepts.
 
     The file must hold a surname, and no name may be empty after
-    `normalize_surname` or hold one of the boundary markers of `ngrams`.
+    `normalize_surname` or hold a boundary marker.
     """
     lines = read_text(path).splitlines()
     names = [name for line in lines if (name := line.strip())]
@@ -94,8 +84,10 @@ def _read_population(path: Path | str, strip_diacritics: bool, ngrams: NGramConf
     if "" in normalized:
         empty = names[normalized.index("")]
         raise InputFormatError(f"{path}: surname {empty!r} is empty after normalization")
-    with _surnames_from(path):
-        check_surnames(normalized, ngrams)
+    try:
+        check_surnames(normalized)
+    except SurnameError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
     return names
 
 
@@ -149,7 +141,7 @@ def cmd_classify_population(args) -> int:
     operator = CorrectionOperator.from_csv(args.operator)
     if operator.regions != model.regions:
         raise ConfigError("operator and model disagree on regions")
-    names = _read_population(args.input, model.strip_diacritics, model.feature_config)
+    names = _read_population(args.input, model.strip_diacritics)
     tally = diversity.tally_guesses(model, names)
     dist = diversity.distribution(tally, operator, args.name or Path(args.input).stem)
     doc = {
@@ -171,8 +163,7 @@ def cmd_compare(args) -> int:
     counts = ConfusionCounts.from_csv(args.confusion)
     if counts.regions != model.regions:
         raise ConfigError("model regions do not match the confusion matrix")
-    strip, ngrams = model.strip_diacritics, model.feature_config
-    datasets = [(path.stem, _read_population(path, strip, ngrams)) for path in files]
+    datasets = [(path.stem, _read_population(path, model.strip_diacritics)) for path in files]
     artifacts = {"model": Path(args.model)}  # the model file the report's digest names
     provenance = {"confusion": Path(args.confusion).name,
                   "priors_source": f"reference:{files[0].name}"}
@@ -245,15 +236,13 @@ def cmd_synth(args) -> int:
     handed = [(table, truth)]
     del table
     if args.score:
-        # Only a name the spec's chains generated can fail.
-        with _surnames_from(out_dir / "corpus.tsv"):
-            card = synth.score_pipeline(
-                spec,
-                min_core_names=args.min_core_names,
-                alpha=args.alpha,
-                corpus=handed.pop(),
-                heldout=populations[0] if populations else None,  # the population it scores
-            )
+        card = synth.score_pipeline(
+            spec,
+            min_core_names=args.min_core_names,
+            alpha=args.alpha,
+            corpus=handed.pop(),
+            heldout=populations[0] if populations else None,  # the population it scores
+        )
         atomic_write(out_dir / "scorecard.json", card.to_json())
         print(card.to_json(), end="", file=sys.stderr)
     print(sizes, file=sys.stderr)
@@ -363,16 +352,13 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     files = [path for path in (config.reference, *config.targets) if path is not None]
     datasets = [path.stem for path in files]
     stages.check_dataset_names(datasets)
-    ngrams = feature_config(config)
-    surnames = [_read_population(path, config.strip_diacritics, ngrams) for path in files]
+    surnames = [_read_population(path, config.strip_diacritics) for path in files]
     overrides = load_overrides(config.overrides) if config.overrides else ()
     log.info("stage: ingest (%s)", config.corpus)
     registry = (CountryRegistry.default() if config.registry is None
                 else CountryRegistry.from_tsv(config.registry))
     table = read_corpus_tsv(config.corpus, registry, header=config.header,
                             strict=config.strict, strip_diacritics=config.strip_diacritics)
-    with _surnames_from(config.corpus):
-        check_surnames(table.surnames(), ngrams)
     # Written last, so it exists only for a run that finished.
     (out_dir / "summary.json").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}

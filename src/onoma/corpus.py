@@ -24,7 +24,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, SurnameError
+from .features import check_surnames
 from .resources import countries_path
 from .util import format_each, intern, pick, read_text, tsv_lines
 
@@ -317,12 +318,15 @@ def read_corpus_tsv(
     strict: bool = False,
     strip_diacritics: bool = False,
 ) -> OccurrenceTable:
+    """`ingest` of the file `path`; a format error or a surname that
+    `check_surnames` rejects is an `InputFormatError` naming the file."""
     with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         try:
             table = ingest(
                 fh, registry, header=header, strict=strict, strip_diacritics=strip_diacritics
             )
-        except InputFormatError as exc:
+            check_surnames(table._surnames)
+        except (InputFormatError, SurnameError) as exc:
             raise InputFormatError(f"{path}: {exc}") from None
         except UnicodeDecodeError:  # its position is within a buffered block, not the file
             raise InputFormatError(f"{path}: not valid UTF-8") from None

@@ -10,12 +10,8 @@ class InputFormatError(OnomaError):
 
 
 class SurnameError(OnomaError, ValueError):
-    """A surname cannot be split into n-grams: it is empty or holds a marker.
-
-    The command line checks population and corpus files by these rules
-    before it writes anything, and reports one raised for a name of a
-    file as an input error in that file.
-    """
+    """A surname that is empty or holds a marker, which `features.check_surnames`
+    rejects; a reader reports it as an input error in its file."""
 
 
 class ConfigError(OnomaError):

@@ -16,8 +16,10 @@ code points inside one word an integer key. One sort per n groups the equal
 (name, n-gram) pairs; each pair becomes an entry placed at its first window
 (word, then n, then start), so every row lists its tokens in the order a
 scan of the padded words first meets them. Token ids follow the tokens'
-sorted order. `extract` is `featurize` of one name, as a dict, and
-`check_surnames` is the input check `featurize` runs on each chunk.
+sorted order. `extract` is `featurize` of one name, as a dict. A surname is
+non-empty and holds neither `START_MARKER` (`^`) nor `END_MARKER` (`$`):
+`check_surnames` applies that rule in `featurize`, `corpus.read_corpus_tsv`
+and `cli`'s population reader; `synth`'s spec reader rejects marker symbols.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .util import is_int
 FeatureVector = dict[str, int]
 
 __all__ = [
+    "START_MARKER",
+    "END_MARKER",
     "NGramConfig",
     "FeatureVector",
     "extract",
@@ -45,6 +49,8 @@ __all__ = [
     "build_vocabulary",
 ]
 
+START_MARKER, END_MARKER = "^", "$"  # the ends of every padded word: no surname holds them
+_MARKER_KEYS = {"start_marker": START_MARKER, "end_marker": END_MARKER}  # in a model file
 # Names decomposed together by `featurize`; its transient arrays scale with it.
 _CHUNK = 1024
 # Matrix rows whose entries `build_vocabulary` counts together.
@@ -53,12 +59,10 @@ _VOCAB_CHUNK = 4096
 
 @dataclass(frozen=True)
 class NGramConfig:
-    """Which n-gram sizes to emit and how word boundaries are marked."""
+    """Which n-gram sizes to emit and whether words are padded with the markers."""
 
     n_values: tuple[int, ...] = (2, 3)
     pad_boundaries: bool = True
-    start_marker: str = "^"
-    end_marker: str = "$"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_values, (list, tuple)) or not all(map(is_int, self.n_values)):
@@ -71,23 +75,18 @@ class NGramConfig:
         if values[0] < 1 or values[-1] > 8:
             raise ValueError(f"each n must be in 1..8, got {values}")
         object.__setattr__(self, "n_values", values)
-        for name in ("start_marker", "end_marker"):
-            marker = getattr(self, name)
-            if not isinstance(marker, str) or len(marker) != 1:
-                raise ValueError(f"{name} must be a single character")
-        if self.start_marker == self.end_marker:
-            raise ValueError("start and end markers must differ")
 
     def to_dict(self) -> dict:
         return {
             "n_values": list(self.n_values),
             "pad_boundaries": self.pad_boundaries,
-            "start_marker": self.start_marker,
-            "end_marker": self.end_marker,
+            **_MARKER_KEYS,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "NGramConfig":
+        if [data[key] for key in _MARKER_KEYS] != [START_MARKER, END_MARKER]:
+            raise ValueError(f"the boundary markers must be {START_MARKER!r} and {END_MARKER!r}")
         return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
@@ -188,13 +187,11 @@ def featurize(names: Sequence[str], config: NGramConfig = NGramConfig()) -> Feat
     )
 
 
-def check_surnames(
-    names: Sequence[str], config: NGramConfig, text: str | None = None
-) -> None:
+def check_surnames(names: Sequence[str], text: str | None = None) -> None:
     """`SurnameError` naming the first of `names` that is empty or holds a
-    boundary marker of `config`; `text` is the names joined by spaces, if
-    the caller has it."""
-    markers = (config.start_marker, config.end_marker)
+    boundary marker; `text` is the names joined by spaces, if the caller
+    has it."""
+    markers = (START_MARKER, END_MARKER)
     text = " ".join(names) if text is None else text
     if all(names) and not any(marker in text for marker in markers):
         return
@@ -224,7 +221,7 @@ def _chunk_entries(
     out the next id to a token it has not seen.
     """
     text = " ".join(chunk)
-    check_surnames(chunk, config, text)
+    check_surnames(chunk, text)
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     # Words are the runs of non-space code points; the joining spaces end
     # each name's last word, and a word's row follows from the name lengths.
@@ -241,8 +238,8 @@ def _chunk_entries(
     padded = np.empty(int(width.sum()), dtype=np.uint32)
     padded[np.flatnonzero(letter) + np.repeat(offset + pad - starts, lengths)] = code[letter]
     if pad:
-        padded[offset] = ord(config.start_marker)
-        padded[offset + width - 1] = ord(config.end_marker)
+        padded[offset] = ord(START_MARKER)
+        padded[offset + width - 1] = ord(END_MARKER)
     word_of = np.repeat(np.arange(len(width)), width)
     room = np.repeat(offset + width, width) - np.arange(len(padded))  # code points left in the word
 

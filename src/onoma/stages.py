@@ -95,10 +95,8 @@ def _check_setting(f: Field, value: object, name: str | None = None) -> None:
 
 def feature_config(config: PipelineConfig) -> NGramConfig:
     """The n-gram settings of `config`."""
-    try:
+    with _config_errors():
         return NGramConfig(n_values=config.n_values, pad_boundaries=config.pad_boundaries)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import string
+import unicodedata
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .classifier import EvalReport
-from .corpus import CountryRegistry, OccurrenceTable
+from .corpus import CountryRegistry, OccurrenceTable, normalize_surname
 from .errors import InputFormatError, InvariantError
+from .features import END_MARKER, START_MARKER
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
 from .util import atomic_write, derive_seed, dumps, is_int, is_number, parse_json, read_text
@@ -57,8 +59,6 @@ def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) ->
     for symbol, prob in dist.items():
         if symbol == STOP and not allow_stop:
             raise ValueError(f"{what}: stop state not allowed here")
-        if symbol != STOP and len(symbol) != 1:
-            raise ValueError(f"{what}: symbols must be single characters, got {symbol!r}")
         if not is_number(prob) or prob < 0:
             raise ValueError(f"{what}: probability of {symbol!r} must be a number >= 0")
         total += prob
@@ -117,6 +117,15 @@ class MarkovChain:
             _validate_dist(row, allow_stop=True, what=f"context {context!r}")
             full_rows[context], nonstop_rows[context] = _rows(row)
         full_rows[""] = nonstop_rows[""] = _rows(self.start)[1]
+        # Each distinct symbol once: a corpus file must carry it back as it is.
+        for symbol in sorted(set(self.start).union(*self.transitions.values()) - {STOP}):
+            problem = ("is not one character" if len(symbol) != 1
+                       else "is whitespace" if symbol.isspace()
+                       else "is a boundary marker" if symbol in (START_MARKER, END_MARKER)
+                       else "changes under normalize_surname" if normalize_surname(symbol) != symbol
+                       else "is a combining mark" if unicodedata.category(symbol)[0] == "M" else "")
+            if problem:
+                raise ValueError(f"symbol {symbol!r} {problem}")
         object.__setattr__(self, "_full_rows", full_rows)
         object.__setattr__(self, "_nonstop_rows", nonstop_rows)
 
@@ -146,6 +155,8 @@ class RegionGenerator:
 
     def __post_init__(self) -> None:
         _check_str(label=self.region)
+        if "\t" in self.region or self.region.splitlines() not in ([], [self.region]):
+            raise ValueError(f"label {self.region!r} holds a tab or a line break")
         lengths = (self.min_len, self.max_len)
         if not all(map(is_int, lengths)) or not 1 <= self.min_len <= self.max_len <= MAX_LEN:
             raise ValueError(f"length bounds {list(lengths)} must be integers with"
@@ -161,6 +172,8 @@ class CountrySpec:
 
     def __post_init__(self) -> None:
         _check_str(code=self.code, region=self.region)
+        if not self.code or any(map(str.isspace, self.code)):
+            raise ValueError(f"code {self.code!r} is empty or holds whitespace")
         object.__setattr__(self, "code", self.code.upper())
         if not is_int(self.n_names) or self.n_names < 1:
             raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")

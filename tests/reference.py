@@ -122,20 +122,20 @@ def extract(surname: str, config: NGramConfig = NGramConfig()) -> FeatureVector:
 
     For each word of the (already normalized) surname, the padded string
     contributes every contiguous substring of length n with multiplicity;
-    words shorter than n contribute nothing for that n. Pure function.
+    words shorter than n contribute nothing for that n. The boundary
+    markers `^` and `$` are written here, not read from the package.
+    Pure function.
     """
     if not surname:
         raise ValueError("empty surname")
-    for marker in (config.start_marker, config.end_marker):
+    for marker in ("^", "$"):
         if marker in surname:
             raise ValueError(f"surname contains reserved marker {marker!r}")
     counts: FeatureVector = {}
     for word in surname.split(" "):
         if not word:
             continue
-        padded = (
-            config.start_marker + word + config.end_marker if config.pad_boundaries else word
-        )
+        padded = "^" + word + "$" if config.pad_boundaries else word
         for n in config.n_values:
             for i in range(len(padded) - n + 1):
                 token = padded[i : i + n]

@@ -517,6 +517,61 @@ def test_a_model_value_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc.update(log_priors=list(map(str, doc["log_priors"]))),
+     lambda doc: doc.update(log_priors=[True, False]),
+     lambda doc: doc["log_likelihoods"][1].__setitem__(0, "-1.5"),
+     lambda doc: doc["log_likelihoods"][0].__setitem__(-1, None),
+     lambda doc: doc.update(log_likelihoods=["abc", "def"])],
+    ids=["prior_strings", "prior_bools", "likelihood_string", "likelihood_null", "row_strings"],
+)
+def test_a_model_number_that_is_no_json_number_is_malformed(tmp_path, capsys, edit):
+    """The model reader takes each log prior and log likelihood only as a
+    JSON number: a string or a bool is not turned into a float."""
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    edit(doc)
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert (f"input error: {model}: malformed model file: log_priors and log_likelihoods"
+            " must hold JSON numbers") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, marker", [("start_marker", "<"), ("end_marker", ">")])
+def test_a_model_with_other_boundary_markers_is_malformed(tmp_path, capsys, key, marker):
+    """Every model pads words with `^` and `$`; a model file that names
+    other markers is malformed for each command that loads a model."""
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["feature_config"][key] = marker
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    operator = tmp_path / "operator.csv"
+    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("guessed,A,B\nA,3,1\nB,1,3\n", encoding="utf-8")
+    message = (f"input error: {model}: malformed model file: the boundary markers must be"
+               " '^' and '$'")
+    out = tmp_path / "dist.json"
+    assert run(["classify-population", "--model", model, "--operator", operator,
+                "--input", population, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    target = tmp_path / "target.txt"
+    target.write_text("abd\n", encoding="utf-8")
+    out = tmp_path / "cmp"
+    assert run(["compare", target, "--reference", population, "--model", model,
+                "--confusion", confusion, "--out-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
     model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
@@ -601,7 +656,6 @@ def test_every_reader_skips_a_byte_order_mark(tmp_path, synth_dir, piped):
     from onoma.cli import _read_population
     from onoma.correction import ConfusionCounts, CorrectionOperator
     from onoma.corpus import CountryRegistry, read_corpus_tsv, render_corpus_tsv
-    from onoma.features import NGramConfig
     from onoma.typology import load_overrides
 
     registry = CountryRegistry.from_tsv(synth_dir / "countries.tsv")
@@ -610,7 +664,7 @@ def test_every_reader_skips_a_byte_order_mark(tmp_path, synth_dir, piped):
     readers = {
         synth_dir / "corpus.tsv": lambda p: render_corpus_tsv(read_corpus_tsv(p, registry)),
         synth_dir / "countries.tsv": lambda p: CountryRegistry.from_tsv(p).to_tsv(),
-        synth_dir / "population_heldout.txt": lambda p: _read_population(p, False, NGramConfig()),
+        synth_dir / "population_heldout.txt": lambda p: _read_population(p, False),
         synth_dir / "spec.json": lambda p: synth.SynthSpec.load(p).to_json(),
         tmp_path / "config.json": lambda p: read_config(p, {}),
         overrides: load_overrides,
@@ -797,18 +851,77 @@ def test_a_confusion_row_with_no_guesses_is_a_config_error(tmp_path, capsys):
 
 
 def test_synth_score_reports_a_generated_marker_as_an_input_error(tmp_path, capsys):
-    """A spec whose chains emit the start marker: the scorer's n-gram pass
-    rejects a generated name, reported in the corpus file just written."""
+    """A spec whose chains emit the start marker is malformed: the spec
+    reader rejects the symbol, with or without `--score`, before any file
+    is written."""
     spec = synth.standard_spec(2, 2, 50, 0.2, seed=1).to_json().replace('"a":', '"^":')
     path = tmp_path / "spec.json"
     path.write_text(spec, encoding="utf-8")
     out = tmp_path / "synth"
-    assert run(["synth", "--spec", path, "--out-dir", out, "--min-core-names", 5,
-                "--score"]) == 2
+    for score in ([], ["--score"]):
+        assert run(["synth", "--spec", path, "--out-dir", out, "--min-core-names", 5,
+                    *score]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: malformed spec: symbol '^' is a boundary marker" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "symbol, problem",
+    [("\t", "is whitespace"), ("\n", "is whitespace"), (" ", "is whitespace"),
+     ("\u2028", "is whitespace"), ("$", "is a boundary marker"),
+     ("Q", "changes under normalize_surname"), ("\u212b", "changes under normalize_surname"),
+     ("\u0301", "is a combining mark")],
+    ids=["tab", "line_feed", "space", "line_separator", "marker", "upper_case", "angstrom_sign",
+         "combining_acute"],
+)
+@pytest.mark.parametrize("chain", ["global", "region"])
+def test_a_spec_symbol_a_corpus_cannot_carry_back_is_malformed(tmp_path, capsys, chain, symbol,
+                                                               problem):
+    """A chain symbol that a corpus file would split, reject or change is
+    malformed: the spec's chains generate only names the corpus reader
+    reads back as they are."""
+    def edit(doc):
+        where = doc["global_chain"] if chain == "global" else doc["regions"][0]["chain"]
+        where["transitions"]["b"][symbol] = where["transitions"]["b"].pop("a")
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out, "--score"]) == 2
     err = capsys.readouterr().err
-    assert f"input error: {out / 'corpus.tsv'}: surname " in err
-    assert "contains reserved marker '^'" in err
-    assert not (out / "scorecard.json").exists()
+    assert f"input error: {path}: malformed spec: symbol {symbol!r} {problem}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [("code", "A\tA", "is empty or holds whitespace"),
+     ("code", "A A", "is empty or holds whitespace"), ("code", "", "is empty or holds whitespace"),
+     ("label", "R\n0", "holds a tab or a line break"),
+     ("label", "R\t0", "holds a tab or a line break"),
+     ("label", "R\u20280", "holds a tab or a line break")],
+    ids=["code_tab", "code_space", "code_empty", "label_line_feed", "label_tab",
+         "label_line_separator"],
+)
+def test_a_spec_string_a_written_file_cannot_carry_back_is_malformed(tmp_path, capsys, key, value,
+                                                                     problem):
+    """A country code goes into `countries.tsv` and the corpus, a region
+    label into `countries.tsv` and `truth.tsv`: neither may hold what would
+    split its field."""
+    def edit(doc):
+        where = doc["regions"][0] if key == "label" else doc["countries"][0]
+        where[key] = value
+        if key == "label":  # its countries follow it
+            for country in doc["countries"]:
+                if country["region"] == "R0":
+                    country["region"] = value
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: malformed spec: {key} {value!r} {problem}" in err
+    assert not out.exists()
 
 
 def test_a_value_error_the_command_does_not_expect_is_an_internal_error(monkeypatch, capsys,

@@ -540,6 +540,21 @@ def test_corpus_tsv_round_trip(tmp_path):
     assert triples(again) == triples(table)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("o^brien\tFR\t2", "surname 'o^brien' contains reserved marker '^'"),
+     ("Ó$Brien\tFR\t2", "surname 'ó$brien' contains reserved marker '$'")],
+)
+def test_corpus_reader_rejects_a_surname_with_a_marker_and_names_the_file(tmp_path, row,
+                                                                         message):
+    # The check reads every distinct surname after normalization.
+    path = tmp_path / "corpus.tsv"
+    path.write_text(f"smith\tUS\t3\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as caught:
+        read_corpus_tsv(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 def test_core_names_tsv_round_trip():
     table = ingest(["solo\tJP\t1\n", "x\tJP\t999998\n", "dual\tUS\t1\n", "dual\tFR\t1\n"])
     core = filter_core_names(table)

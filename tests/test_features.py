@@ -10,6 +10,8 @@ import pytest
 from onoma.errors import SurnameError
 from onoma.features import (
     _CHUNK,
+    END_MARKER,
+    START_MARKER,
     NGramConfig,
     build_vocabulary,
     extract,
@@ -78,16 +80,23 @@ def test_config_validation():
         NGramConfig(n_values=())
     with pytest.raises(ValueError):
         NGramConfig(n_values=(9,))
-    with pytest.raises(ValueError):
-        NGramConfig(start_marker="$", end_marker="$")
-    with pytest.raises(ValueError):
-        NGramConfig(start_marker="ab")
     assert NGramConfig(n_values=(3, 2, 3)).n_values == (2, 3)
 
 
 def test_config_dict_round_trip():
     config = NGramConfig(n_values=(1, 3), pad_boundaries=False)
     assert NGramConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_dict_records_the_markers_and_takes_no_others():
+    written = NGramConfig().to_dict()
+    assert (START_MARKER, END_MARKER) == ("^", "$")
+    assert (written["start_marker"], written["end_marker"]) == ("^", "$")
+    for key, other in (("start_marker", "<"), ("end_marker", "^"), ("end_marker", None)):
+        with pytest.raises(ValueError, match=r"the boundary markers must be '\^' and '\$'"):
+            NGramConfig.from_dict({**written, key: other})
+    with pytest.raises(KeyError):
+        NGramConfig.from_dict({"n_values": [2, 3], "pad_boundaries": True})
 
 
 def vocabulary_of(corpus, config, min_df=1):
@@ -166,8 +175,6 @@ def test_featurize_validation():
         featurize([f"n{i}" for i in range(_CHUNK)] + ["o^brien"], NGramConfig())
     with pytest.raises(SurnameError, match="empty surname"):
         featurize(["ab", ""], NGramConfig())
-    with pytest.raises(SurnameError, match="'a<b'"):
-        featurize(["a$b", "a<b"], NGramConfig(start_marker="<", end_marker=">"))
     with pytest.raises(ValueError, match="row outside the feature matrix of 1 names"):
         featurize(["ab"], NGramConfig()).entries([0, 1])
 
@@ -234,13 +241,14 @@ def test_featurize_equals_extract_for_every_n_values_subset(size):
             assert_matches_reference(names, NGramConfig(n_values=n_values, pad_boundaries=pad))
 
 
-def test_featurize_equals_extract_with_custom_markers():
-    # The default markers are plain letters here; the markers sort before,
-    # after and among the letters.
-    names = random_names(random.Random(2), "bc^$", 60)
-    for start, end in (("<", ">"), ("\x00", "\U0010ffff"), ("z", "a")):
-        config = NGramConfig(n_values=(1, 2, 3), start_marker=start, end_marker=end)
-        assert_matches_reference(names, config)
+def test_featurize_equals_extract_on_characters_around_the_markers():
+    # Letters that sort below `$` (U+0024), between it and `^` (U+005E) and
+    # above `^`, up to U+10FFFF, so tokens order the markers among letters.
+    letters = ["\x00", "#", "%", "A", "]", "_", "a", "é", "\uffff", "\U0010ffff"]
+    names = random_names(random.Random(2), letters, 80)
+    for n_values in ((1, 2, 3), (2,), (4, 8)):
+        for pad in (True, False):
+            assert_matches_reference(names, NGramConfig(n_values=n_values, pad_boundaries=pad))
 
 
 def test_featurize_equals_extract_on_word_shapes():
