@@ -236,15 +236,15 @@ def cmd_synth(args) -> int:
     handed = [(table, truth)]
     del table
     if args.score:
-        card = synth.score_pipeline(
+        card = dumps(synth.score_pipeline(
             spec,
             min_core_names=args.min_core_names,
             alpha=args.alpha,
             corpus=handed.pop(),
             heldout=populations[0] if populations else None,  # the population it scores
-        )
-        atomic_write(out_dir / "scorecard.json", card.to_json())
-        print(card.to_json(), end="", file=sys.stderr)
+        ))
+        atomic_write(out_dir / "scorecard.json", card)
+        print(card, end="", file=sys.stderr)
     print(sizes, file=sys.stderr)
     return 0
 
@@ -393,9 +393,12 @@ FORMATS_HELP = """\
 file formats:
   corpus TSV       surname<TAB>country<TAB>count, UTF-8, LF endings, no header
                    by default (config key "header" skips the first row)
-  registry TSV     country_code<TAB>name (bundled 176-entry list by default)
+  registry TSV     country_code<TAB>name (bundled 176-entry list by default); a
+                   code, stripped and upper-cased, holds no whitespace, ',',
+                   '"' or '#', since a region is named after one
   overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country; a
-                   region is named after its country with the most core names
+                   region is named after its country with the most core names;
+                   country and region are upper-cased
   population       one surname per line
   core-name TSV    surname<TAB>country<TAB>hhi<TAB>max_frequency (6 sig. digits);
                    pipeline output
@@ -405,8 +408,11 @@ file formats:
                    pipeline output
   dendrogram TSV   node_a<TAB>node_b<TAB>height<TAB>new_node, leaf ids in
                    leading '# leaf' comment lines; pipeline output
-  confusion CSV    header row/column of region labels, counts per cell
-  operator CSV     row-stochastic matrix with '# key: value' provenance header
+  confusion CSV    one grid format: sorted '# key: value' provenance lines,
+  operator CSV     then a header row and a row per region, cells in 17
+                   significant digits (counts for the confusion, P(actual |
+                   guessed) rows for the operator); no region label holds
+                   ',', '"' or '#'
   model JSON       versioned document with regions, vocabulary, log priors and
                    log likelihoods (17 significant digits)
 """

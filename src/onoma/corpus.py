@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "normalize_surname",
+    "country_code",
     "CountryRegistry",
     "OccurrenceTable",
     "CoreSet",
@@ -69,6 +70,16 @@ def normalize_surname(raw: str, strip_diacritics: bool = False) -> str:
     return text
 
 
+def country_code(raw: str) -> str:
+    """`raw` stripped and upper-cased, as a country code. A code names a
+    region in the TSV and CSV files the pipeline writes, so one that is
+    empty or holds whitespace, `,`, `"` or `#` raises `ValueError`."""
+    code = raw.strip().upper()
+    if not code or any(c.isspace() or c in ',"#' for c in code):
+        raise ValueError(f"code {raw!r} is empty or holds whitespace, ',', '\"' or '#'")
+    return code
+
+
 class CountryRegistry:
     """Known country codes with display names; replaceable via config."""
 
@@ -93,9 +104,12 @@ class CountryRegistry:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise InputFormatError(f"{path}: line {lineno}: expected code<TAB>name")
-            code, name = fields[0].strip().upper(), fields[1].strip()
-            if not code or not name:
-                raise InputFormatError(f"{path}: line {lineno}: empty code or name")
+            try:
+                code, name = country_code(fields[0]), fields[1].strip()
+            except ValueError as exc:
+                raise InputFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not name:
+                raise InputFormatError(f"{path}: line {lineno}: empty name")
             names[code] = name
         if not names:
             raise InputFormatError(f"{path}: empty registry")
@@ -189,12 +203,13 @@ def ingest(
 ) -> OccurrenceTable:
     """Parse surname<TAB>country<TAB>count rows into an occurrence table.
 
-    Duplicates merge; row order never affects the result. Unknown country
-    codes are skipped with a warning, or rejected outright in strict mode.
+    Duplicates merge; row order never affects the result. Rows with an
+    unknown country code are skipped, with one warning per code that counts
+    its rows, or rejected outright in strict mode.
     A country total at or above 2**53 raises `InputFormatError`.
     """
     surnames, country_ids, cids, counts = [], {}, array("q"), array("q")
-    skipped = 0
+    skipped: dict[str, int] = {}  # unknown code -> rows, in first-seen order
     for lineno, raw in enumerate(lines, 1):
         if lineno == 1 and header:
             continue
@@ -224,16 +239,17 @@ def ingest(
         if registry is not None and country not in registry:
             if strict:
                 raise InputFormatError(f"line {lineno}: unknown country code {country!r}")
-            skipped += 1
-            log.warning("line %d: unknown country code %r, row skipped", lineno, country)
+            skipped[country] = skipped.get(country, 0) + 1
             continue
         if count >= _TOTAL_LIMIT:
             raise InputFormatError(f"line {lineno}: country {country!r} total reaches 2**53")
         surnames.append(surname)
         cids.append(country_ids.setdefault(country, len(country_ids)))
         counts.append(count)
+    for country, rows in skipped.items():
+        log.warning("unknown country code %r, rows skipped: %d", country, rows)
     if skipped:
-        log.info("ingest: skipped %d rows with unknown country codes", skipped)
+        log.info("ingest: skipped %d rows with unknown country codes", sum(skipped.values()))
     table = OccurrenceTable.__new__(OccurrenceTable)
     table._set_columns(surnames, country_ids, cids, counts, InputFormatError)
     return table

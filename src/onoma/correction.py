@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,32 +33,44 @@ __all__ = [
 ]
 
 
-def _render_cell(value: float) -> str:
-    value = float(value)
-    if value.is_integer():
-        return str(int(value))
-    return fmt_float(value)
+# What a region label holds that a grid file cannot carry back: a comma
+# splits a field, and a quote or a '#' can make the row something else.
+_UNWRITABLE = re.compile('[,"#]')
 
 
-def render_confusion_csv(regions: Sequence[str], matrix: np.ndarray) -> str:
-    for label in regions:
-        if "," in label:
-            raise ValueError(f"region label {label!r} cannot contain a comma")
-    lines = ["guessed," + ",".join(regions)]
+def render_confusion_csv(regions: Sequence[str], matrix: np.ndarray,
+                         provenance: Mapping[str, object] | None = None) -> str:
+    """`confusion.csv` or `operator.csv`: a sorted `# key: value` line per
+    `provenance` key, the header row, a row per region of 17-digit cells."""
+    if bad := [label for label in regions if _UNWRITABLE.search(label)]:
+        raise ValueError(f"region label {bad[0]!r} holds ',', '\"' or '#'")
+    lines = [f"# {key}: {value}" for key, value in sorted((provenance or {}).items())]
+    lines.append("guessed," + ",".join(regions))
     for label, row in zip(regions, np.asarray(matrix, dtype=float)):
-        lines.append(label + "," + ",".join(_render_cell(v) for v in row))
+        lines.append(label + "," + ",".join(map(fmt_float, row)))
     return "\n".join(lines) + "\n"
 
 
-def parse_confusion_csv(text: str, source: str = "<confusion>") -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a square grid of finite numbers with matching row/column region labels."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(cell.strip() for cell in row)]
-    rows = [row for row in rows if not row[0].lstrip().startswith("#")]
+def parse_confusion_csv(text: str, source: str = "<confusion>"
+                        ) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
+    """The region labels, square matrix and `# key: value` lines of a grid file; a
+    label the writer refuses, which only a quoted field holds, is an input error."""
+    provenance: dict[str, str] = {}
+    grid = []
+    for line in io.StringIO(text):
+        if not line.lstrip().startswith("#"):
+            grid.append(line)
+        elif ":" in line:
+            key, _, value = line.lstrip()[1:].partition(":")
+            provenance[key.strip()] = value.strip()
+    rows = [row for row in csv.reader(grid) if any(cell.strip() for cell in row)]
     if not rows:
         raise InputFormatError(f"{source}: empty matrix")
     regions = tuple(cell.strip() for cell in rows[0][1:])
     if len(regions) < 1 or len(set(regions)) != len(regions):
         raise InputFormatError(f"{source}: bad header region labels")
+    if bad := [label for label in regions if _UNWRITABLE.search(label)]:
+        raise InputFormatError(f"{source}: region label {bad[0]!r} holds ',', '\"' or '#'")
     if len(rows) - 1 != len(regions):
         raise InputFormatError(
             f"{source}: expected {len(regions)} data rows, got {len(rows) - 1}"
@@ -78,7 +91,7 @@ def parse_confusion_csv(text: str, source: str = "<confusion>") -> tuple[tuple[s
             raise InputFormatError(f"{source}: row {i + 2}: non-finite cell")
     if np.any(matrix < 0):
         raise InputFormatError(f"{source}: negative counts")
-    return regions, matrix
+    return regions, matrix, provenance
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +129,7 @@ class ConfusionCounts:
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "ConfusionCounts":
-        regions, matrix = parse_confusion_csv(read_text(path), source=str(path))
+        regions, matrix, _ = parse_confusion_csv(read_text(path), source=str(path))
         try:
             return cls(regions, matrix)
         except ValueError as exc:
@@ -164,23 +177,11 @@ class CorrectionOperator:
             raise ValueError("operator rows must sum to 1")
 
     def to_csv(self) -> str:
-        header = "".join(
-            f"# {key}: {self.provenance[key]}\n" for key in sorted(self.provenance)
-        )
-        lines = ["guessed," + ",".join(self.regions)]
-        for label, row in zip(self.regions, self.matrix):
-            lines.append(label + "," + ",".join(fmt_float(v) for v in row))
-        return header + "\n".join(lines) + "\n"
+        return render_confusion_csv(self.regions, self.matrix, self.provenance)
 
     @classmethod
     def from_csv(cls, path: Path | str) -> "CorrectionOperator":
-        text = read_text(path)
-        provenance: dict[str, object] = {}
-        for line in text.splitlines():
-            if line.startswith("#") and ":" in line:
-                key, _, value = line[1:].partition(":")
-                provenance[key.strip()] = value.strip()
-        regions, matrix = parse_confusion_csv(text, source=str(path))
+        regions, matrix, provenance = parse_confusion_csv(read_text(path), source=str(path))
         try:
             return cls(regions, matrix, provenance)
         except ValueError as exc:

@@ -16,14 +16,15 @@ import string
 import unicodedata
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .classifier import EvalReport
-from .corpus import CountryRegistry, OccurrenceTable, normalize_surname
+from .corpus import CountryRegistry, OccurrenceTable, country_code, normalize_surname
 from .errors import InputFormatError, InvariantError
 from .features import END_MARKER, START_MARKER
 from .stages import PipelineConfig, run
@@ -41,7 +42,6 @@ __all__ = [
     "generate",
     "generate_population",
     "registry_for",
-    "Scorecard",
     "score_pipeline",
 ]
 
@@ -118,7 +118,8 @@ class MarkovChain:
             full_rows[context], nonstop_rows[context] = _rows(row)
         full_rows[""] = nonstop_rows[""] = _rows(self.start)[1]
         # Each distinct symbol once: a corpus file must carry it back as it is.
-        for symbol in sorted(set(self.start).union(*self.transitions.values()) - {STOP}):
+        symbols = sorted(set(self.start).union(*self.transitions.values()) - {STOP})
+        for symbol in symbols:
             problem = ("is not one character" if len(symbol) != 1
                        else "is whitespace" if symbol.isspace()
                        else "is a boundary marker" if symbol in (START_MARKER, END_MARKER)
@@ -126,6 +127,7 @@ class MarkovChain:
                        else "is a combining mark" if unicodedata.category(symbol)[0] == "M" else "")
             if problem:
                 raise ValueError(f"symbol {symbol!r} {problem}")
+        object.__setattr__(self, "_symbols", symbols)
         object.__setattr__(self, "_full_rows", full_rows)
         object.__setattr__(self, "_nonstop_rows", nonstop_rows)
 
@@ -172,13 +174,12 @@ class CountrySpec:
 
     def __post_init__(self) -> None:
         _check_str(code=self.code, region=self.region)
-        if not self.code or any(map(str.isspace, self.code)):
-            raise ValueError(f"code {self.code!r} is empty or holds whitespace")
-        object.__setattr__(self, "code", self.code.upper())
+        object.__setattr__(self, "code", country_code(self.code))
         if not is_int(self.n_names) or self.n_names < 1:
             raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
         if not is_number(self.volume) or self.volume < 1:
             raise ValueError(f"volume must be a number >= 1, got {self.volume!r}")
+        object.__setattr__(self, "volume", float(self.volume))
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,13 @@ class SynthSpec:
         codes = [c.code for c in self.countries]
         if len(set(codes)) != len(codes) or not codes:
             raise ValueError("country codes must be unique and non-empty")
+        # Two symbols one after the other must stay two: a corpus file
+        # carries a name back normalized. Two ASCII symbols always do.
+        chains = (self.global_chain, *(g.chain for g in self.generators))
+        symbols = sorted(set().union(*(chain._symbols for chain in chains)))
+        for a, b in product(symbols, repeat=2):
+            if not (a + b).isascii() and normalize_surname(a + b) != a + b:
+                raise ValueError(f"symbols {a!r} then {b!r} change under normalize_surname")
         known = set(labels)
         for c in self.countries:
             if c.region not in known:
@@ -247,7 +255,8 @@ class SynthSpec:
         raise KeyError(region)
 
     def to_json(self) -> str:
-        doc = {
+        """The spec file's text; a country and a population are their fields."""
+        return dumps({
             "seed": self.seed,
             "overlap": float(self.overlap),
             "global_chain": self.global_chain.to_dict(),
@@ -260,25 +269,9 @@ class SynthSpec:
                 }
                 for g in self.generators
             ],
-            "countries": [
-                {
-                    "code": c.code,
-                    "region": c.region,
-                    "n_names": c.n_names,
-                    "volume": float(c.volume),
-                }
-                for c in self.countries
-            ],
-            "populations": [
-                {
-                    "name": p.name,
-                    "n_names": p.n_names,
-                    "region_weights": list(p.region_weights),
-                }
-                for p in self.populations
-            ],
-        }
-        return dumps(doc)
+            "countries": list(map(asdict, self.countries)),
+            "populations": list(map(asdict, self.populations)),
+        })
 
     def save(self, path: Path | str) -> Path:
         return atomic_write(path, self.to_json())
@@ -570,37 +563,6 @@ def default_population(spec: SynthSpec, n_names: int = 2000) -> PopulationSpec:
     return PopulationSpec(name="heldout", n_names=n_names, region_weights=weights)
 
 
-@dataclass(frozen=True, eq=False)
-class Scorecard:
-    """End-to-end pipeline quality measured against the generator's truth."""
-
-    true_regions: tuple[str, ...]
-    recall: dict[str, float]  # per true region
-    precision: dict[str, float]
-    partition_exact: bool
-    l1_raw: float
-    l1_corrected: float
-    n_core_names: int
-    n_eval: int
-    population_name: str
-    region_map: dict[str, str]  # typology label -> true region
-
-    def to_json(self) -> str:
-        doc = {
-            "true_regions": list(self.true_regions),
-            "recall": {r: float(v) for r, v in self.recall.items()},
-            "precision": {r: float(v) for r, v in self.precision.items()},
-            "partition_exact": self.partition_exact,
-            "l1_raw": float(self.l1_raw),
-            "l1_corrected": float(self.l1_corrected),
-            "n_core_names": self.n_core_names,
-            "n_eval": self.n_eval,
-            "population": self.population_name,
-            "region_map": dict(sorted(self.region_map.items())),
-        }
-        return dumps(doc)
-
-
 def _majority_region_map(
     typology: RegionTypology, country_truth: Mapping[str, str]
 ) -> dict[str, str]:
@@ -622,8 +584,9 @@ def score_pipeline(
     alpha: float | None = None,
     corpus: tuple[OccurrenceTable, Mapping[str, str]] | None = None,
     heldout: tuple[Sequence[str], Mapping[str, int]] | None = None,
-) -> Scorecard:
-    """Run the pipeline's chain, `stages.run`, on a spec and score it on the truth.
+) -> dict[str, Any]:
+    """Run the pipeline's chain, `stages.run`, on a spec and score it on the
+    truth; returns the scorecard document that `synth --score` writes.
 
     The typology is cut at the true region count and compared with the true
     country partition; classification metrics are mapped back to true regions
@@ -662,7 +625,6 @@ def score_pipeline(
         for g in spec.generators
     }
     got_partition = {frozenset(typology.members(r)) for r in typology.regions}
-    partition_exact = got_partition == true_partition
 
     region_map = _majority_region_map(typology, {c.code: c.region for c in spec.countries})
 
@@ -688,15 +650,15 @@ def score_pipeline(
         merged = np.bincount(to_true[mapped], counts[mapped], len(true_labels))
         return float(np.abs(merged / total - truth_shares).sum())
 
-    return Scorecard(
-        true_regions=true_labels,
-        recall=dict(zip(true_labels, truth_report.recall.tolist())),
-        precision=dict(zip(true_labels, truth_report.precision.tolist())),
-        partition_exact=partition_exact,
-        l1_raw=l1(guessed),
-        l1_corrected=l1(dists[0].counts),
-        n_core_names=got["summary"]["n_core_names"],
-        n_eval=got["summary"]["n_eval"],
-        population_name=population.name,
-        region_map=region_map,
-    )
+    return {
+        "true_regions": list(true_labels),
+        "recall": dict(zip(true_labels, truth_report.recall.tolist())),
+        "precision": dict(zip(true_labels, truth_report.precision.tolist())),
+        "partition_exact": got_partition == true_partition,
+        "l1_raw": l1(guessed),
+        "l1_corrected": l1(dists[0].counts),
+        "n_core_names": got["summary"]["n_core_names"],
+        "n_eval": got["summary"]["n_eval"],
+        "population": population.name,
+        "region_map": dict(sorted(region_map.items())),
+    }

@@ -469,7 +469,8 @@ class Override:
 
 
 def load_overrides(path: Path | str) -> tuple[Override, ...]:
-    """Parse REASSIGN<TAB>country<TAB>region / DELETE<TAB>country rows."""
+    """Parse REASSIGN<TAB>country<TAB>region / DELETE<TAB>country rows; the
+    country and the region, which is named after a country, are upper-cased."""
     out: list[Override] = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.startswith("#"):
@@ -477,7 +478,7 @@ def load_overrides(path: Path | str) -> tuple[Override, ...]:
         fields = line.rstrip("\r\n").split("\t")
         action = fields[0].strip().upper()
         if action == "REASSIGN" and len(fields) == 3:
-            out.append(Override("REASSIGN", fields[1].strip().upper(), fields[2].strip()))
+            out.append(Override("REASSIGN", fields[1].strip().upper(), fields[2].strip().upper()))
         elif action == "DELETE" and len(fields) == 2:
             out.append(Override("DELETE", fields[1].strip().upper()))
         else:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from itertools import islice
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -122,14 +123,27 @@ def read_text(path: Path | str) -> str:
         raise InputFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
+# The JSON escape of a surrogate: `read_text` decodes strictly, so only
+# one can put a surrogate, which no UTF-8 file holds, into a parsed string.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(text: str, source: Path | str) -> Any:
-    """The JSON document `text`, read from `source`. Not valid JSON, or a
+    """The JSON document `text`, read from `source`. Not valid JSON, a
     non-finite number (`NaN`, `Infinity` and `-Infinity`, which `json.loads`
-    accepts, or one too large for a double), is an `InputFormatError`."""
+    accepts, or one too large for a double), or a string holding a lone
+    surrogate (an escape such as `"\\ud800"` outside a pair) is an
+    `InputFormatError`."""
     try:
-        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
+        if _SURROGATE_ESCAPE.search(text):  # a pair parses to one character
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lone = exc.object[exc.start]
+        raise InputFormatError(f"{source}: not valid JSON: lone surrogate {lone!r}") from None
     except ValueError as exc:
         raise InputFormatError(f"{source}: not valid JSON: {exc}") from None
+    return doc
 
 
 # `json.dumps(text, ensure_ascii=False)` without building an encoder per call.
@@ -208,11 +222,11 @@ def dumps(obj: Any, indent: int = 2) -> str:
 _BLOCK = 1 << 16
 
 
-def atomic_write(path: Path | str, content: str | bytes) -> Path:
+def atomic_write(path: Path | str, text: str) -> Path:
     """Write via a sibling temp file and rename, so readers never see partials.
 
-    A string is encoded as UTF-8 _BLOCK characters at a time, so no copy of
-    the whole text is made. The temp file has a random name, so concurrent
+    The text is encoded as UTF-8 _BLOCK characters at a time, so no copy of
+    it is made whole. The temp file has a random name, so concurrent
     writers to one path do not collide (the last rename wins); it gets the
     mode open() gives a new file under the umask, and it is removed if the
     write fails.
@@ -222,11 +236,8 @@ def atomic_write(path: Path | str, content: str | bytes) -> Path:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            if isinstance(content, str):
-                for start in range(0, len(content), _BLOCK):
-                    handle.write(content[start : start + _BLOCK].encode("utf-8"))
-            else:
-                handle.write(content)
+            for start in range(0, len(text), _BLOCK):
+                handle.write(text[start : start + _BLOCK].encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -237,13 +237,13 @@ def test_criterion_6_synthetic_end_to_end():
         score_pipeline(standard_spec(7, 3, 500, 0.3, seed=seed))
         for seed in range(10)
     ]
-    regions = cards[0].true_regions
+    regions = cards[0]["true_regions"]
     for region in regions:
-        mean_recall = float(np.mean([card.recall[region] for card in cards]))
+        mean_recall = float(np.mean([card["recall"][region] for card in cards]))
         assert mean_recall >= 0.7, (region, mean_recall)
-    correction_wins = sum(1 for card in cards if card.l1_corrected <= card.l1_raw)
+    correction_wins = sum(1 for card in cards if card["l1_corrected"] <= card["l1_raw"])
     assert correction_wins >= 8, correction_wins
-    partition_hits = sum(1 for card in cards if card.partition_exact)
+    partition_hits = sum(1 for card in cards if card["partition_exact"])
     assert partition_hits >= 8, partition_hits
     passed("criterion 6 (synthetic end-to-end, 10 seeds)", time.perf_counter() - start, 120.0)
 

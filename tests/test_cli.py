@@ -21,6 +21,7 @@ from onoma.cli import PipelineConfig, build_parser, main, read_config
 from onoma.errors import ConfigError
 from onoma.features import featurize
 from onoma.resources import reference_confusion_path
+from onoma.util import dumps
 
 
 def run(argv):
@@ -97,7 +98,7 @@ def test_synth_score_generates_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"generate": 1, "generate_population": 2}
     monkeypatch.undo()
-    alone = synth.score_pipeline(spec, min_core_names=10, alpha=0.1).to_json()
+    alone = dumps(synth.score_pipeline(spec, min_core_names=10, alpha=0.1))
     assert (out / "scorecard.json").read_text(encoding="utf-8") == alone
 
 
@@ -114,20 +115,20 @@ def test_scorer_and_pipeline_agree_on_one_spec(tmp_path):
     assert run(["pipeline", "--config", config]) == 0
     out = tmp_path / "out"
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert (card.n_core_names, card.n_eval) == (summary["n_core_names"], summary["n_eval"])
-    assert sorted(card.region_map) == sorted(summary["regions"])
+    assert (card["n_core_names"], card["n_eval"]) == (summary["n_core_names"], summary["n_eval"])
+    assert sorted(card["region_map"]) == sorted(summary["regions"])
 
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     counts = report["datasets"]["population_reference"]["counts"]
     truth_file = tmp_path / "data" / "population_reference_truth.json"
     truth = json.loads(truth_file.read_text(encoding="utf-8"))
-    true_index = {r: i for i, r in enumerate(card.true_regions)}
-    estimated = np.zeros(len(card.true_regions))
+    true_index = {r: i for i, r in enumerate(card["true_regions"])}
+    estimated = np.zeros(len(card["true_regions"]))
     for region, count in counts.items():  # in the model's region order
-        estimated[true_index[card.region_map[region]]] += count
+        estimated[true_index[card["region_map"][region]]] += count
     total = float(sum(truth.values()))
-    truth_vec = np.array([truth[r] for r in card.true_regions], dtype=float)
-    assert card.l1_corrected == float(np.abs(estimated / total - truth_vec / total).sum())
+    truth_vec = np.array([truth[r] for r in card["true_regions"]], dtype=float)
+    assert card["l1_corrected"] == float(np.abs(estimated / total - truth_vec / total).sum())
 
 
 def test_scoring_does_not_import_the_command_line():
@@ -897,17 +898,21 @@ def test_a_spec_symbol_a_corpus_cannot_carry_back_is_malformed(tmp_path, capsys,
     "key, value, problem",
     [("code", "A\tA", "is empty or holds whitespace"),
      ("code", "A A", "is empty or holds whitespace"), ("code", "", "is empty or holds whitespace"),
+     ("code", "A,A", "is empty or holds whitespace, ',', '\"' or '#'"),
+     ("code", "#A", "is empty or holds whitespace, ',', '\"' or '#'"),
+     ("code", 'A"A', "is empty or holds whitespace, ',', '\"' or '#'"),
      ("label", "R\n0", "holds a tab or a line break"),
      ("label", "R\t0", "holds a tab or a line break"),
      ("label", "R\u20280", "holds a tab or a line break")],
-    ids=["code_tab", "code_space", "code_empty", "label_line_feed", "label_tab",
-         "label_line_separator"],
+    ids=["code_tab", "code_space", "code_empty", "code_comma", "code_hash", "code_quote",
+         "label_line_feed", "label_tab", "label_line_separator"],
 )
 def test_a_spec_string_a_written_file_cannot_carry_back_is_malformed(tmp_path, capsys, key, value,
                                                                      problem):
-    """A country code goes into `countries.tsv` and the corpus, a region
-    label into `countries.tsv` and `truth.tsv`: neither may hold what would
-    split its field."""
+    """A country code goes into `countries.tsv` and the corpus, and names a
+    region in `confusion.csv` and `operator.csv`; a region label goes into
+    `countries.tsv` and `truth.tsv`: neither may hold what would split its
+    field or comment out its row."""
     def edit(doc):
         where = doc["regions"][0] if key == "label" else doc["countries"][0]
         where[key] = value
@@ -921,6 +926,72 @@ def test_a_spec_string_a_written_file_cannot_carry_back_is_malformed(tmp_path, c
     assert run(["synth", "--spec", path, "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert f"input error: {path}: malformed spec: {key} {value!r} {problem}" in err
+    assert not out.exists()
+
+
+def test_a_registry_code_a_grid_file_cannot_carry_back_is_an_input_error(tmp_path, synth_dir,
+                                                                        capsys):
+    registry = tmp_path / "countries.tsv"
+    text = (synth_dir / "countries.tsv").read_text(encoding="utf-8")
+    registry.write_text(text + "a,a\tComma\n", encoding="utf-8")
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"), registry=str(registry),
+                     k_regions=3, min_core_names=5)
+    assert run(["pipeline", "--config", config]) == 2
+    line = len(text.splitlines()) + 1
+    assert f"input error: {registry}: line {line}: code 'a,a' is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_override_region_is_upper_cased_as_its_country_is(tmp_path, synth_dir, piped):
+    """A region is named after a country code, so `REASSIGN<TAB>ba<TAB>aa`
+    reads as `REASSIGN<TAB>BA<TAB>AA`."""
+    rows = dict(line.split("\t") for line in
+                (piped / "typology.tsv").read_text(encoding="utf-8").splitlines())
+    region = min(rows.values())
+    country = min(c for c, r in rows.items() if r != region)
+    overrides = tmp_path / "overrides.tsv"
+    overrides.write_text(f"REASSIGN\t{country.lower()}\t{region.lower()}\n", encoding="utf-8")
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"),
+                     registry=str(synth_dir / "countries.tsv"), overrides=str(overrides),
+                     k_regions=3, min_core_names=5, out_dir=str(tmp_path / "moved"))
+    assert run(["pipeline", "--config", config]) == 0
+    text = (tmp_path / "moved" / "typology.tsv").read_text(encoding="utf-8")
+    assert f"# override\tREASSIGN\t{country}\t{region}\n" in text
+    assert f"\n{country}\t{region}\n" in text
+
+
+def test_a_lone_surrogate_in_a_json_input_is_an_input_error(tmp_path, synth_dir, capsys):
+    """A spec whose chain emits "\\ud800", and a config whose out dir is it,
+    are not valid JSON: the commands exit 2 and write nothing."""
+    def edit(doc):
+        row = doc["regions"][0]["chain"]["transitions"]["b"]
+        row["\ud800"] = row.pop("a")
+
+    path = _edited_spec(tmp_path, edit)
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    out = tmp_path / "spec_out"
+    assert run(["synth", "--spec", path, "--out-dir", out, "--score"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {path}: not valid JSON: lone surrogate '\\ud800'" in err
+    assert not out.exists()
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"),
+                     registry=str(synth_dir / "countries.tsv"), k_regions=3, out_dir="\ud800")
+    assert run(["pipeline", "--config", config]) == 2
+    assert f"input error: {config}: not valid JSON: lone surrogate" in capsys.readouterr().err
+
+
+def test_spec_symbols_that_compose_under_normalization_are_malformed(tmp_path, capsys):
+    """U+1100 then U+1161 compose into one syllable under NFC, so a corpus
+    file could not carry back the names a chain emitting both generates."""
+    def edit(doc):
+        row = doc["regions"][0]["chain"]["transitions"]["b"]
+        row["\u1100"], row["\u1161"] = row.pop("a"), row.pop("c")
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    assert (f"input error: {path}: malformed spec: symbols '\u1100' then '\u1161' change under"
+            " normalize_surname") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1177,7 +1248,8 @@ def test_corpus_of_only_unknown_countries_is_an_input_error(tmp_path, synth_dir,
     reference = synth_dir / "population_heldout.txt"
     assert run(["pipeline", "--config", _pipeline_config(tmp_path, synth_dir, corpus, reference)]) == 2
     err = capsys.readouterr().err
-    assert "unknown country code 'ZZ', row skipped" in err
+    assert ("unknown country code 'ZZ', rows skipped: 1\n"
+            "unknown country code 'QQ', rows skipped: 1\n") in err
     assert f"input error: {corpus}: no records" in err
 
 
@@ -1387,6 +1459,18 @@ def test_calibrate_rejects_a_confusion_of_other_regions(tmp_path, synth_dir, pip
     err = capsys.readouterr().err
     assert "config error: model regions do not match the confusion matrix" in err
     assert not (tmp_path / "cmp").exists()
+
+
+def test_calibrate_rejects_a_quoted_label_it_could_not_write_back(tmp_path, capsys):
+    """A quoted field can carry a comma into a region label; no grid file
+    can carry it back, so the confusion is an input error naming the file."""
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text('guessed,"A,B",C\n"A,B",3,1\nC,1,3\n', encoding="utf-8")
+    out = tmp_path / "operator.csv"
+    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
+    assert (f"input error: {confusion}: region label 'A,B' holds ',', '\"' or '#'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_a_reference_of_one_name_yields_zero_guesses(tmp_path, synth_dir, piped, capsys):

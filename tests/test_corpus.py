@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import re
 import unicodedata
 from collections import namedtuple
 
@@ -13,6 +14,7 @@ from onoma.corpus import (
     CoreSet,
     CountryRegistry,
     OccurrenceTable,
+    country_code,
     filter_core_names,
     ingest,
     normalize_surname,
@@ -150,6 +152,20 @@ def test_ingest_unknown_country_modes():
     assert country_totals(lenient) == {"US": 1}
     with pytest.raises(InputFormatError, match="unknown country"):
         ingest(["a\tUS\t1\n", "b\tZZ\t1\n"], registry, strict=True)
+
+
+def test_ingest_warns_once_per_unknown_country_code(caplog):
+    """One warning per unknown code, counting its rows, in the order the
+    codes first appear; the INFO line gives the total."""
+    registry = CountryRegistry({"US": "United States"})
+    rows = ["a\tQQ\t1\n", "b\tUS\t1\n", "c\tzz\t1\n", "d\tQQ\t2\n", "e\tQQ\t1\n"]
+    caplog.set_level(logging.INFO, logger="onoma.corpus")
+    assert country_totals(ingest(rows, registry)) == {"US": 1}
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "unknown country code 'QQ', rows skipped: 3"),
+        ("WARNING", "unknown country code 'ZZ', rows skipped: 1"),
+        ("INFO", "ingest: skipped 4 rows with unknown country codes"),
+    ]
 
 
 def test_table_reads_match_pair_reference():
@@ -521,6 +537,29 @@ def test_filter_logs_funnel_counts(caplog):
 
 
 # ---------------------------------------------------------------- registry
+
+
+def test_country_code_is_stripped_and_upper_cased():
+    assert country_code(" us ") == "US"
+    for raw in ("", "  ", "U S", "U\tS", "A,A", "#A", 'A"A'):
+        with pytest.raises(ValueError, match="is empty or holds whitespace, ',', '\"' or '#'"):
+            country_code(raw)
+
+
+@pytest.mark.parametrize("code", ["a,a", "#A", 'A"A', "A A"])
+def test_registry_rejects_a_code_no_written_file_carries_back(tmp_path, code):
+    """A registry code becomes a region's name in the grid files, so a code
+    that could split or comment out a row is an input error naming the line."""
+    path = tmp_path / "countries.tsv"
+    path.write_text(f"US\tUnited States\n{code}\tOther\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}: line 2: code '{code}' is")):
+        CountryRegistry.from_tsv(path)
+
+
+def test_registry_codes_are_stripped_and_upper_cased(tmp_path):
+    path = tmp_path / "countries.tsv"
+    path.write_text(" us \tUnited States\n", encoding="utf-8")
+    assert CountryRegistry.from_tsv(path).codes() == ["US"]
 
 
 def test_default_registry_has_176_entries():

@@ -49,9 +49,15 @@ def test_fixture_csv_parses():
 
 def test_confusion_csv_round_trip():
     counts = ConfusionCounts.from_csv(reference_confusion_path())
-    regions, matrix = parse_confusion_csv(render_confusion_csv(counts.regions, counts.matrix))
+    provenance = {"source": "reference", "priors_source": "explicit"}
+    text = render_confusion_csv(counts.regions, counts.matrix, provenance)
+    assert text.startswith("# priors_source: explicit\n# source: reference\nguessed,")
+    regions, matrix, read = parse_confusion_csv(text)
     assert regions == counts.regions
     assert np.array_equal(matrix, counts.matrix)
+    assert read == provenance
+    # Without provenance, the grid alone, and an empty record read back.
+    assert parse_confusion_csv(render_confusion_csv(regions, matrix))[2] == {}
 
 
 def test_confusion_validation():
@@ -156,6 +162,18 @@ def test_operator_csv_round_trip(tmp_path):
     assert loaded.regions == operator.regions
     assert np.array_equal(loaded.matrix, operator.matrix)
     assert loaded.provenance["priors_source"] == "explicit"
+
+
+@pytest.mark.parametrize("label", ["A,B", "#A", 'A"B'], ids=["comma", "hash", "quote"])
+def test_grid_files_carry_no_label_they_could_not_read_back(label):
+    """The one grid writer checks the labels of `operator.csv` as it does
+    those of `confusion.csv`, and the one reader rejects a quoted label the
+    writer would refuse."""
+    with pytest.raises(ValueError, match=""" holds ',', '"' or '#'"""):
+        CorrectionOperator((label, "C"), np.eye(2)).to_csv()
+    quoted = '"' + label.replace('"', '""') + '"'
+    with pytest.raises(InputFormatError, match=f"^grid.csv: region label {label!r} holds"):
+        parse_confusion_csv(f"guessed,{quoted},C\n{quoted},1,0\nC,0,1\n", "grid.csv")
 
 
 # ---------------------------------------------------------------- correct_counts

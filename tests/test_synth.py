@@ -6,6 +6,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from onoma.synth import (
     score_pipeline,
     standard_spec,
 )
+from onoma.util import dumps
 import reference
 
 
@@ -403,8 +405,8 @@ def test_population_mix_and_determinism():
 def test_separable_construction_gives_perfect_recall():
     spec = standard_spec(3, 2, 200, 0.0, seed=7, leak=0.0)
     card = score_pipeline(spec, min_core_names=10)
-    assert all(v == 1.0 for v in card.recall.values())
-    assert card.partition_exact
+    assert all(v == 1.0 for v in card["recall"].values())
+    assert card["partition_exact"]
 
 
 def test_indistinguishable_overlap_matches_prior_baseline():
@@ -435,7 +437,7 @@ def test_recall_non_increasing_in_overlap():
         for seed in range(10):
             spec = standard_spec(3, 2, 150, overlap, seed=seed)
             card = score_pipeline(spec, min_core_names=10)
-            values.append(float(np.mean(list(card.recall.values()))))
+            values.append(float(np.mean(list(card["recall"].values()))))
         means.append(float(np.mean(values)))
     assert all(means[i] >= means[i + 1] for i in range(len(means) - 1))
 
@@ -445,7 +447,7 @@ def test_typology_recovery_at_low_overlap():
     for seed in range(10):
         spec = standard_spec(3, 3, 120, 0.3, seed=seed)
         card = score_pipeline(spec, min_core_names=10)
-        exact += card.partition_exact
+        exact += card["partition_exact"]
     assert exact >= 8
 
 
@@ -473,11 +475,15 @@ def test_seven_regions_are_named_after_their_own_countries():
 
 
 def test_scorecard_serializes():
+    """The scorecard is the JSON document `synth --score` writes, its keys in
+    their order, and it reads back as it is."""
     spec = standard_spec(2, 2, 80, 0.2, seed=2)
     card = score_pipeline(spec, min_core_names=10)
-    text = card.to_json()
-    assert '"partition_exact"' in text
-    assert card.l1_raw >= 0 and card.l1_corrected >= 0
+    assert list(card) == ["true_regions", "recall", "precision", "partition_exact", "l1_raw",
+                          "l1_corrected", "n_core_names", "n_eval", "population", "region_map"]
+    assert json.loads(dumps(card)) == card
+    assert card["population"] == "heldout" and list(card["region_map"]) == sorted(card["region_map"])
+    assert card["l1_raw"] >= 0 and card["l1_corrected"] >= 0
 
 
 def test_score_pipeline_classifies_each_row_once(monkeypatch):
@@ -496,7 +502,7 @@ def test_score_pipeline_classifies_each_row_once(monkeypatch):
     spec = standard_spec(3, 2, 120, 0.3, seed=4)
     names, counts = generate_population(spec, PopulationSpec("held", 300, (1.0, 2.0, 4.0)))
     card = score_pipeline(spec, min_core_names=10, heldout=(names, counts))
-    assert sorted(rows) == sorted([card.n_eval, len(set(names))])
+    assert sorted(rows) == sorted([card["n_eval"], len(set(names))])
 
 
 def test_score_pipeline_compares_its_population_by_name():
@@ -521,3 +527,19 @@ def test_score_pipeline_reports_bad_settings_as_config_errors():
     with pytest.raises(ConfigError, match="train_fraction"):
         fit(labeled, featurize(names), seed=2, train_fraction=1.0, alpha=0.1, min_df=1,
             strip_diacritics=False)
+
+
+def test_spec_rejects_symbols_that_compose_across_its_chains():
+    """Every ordered pair of symbols over all the spec's chains must stay two
+    characters under normalization: U+1100 then U+1161 compose into one
+    syllable, whichever chains emit them; two ASCII symbols never do."""
+    spec = standard_spec(2, 2, 30, 0.3, seed=1)
+    lead = MarkovChain(order=1, start={"\u1100": 1.0}, transitions={})
+    vowel = MarkovChain(order=1, start={"\u1161": 1.0}, transitions={})
+    with pytest.raises(ValueError, match="symbols '\u1100' then '\u1161' change under"):
+        replace(spec, global_chain=lead,
+                generators=(replace(spec.generators[0], chain=vowel), *spec.generators[1:]))
+    # Either symbol alone passes, and so do precomposed letters next to each other.
+    replace(spec, global_chain=vowel)
+    accented = MarkovChain(order=1, start={"\u00e9": 0.5, "\u00f8": 0.5}, transitions={})
+    replace(spec, global_chain=accented)

@@ -955,7 +955,7 @@ def test_load_overrides(tmp_path):
     path = tmp_path / "overrides.tsv"
     path.write_text("REASSIGN\tPH\tAsian\nDELETE\tPG\n", encoding="utf-8")
     assert load_overrides(path) == (
-        Override("REASSIGN", "PH", "Asian"),
+        Override("REASSIGN", "PH", "ASIAN"),
         Override("DELETE", "PG"),
     )
 

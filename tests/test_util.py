@@ -9,6 +9,7 @@ from typing import Any, Mapping
 import numpy as np
 import pytest
 
+from onoma.errors import InputFormatError
 from onoma.util import (
     _TSV_BLOCK_ROWS,
     atomic_write,
@@ -17,6 +18,7 @@ from onoma.util import (
     fmt_float,
     format_each,
     intern,
+    parse_json,
     sha256_file,
     tsv_lines,
 )
@@ -300,3 +302,22 @@ def test_tsv_lines_across_blocks_equal_one_join(extra):
     codes = tuple(f"c{i % 7}" for i in range(n))
     one_join = "\n".join(map("\t".join, zip(names, codes, names[::-1]))) + "\n"
     assert tsv_lines(names, codes, names[::-1]) == one_join
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"\\ud800"', '{"\\udfff": 1}', '[1, {"a": ["x\\uDBFFy"]}]', '"\\ude00\\ud83d"'],
+    ids=["string", "key", "nested", "reversed_pair"],
+)
+def test_parse_json_rejects_a_lone_surrogate(text):
+    """No UTF-8 file holds a lone surrogate, so an escape of one is not JSON
+    a written file can carry back, wherever it is."""
+    with pytest.raises(InputFormatError, match="^doc.json: not valid JSON: lone surrogate"):
+        parse_json(text, "doc.json")
+
+
+def test_parse_json_reads_a_surrogate_pair_and_an_escaped_backslash():
+    assert parse_json('{"\\ud83d\\ude00": "\\ud83d\\ude00"}', "doc.json") == {
+        "\U0001f600": "\U0001f600"
+    }
+    assert parse_json('["\\\\ud800"]', "doc.json") == ["\\ud800"]
