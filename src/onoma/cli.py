@@ -5,19 +5,19 @@ follow the paper's two steps: `pipeline` builds the typology and the
 classifier, handing the whole chain, `stages.run`, a sink that writes each
 result as it comes. `compare` applies a saved model and confusion to
 population files with the chain's apply step, `stages.apply`, and the same
-sink, so it writes the pipeline's operator and reports.
-`classify-population` applies a saved operator to one file; `calibrate` makes
-one from a confusion and explicit priors. `synth` writes a synthetic corpus
-with its truth, registry and populations, files `pipeline` reads like any
-others; that is the only way synthetic data reaches it. Each setting is one
-`stages.PipelineConfig` field, which gives the config file (read by
-`read_config`, `pipeline`'s only source of settings) its JSON type and
-`synth`'s setting options their default and range check.
+sink, so it writes the pipeline's operator and reports; given a reference
+alone, it writes that population's corrected distribution. `synth` writes a
+synthetic corpus with its truth, registry and populations, files `pipeline`
+reads like any others; that is the only way synthetic data reaches it. Each
+setting is one `stages.PipelineConfig` field, which gives the config file
+(read by `read_config`, `pipeline`'s only source of settings) its JSON type
+and `synth`'s setting options their default and range check.
 Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. An input file that
 is not UTF-8, or holds a non-finite number, is an input error; a leading
-byte-order mark is skipped. Each reader checks
+byte-order mark is skipped. A file name a provenance line carries (the
+reference's and the confusion's) holds no line break. Each reader checks
 the names it reads: `_read_population` rejects every name classifying would
 reject, `corpus.read_corpus_tsv` every name `features.check_surnames`
 rejects, and `synth`'s spec reader every chain symbol a corpus file could
@@ -33,8 +33,6 @@ import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
-
-import numpy as np
 
 from . import diversity, stages, synth
 from .classifier import EvalReport, TrainedModel, render_labeled_tsv
@@ -111,53 +109,17 @@ def _add_setting(parser: argparse.ArgumentParser, name: str, help: str) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def _parse_priors(text: str, n: int) -> np.ndarray:
-    """The n positive weights of `--priors`; `stages.calibrate` normalizes them."""
-    try:
-        values = np.asarray([float(part) for part in text.split(",")], dtype=float)
-    except ValueError:
-        raise ConfigError(f"bad priors {text!r}, expected comma-separated numbers") from None
-    if not np.isfinite(values).all():
-        raise ConfigError(f"--priors must be finite numbers, got {text!r}")
-    if values.shape != (n,):
-        raise ConfigError(f"expected {n} priors, got {len(values)}")
-    if np.any(values <= 0):
-        raise ConfigError("priors must be strictly positive")
-    return values
-
-
-def cmd_calibrate(args) -> int:
-    counts = ConfusionCounts.from_csv(args.confusion)
-    priors = _parse_priors(args.priors, len(counts.regions))
-    provenance = {"confusion": Path(args.confusion).name, "priors_source": "explicit"}
-    operator = stages.calibrate(counts, provenance, priors)
-    atomic_write(args.out, operator.to_csv())
-    print(f"operator over {len(operator.regions)} regions -> {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_classify_population(args) -> int:
-    model = TrainedModel.load(args.model)
-    operator = CorrectionOperator.from_csv(args.operator)
-    if operator.regions != model.regions:
-        raise ConfigError("operator and model disagree on regions")
-    names = _read_population(args.input, model.strip_diacritics)
-    tally = diversity.tally_guesses(model, names)
-    dist = diversity.distribution(tally, operator, args.name or Path(args.input).stem)
-    doc = {
-        "dataset": dist.dataset_name,
-        "n_names": dist.n_names,
-        "n_prior_only": dist.n_prior_only,
-        "regions": list(dist.regions),
-        "counts": {r: float(c) for r, c in zip(dist.regions, dist.counts)},
-        "proportions": {r: float(p) for r, p in zip(dist.regions, dist.proportions)},
-    }
-    atomic_write(args.out, dumps(doc))
-    return 0
+def _file_name(path: Path) -> str:
+    """The name of `path`, which a provenance line carries: one with no line break."""
+    if any(c in path.name for c in "\r\n"):
+        raise InputFormatError(f"file name {str(path)!r} holds a line break")
+    return path.name
 
 
 def cmd_compare(args) -> int:
     files = [Path(path) for path in (args.reference, *args.targets)]
+    provenance = {"confusion": _file_name(Path(args.confusion)),
+                  "priors_source": f"reference:{_file_name(files[0])}"}
     stages.check_dataset_names([path.stem for path in files])
     model = TrainedModel.load(args.model)
     counts = ConfusionCounts.from_csv(args.confusion)
@@ -165,8 +127,6 @@ def cmd_compare(args) -> int:
         raise ConfigError("model regions do not match the confusion matrix")
     datasets = [(path.stem, _read_population(path, model.strip_diacritics)) for path in files]
     artifacts = {"model": Path(args.model)}  # the model file the report's digest names
-    provenance = {"confusion": Path(args.confusion).name,
-                  "priors_source": f"reference:{files[0].name}"}
     stages.apply(model, counts, datasets, _writer(Path(args.out_dir), artifacts, {}), provenance)
     del artifacts["model"]
     for key in sorted(artifacts):
@@ -341,14 +301,17 @@ def _writer(
 def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     """Run every stage from one config; returns the artifact paths.
 
-    The dataset names and every configured input, the corpus surnames
-    included, are checked before `out_dir` is created; a `summary.json` an
-    earlier run left there is removed at once. The reference dataset is
-    `config.reference` and the targets are `config.targets`, each named
-    after its file's stem. `stages.run` then runs the chain, and `_writer`
-    writes each of its results as it comes.
+    The dataset names, the reference's file name and every configured
+    input, the corpus surnames included, are checked before `out_dir` is
+    created; a `summary.json` an earlier run left there is removed at once.
+    The reference dataset is `config.reference` and the targets are
+    `config.targets`, each named after its file's stem. `stages.run` then
+    runs the chain, and `_writer` writes each of its results as it comes.
     """
     out_dir = config.out_dir
+    priors_source = "evaluation column shares (no reference given)"
+    if config.reference is not None:
+        priors_source = f"reference:{_file_name(config.reference)}"
     files = [path for path in (config.reference, *config.targets) if path is not None]
     datasets = [path.stem for path in files]
     stages.check_dataset_names(datasets)
@@ -362,9 +325,6 @@ def run_pipeline(config: PipelineConfig) -> dict[str, Path]:
     # Written last, so it exists only for a run that finished.
     (out_dir / "summary.json").unlink(missing_ok=True)
     artifacts: dict[str, Path] = {}
-    priors_source = "evaluation column shares (no reference given)"
-    if config.reference is not None:
-        priors_source = f"reference:{config.reference.name}"
 
     # Handed over, not kept here: `run` lets the table go after the core filter.
     handed = [table]
@@ -432,24 +392,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "calibrate", help="reweight confusion priors and emit the correction operator"
+        "compare", help="corrected distributions of a reference and its targets, and their ratios"
     )
-    p.add_argument("--confusion", required=True, help="confusion CSV")
-    p.add_argument("--priors", required=True,
-                   help="explicit comma-separated priors, one per region (normalized)")
-    p.add_argument("--out", required=True, help="operator CSV path")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("classify-population", help="corrected origin distribution of a list")
-    p.add_argument("--model", required=True)
-    p.add_argument("--operator", required=True)
-    p.add_argument("--input", required=True, help="one surname per line")
-    p.add_argument("--name", help="dataset name (default: input file stem)")
-    p.add_argument("--out", required=True, help="distribution JSON path")
-    p.set_defaults(func=cmd_classify_population)
-
-    p = sub.add_parser("compare", help="representativeness ratios against a reference")
-    p.add_argument("targets", nargs="+", help="target population files")
+    p.add_argument("targets", nargs="*",
+                   help="target population files (none: the reference's distribution alone)")
     p.add_argument("--reference", required=True, help="reference population file")
     p.add_argument("--model", required=True)
     p.add_argument("--confusion", required=True,

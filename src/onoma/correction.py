@@ -3,9 +3,11 @@
 Row-normalizing a confusion matrix (rows guessed, columns actual) gives the
 probability of the actual origin given a guess. Because those probabilities
 depend on the class mix of the evaluation data, the matrix columns are first
-rescaled so their sums match the target population's uncorrected guess
-distribution; the resulting row-stochastic operator converts guessed
-aggregate counts into estimates of the actual composition.
+rescaled to the given priors (`reweight_priors`); the resulting row-stochastic
+operator converts guessed aggregate counts into estimates of the actual
+composition. `stages.apply` rescales them to the reference population's
+guess shares and applies that one operator to every dataset, so each target
+is pulled toward the reference's mix (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def render_confusion_csv(regions: Sequence[str], matrix: np.ndarray,
     if bad := [label for label in regions if _UNWRITABLE.search(label)]:
         raise ValueError(f"region label {bad[0]!r} holds ',', '\"' or '#'")
     lines = [f"# {key}: {value}" for key, value in sorted((provenance or {}).items())]
+    if bad := [line for line in lines if any(c in line for c in "\r\n")]:
+        raise ValueError(f"provenance line {bad[0]!r} holds a line break")
     lines.append("guessed," + ",".join(regions))
     for label, row in zip(regions, np.asarray(matrix, dtype=float)):
         lines.append(label + "," + ",".join(map(fmt_float, row)))

@@ -5,18 +5,17 @@ chain follows the paper's two steps. Building is core names
 (`corpus.filter_core_names`), then `build_typology` (a Ward typology of
 countries and the relabeled core names), `fit` (the split and the n-gram
 naive Bayes model) and `classifier.evaluate`. Applying, `apply`, is each
-dataset's guess tally (`diversity.tally_guesses`), `calibrate` (the
-correction operator from the evaluation confusion and the reference's
-tally), then the corrected distributions and representation ratios of the
-tallies; the correction sees a dataset only through its tally. Core and
-labeled names are row positions in a `FeatureMatrix` of the sorted core
-names. `run` calls the whole chain and `apply` the second step; each hands
-every result to a sink: `cli`'s writes the files of `pipeline` and
-`compare`, `synth.score_pipeline`'s keeps what its scorecard needs. Nothing
-here reads a path, parses an argument, writes a file or imports `synth` or
-`cli`. `build_typology`, `fit`, `calibrate` and `run`'s evaluation raise the
-library's `ValueError`s (settings and data the method cannot use) as
-`ConfigError`.
+dataset's guess tally (`diversity.tally_guesses`), the correction operator
+from the evaluation confusion and the reference's tally, then the corrected
+distributions and representation ratios of the tallies; the correction sees
+a dataset only through its tally. Core and labeled names are row positions
+in a `FeatureMatrix` of the sorted core names. `run` calls the whole chain
+and `apply` the second step; each hands every result to a sink: `cli`'s
+writes the files of `pipeline` and `compare`, `synth.score_pipeline`'s keeps
+what its scorecard needs. Nothing here reads a path, parses an argument,
+writes a file or imports `synth` or `cli`. `build_typology`, `fit`, `apply`
+and `run`'s evaluation raise the library's `ValueError`s (settings and data
+the method cannot use) as `ConfigError`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .classifier import Labeled, TrainedModel, evaluate, split, train
 from .corpus import CoreSet, OccurrenceTable, filter_core_names
-from .correction import ConfusionCounts, CorrectionOperator, correction_operator, reweight_priors
+from .correction import ConfusionCounts, correction_operator, reweight_priors
 from .diversity import distribution, representation_ratios, tally_guesses
 from .errors import ConfigError
 from .features import FeatureMatrix, NGramConfig, featurize
@@ -49,7 +48,7 @@ from .util import is_int, is_number
 
 log = logging.getLogger(__name__)
 
-__all__ = ["PipelineConfig", "feature_config", "build_typology", "fit", "calibrate",
+__all__ = ["PipelineConfig", "feature_config", "build_typology", "fit",
            "check_dataset_names", "apply", "run"]
 
 
@@ -200,33 +199,6 @@ def fit(
     return model, train_set, eval_set
 
 
-def calibrate(
-    confusion: ConfusionCounts,
-    provenance: Mapping[str, object],
-    priors: Sequence[float] | None = None,
-) -> CorrectionOperator:
-    """The correction operator, with the confusion reweighted to `priors`.
-
-    `priors` are a reference population's guess counts or explicit positive
-    weights; the columns are rescaled to their shares, which are added to
-    the operator's `provenance`. Without them the evaluation column shares
-    stand.
-    """
-    provenance = dict(provenance)
-    if priors is not None:
-        weights = np.asarray(priors, dtype=float)
-        if np.any(weights == 0):
-            missing = [r for r, w in zip(confusion.regions, weights) if w == 0]
-            raise ConfigError(
-                f"reference population yields zero guesses for: {', '.join(missing)}"
-            )
-        priors = weights / weights.sum()
-        confusion = reweight_priors(confusion, priors)
-        provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
-    with _config_errors():  # a guessed region with no names
-        return correction_operator(confusion, provenance)
-
-
 def check_dataset_names(names: Sequence[str]) -> None:
     """Raise `ConfigError` unless the dataset names are distinct and each
     fits in one field of the report's CSV files: no comma, no line break."""
@@ -249,17 +221,29 @@ def apply(
     """Apply `model` to (name, surnames) datasets, the reference first, whose
     names must pass `check_dataset_names`, and hand each result to `sink`.
 
-    Each dataset is classified once, into its tally; the operator is
-    calibrated from `confusion` on the reference's, with `provenance`, and
-    corrects every tally. The results are "operator", then with datasets
-    "tallies" ((name, tally) pairs) and "compare" (the distributions and
-    their ratio profiles); with none, the evaluation column shares stand.
+    Each dataset is classified once, into its tally. The operator is
+    `confusion` with its columns rescaled to the reference's guess shares,
+    which are added to `provenance`, then row-normalized; it corrects every
+    tally. The results are "operator", then with datasets "tallies" ((name,
+    tally) pairs) and "compare" (the distributions and their ratio
+    profiles); with none, the evaluation column shares stand.
     """
     check_dataset_names([name for name, _ in datasets])
     log.info("stage: calibrate")
     # Each dataset is classified once; from here on only its tally is used.
     tallies = [(name, tally_guesses(model, surnames)) for name, surnames in datasets]
-    operator = calibrate(confusion, provenance or {}, tallies[0][1][0] if tallies else None)
+    provenance = dict(provenance or {})
+    if tallies:
+        guesses = tallies[0][1][0]
+        if missing := [r for r, g in zip(confusion.regions, guesses) if g == 0]:
+            raise ConfigError(
+                f"reference population yields zero guesses for: {', '.join(missing)}"
+            )
+        priors = guesses / guesses.sum()
+        confusion = reweight_priors(confusion, priors)
+        provenance["priors"] = ",".join(f"{p:.6g}" for p in priors)
+    with _config_errors():  # a guessed region with no names
+        operator = correction_operator(confusion, provenance)
     sink("operator", operator)
     if tallies:
         log.info("stage: compare")

@@ -18,7 +18,8 @@ import onoma
 from onoma import synth
 from onoma.classifier import Labeled, train
 from onoma.cli import PipelineConfig, build_parser, main, read_config
-from onoma.errors import ConfigError
+from onoma.correction import CorrectionOperator
+from onoma.errors import ConfigError, InputFormatError
 from onoma.features import featurize
 from onoma.resources import reference_confusion_path
 from onoma.util import dumps
@@ -227,16 +228,7 @@ def test_stage_chain(tmp_path, synth_dir, piped):
         ["compare", "--model", model, "--confusion", confusion,
          "--reference", reference, target, "--out-dir", compare_dir]
     ) == 0
-    operator = compare_dir / "operator.csv"
-
-    dist = tmp_path / "dist.json"
-    assert run(
-        ["classify-population", "--model", model, "--operator", operator,
-         "--input", reference, "--out", dist]
-    ) == 0
-    dist_doc = json.loads(dist.read_text(encoding="utf-8"))
-    assert dist_doc["n_names"] == 400
-    assert sum(dist_doc["proportions"].values()) == pytest.approx(1.0, abs=1e-9)
+    assert (compare_dir / "operator.csv").exists()
 
     # Passing the reference file as a target too collides on dataset names.
     assert run(
@@ -275,6 +267,24 @@ def test_stage_commands_equal_pipeline(tmp_path):
     assert chained == piped
 
 
+def test_compare_of_a_reference_alone_is_the_pipelines_distribution(tmp_path, synth_dir, piped):
+    """Given no targets, `compare` writes the reference's corrected
+    distribution: on a pipeline run with that reference alone, its operator
+    and distributions bytes, and the same report row."""
+    reference = synth_dir / "population_heldout.txt"
+    alone = tmp_path / "alone"
+    assert run(["compare", "--model", piped / "model.json", "--confusion", piped / "confusion.csv",
+                "--reference", reference, "--out-dir", alone]) == 0
+    for name in ("operator.csv", "distributions.csv"):
+        assert (alone / name).read_bytes() == (piped / name).read_bytes(), name
+    row, piped_row = (json.loads((d / "report.json").read_text(encoding="utf-8"))
+                      ["datasets"]["population_heldout"] for d in (alone, piped))
+    for key in ("n_names", "n_prior_only", "counts", "proportions"):
+        assert row[key] == piped_row[key], key
+    assert row["n_names"] == 400
+    assert sum(row["proportions"].values()) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_typology_names_regions_as_synth_score_does(tmp_path):
     """At k other than 7, `pipeline` and `synth --score` give a cluster one name."""
     data = tmp_path / "synth"
@@ -289,40 +299,10 @@ def test_typology_names_regions_as_synth_score_does(tmp_path):
     assert {line.split("\t")[1] for line in lines} == set(card["region_map"])
 
 
-def test_calibrate_with_explicit_priors(tmp_path):
-    out = tmp_path / "operator.csv"
-    priors = "4.8,8.3,3.1,20.7,3.4,57.1,2.6"  # percentages; normalized internally
-    assert run(
-        ["calibrate", "--confusion", reference_confusion_path(), "--priors", priors,
-         "--out", out]
-    ) == 0
-    text = out.read_text(encoding="utf-8")
-    assert text.startswith("# confusion:")
-    assert "priors_source: explicit" in text
-
-
-@pytest.mark.parametrize("priors", ["nan,1,1,1,1,1,1", "inf,1,1,1,1,1,1", "1,-inf,1,1,1,1,1"])
-def test_calibrate_rejects_priors_that_are_not_finite(tmp_path, capsys, priors):
-    out = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", reference_confusion_path(), "--priors", priors,
-                "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert f"config error: --priors must be finite numbers, got {priors!r}" in err
-    assert not out.exists()
-
-
-def test_calibrate_takes_no_reference_and_compare_no_operator(tmp_path, synth_dir, piped,
-                                                              capsys):
-    """`compare` calibrates on its own reference, so neither route of the
-    two-step read path remains: each is a usage error that writes nothing."""
+def test_compare_takes_no_operator(tmp_path, synth_dir, piped, capsys):
+    """`compare` calibrates on its own reference, so a saved operator is a
+    usage error that writes nothing."""
     reference = synth_dir / "population_heldout.txt"
-    out = tmp_path / "operator.csv"
-    for priors, message in (([], "required: --priors"),
-                            (["--priors", "1,1,1"], "unrecognized arguments: --reference")):
-        assert run(["calibrate", "--confusion", piped / "confusion.csv", *priors,
-                    "--reference", reference, "--out", out]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
     assert run(["compare", "--model", piped / "model.json", "--operator", piped / "operator.csv",
                 "--reference", reference, tmp_path / "target.txt",
                 "--out-dir", tmp_path / "cmp"]) == 1
@@ -350,12 +330,11 @@ def test_exit_code_usage():
 
 
 def test_the_commands_are_the_build_and_the_read_path():
-    """`pipeline` builds (`synth` makes its data), and `calibrate`,
-    `classify-population` and `compare` apply a saved model."""
+    """`pipeline` builds (`synth` makes its data), and `compare` applies a saved model."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == {"synth", "pipeline", "calibrate", "classify-population",
-                                "compare"}
-    for command in ("ingest", "filter-core", "typology", "train", "evaluate"):
+    assert set(sub.choices) == {"synth", "pipeline", "compare"}
+    for command in ("ingest", "filter-core", "typology", "train", "evaluate", "calibrate",
+                    "classify-population"):
         assert run([command]) == 1, command
 
 
@@ -470,6 +449,16 @@ def _two_region_model(tmp_path):
     return model, population
 
 
+def _compare_two_region(tmp_path, model, population, confusion=None):
+    """The exit code of `compare` of the reference `population` alone into
+    `tmp_path / "cmp"`, with `confusion` or else a confusion of regions A and B."""
+    if confusion is None:
+        confusion = tmp_path / "confusion.csv"
+        confusion.write_text("guessed,A,B\nA,3,1\nB,1,3\n", encoding="utf-8")
+    return run(["compare", "--model", model, "--confusion", confusion,
+                "--reference", population, "--out-dir", tmp_path / "cmp"])
+
+
 def test_apply_hands_the_operator_then_the_tallies_and_the_comparison(tmp_path):
     from onoma import stages
     from onoma.classifier import TrainedModel
@@ -509,13 +498,9 @@ def test_a_model_value_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, val
         where = doc if key in ("alpha", "regions") else doc["feature_config"]
         where[key] = value
     model.write_text(json.dumps(doc), encoding="utf-8")
-    operator = tmp_path / "operator.csv"
-    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population) == 2
     assert f"input error: {model}: malformed model file: " in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize(
@@ -534,60 +519,41 @@ def test_a_model_number_that_is_no_json_number_is_malformed(tmp_path, capsys, ed
     doc = json.loads(model.read_text(encoding="utf-8"))
     edit(doc)
     model.write_text(json.dumps(doc), encoding="utf-8")
-    operator = tmp_path / "operator.csv"
-    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population) == 2
     err = capsys.readouterr().err
     assert (f"input error: {model}: malformed model file: log_priors and log_likelihoods"
             " must hold JSON numbers") in err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize("key, marker", [("start_marker", "<"), ("end_marker", ">")])
 def test_a_model_with_other_boundary_markers_is_malformed(tmp_path, capsys, key, marker):
     """Every model pads words with `^` and `$`; a model file that names
-    other markers is malformed for each command that loads a model."""
+    other markers is malformed."""
     model, population = _two_region_model(tmp_path)
     doc = json.loads(model.read_text(encoding="utf-8"))
     doc["feature_config"][key] = marker
     model.write_text(json.dumps(doc), encoding="utf-8")
-    operator = tmp_path / "operator.csv"
-    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
-    confusion = tmp_path / "confusion.csv"
-    confusion.write_text("guessed,A,B\nA,3,1\nB,1,3\n", encoding="utf-8")
-    message = (f"input error: {model}: malformed model file: the boundary markers must be"
-               " '^' and '$'")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-    target = tmp_path / "target.txt"
-    target.write_text("abd\n", encoding="utf-8")
-    out = tmp_path / "cmp"
-    assert run(["compare", target, "--reference", population, "--model", model,
-                "--confusion", confusion, "--out-dir", out]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert _compare_two_region(tmp_path, model, population) == 2
+    assert (f"input error: {model}: malformed model file: the boundary markers must be"
+            " '^' and '$'") in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
+    """No command reads an operator, so its reader is checked in the library."""
     model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
     operator.write_text("guessed,A,B\nA,0.5,1\nB,0,1\n", encoding="utf-8")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
-    assert f"input error: {operator}: operator rows must sum to 1" in capsys.readouterr().err
+    with pytest.raises(InputFormatError) as raised:
+        CorrectionOperator.from_csv(operator)
+    assert str(raised.value) == f"{operator}: operator rows must sum to 1"
     confusion = tmp_path / "confusion.csv"
     confusion.write_text("guessed,A,B\nA,3,0\nB,1,0\n", encoding="utf-8")
-    out = tmp_path / "operator_out.csv"
-    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population, confusion) == 2
     err = capsys.readouterr().err
     assert f"input error: {confusion}: regions with zero actual names: B" in err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize(
@@ -605,14 +571,10 @@ def test_a_model_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsy
         first = doc[key][0] if key == "log_likelihoods" else doc[key]
         first[0] = value
     model.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN, Infinity
-    operator = tmp_path / "operator.csv"
-    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population) == 2
     err = capsys.readouterr().err
     assert f"input error: {model}: not valid JSON: non-finite number {shown}" in err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize(
@@ -622,19 +584,23 @@ def test_a_model_file_with_a_non_finite_number_is_an_input_error(tmp_path, capsy
 )
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, synth_dir, capsys, reader):
     """Every file reader reports bytes that are not UTF-8 as an input error in
-    that file, and nothing is written."""
+    that file, and nothing is written; no command reads an operator, so its
+    reader is the library's."""
     bad = tmp_path / "bad"
     bad.write_bytes(b"abc\n\xff\n")
     model, population = _two_region_model(tmp_path)
-    operator = tmp_path / "operator.csv"
-    operator.write_text("guessed,A,B\nA,1,0\nB,0,1\n", encoding="utf-8")
-    files = {"model": model, "population": population, "operator": operator, reader: bad}
+    confusion = tmp_path / "confusion.csv"
+    confusion.write_text("guessed,A,B\nA,3,1\nB,1,3\n", encoding="utf-8")
+    files = {"model": model, "population": population, "confusion": confusion, reader: bad}
     out = tmp_path / "out"
-    if reader in ("model", "population", "operator"):
-        argv = ["classify-population", "--model", files["model"], "--operator",
-                files["operator"], "--input", files["population"], "--out", out]
-    elif reader == "confusion":
-        argv = ["calibrate", "--confusion", bad, "--priors", "1,1", "--out", out]
+    if reader == "operator":
+        with pytest.raises(InputFormatError) as raised:
+            CorrectionOperator.from_csv(bad)
+        assert str(raised.value) == f"{bad}: not valid UTF-8 at byte 4"
+        return
+    if reader in ("model", "population", "confusion"):
+        argv = ["compare", "--model", files["model"], "--confusion", files["confusion"],
+                "--reference", files["population"], "--out-dir", out]
     elif reader == "spec":
         argv = ["synth", "--spec", bad, "--out-dir", out]
     else:  # the pipeline's config writes to `out`
@@ -682,20 +648,18 @@ def test_every_reader_skips_a_byte_order_mark(tmp_path, synth_dir, piped):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_operator_and_confusion_files_with_a_non_finite_cell_are_input_errors(tmp_path, capsys,
                                                                                cell):
+    """No command reads an operator, so its reader is checked in the library."""
     model, population = _two_region_model(tmp_path)
     operator = tmp_path / "operator.csv"
     operator.write_text(f"guessed,A,B\nA,1,0\nB,{cell},1\n", encoding="utf-8")
-    out = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", population, "--out", out]) == 2
-    assert f"input error: {operator}: row 3: non-finite cell" in capsys.readouterr().err
-    assert not out.exists()
+    with pytest.raises(InputFormatError) as raised:
+        CorrectionOperator.from_csv(operator)
+    assert str(raised.value) == f"{operator}: row 3: non-finite cell"
     confusion = tmp_path / "confusion.csv"
     confusion.write_text(f"guessed,A,B\nA,3,1\nB,{cell},2\n", encoding="utf-8")
-    out = tmp_path / "operator_out.csv"
-    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population, confusion) == 2
     assert f"input error: {confusion}: row 3: non-finite cell" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 @pytest.mark.parametrize("where", ["start", "transition", "volume", "population weight"])
@@ -843,12 +807,12 @@ def test_too_few_core_names_to_evaluate_is_a_config_error(tmp_path, capsys, size
 
 
 def test_a_confusion_row_with_no_guesses_is_a_config_error(tmp_path, capsys):
+    model, population = _two_region_model(tmp_path)
     confusion = tmp_path / "confusion.csv"
     confusion.write_text("guessed,A,B\nA,0,0\nB,1,1\n", encoding="utf-8")
-    out = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 3
+    assert _compare_two_region(tmp_path, model, population, confusion) == 3
     assert "config error: zero row sum for guessed region(s): A" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_synth_score_reports_a_generated_marker_as_an_input_error(tmp_path, capsys):
@@ -1380,6 +1344,28 @@ def test_dataset_names_are_checked_before_writing(tmp_path, synth_dir, capsys):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_a_file_name_with_a_line_break_is_an_input_error(tmp_path, synth_dir, piped, capsys):
+    """operator.csv's provenance lines name the reference's and the
+    confusion's files, so neither name may hold a line break: `compare` and
+    `pipeline` reject one before they write anything."""
+    heldout = synth_dir / "population_heldout.txt"
+    reference, confusion = tmp_path / "ref.t\nxt", tmp_path / "conf\rx.csv"
+    reference.write_bytes(heldout.read_bytes())
+    confusion.write_bytes((piped / "confusion.csv").read_bytes())
+    for bad, files in ((reference, [piped / "confusion.csv", reference]),
+                       (confusion, [confusion, heldout])):
+        assert run(["compare", "--model", piped / "model.json", "--confusion", files[0],
+                    "--reference", files[1], "--out-dir", tmp_path / "cmp"]) == 2
+        assert f"input error: file name {str(bad)!r} holds a line break" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+    (tmp_path / "again").mkdir()
+    config = _pipeline_config(tmp_path / "again", synth_dir, synth_dir / "corpus.tsv", reference)
+    assert run(["pipeline", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: file name {str(reference)!r} holds a line break" in err
+    assert not (tmp_path / "again" / "out").exists()
+
+
 def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, synth_dir, piped,
                                                                      capsys):
     """The read path names the population file that holds a reserved marker."""
@@ -1395,18 +1381,11 @@ def test_stage_commands_report_surnames_with_markers_as_input_errors(tmp_path, s
                 target, "--out-dir", tmp_path / "cmp"]) == 2
     assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
     assert not (tmp_path / "cmp").exists()
-    assert run(["compare", "--model", model, "--confusion", confusion, "--reference", reference,
-                target, "--out-dir", tmp_path / "cmp"]) == 0
-    operator = tmp_path / "cmp" / "operator.csv"
-    dist = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", model, "--operator", operator,
-                "--input", bad, "--out", dist]) == 2
-    assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
-    assert not dist.exists()
-    assert run(["compare", "--model", model, "--confusion", confusion, "--reference", reference,
-                bad, "--out-dir", tmp_path / "cmp2"]) == 2
-    assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
-    assert not (tmp_path / "cmp2").exists()
+    for populations in ([bad], [reference, bad]):  # the reference alone, then a target
+        assert run(["compare", "--model", model, "--confusion", confusion, "--reference",
+                    *populations, "--out-dir", tmp_path / "cmp"]) == 2
+        assert f"input error: {bad}: surname 'o$brien'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 @pytest.fixture()
@@ -1420,18 +1399,9 @@ def piped(tmp_path, synth_dir):
 
 def test_population_commands_reject_an_operator_of_other_regions(tmp_path, synth_dir, piped,
                                                                   capsys):
-    """An operator, or for `compare` a confusion, whose region labels are not
-    the model's is a config error, and nothing is written."""
-    operator = tmp_path / "paper_operator.csv"
-    assert run(["calibrate", "--confusion", reference_confusion_path(),
-                "--priors", "1,1,1,1,1,1,1", "--out", operator]) == 0
+    """A confusion whose region labels are not the model's, here the paper's
+    published one, is a config error, and nothing is written."""
     reference = synth_dir / "population_heldout.txt"
-    capsys.readouterr()
-    dist = tmp_path / "dist.json"
-    assert run(["classify-population", "--model", piped / "model.json", "--operator", operator,
-                "--input", reference, "--out", dist]) == 3
-    assert "config error: operator and model disagree on regions" in capsys.readouterr().err
-    assert not dist.exists()
     target = tmp_path / "target.txt"
     target.write_text(reference.read_text(encoding="utf-8"), encoding="utf-8")
     assert run(["compare", "--model", piped / "model.json",
@@ -1464,13 +1434,13 @@ def test_calibrate_rejects_a_confusion_of_other_regions(tmp_path, synth_dir, pip
 def test_calibrate_rejects_a_quoted_label_it_could_not_write_back(tmp_path, capsys):
     """A quoted field can carry a comma into a region label; no grid file
     can carry it back, so the confusion is an input error naming the file."""
+    model, population = _two_region_model(tmp_path)
     confusion = tmp_path / "confusion.csv"
     confusion.write_text('guessed,"A,B",C\n"A,B",3,1\nC,1,3\n', encoding="utf-8")
-    out = tmp_path / "operator.csv"
-    assert run(["calibrate", "--confusion", confusion, "--priors", "1,1", "--out", out]) == 2
+    assert _compare_two_region(tmp_path, model, population, confusion) == 2
     assert (f"input error: {confusion}: region label 'A,B' holds ',', '\"' or '#'"
             in capsys.readouterr().err)
-    assert not out.exists()
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_a_reference_of_one_name_yields_zero_guesses(tmp_path, synth_dir, piped, capsys):

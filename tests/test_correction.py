@@ -176,6 +176,18 @@ def test_grid_files_carry_no_label_they_could_not_read_back(label):
         parse_confusion_csv(f"guessed,{quoted},C\n{quoted},1,0\nC,0,1\n", "grid.csv")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("confusion", "conf\nx.csv"), ("priors_source", "reference:ref.t\rxt"), ("con\nfusion", "x")],
+    ids=["value_lf", "value_cr", "key"],
+)
+def test_grid_files_carry_no_provenance_line_break(key, value):
+    """A line break in a provenance key or value would start a line the
+    reader takes for a grid row."""
+    with pytest.raises(ValueError, match="holds a line break"):
+        CorrectionOperator(("A", "B"), np.eye(2), {key: value}).to_csv()
+
+
 # ---------------------------------------------------------------- correct_counts
 
 
