@@ -26,7 +26,8 @@ from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
 from .util import (
-    atomic_write, derive_seed, dumps, intern, is_number, parse_json, pick, read_text, tsv_lines,
+    atomic_write, check_fields, derive_seed, dumps, intern, parse_json, pick, read_text, setting,
+    tsv_lines,
 )
 
 __all__ = [
@@ -134,39 +135,26 @@ class TrainedModel:
     lexicographic tie-break.
     """
 
-    regions: tuple[str, ...]
-    vocabulary: tuple[str, ...]
+    regions: tuple[str, ...] = setting(rule="distinct", ok=lambda v: len(set(v)) == len(v))
+    vocabulary: tuple[str, ...] = setting(rule="distinct", ok=lambda v: len(set(v)) == len(v))
     log_priors: np.ndarray
     log_likelihoods: np.ndarray
-    alpha: float
+    alpha: float = setting(rule="> 0 and finite", ok=lambda v: 0 < v < math.inf)
     feature_config: NGramConfig
     strip_diacritics: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("regions", "vocabulary"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or not all(isinstance(t, str) for t in value):
-                raise ValueError(f"{name} must be a list of strings")
-            object.__setattr__(self, name, tuple(value))
-        strip = self.strip_diacritics
-        if not isinstance(strip, bool):
-            raise ValueError(f"strip_diacritics must be true or false, got {strip!r}")
+        check_fields(self)
         log_priors = np.asarray(self.log_priors, dtype=float)
         log_likelihoods = np.asarray(self.log_likelihoods, dtype=float)
         object.__setattr__(self, "log_priors", log_priors)
         object.__setattr__(self, "log_likelihoods", log_likelihoods)
         n_regions, n_tokens = len(self.regions), len(self.vocabulary)
-        if len(set(self.regions)) != n_regions:
-            raise ValueError("duplicate region labels")
-        if len(set(self.vocabulary)) != n_tokens:
-            raise ValueError("duplicate vocabulary tokens")
         if log_priors.shape != (n_regions,):
             raise ValueError("log_priors shape mismatch")
         if log_likelihoods.shape != (n_regions, n_tokens):
             raise ValueError("log_likelihoods shape mismatch")
         # Written as what is accepted, so a NaN fails each check.
-        if not (is_number(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be a number > 0, got {self.alpha!r}")
         if not abs(_logsumexp(log_priors)) <= 1e-9:
             raise ValueError("priors do not sum to 1")
         for i in range(n_regions):
@@ -186,7 +174,7 @@ class TrainedModel:
             "vocabulary": list(self.vocabulary),
             "log_priors": self.log_priors.tolist(),
             "log_likelihoods": list(self.log_likelihoods),  # arrays: distinct values once
-            "alpha": float(self.alpha),
+            "alpha": self.alpha,
             "feature_config": {
                 **self.feature_config.to_dict(),
                 "strip_diacritics": self.strip_diacritics,
@@ -209,15 +197,9 @@ class TrainedModel:
             cells = chain(doc["log_priors"], *doc["log_likelihoods"])
             if not set(map(type, cells)) <= {int, float}:
                 raise ValueError("log_priors and log_likelihoods must hold JSON numbers")
-            return cls(
-                regions=doc["regions"],
-                vocabulary=doc["vocabulary"],
-                log_priors=doc["log_priors"],  # made float arrays by __post_init__
-                log_likelihoods=doc["log_likelihoods"],
-                alpha=doc["alpha"],
-                feature_config=NGramConfig.from_dict(fc),
-                strip_diacritics=strip,
-            )
+            named = ("regions", "vocabulary", "log_priors", "log_likelihoods", "alpha")
+            return cls(**{key: doc[key] for key in named},
+                       feature_config=NGramConfig.from_dict(fc), strip_diacritics=strip)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: malformed model file: {exc}") from None
 

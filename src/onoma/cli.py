@@ -9,9 +9,10 @@ sink, so it writes the pipeline's operator and reports; given a reference
 alone, it writes that population's corrected distribution. `synth` writes a
 synthetic corpus with its truth, registry and populations, files `pipeline`
 reads like any others; that is the only way synthetic data reaches it. Each
-setting is one `stages.PipelineConfig` field, which gives the config file
-(read by `read_config`, `pipeline`'s only source of settings) its JSON type
-and `synth`'s setting options their default and range check.
+setting is one `stages.PipelineConfig` field, declared with `util.setting`,
+which gives the config file (read by `read_config`, `pipeline`'s only source
+of settings, with one key per field) its JSON type and `synth`'s setting
+options their default and range check.
 Each subcommand reads and validates its inputs completely before any output
 file is created, writes outputs atomically, and keeps every byte of output
 deterministic for a given (inputs, config, seed) triple. An input file that
@@ -30,7 +31,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -47,9 +48,9 @@ from .corpus import (
 )
 from .errors import ConfigError, InputFormatError, SurnameError
 from .features import check_surnames
-from .stages import PipelineConfig, _check_setting
+from .stages import PipelineConfig
 from .typology import Dendrogram, RegionTypology, load_overrides
-from .util import atomic_write, dumps, parse_json, read_text, sha256_file
+from .util import atomic_write, check_field, dumps, from_fields, parse_json, read_text, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +94,7 @@ class _Setting(argparse.Action):
     """Stores the value given to a setting's option once it lies in its field's range."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        _check_setting(_FIELDS[self.dest], value, option_string)
+        check_field(_FIELDS[self.dest], value, option_string)
         setattr(namespace, self.dest, value)
 
 
@@ -219,31 +220,23 @@ def read_config(path: Path | str, overrides: Mapping[str, object]) -> PipelineCo
     doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(key for key in doc if key not in _FIELDS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    merged = dict(doc)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    base = Path(path).parent
-
-    if merged.get("corpus") is None:  # optional in the library only, whose chain reads no file
+    merged = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
+    try:
+        config = from_fields(PipelineConfig, merged, "config")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if config.corpus is None:  # optional in the library only, whose chain reads no file
         raise ConfigError("missing config key: 'corpus'")
-    values = {}
-    for f in fields(PipelineConfig):
-        if f.name not in merged:
-            if f.default is MISSING:
-                raise ConfigError(f"missing config key: {f.name!r}")
-            continue
-        value = merged[f.name]
-        _check_setting(f, value, f"{path}: {f.name}")
-        # Input paths are relative to the config file (joined to an absolute
-        # path, `base` drops out), but `out_dir` to the working directory.
+    # Input paths are relative to the config file (joined to an absolute
+    # path, `base` drops out), but `out_dir` to the working directory.
+    base = Path(path).parent
+    for f in fields(config):
+        value = getattr(config, f.name)
         if f.type == "Path | None" and value is not None:
-            value = base / value
+            setattr(config, f.name, base / value)
         elif f.type == "tuple[Path, ...]":
-            value = [base / t for t in value]
-        values[f.name] = value
-    return PipelineConfig(**values)
+            setattr(config, f.name, tuple(base / t for t in value))
+    return config
 
 
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
@@ -351,6 +344,13 @@ def cmd_pipeline(args) -> int:
 
 FORMATS_HELP = """\
 file formats:
+  config JSON      pipeline settings, one key per setting; each value of its
+                   setting's JSON kind and in its range (exit 3), and an
+                   unknown key is a config error naming it
+  spec JSON        synth --spec: seed, overlap, global_chain, regions,
+                   countries, populations; each value of its field's JSON kind
+                   and in its range, and a key no field reads is malformed
+                   (exit 2)
   corpus TSV       surname<TAB>country<TAB>count, UTF-8, LF endings, no header
                    by default (config key "header" skips the first row)
   registry TSV     country_code<TAB>name (bundled 176-entry list by default); a

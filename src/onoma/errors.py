@@ -14,8 +14,9 @@ class SurnameError(OnomaError, ValueError):
     rejects; a reader reports it as an input error in its file."""
 
 
-class ConfigError(OnomaError):
-    """A configuration value is out of range or inconsistent."""
+class ConfigError(OnomaError, ValueError):
+    """A setting, or a field read from a file, of the wrong kind, out of
+    range or inconsistent."""
 
 
 class InvariantError(OnomaError):

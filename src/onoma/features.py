@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import SurnameError
-from .util import is_int
+from .util import check_fields, setting
 
 FeatureVector = dict[str, int]
 
@@ -61,20 +61,14 @@ _VOCAB_CHUNK = 4096
 class NGramConfig:
     """Which n-gram sizes to emit and whether words are padded with the markers."""
 
-    n_values: tuple[int, ...] = (2, 3)
+    n_values: tuple[int, ...] = setting(
+        (2, 3), "non-empty, each n in 1..8", lambda v: bool(v) and all(1 <= n <= 8 for n in v)
+    )
     pad_boundaries: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_values, (list, tuple)) or not all(map(is_int, self.n_values)):
-            raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
-        if not isinstance(self.pad_boundaries, bool):
-            raise ValueError(f"pad_boundaries must be true or false, got {self.pad_boundaries!r}")
-        values = tuple(sorted(set(self.n_values)))
-        if not values:
-            raise ValueError("n_values must be non-empty")
-        if values[0] < 1 or values[-1] > 8:
-            raise ValueError(f"each n must be in 1..8, got {values}")
-        object.__setattr__(self, "n_values", values)
+        check_fields(self)
+        object.__setattr__(self, "n_values", tuple(sorted(set(self.n_values))))
 
     def to_dict(self) -> dict:
         return {

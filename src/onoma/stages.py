@@ -1,7 +1,7 @@
 """The method's settings and its chain, each written once.
 
-Each setting is one `PipelineConfig` field with its default and range. The
-chain follows the paper's two steps. Building is core names
+Each setting is one `PipelineConfig` field, its JSON kind its annotation and
+its default and range declared with `util.setting`. The chain follows the paper's two steps. Building is core names
 (`corpus.filter_core_names`), then `build_typology` (a Ward typology of
 countries and the relabeled core names), `fit` (the split and the n-gram
 naive Bayes model) and `classifier.evaluate`. Applying, `apply`, is each
@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import contextmanager
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -44,7 +44,7 @@ from .typology import (
     relabel,
     ward_cluster,
 )
-from .util import is_int, is_number
+from .util import check_fields, setting
 
 log = logging.getLogger(__name__)
 
@@ -52,50 +52,9 @@ __all__ = ["PipelineConfig", "feature_config", "build_typology", "fit",
            "check_dataset_names", "apply", "run"]
 
 
-def _setting(default: object, rule: str, ok: Callable[[Any], bool]) -> Any:
-    """A field's default and its range: the values `ok` accepts, `rule` in words."""
-    return field(default=default, metadata={"rule": (rule, ok)})
-
-
-def _is_path(value: object) -> bool:
-    return isinstance(value, (str, Path))
-
-
-def _list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
-
-
-# Per field annotation: its kind in words, whether a value is of that kind (a
-# bool is no number; a path is a string or a `Path`, a list a list or a
-# tuple), and the field's value from one that is.
-_KINDS: dict[str, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
-    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
-    "int": ("an integer", is_int, int),
-    "float": ("a number", is_number, float),
-    "str": ("a string", lambda v: isinstance(v, str), str),
-    "Path": ("a string", _is_path, Path),
-    "Path | None": ("a string or null", lambda v: v is None or _is_path(v),
-                    lambda v: None if v is None else Path(v)),
-    "tuple[int, ...]": ("a list of integers", _list_of(is_int), tuple),
-    "tuple[Path, ...]": ("a list of strings", _list_of(_is_path), lambda v: tuple(map(Path, v))),
-}
-
-
-def _check_setting(f: Field, value: object, name: str | None = None) -> None:
-    """Raise `ConfigError`, naming the setting `name` or else `f.name`, unless
-    `value` is of the kind of the field `f` and lies in its range."""
-    kind, is_kind, _ = _KINDS[f.type]
-    if not is_kind(value):
-        raise ConfigError(f"{name or f.name} must be {kind}, got {value!r}")
-    rule, ok = f.metadata.get("rule", ("", None))
-    if ok is not None and not ok(value):
-        raise ConfigError(f"{name or f.name} must be {rule}, got {value!r}")
-
-
 def feature_config(config: PipelineConfig) -> NGramConfig:
     """The n-gram settings of `config`."""
-    with _config_errors():
-        return NGramConfig(n_values=config.n_values, pad_boundaries=config.pad_boundaries)
+    return NGramConfig(n_values=config.n_values, pad_boundaries=config.pad_boundaries)
 
 
 @dataclass
@@ -113,25 +72,22 @@ class PipelineConfig:
     header: bool = False
     strict: bool = False
     strip_diacritics: bool = False
-    hhi_min: float = _setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
-    freq_min: float = _setting(1e-6, ">= 0 and finite", lambda v: 0 <= v < math.inf)
-    basis: str = _setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
-    min_core_names: int = _setting(20, ">= 1", lambda v: v >= 1)
-    min_df: int = _setting(1, ">= 1", lambda v: v >= 1)
+    hhi_min: float = setting(0.8, "in (0, 1]", lambda v: 0 < v <= 1)
+    freq_min: float = setting(1e-6, ">= 0 and finite", lambda v: 0 <= v < math.inf)
+    basis: str = setting("frequency", "frequency or count", lambda v: v in ("frequency", "count"))
+    min_core_names: int = setting(20, ">= 1", lambda v: v >= 1)
+    min_df: int = setting(1, ">= 1", lambda v: v >= 1)
     n_values: tuple[int, ...] = (2, 3)  # whatever NGramConfig accepts
     pad_boundaries: bool = True
-    k_regions: int = _setting(7, ">= 1", lambda v: v >= 1)
+    k_regions: int = setting(7, ">= 1", lambda v: v >= 1)
     overrides: Path | None = None
-    alpha: float = _setting(0.1, "> 0 and finite", lambda v: 0 < v < math.inf)
-    train_fraction: float = _setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
+    alpha: float = setting(0.1, "> 0 and finite", lambda v: 0 < v < math.inf)
+    train_fraction: float = setting(0.85, "in (0, 1)", lambda v: 0 < v < 1)
     reference: Path | None = None
     targets: tuple[Path, ...] = ()
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _check_setting(f, value)
-            setattr(self, f.name, _KINDS[f.type][2](value))
+        check_fields(self)
         feature_config(self)
         if self.targets and self.reference is None:
             raise ConfigError("targets need a reference path")

@@ -6,7 +6,9 @@ from a shared global chain. Overlap 0 gives fully separable regions,
 overlap 1 makes them indistinguishable, so the end-to-end pipeline can be
 scored against a controllable truth. All draws flow from per-country and
 per-population sub-seeds, so generation is deterministic regardless of
-scheduling.
+scheduling. The spec file's objects are built into their classes by
+`util.from_fields`, one key per field, so a key no field reads is malformed;
+each field's kind and range are declared once, with `util.setting`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import unicodedata
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,7 +32,10 @@ from .errors import InputFormatError, InvariantError
 from .features import END_MARKER, START_MARKER
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
-from .util import atomic_write, derive_seed, dumps, is_int, is_number, parse_json, read_text
+from .util import (
+    atomic_write, check_fields, check_keys, derive_seed, dumps, from_fields, is_number, parse_json,
+    read_text, setting,
+)
 
 __all__ = [
     "STOP",
@@ -49,6 +55,8 @@ __all__ = [
 STOP = ""
 # The longest name a region generates; each country's buffer holds 2 * max_len doubles.
 MAX_LEN = 1000
+# The keys of a spec file; "populations" may be left out.
+_SPEC_KEYS = ("seed", "overlap", "global_chain", "regions", "countries", "populations")
 
 
 def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) -> None:
@@ -89,23 +97,16 @@ def _rows(dist: Mapping[str, float]) -> tuple[tuple[list, list], tuple[list, lis
     return ([s for s, _ in items], cum_full), ([s for s, _ in nonstop], cum_nonstop)
 
 
-def _check_str(**fields: object) -> None:
-    for key, value in fields.items():
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Character chain: start distribution plus per-context transition rows."""
 
-    order: int
+    order: int = setting(rule="1 or 2", ok=lambda v: v in (1, 2))
     start: Mapping[str, float]
     transitions: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self) -> None:
-        if not is_int(self.order) or self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order!r}")
+        check_fields(self)
         _validate_dist(self.start, allow_stop=False, what="start")
         if not isinstance(self.transitions, Mapping):
             raise ValueError(f"transitions must be a JSON object, got {self.transitions!r}")
@@ -141,45 +142,34 @@ class MarkovChain:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MarkovChain":
-        return cls(order=data["order"], start=data["start"], transitions=data["transitions"])
-
 
 @dataclass(frozen=True, eq=False)
 class RegionGenerator:
     """Name generator for one region, with hard length bounds."""
 
-    region: str
+    label: str
     chain: MarkovChain
-    min_len: int = 3
-    max_len: int = 12
+    min_len: int = setting(3, ">= 1", lambda v: v >= 1)
+    max_len: int = setting(12, f"<= {MAX_LEN}", lambda v: v <= MAX_LEN)
 
     def __post_init__(self) -> None:
-        _check_str(label=self.region)
-        if "\t" in self.region or self.region.splitlines() not in ([], [self.region]):
-            raise ValueError(f"label {self.region!r} holds a tab or a line break")
-        lengths = (self.min_len, self.max_len)
-        if not all(map(is_int, lengths)) or not 1 <= self.min_len <= self.max_len <= MAX_LEN:
-            raise ValueError(f"length bounds {list(lengths)} must be integers with"
-                             f" 1 <= min_len <= max_len <= {MAX_LEN}")
+        check_fields(self)
+        if "\t" in self.label or self.label.splitlines() not in ([], [self.label]):
+            raise ValueError(f"label {self.label!r} holds a tab or a line break")
+        if self.min_len > self.max_len:
+            raise ValueError(f"min_len {self.min_len} exceeds max_len {self.max_len}")
 
 
 @dataclass(frozen=True)
 class CountrySpec:
     code: str
     region: str
-    n_names: int
-    volume: float = 1.0  # mean occurrence count per name, emulating uneven sampling
+    n_names: int = setting(rule=">= 1", ok=lambda v: v >= 1)
+    volume: float = setting(1.0, ">= 1", lambda v: v >= 1)  # mean count per name: uneven sampling
 
     def __post_init__(self) -> None:
-        _check_str(code=self.code, region=self.region)
+        check_fields(self)
         object.__setattr__(self, "code", country_code(self.code))
-        if not is_int(self.n_names) or self.n_names < 1:
-            raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
-        if not is_number(self.volume) or self.volume < 1:
-            raise ValueError(f"volume must be a number >= 1, got {self.volume!r}")
-        object.__setattr__(self, "volume", float(self.volume))
 
 
 @dataclass(frozen=True)
@@ -187,19 +177,14 @@ class PopulationSpec:
     """A held-out surname list drawn from the region chains with given mix."""
 
     name: str
-    n_names: int
-    region_weights: tuple[float, ...]
+    n_names: int = setting(rule=">= 1", ok=lambda v: v >= 1)
+    region_weights: tuple[float, ...] = setting(
+        rule="non-empty and nonnegative with positive sum",
+        ok=lambda v: bool(v) and min(v) >= 0 and sum(v) > 0,
+    )
 
     def __post_init__(self) -> None:
-        _check_str(name=self.name)
-        if not is_int(self.n_names) or self.n_names < 1:
-            raise ValueError(f"n_names must be an integer >= 1, got {self.n_names!r}")
-        if not all(map(is_number, self.region_weights)):
-            raise ValueError(f"region_weights must be numbers, got {self.region_weights!r}")
-        weights = tuple(map(float, self.region_weights))
-        if not weights or min(weights) < 0 or sum(weights) <= 0:
-            raise ValueError("region_weights must be nonnegative with positive sum")
-        object.__setattr__(self, "region_weights", weights)
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,18 +192,15 @@ class SynthSpec:
     """Full description of a synthetic corpus; JSON-serializable."""
 
     seed: int
-    overlap: float
+    overlap: float = setting(rule="in [0, 1]", ok=lambda v: 0 <= v <= 1)
     generators: tuple[RegionGenerator, ...]
     countries: tuple[CountrySpec, ...]
     global_chain: MarkovChain
     populations: tuple[PopulationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not is_number(self.overlap) or not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must be a number in [0, 1], got {self.overlap!r}")
-        labels = [g.region for g in self.generators]
+        check_fields(self)
+        labels = [g.label for g in self.generators]
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("region labels must be unique and non-empty")
         codes = [c.code for c in self.countries]
@@ -246,11 +228,11 @@ class SynthSpec:
 
     @property
     def region_labels(self) -> tuple[str, ...]:
-        return tuple(g.region for g in self.generators)
+        return tuple(g.label for g in self.generators)
 
     def generator_for(self, region: str) -> RegionGenerator:
         for g in self.generators:
-            if g.region == region:
+            if g.label == region:
                 return g
         raise KeyError(region)
 
@@ -258,11 +240,11 @@ class SynthSpec:
         """The spec file's text; a country and a population are their fields."""
         return dumps({
             "seed": self.seed,
-            "overlap": float(self.overlap),
+            "overlap": self.overlap,
             "global_chain": self.global_chain.to_dict(),
             "regions": [
                 {
-                    "label": g.region,
+                    "label": g.label,
                     "min_len": g.min_len,
                     "max_len": g.max_len,
                     "chain": g.chain.to_dict(),
@@ -279,33 +261,18 @@ class SynthSpec:
     @classmethod
     def from_json(cls, text: str, source: str = "<spec>") -> "SynthSpec":
         doc = parse_json(text, source)
+        chain = partial(from_fields, MarkovChain, what="chain")
         try:
+            check_keys(doc, "spec", _SPEC_KEYS)
             return cls(
                 seed=doc["seed"],
                 overlap=doc["overlap"],
-                global_chain=MarkovChain.from_dict(doc["global_chain"]),
-                generators=tuple(
-                    RegionGenerator(
-                        region=r["label"],
-                        chain=MarkovChain.from_dict(r["chain"]),
-                        min_len=r.get("min_len", 3),
-                        max_len=r.get("max_len", 12),
-                    )
-                    for r in doc["regions"]
-                ),
-                countries=tuple(
-                    CountrySpec(
-                        code=c["code"],
-                        region=c["region"],
-                        n_names=c["n_names"],
-                        volume=c.get("volume", 1.0),
-                    )
-                    for c in doc["countries"]
-                ),
-                populations=tuple(
-                    PopulationSpec(p["name"], p["n_names"], tuple(p["region_weights"]))
-                    for p in doc.get("populations", [])
-                ),
+                global_chain=chain(doc["global_chain"]),
+                generators=tuple(from_fields(RegionGenerator, r, "region", chain=chain)
+                                 for r in doc["regions"]),
+                countries=tuple(from_fields(CountrySpec, c, "country") for c in doc["countries"]),
+                populations=tuple(from_fields(PopulationSpec, p, "population")
+                                  for p in doc.get("populations", [])),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{source}: malformed spec: {exc}") from None
@@ -394,7 +361,7 @@ def standard_spec(
         label = f"R{i}"
         rng = np.random.default_rng(derive_seed(seed, f"chain:{label}"))
         generators.append(
-            RegionGenerator(region=label, chain=_random_chain(letters, rng, alphabet, leak))
+            RegionGenerator(label=label, chain=_random_chain(letters, rng, alphabet, leak))
         )
     countries = []
     for i in range(n_regions):
@@ -536,7 +503,7 @@ def generate_population(
     u: list[float] = []
     pos = 0
     names: list[str] = []
-    truth_counts = {g.region: 0 for g in spec.generators}
+    truth_counts = {g.label: 0 for g in spec.generators}
     for _ in range(population.n_names):
         if len(u) - pos < need:
             u = u[pos:] + rng.random(block).tolist()
@@ -544,7 +511,7 @@ def generate_population(
         generator = spec.generators[min(bisect_right(cum, u[pos]), last)]
         name, pos = _draw_name(generator, spec.global_chain, spec.overlap, u, pos + 1)
         names.append(name)
-        truth_counts[generator.region] += 1
+        truth_counts[generator.label] += 1
     return names, truth_counts
 
 
@@ -621,7 +588,7 @@ def score_pipeline(
     _, (guessed, _) = got["tallies"][0]  # the scored population's guess counts
 
     true_partition = {
-        frozenset(c.code for c in spec.countries if c.region == g.region)
+        frozenset(c.code for c in spec.countries if c.region == g.label)
         for g in spec.generators
     }
     got_partition = {frozenset(typology.members(r)) for r in typology.regions}

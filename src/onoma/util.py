@@ -1,9 +1,13 @@
-"""Shared helpers: seeds, JSON reading, deterministic serialization, atomic writes.
+"""Shared helpers: seeds, JSON reading, field rules, deterministic
+serialization, atomic writes.
 
 Output files must be byte-identical across runs with the same inputs, so all
 floats are rendered with an explicit 17-significant-digit format (enough to
 round-trip IEEE doubles exactly) instead of relying on repr. Tables are
 written as whole columns, each distinct value formatted once.
+
+A dataclass read from JSON declares each field's kind by its annotation, a
+key of `_KINDS`, and its range with `setting`; `check_fields` checks both.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ import json
 import math
 import os
 import re
+import reprlib
+from dataclasses import MISSING, Field, field, fields
 from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import ConfigError, InputFormatError
 
 __all__ = [
     "derive_seed",
@@ -27,6 +33,11 @@ __all__ = [
     "intern",
     "is_int",
     "is_number",
+    "setting",
+    "check_field",
+    "check_fields",
+    "check_keys",
+    "from_fields",
     "pick",
     "format_each",
     "tsv_lines",
@@ -64,6 +75,81 @@ def is_int(value: object) -> bool:
 def is_number(value: object) -> bool:
     """Whether a JSON value is a number; a bool or a string is not."""
     return is_int(value) or isinstance(value, float)
+
+
+def setting(default: Any = MISSING, rule: str = "", ok: Callable[[Any], bool] | None = None) -> Any:
+    """A field's default and its range: the values `ok` accepts, `rule` in words."""
+    return field(default=default, metadata={"rule": (rule, ok)})
+
+
+def _is_path(value: object) -> bool:
+    return isinstance(value, (str, Path))
+
+
+def _list_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, (list, tuple)) and all(map(ok, v))
+
+
+# Per field annotation: its kind in words, whether a value is of that kind (a
+# bool is no number; a path is a string or a `Path`, a list a list or a
+# tuple), and the field's value from one that is.
+_KINDS: dict[str, tuple[str, Callable[[Any], bool], Callable[[Any], Any]]] = {
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "int": ("an integer", is_int, int),
+    "float": ("a number", is_number, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "Path": ("a string", _is_path, Path),
+    "Path | None": ("a string or null", lambda v: v is None or _is_path(v),
+                    lambda v: None if v is None else Path(v)),
+    "tuple[int, ...]": ("a list of integers", _list_of(is_int), tuple),
+    "tuple[float, ...]": ("a list of numbers", _list_of(is_number), lambda v: tuple(map(float, v))),
+    "tuple[str, ...]": ("a list of strings", _list_of(lambda v: isinstance(v, str)), tuple),
+    "tuple[Path, ...]": ("a list of strings", _list_of(_is_path), lambda v: tuple(map(Path, v))),
+}
+
+
+def check_field(f: Field, value: object, name: str | None = None) -> None:
+    """Raise `ConfigError`, naming the value `name` or else `f.name`, unless
+    `value` is of the kind of the field `f` and lies in its range."""
+    kind, is_kind, _ = _KINDS[f.type]
+    # A long value, such as a model's vocabulary, is shown in part.
+    if not is_kind(value):
+        raise ConfigError(f"{name or f.name} must be {kind}, got {reprlib.repr(value)}")
+    rule, ok = f.metadata.get("rule", ("", None))
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{name or f.name} must be {rule}, got {reprlib.repr(value)}")
+
+
+def check_fields(obj: Any) -> None:
+    """`check_field` of each field of the dataclass `obj` whose annotation is a
+    kind of `_KINDS`, then set it to its value of that kind (a tuple for a
+    list, a float for an integer number, a `Path` for a string)."""
+    for f in fields(obj):
+        if f.type in _KINDS:
+            value = getattr(obj, f.name)
+            check_field(f, value)
+            object.__setattr__(obj, f.name, _KINDS[f.type][2](value))
+
+
+def check_keys(doc: object, what: str, known: Collection[str]) -> None:
+    """Raise `ConfigError` unless `doc`, a `what`, is a JSON object whose
+    keys are all `known`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
+    if unknown := sorted(set(doc) - set(known)):
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
+def from_fields(cls: type, doc: object, what: str, **read: Callable[[Any], Any]) -> Any:
+    """The dataclass `cls` built from `doc`, a `what`: a JSON object whose
+    keys are field names, each field without a default among them, and
+    whose values are the fields' values, after `read[key]` where `read`
+    names the key. Another key or a missing one raises `ConfigError`."""
+    check_keys(doc, what, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ConfigError(f"missing {what} key: {f.name!r}")
+    return cls(**{key: read[key](v) if key in read else v for key, v in doc.items()})
 
 
 def intern(column: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:

@@ -273,10 +273,10 @@ def generate_population(
     weights = np.asarray(population.region_weights, dtype=float)
     cum = np.cumsum(weights / weights.sum()).tolist()
     names: list[str] = []
-    truth_counts = {g.region: 0 for g in spec.generators}
+    truth_counts = {g.label: 0 for g in spec.generators}
     for _ in range(population.n_names):
         idx = min(bisect_right(cum, rng.random()), len(spec.generators) - 1)
         generator = spec.generators[idx]
         names.append(_sample_name(generator, spec.global_chain, spec.overlap, rng))
-        truth_counts[generator.region] += 1
+        truth_counts[generator.label] += 1
     return names, truth_counts

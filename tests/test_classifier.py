@@ -22,7 +22,7 @@ from onoma.classifier import (
     train,
 )
 from onoma.correction import ConfusionCounts
-from onoma.errors import SurnameError
+from onoma.errors import ConfigError, SurnameError
 from onoma.features import NGramConfig, build_vocabulary, featurize
 from onoma.resources import reference_confusion_path
 import reference
@@ -273,6 +273,20 @@ def test_model_invariants_hold():
     assert math.exp(np.logaddexp.reduce(model.log_priors)) == pytest.approx(1.0, abs=1e-9)
     for row in model.log_likelihoods:
         assert np.exp(row).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_model_alpha_has_the_configs_range():
+    """An infinite alpha is out of the model's range, as it is out of the
+    pipeline config's: both fields declare one rule."""
+    from onoma.stages import PipelineConfig
+
+    model_alpha, config_alpha = (next(f for f in dataclasses.fields(cls) if f.name == "alpha")
+                                 for cls in (TrainedModel, PipelineConfig))
+    assert model_alpha.metadata["rule"][0] == config_alpha.metadata["rule"][0] == "> 0 and finite"
+    cells = (("A", "B"), ("ab",), np.log([0.5, 0.5]), np.zeros((2, 1)))
+    with pytest.raises(ConfigError, match="^alpha must be > 0 and finite, got inf$"):
+        TrainedModel(*cells, math.inf, NGramConfig())
+    assert TrainedModel(*cells, 1, NGramConfig()).alpha == 1.0
 
 
 @pytest.mark.parametrize("field", ["alpha", "log_priors", "log_likelihoods"])

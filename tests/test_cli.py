@@ -16,11 +16,11 @@ import pytest
 
 import onoma
 from onoma import synth
-from onoma.classifier import Labeled, train
+from onoma.classifier import Labeled, TrainedModel, train
 from onoma.cli import PipelineConfig, build_parser, main, read_config
 from onoma.correction import CorrectionOperator
 from onoma.errors import ConfigError, InputFormatError
-from onoma.features import featurize
+from onoma.features import NGramConfig, featurize
 from onoma.resources import reference_confusion_path
 from onoma.util import dumps
 
@@ -479,13 +479,14 @@ def test_apply_hands_the_operator_then_the_tallies_and_the_comparison(tmp_path):
     assert [d.dataset_name for d in dists] == [p.dataset_name for p in profiles] == ["ref", "t"]
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("strip_diacritics", "no"), ("strip_diacritics", 0), ("pad_boundaries", 1),
-     ("start_marker", 5), ("n_values", ["2", "3"]), ("n_values", [2.0]), ("alpha", True),
-     ("alpha", "0.1"), ("regions", "AB"), ("regions", {"A": 1, "B": 2}),
-     ("vocabulary", 1)],
-)
+MODEL_VALUES_OF_THE_WRONG_KIND = [
+    ("strip_diacritics", "no"), ("strip_diacritics", 0), ("pad_boundaries", 1),
+    ("start_marker", 5), ("n_values", ["2", "3"]), ("n_values", [2.0]), ("alpha", True),
+    ("alpha", "0.1"), ("regions", "AB"), ("regions", {"A": 1, "B": 2}), ("vocabulary", 1),
+]
+
+
+@pytest.mark.parametrize("key, value", MODEL_VALUES_OF_THE_WRONG_KIND)
 def test_a_model_value_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, value):
     """The model reader takes each value only of its JSON kind: none is
     turned into a bool, a number, a string or a list (the vocabulary's first
@@ -741,11 +742,13 @@ def test_a_spec_number_of_the_wrong_kind_or_out_of_bounds_is_malformed(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("label", 12), ("label", None), ("code", 7), ("code", None), ("region", None),
-     ("region", ["R0"]), ("name", 12), ("name", True)],
-)
+SPEC_STRINGS_OF_THE_WRONG_KIND = [
+    ("label", 12), ("label", None), ("code", 7), ("code", None), ("region", None),
+    ("region", ["R0"]), ("name", 12), ("name", True),
+]
+
+
+@pytest.mark.parametrize("key, value", SPEC_STRINGS_OF_THE_WRONG_KIND)
 def test_a_spec_string_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, value):
     """The spec reader takes a region label, a country code or region, and a
     population name only as a string: none is turned into one."""
@@ -759,6 +762,27 @@ def test_a_spec_string_of_the_wrong_kind_is_malformed(tmp_path, capsys, key, val
     assert run(["synth", "--spec", path, "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert f"input error: {path}: malformed spec: {key} must be a string, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, key, typo",
+    [("countries", "volume", "volme"), ("spec", "overlap", "overlapp"),
+     ("regions", "max_len", "max_length")],
+)
+def test_a_spec_key_no_field_reads_is_malformed(tmp_path, capsys, where, key, typo):
+    """A misspelt key is not left to its field's default: the spec reader
+    names it, as the config reader names an unknown config key."""
+    def edit(doc):
+        obj = doc if where == "spec" else doc[where][0]
+        obj[typo] = obj.pop(key)
+
+    path = _edited_spec(tmp_path, edit)
+    out = tmp_path / "synth"
+    assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+    what = {"countries": "country", "spec": "spec", "regions": "region"}[where]
+    err = capsys.readouterr().err
+    assert f"input error: {path}: malformed spec: unknown {what} keys: {typo}\n" in err
     assert not out.exists()
 
 
@@ -1150,18 +1174,114 @@ def test_pipeline_config_takes_an_integer_as_a_number_and_null_as_no_path(tmp_pa
     assert loaded.reference == tmp_path / "r.txt"
 
 
-@pytest.mark.parametrize(
-    "key, value, kind",
-    [("seed", True, "an integer"), ("k_regions", True, "an integer"),
-     ("hhi_min", "0.5", "a number"), ("alpha", None, "a number"),
-     ("header", 1, "true or false"), ("n_values", (2, True), "a list of integers"),
-     ("corpus", 5, "a string or null")],
-)
+CONFIG_VALUES_OF_THE_WRONG_KIND = [
+    ("seed", True, "an integer"), ("k_regions", True, "an integer"),
+    ("hhi_min", "0.5", "a number"), ("alpha", None, "a number"),
+    ("header", 1, "true or false"), ("n_values", (2, True), "a list of integers"),
+    ("corpus", 5, "a string or null"),
+]
+
+
+@pytest.mark.parametrize("key, value, kind", CONFIG_VALUES_OF_THE_WRONG_KIND)
 def test_the_config_dataclass_checks_each_value_kind(key, value, kind):
     """The library's `PipelineConfig` holds the kind rules `read_config` applies."""
     settings = {"seed": 1, "out_dir": Path("o"), key: value}
     with pytest.raises(ConfigError, match=f"^{key} must be {kind}, got "):
         PipelineConfig(**settings)
+
+
+# A value of each field kind's wrong kind, by annotation, and the kind in words.
+WRONG_KIND = {
+    "bool": (1, "true or false"),
+    "int": (1.5, "an integer"),
+    "float": ("0.5", "a number"),
+    "str": (12, "a string"),
+    "Path": (5, "a string"),
+    "Path | None": (5, "a string or null"),
+    "tuple[int, ...]": ([2, "3"], "a list of integers"),
+    "tuple[float, ...]": ([1.0, True], "a list of numbers"),
+    "tuple[str, ...]": (["A", 1], "a list of strings"),
+    "tuple[Path, ...]": (["t.txt", 3], "a list of strings"),
+}
+# Each class built from a JSON file, and the fields whose kind it checks.
+KIND_CHECKED = {
+    PipelineConfig: {
+        "seed", "out_dir", "corpus", "registry", "header", "strict", "strip_diacritics",
+        "hhi_min", "freq_min", "basis", "min_core_names", "min_df", "n_values",
+        "pad_boundaries", "k_regions", "overrides", "alpha", "train_fraction", "reference",
+        "targets",
+    },
+    synth.SynthSpec: {"seed", "overlap"},
+    synth.MarkovChain: {"order"},
+    synth.RegionGenerator: {"label", "min_len", "max_len"},
+    synth.CountrySpec: {"code", "region", "n_names", "volume"},
+    synth.PopulationSpec: {"name", "n_names", "region_weights"},
+    NGramConfig: {"n_values", "pad_boundaries"},
+    TrainedModel: {"regions", "vocabulary", "alpha", "strip_diacritics"},
+}
+# The classes each file is read into (a pipeline config, a spec, a model), and
+# that file's hand-written values of the wrong kind.
+_BY_FILE = [
+    ([PipelineConfig], [(key, value) for key, value, _ in CONFIG_VALUES_OF_THE_WRONG_KIND]),
+    ([synth.SynthSpec, synth.MarkovChain, synth.RegionGenerator, synth.CountrySpec,
+      synth.PopulationSpec], SPEC_STRINGS_OF_THE_WRONG_KIND),
+    ([NGramConfig, TrainedModel], MODEL_VALUES_OF_THE_WRONG_KIND),
+]
+
+
+def test_each_class_read_from_json_checks_the_kind_of_exactly_its_fields():
+    """A field whose annotation names no kind, or is no string because its
+    module lacks `from __future__ import annotations`, would go unchecked."""
+    for cls, names in KIND_CHECKED.items():
+        assert {f.name for f in fields(cls) if f.type in WRONG_KIND} == names, cls.__name__
+
+
+def _wrong_kind_cases():
+    """A value of the wrong kind for each field `KIND_CHECKED` names, then
+    each hand-written one whose key is such a field of its file's classes."""
+    for classes, handwritten in _BY_FILE:
+        checked = {(cls, f.name): f.type for cls in classes for f in fields(cls)
+                   if f.name in KIND_CHECKED[cls]}
+        for (cls, key), kind in checked.items():
+            yield pytest.param(cls, key, *WRONG_KIND[kind], id=f"{cls.__name__}.{key}")
+        for n, (key, value) in enumerate(handwritten):
+            for (cls, name), kind in checked.items():
+                if name == key:
+                    yield pytest.param(cls, key, value, WRONG_KIND[kind][1],
+                                       id=f"{cls.__name__}.{key}-{n}")
+                    break
+
+
+@pytest.mark.parametrize("cls, key, value, kind", _wrong_kind_cases())
+def test_a_reader_names_a_value_of_the_wrong_kind(tmp_path, capsys, cls, key, value, kind):
+    """Each reader takes a field's value only of the field's JSON kind, and
+    names the field: a config value is a config error (exit 3), a spec or
+    model value makes the file malformed (exit 2). Neither creates an out dir."""
+    message = f"{key} must be {kind}, got {json.loads(json.dumps(value))!r}\n"
+    if cls is PipelineConfig:
+        path, out = _config(tmp_path, **{"corpus": "x.tsv", key: value}), tmp_path / "out"
+        assert run(["pipeline", "--config", path]) == 3
+        message = f"config error: {path}: {message}"
+    elif cls in (NGramConfig, TrainedModel):
+        path, population = _two_region_model(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        (doc if key in ("regions", "vocabulary", "alpha") else doc["feature_config"])[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _compare_two_region(tmp_path, path, population) == 2
+        message, out = f"input error: {path}: malformed model file: {message}", tmp_path / "cmp"
+    else:
+        def edit(doc):
+            where = {synth.SynthSpec: doc, synth.MarkovChain: doc["global_chain"],
+                     synth.RegionGenerator: doc["regions"][0],
+                     synth.CountrySpec: doc["countries"][0],
+                     synth.PopulationSpec: doc["populations"][0]}
+            where[cls][key] = value
+
+        path, out = _edited_spec(tmp_path, edit), tmp_path / "synth"
+        assert run(["synth", "--spec", path, "--out-dir", out]) == 2
+        message = f"input error: {path}: malformed spec: {message}"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
@@ -1306,7 +1426,8 @@ def test_pipeline_targets_need_a_reference(tmp_path, synth_dir, capsys):
     doc["targets"] = [str(heldout)]
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["pipeline", "--config", config]) == 3
-    assert "config error: targets need a reference" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {config}: targets need a reference path\n" in err
     assert not (tmp_path / "out").exists()
 
 

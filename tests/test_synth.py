@@ -311,7 +311,7 @@ def _retries_and_fresh_buffers(monkeypatch, spec: SynthSpec) -> Counter:
         seen["fresh"] += pos == 0
         seen["fresh retries"] += retry and pos == 0
         name, end = draw(generator, global_chain, overlap, u, pos)
-        retry = owners.setdefault(name, generator.region) != generator.region
+        retry = owners.setdefault(name, generator.label) != generator.label
         return name, end
 
     with monkeypatch.context() as m:
@@ -460,7 +460,7 @@ def test_seven_regions_are_named_after_their_own_countries():
     run(PipelineConfig(1, Path(), k_regions=7, min_core_names=10), table, [], got.__setitem__)
     typology, core = got["typology"], got["core"]
     country_truth = {c.code: c.region for c in spec.countries}
-    true_partition = {frozenset(c.code for c in spec.countries if c.region == g.region)
+    true_partition = {frozenset(c.code for c in spec.countries if c.region == g.label)
                       for g in spec.generators}
     assert {frozenset(typology.members(r)) for r in typology.regions} == true_partition
     core_names = Counter(core.countries[i] for i in core.country)
