@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,8 +26,8 @@ from .corpus import normalize_surname
 from .errors import InputFormatError, SurnameError
 from .features import FeatureMatrix, NGramConfig, build_vocabulary, featurize
 from .util import (
-    atomic_write, check_fields, derive_seed, dumps, intern, parse_json, pick, read_text, setting,
-    tsv_lines,
+    atomic_write, check_fields, check_keys, derive_seed, dumps, from_fields, intern, is_int,
+    parse_json, pick, read_text, setting, tsv_lines,
 )
 
 __all__ = [
@@ -187,19 +187,20 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "TrainedModel":
+        """The model `save` wrote; `strip_diacritics` is in `feature_config`."""
         doc = parse_json(read_text(path), path)
-        if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
+        if not (isinstance(doc, dict) and is_int(version := doc.pop("version", None))
+                and version == MODEL_FORMAT_VERSION):
             raise InputFormatError(f"{path}: unsupported model file version")
         try:
-            fc = dict(doc["feature_config"])
-            strip = fc.pop("strip_diacritics", False)
+            check_keys(doc, "model", [f.name for f in fields(cls) if f.name != "strip_diacritics"])
+            if isinstance(fc := doc.get("feature_config"), dict) and "strip_diacritics" in fc:
+                doc["strip_diacritics"] = fc.pop("strip_diacritics")
             # One pass over every cell: a JSON number is an int or a float, not a bool.
-            cells = chain(doc["log_priors"], *doc["log_likelihoods"])
+            cells = chain(doc.get("log_priors", ()), *doc.get("log_likelihoods", ()))
             if not set(map(type, cells)) <= {int, float}:
                 raise ValueError("log_priors and log_likelihoods must hold JSON numbers")
-            named = ("regions", "vocabulary", "log_priors", "log_likelihoods", "alpha")
-            return cls(**{key: doc[key] for key in named},
-                       feature_config=NGramConfig.from_dict(fc), strip_diacritics=strip)
+            return from_fields(cls, doc, "model", feature_config=NGramConfig.from_dict)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: malformed model file: {exc}") from None
 

@@ -355,7 +355,7 @@ file formats:
                    by default (config key "header" skips the first row)
   registry TSV     country_code<TAB>name (bundled 176-entry list by default); a
                    code, stripped and upper-cased, holds no whitespace, ',',
-                   '"' or '#', since a region is named after one
+                   '"' or '#' (a region is named after one) and is listed once
   overrides TSV    REASSIGN<TAB>country<TAB>region or DELETE<TAB>country; a
                    region is named after its country with the most core names;
                    country and region are upper-cased
@@ -373,8 +373,9 @@ file formats:
                    significant digits (counts for the confusion, P(actual |
                    guessed) rows for the operator); no region label holds
                    ',', '"' or '#'
-  model JSON       versioned document with regions, vocabulary, log priors and
-                   log likelihoods (17 significant digits)
+  model JSON       version 1 and the model's fields, floats in 17 significant
+                   digits; a value of another JSON kind or range, or a key no
+                   field reads, is malformed (exit 2)
 """
 
 

@@ -97,7 +97,7 @@ class CountryRegistry:
 
     @classmethod
     def from_tsv(cls, path: Path | str) -> "CountryRegistry":
-        names: dict[str, str] = {}
+        rows: dict[str, tuple[int, str]] = {}  # code: its line and name
         for lineno, line in enumerate(read_text(path).splitlines(), 1):
             if not line.strip():
                 continue
@@ -110,10 +110,12 @@ class CountryRegistry:
                 raise InputFormatError(f"{path}: line {lineno}: {exc}") from None
             if not name:
                 raise InputFormatError(f"{path}: line {lineno}: empty name")
-            names[code] = name
-        if not names:
+            first, _ = rows.setdefault(code, (lineno, name))
+            if first != lineno:
+                raise InputFormatError(f"{path}: lines {first} and {lineno} list code {code}")
+        if not rows:
             raise InputFormatError(f"{path}: empty registry")
-        return cls(names)
+        return cls({code: name for code, (_, name) in rows.items()})
 
     def to_tsv(self) -> str:
         return "".join(f"{code}\t{self._names[code]}\n" for code in self.codes())

@@ -28,12 +28,12 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from itertools import accumulate, count, pairwise
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import SurnameError
-from .util import check_fields, setting
+from .util import check_fields, check_keys, from_fields, setting
 
 FeatureVector = dict[str, int]
 
@@ -78,10 +78,12 @@ class NGramConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "NGramConfig":
+    def from_dict(cls, data: object) -> "NGramConfig":
+        """`to_dict`'s config: every key is read, as a default could mismatch a vocabulary."""
+        check_keys(data, "feature_config", [*_MARKER_KEYS, *(f.name for f in fields(cls))])
         if [data[key] for key in _MARKER_KEYS] != [START_MARKER, END_MARKER]:
             raise ValueError(f"the boundary markers must be {START_MARKER!r} and {END_MARKER!r}")
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        return from_fields(cls, {f.name: data[f.name] for f in fields(cls)}, "feature_config")
 
 
 def extract(surname: str, config: NGramConfig = NGramConfig()) -> FeatureVector:

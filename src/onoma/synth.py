@@ -33,7 +33,7 @@ from .features import END_MARKER, START_MARKER
 from .stages import PipelineConfig, run
 from .typology import RegionTypology
 from .util import (
-    atomic_write, check_fields, check_keys, derive_seed, dumps, from_fields, is_number, parse_json,
+    atomic_write, check_fields, derive_seed, dumps, from_fields, is_number, parse_json,
     read_text, setting,
 )
 
@@ -55,8 +55,6 @@ __all__ = [
 STOP = ""
 # The longest name a region generates; each country's buffer holds 2 * max_len doubles.
 MAX_LEN = 1000
-# The keys of a spec file; "populations" may be left out.
-_SPEC_KEYS = ("seed", "overlap", "global_chain", "regions", "countries", "populations")
 
 
 def _validate_dist(dist: Mapping[str, float], *, allow_stop: bool, what: str) -> None:
@@ -193,14 +191,14 @@ class SynthSpec:
 
     seed: int
     overlap: float = setting(rule="in [0, 1]", ok=lambda v: 0 <= v <= 1)
-    generators: tuple[RegionGenerator, ...]
+    regions: tuple[RegionGenerator, ...]
     countries: tuple[CountrySpec, ...]
     global_chain: MarkovChain
     populations: tuple[PopulationSpec, ...] = ()
 
     def __post_init__(self) -> None:
         check_fields(self)
-        labels = [g.label for g in self.generators]
+        labels = [g.label for g in self.regions]
         if len(set(labels)) != len(labels) or not labels:
             raise ValueError("region labels must be unique and non-empty")
         codes = [c.code for c in self.countries]
@@ -208,7 +206,7 @@ class SynthSpec:
             raise ValueError("country codes must be unique and non-empty")
         # Two symbols one after the other must stay two: a corpus file
         # carries a name back normalized. Two ASCII symbols always do.
-        chains = (self.global_chain, *(g.chain for g in self.generators))
+        chains = (self.global_chain, *(g.chain for g in self.regions))
         symbols = sorted(set().union(*(chain._symbols for chain in chains)))
         for a, b in product(symbols, repeat=2):
             if not (a + b).isascii() and normalize_surname(a + b) != a + b:
@@ -220,7 +218,7 @@ class SynthSpec:
         if len({p.name for p in self.populations}) != len(self.populations):
             raise ValueError("population names must be unique")
         for p in self.populations:
-            if len(p.region_weights) != len(self.generators):
+            if len(p.region_weights) != len(self.regions):
                 raise ValueError(f"population {p.name}: weight count mismatch")
             # Each name is a file name's part and a dataset name in the report's CSV files.
             if any(c in p.name for c in "/,\r\n"):
@@ -228,10 +226,10 @@ class SynthSpec:
 
     @property
     def region_labels(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
+        return tuple(g.label for g in self.regions)
 
     def generator_for(self, region: str) -> RegionGenerator:
-        for g in self.generators:
+        for g in self.regions:
             if g.label == region:
                 return g
         raise KeyError(region)
@@ -249,7 +247,7 @@ class SynthSpec:
                     "max_len": g.max_len,
                     "chain": g.chain.to_dict(),
                 }
-                for g in self.generators
+                for g in self.regions
             ],
             "countries": list(map(asdict, self.countries)),
             "populations": list(map(asdict, self.populations)),
@@ -260,20 +258,16 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, text: str, source: str = "<spec>") -> "SynthSpec":
+        def each(item: type, what: str, **read: Any) -> Any:
+            return lambda docs: tuple(from_fields(item, doc, what, **read) for doc in docs)
+
         doc = parse_json(text, source)
         chain = partial(from_fields, MarkovChain, what="chain")
         try:
-            check_keys(doc, "spec", _SPEC_KEYS)
-            return cls(
-                seed=doc["seed"],
-                overlap=doc["overlap"],
-                global_chain=chain(doc["global_chain"]),
-                generators=tuple(from_fields(RegionGenerator, r, "region", chain=chain)
-                                 for r in doc["regions"]),
-                countries=tuple(from_fields(CountrySpec, c, "country") for c in doc["countries"]),
-                populations=tuple(from_fields(PopulationSpec, p, "population")
-                                  for p in doc.get("populations", [])),
-            )
+            return from_fields(cls, doc, "spec", global_chain=chain,
+                               regions=each(RegionGenerator, "region", chain=chain),
+                               countries=each(CountrySpec, "country"),
+                               populations=each(PopulationSpec, "population"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{source}: malformed spec: {exc}") from None
 
@@ -356,11 +350,11 @@ def standard_spec(
         raise ValueError(f"leak must be in [0, 1), got {leak}")
     alphabet = string.ascii_lowercase
     blocks = _letter_blocks(n_regions, alphabet)
-    generators = []
+    regions = []
     for i, letters in enumerate(blocks):
         label = f"R{i}"
         rng = np.random.default_rng(derive_seed(seed, f"chain:{label}"))
-        generators.append(
+        regions.append(
             RegionGenerator(label=label, chain=_random_chain(letters, rng, alphabet, leak))
         )
     countries = []
@@ -377,7 +371,7 @@ def standard_spec(
     return SynthSpec(
         seed=seed,
         overlap=overlap,
-        generators=tuple(generators),
+        regions=tuple(regions),
         countries=tuple(countries),
         global_chain=_uniform_chain(alphabet),
         populations=tuple(populations),
@@ -491,24 +485,24 @@ def generate_population(
     Every draw is a double: one picks the region, then the name reads on. So
     the doubles come in blocks, and what the last name leaves is never read.
     """
-    if len(population.region_weights) != len(spec.generators):
+    if len(population.region_weights) != len(spec.regions):
         raise ValueError(f"population {population.name}: weight count mismatch")
     seed = derive_seed(spec.seed, f"population:{population.name}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = np.asarray(population.region_weights, dtype=float)
     cum = np.cumsum(weights / weights.sum()).tolist()
-    last = len(spec.generators) - 1
-    need = 1 + 2 * max(g.max_len for g in spec.generators)
+    last = len(spec.regions) - 1
+    need = 1 + 2 * max(g.max_len for g in spec.regions)
     block = max(need, 4096)
     u: list[float] = []
     pos = 0
     names: list[str] = []
-    truth_counts = {g.label: 0 for g in spec.generators}
+    truth_counts = {g.label: 0 for g in spec.regions}
     for _ in range(population.n_names):
         if len(u) - pos < need:
             u = u[pos:] + rng.random(block).tolist()
             pos = 0
-        generator = spec.generators[min(bisect_right(cum, u[pos]), last)]
+        generator = spec.regions[min(bisect_right(cum, u[pos]), last)]
         name, pos = _draw_name(generator, spec.global_chain, spec.overlap, u, pos + 1)
         names.append(name)
         truth_counts[generator.label] += 1
@@ -526,7 +520,7 @@ def render_truth_tsv(truth: Mapping[str, str]) -> str:
 
 def default_population(spec: SynthSpec, n_names: int = 2000) -> PopulationSpec:
     """Held-out mix deliberately shifted away from the near-uniform corpus mix."""
-    weights = tuple(float(2 ** (i % 4)) for i in range(len(spec.generators)))
+    weights = tuple(float(2 ** (i % 4)) for i in range(len(spec.regions)))
     return PopulationSpec(name="heldout", n_names=n_names, region_weights=weights)
 
 
@@ -572,7 +566,7 @@ def score_pipeline(
     """
     given = {"min_core_names": min_core_names, "alpha": alpha}
     config = PipelineConfig(  # no path is read or written: `run` gets the table
-        spec.seed, Path(), k_regions=len(spec.generators),
+        spec.seed, Path(), k_regions=len(spec.regions),
         **{k: v for k, v in given.items() if v is not None},
     )
     table, truth = generate(spec) if corpus is None else corpus
@@ -589,7 +583,7 @@ def score_pipeline(
 
     true_partition = {
         frozenset(c.code for c in spec.countries if c.region == g.label)
-        for g in spec.generators
+        for g in spec.regions
     }
     got_partition = {frozenset(typology.members(r)) for r in typology.regions}
 

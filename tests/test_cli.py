@@ -541,6 +541,45 @@ def test_a_model_with_other_boundary_markers_is_malformed(tmp_path, capsys, key,
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda doc: doc.update(alpah=5), "unknown model keys: alpah"),
+     (lambda doc: doc["feature_config"].update(pad_boundary=False),
+      "unknown feature_config keys: pad_boundary"),
+     (lambda doc: doc.update(strip_diacritics=doc["feature_config"].pop("strip_diacritics")),
+      "unknown model keys: strip_diacritics"),
+     (lambda doc: doc.pop("alpha"), "missing model key: 'alpha'"),
+     (lambda doc: doc["feature_config"].pop("n_values"), "'n_values'"),
+     (lambda doc: doc.update(feature_config=[["n_values", [2, 3]]]),
+      "feature_config must be a JSON object, got [['n_values', [2, 3]]]")],
+    ids=["top_typo", "feature_config_typo", "strip_at_the_top", "missing_alpha",
+         "missing_n_values", "feature_config_list"],
+)
+def test_a_model_key_no_field_reads_is_malformed(tmp_path, capsys, edit, message):
+    """The model and its `feature_config` are read from their fields: a key
+    no field reads, or a missing one, is not left to a default. The file
+    keeps `strip_diacritics` in `feature_config`, so at the top it is unknown."""
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    edit(doc)
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert _compare_two_region(tmp_path, model, population) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {model}: malformed model file: {message}\n" in err
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None], ids=repr)
+def test_a_model_version_other_than_the_integer_1_is_unsupported(tmp_path, capsys, version):
+    model, population = _two_region_model(tmp_path)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["version"] = version
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert _compare_two_region(tmp_path, model, population) == 2
+    assert f"input error: {model}: unsupported model file version\n" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_malformed_operator_and_confusion_files_are_input_errors(tmp_path, capsys):
     """No command reads an operator, so its reader is checked in the library."""
     model, population = _two_region_model(tmp_path)
@@ -927,6 +966,22 @@ def test_a_registry_code_a_grid_file_cannot_carry_back_is_an_input_error(tmp_pat
     assert run(["pipeline", "--config", config]) == 2
     line = len(text.splitlines()) + 1
     assert f"input error: {registry}: line {line}: code 'a,a' is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_registry_code_listed_twice_is_an_input_error(tmp_path, synth_dir, capsys):
+    """A code in lower case upper-cases to the first line's code, whose name
+    it would silently replace; the error names both lines."""
+    registry = tmp_path / "countries.tsv"
+    text = (synth_dir / "countries.tsv").read_text(encoding="utf-8")
+    code = text.split("\t", 1)[0]
+    registry.write_text(text + f"{code.lower()}\tAgain\n", encoding="utf-8")
+    config = _config(tmp_path, corpus=str(synth_dir / "corpus.tsv"), registry=str(registry),
+                     k_regions=3, min_core_names=5)
+    assert run(["pipeline", "--config", config]) == 2
+    line = len(text.splitlines()) + 1
+    err = capsys.readouterr().err
+    assert f"input error: {registry}: lines 1 and {line} list code {code}\n" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -108,7 +108,7 @@ def collision_spec(
     return SynthSpec(
         seed=4,
         overlap=0.0,
-        generators=(
+        regions=(
             RegionGenerator("R0", chain, min_len=1, max_len=3),
             RegionGenerator("R1", chain, min_len=1, max_len=3),
         ),
@@ -180,7 +180,7 @@ def test_rows_ending_in_inf_pick_as_the_clamped_true_sums(make_spec):
     # at and around every true sum they pick the symbol that `bisect_right`
     # on the true sums picks, clamped to the last symbol.
     spec = make_spec()
-    for chain in (spec.global_chain, *(g.chain for g in spec.generators)):
+    for chain in (spec.global_chain, *(g.chain for g in spec.regions)):
         start, samplers = reference.chain_sums(chain)
         rows = [(chain._full_rows[""], start.nonstop_symbols, start.cum_nonstop),
                 (chain._nonstop_rows[""], start.nonstop_symbols, start.cum_nonstop)]
@@ -280,7 +280,7 @@ def test_block_draws_match_scalar_reference(make_spec):
     want_table, want_truth = reference.generate(spec)
     assert render_corpus_tsv(table) == render_corpus_tsv(want_table)
     assert truth == want_truth
-    weights = tuple(float(i + 1) for i in range(len(spec.generators)))
+    weights = tuple(float(i + 1) for i in range(len(spec.regions)))
     for n in (1, 700):
         population = PopulationSpec("p", n, weights)
         assert generate_population(spec, population) == reference.generate_population(
@@ -371,7 +371,7 @@ def test_generate_collision_exhaustion_raises():
     spec = SynthSpec(
         seed=1,
         overlap=0.0,
-        generators=(
+        regions=(
             RegionGenerator("R0", chain, min_len=3, max_len=3),
             RegionGenerator("R1", chain, min_len=3, max_len=3),
         ),
@@ -461,7 +461,7 @@ def test_seven_regions_are_named_after_their_own_countries():
     typology, core = got["typology"], got["core"]
     country_truth = {c.code: c.region for c in spec.countries}
     true_partition = {frozenset(c.code for c in spec.countries if c.region == g.label)
-                      for g in spec.generators}
+                      for g in spec.regions}
     assert {frozenset(typology.members(r)) for r in typology.regions} == true_partition
     core_names = Counter(core.countries[i] for i in core.country)
     for label in typology.regions:
@@ -538,7 +538,7 @@ def test_spec_rejects_symbols_that_compose_across_its_chains():
     vowel = MarkovChain(order=1, start={"\u1161": 1.0}, transitions={})
     with pytest.raises(ValueError, match="symbols '\u1100' then '\u1161' change under"):
         replace(spec, global_chain=lead,
-                generators=(replace(spec.generators[0], chain=vowel), *spec.generators[1:]))
+                regions=(replace(spec.regions[0], chain=vowel), *spec.regions[1:]))
     # Either symbol alone passes, and so do precomposed letters next to each other.
     replace(spec, global_chain=vowel)
     accented = MarkovChain(order=1, start={"\u00e9": 0.5, "\u00f8": 0.5}, transitions={})
