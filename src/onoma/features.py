@@ -80,7 +80,8 @@ class NGramConfig:
     @classmethod
     def from_dict(cls, data: object) -> "NGramConfig":
         """`to_dict`'s config: every key is read, as a default could mismatch a vocabulary."""
-        check_keys(data, "feature_config", [*_MARKER_KEYS, *(f.name for f in fields(cls))])
+        keys = [*_MARKER_KEYS, *(f.name for f in fields(cls))]
+        check_keys(data, "feature_config", keys, keys)
         if [data[key] for key in _MARKER_KEYS] != [START_MARKER, END_MARKER]:
             raise ValueError(f"the boundary markers must be {START_MARKER!r} and {END_MARKER!r}")
         return from_fields(cls, {f.name: data[f.name] for f in fields(cls)}, "feature_config")

@@ -157,13 +157,14 @@ def fit(
 
 def check_dataset_names(names: Sequence[str]) -> None:
     """Raise `ConfigError` unless the dataset names are distinct and each
-    fits in one field of the report's CSV files: no comma, no line break."""
+    fits in one field of the report's CSV files: no comma, no double quote,
+    no line break."""
     seen: set[str] = set()
     for name in names:
         if name in seen:
             raise ConfigError(f"duplicate dataset name {name!r}")
-        if any(c in name for c in ",\r\n"):
-            raise ConfigError(f"dataset name {name!r} holds a comma or a line break")
+        if any(c in name for c in ',"\r\n'):
+            raise ConfigError(f"dataset name {name!r} holds a comma, '\"' or a line break")
         seen.add(name)
 
 

@@ -221,8 +221,10 @@ class SynthSpec:
             if len(p.region_weights) != len(self.regions):
                 raise ValueError(f"population {p.name}: weight count mismatch")
             # Each name is a file name's part and a dataset name in the report's CSV files.
-            if any(c in p.name for c in "/,\r\n"):
-                raise ValueError(f"population name {p.name!r} holds '/', a comma or a line break")
+            if any(c in p.name for c in '/,"\r\n'):
+                raise ValueError(
+                    f"population name {p.name!r} holds '/', a comma, '\"' or a line break"
+                )
 
     @property
     def region_labels(self) -> tuple[str, ...]:

@@ -131,13 +131,17 @@ def check_fields(obj: Any) -> None:
             object.__setattr__(obj, f.name, _KINDS[f.type][2](value))
 
 
-def check_keys(doc: object, what: str, known: Collection[str]) -> None:
+def check_keys(
+    doc: object, what: str, known: Collection[str], required: Collection[str] = ()
+) -> None:
     """Raise `ConfigError` unless `doc`, a `what`, is a JSON object whose
-    keys are all `known`."""
+    keys are all `known` and include every `required` one."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
     if unknown := sorted(set(doc) - set(known)):
         raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    if missing := [key for key in required if key not in doc]:
+        raise ConfigError(f"missing {what} key: {missing[0]!r}")
 
 
 def from_fields(cls: type, doc: object, what: str, **read: Callable[[Any], Any]) -> Any:
@@ -145,10 +149,8 @@ def from_fields(cls: type, doc: object, what: str, **read: Callable[[Any], Any])
     keys are field names, each field without a default among them, and
     whose values are the fields' values, after `read[key]` where `read`
     names the key. Another key or a missing one raises `ConfigError`."""
-    check_keys(doc, what, [f.name for f in fields(cls)])
-    for f in fields(cls):
-        if f.name not in doc and f.default is MISSING:
-            raise ConfigError(f"missing {what} key: {f.name!r}")
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    check_keys(doc, what, [f.name for f in fields(cls)], required)
     return cls(**{key: read[key](v) if key in read else v for key, v in doc.items()})
 
 

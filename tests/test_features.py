@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from onoma.errors import SurnameError
+from onoma.errors import ConfigError, SurnameError
 from onoma.features import (
     _CHUNK,
     END_MARKER,
@@ -95,7 +95,7 @@ def test_config_dict_records_the_markers_and_takes_no_others():
     for key, other in (("start_marker", "<"), ("end_marker", "^"), ("end_marker", None)):
         with pytest.raises(ValueError, match=r"the boundary markers must be '\^' and '\$'"):
             NGramConfig.from_dict({**written, key: other})
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=r"^missing feature_config key: 'start_marker'$"):
         NGramConfig.from_dict({"n_values": [2, 3], "pad_boundaries": True})
 
 

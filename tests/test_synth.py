@@ -509,7 +509,7 @@ def test_score_pipeline_compares_its_population_by_name():
     """The scored population is the run's reference dataset, so its name must
     fit one field of the report's CSV files, as a pipeline dataset's must:
     a spec holds no other name."""
-    with pytest.raises(ValueError, match="holds '/', a comma or a line break"):
+    with pytest.raises(ValueError, match="holds '/', a comma, '\"' or a line break"):
         standard_spec(2, 2, 80, 0.2, seed=2, populations=(PopulationSpec("a,b", 200, (1.0, 2.0)),))
 
 

@@ -2,11 +2,7 @@
 
 import logging
 import math
-import os
 import random
-import signal
-import threading
-import time
 import tracemalloc
 from collections import namedtuple
 
@@ -453,21 +449,12 @@ def ward_rows():
         yield rows / rows.sum(axis=1, keepdims=True)
 
 
-def test_ward_cluster_matches_one_buffer_reference(monkeypatch):
-    from onoma import typology
-
-    seen = []
-
-    def recording_agglomerate(labels, dist, method="ward"):
-        seen.append(dist.copy())
-        return agglomerate(labels, dist, method)
-
-    monkeypatch.setattr(typology, "agglomerate", recording_agglomerate)
+def test_ward_cluster_matches_one_buffer_reference(ward_distances):
     for rows in ward_rows():
         matrix = sparse_matrix(rows)
         expected, dist = parent_ward_cluster(matrix.countries, rows)
         assert ward_cluster(matrix).merges == expected.merges
-        assert seen.pop().tobytes() == dist.tobytes()
+        assert ward_distances.pop().tobytes() == dist.tobytes()
 
 
 def generated_matrix():
@@ -479,11 +466,32 @@ def generated_matrix():
     return country_matrix(filter_core_names(table), NGramConfig(), 5)
 
 
-def test_ward_cluster_matches_reference_on_generated_typology():
+def test_ward_cluster_matches_reference_on_generated_typology(ward_distances):
     matrix = generated_matrix()
     assert len(matrix.countries) == 25
-    expected, _ = parent_ward_cluster(matrix.countries, dense(matrix))
+    expected, dist = parent_ward_cluster(matrix.countries, dense(matrix))
     assert ward_cluster(matrix).merges == expected.merges
+    assert ward_distances.pop().tobytes() == dist.tobytes()
+
+
+def test_ward_cluster_split_matches_one_process_and_reference(monkeypatch, ward_distances):
+    # The distances are computed in this process, block by block: no child
+    # is forked, and a second call gives the same dendrogram to the last bit.
+    import os
+
+    def no_fork():
+        raise AssertionError("ward_cluster forked a child")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cases = [(sparse_matrix(rows), rows) for rows in ward_rows()]
+    matrix = generated_matrix()
+    cases.append((matrix, dense(matrix)))
+    for matrix, rows in cases:
+        expected, dist = parent_ward_cluster(matrix.countries, rows)
+        first, second = ward_cluster(matrix), ward_cluster(matrix)
+        assert first.merges == second.merges == expected.merges
+        second_dist, first_dist = ward_distances.pop(), ward_distances.pop()
+        assert first_dist.tobytes() == second_dist.tobytes() == dist.tobytes()
 
 
 def crossover_rows():
@@ -553,148 +561,12 @@ def test_ward_cluster_matches_reference_on_sparse_generated_typology(ward_distan
     assert ward_distances.pop().tobytes() == dist.tobytes()
 
 
-# ward_cluster forks only on Linux, counting threads in /proc/self/task.
-FORK_ROUTE = pytest.mark.skipif(
-    not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
-    reason="needs os.fork and /proc/self/task",
-)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked in a test, with two CPUs usable and
-    ward_cluster splitting at any size."""
-    from onoma import typology
-
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(typology, "WARD_FORK_CELLS", 0)
-    return pids
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@FORK_ROUTE
-def test_ward_cluster_split_matches_one_process_and_reference(
-    monkeypatch, ward_distances, forks
-):
-    from onoma import typology
-
-    cases = [(sparse_matrix(rows), rows) for rows in ward_rows()]
-    matrix = generated_matrix()
-    cases.append((matrix, dense(matrix)))
-    for matrix, rows in cases:
-        expected, dist = parent_ward_cluster(matrix.countries, rows)
-        split = ward_cluster(matrix)
-        monkeypatch.setattr(typology, "WARD_FORK_CELLS", math.inf)
-        serial = ward_cluster(matrix)
-        monkeypatch.setattr(typology, "WARD_FORK_CELLS", 0)
-        assert split.merges == serial.merges == expected.merges
-        serial_dist, split_dist = ward_distances.pop(), ward_distances.pop()
-        assert split_dist.tobytes() == serial_dist.tobytes() == dist.tobytes()
-    assert len(forks) == len(cases)
-    assert_no_child_left()
-
-
-@FORK_ROUTE
-@pytest.mark.parametrize(
-    "case", ["control", "below-the-size", "one-cpu", "second-thread", "no-affinity-call"]
-)
-def test_ward_cluster_stays_in_one_process(monkeypatch, forks, case):
-    from onoma import typology
-
-    matrix = generated_matrix()
-    n = len(matrix.countries)
-    # At the constant itself the control splits; each case changes one thing.
-    monkeypatch.setattr(typology, "WARD_FORK_CELLS", n * (n - 1) // 2 * len(matrix.vocabulary))
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if case == "below-the-size":
-        monkeypatch.setattr(typology, "WARD_FORK_CELLS", typology.WARD_FORK_CELLS + 1)
-    elif case == "one-cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif case == "second-thread":
-        thread.start()
-    elif case == "no-affinity-call":
-        monkeypatch.delattr(os, "sched_getaffinity")
-    try:
-        dendrogram = ward_cluster(matrix)
-    finally:
-        stop.set()
-        if case == "second-thread":
-            thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(forks) == (case == "control")
-    expected, _ = parent_ward_cluster(matrix.countries, dense(matrix))
-    assert dendrogram.merges == expected.merges
-    assert_no_child_left()
-
-
-def fail_in(monkeypatch, side):
-    """Make `side` ("child" or "parent") of the split raise in its blocks.
-    The other side computes its own; with side "parent" the child first
-    sleeps 60 s, so it is still running when the parent fails."""
-    from onoma import typology
-
-    parent, blocks = os.getpid(), typology._distance_blocks
-
-    def failing(matrix, dist, block_starts):
-        in_child = os.getpid() != parent
-        if in_child == (side == "child"):
-            raise RuntimeError(f"{side} half")
-        if in_child:
-            time.sleep(60)
-        blocks(matrix, dist, block_starts)
-
-    monkeypatch.setattr(typology, "_distance_blocks", failing)
-
-
-@FORK_ROUTE
-def test_a_failed_child_raises_invariant_error(monkeypatch, forks):
-    fail_in(monkeypatch, "child")
-    with pytest.raises(InvariantError, match="Ward distance child exited with code 1"):
-        ward_cluster(generated_matrix())
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
-@FORK_ROUTE
-def test_a_failure_in_this_process_kills_and_reaps_the_child(monkeypatch, forks):
-    kills = []
-    kill = os.kill
-
-    def recording_kill(pid, sig):
-        kills.append((pid, sig))
-        kill(pid, sig)
-
-    monkeypatch.setattr(os, "kill", recording_kill)
-    fail_in(monkeypatch, "parent")
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="parent half"):
-        ward_cluster(generated_matrix())
-    assert time.monotonic() - start < 30  # the child's 60 s sleep was cut short
-    assert kills == [(forks[0], signal.SIGKILL)]
-    assert_no_child_left()
-
-
-@FORK_ROUTE
-def test_onoma_typology_exits_4_when_the_child_fails(tmp_path, monkeypatch, forks, capsys):
-    """`onoma pipeline` reports a failed Ward child as an internal error and
-    writes no result of the typology stage or after it."""
+def test_onoma_pipeline_exits_4_when_the_ward_distances_fail(tmp_path, monkeypatch, capsys):
+    """`onoma pipeline` reports a failure in Ward's distances as an internal
+    error and writes no result of the typology stage or after it."""
     import json
 
+    from onoma import typology
     from onoma.cli import main
     from onoma.corpus import render_corpus_tsv
     from onoma.synth import generate, registry_for, standard_spec
@@ -708,11 +580,13 @@ def test_onoma_typology_exits_4_when_the_child_fails(tmp_path, monkeypatch, fork
     config.write_text(json.dumps({"seed": 1, "out_dir": str(out), "corpus": "corpus.tsv",
                                   "registry": "countries.tsv", "min_core_names": 5}),
                       encoding="utf-8")
-    fail_in(monkeypatch, "child")
+
+    def failing(matrix):
+        raise RuntimeError("Ward distances failed")
+
+    monkeypatch.setattr(typology, "_distance_blocks", failing)
     assert main(["pipeline", "--config", str(config)]) == 4
-    assert capsys.readouterr().err == "internal error: Ward distance child exited with code 1\n"
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert capsys.readouterr().err == "internal error: Ward distances failed\n"
     for name in ("typology.tsv", "dendrogram.tsv", "model.json"):
         assert not (out / name).exists(), name
 
